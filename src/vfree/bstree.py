@@ -17,6 +17,7 @@ from .gogwords import (
     GogError,
     GraphOfGroups,
     NormalForm,
+    Traversal,
     WordLike,
     end_vertex,
     normal_form,
@@ -51,9 +52,9 @@ class Classification:
 
 
 def vertex_from_path(gog: GraphOfGroups, p: NormalForm) -> TreeVertex:
-    """The tree vertex reached by a path word from the base (the trailing
-    element is dropped; it stabilizes the vertex)."""
-    p = path_normal_form(gog, p.start, p.steps, p.tail)
+    """The tree vertex reached by a path from the base (the trailing
+    element is dropped; it stabilizes the vertex).  p must be a normal
+    form from this library; it is not reduced again."""
     orbit = end_vertex(gog, p)
     rep = NormalForm(p.start, p.steps, gog.vertices[orbit].identity)
     return TreeVertex(orbit, rep)
@@ -81,17 +82,26 @@ def translate(gog: GraphOfGroups, g: WordLike, v: TreeVertex) -> TreeVertex:
     return vertex_from_path(gog, path_multiply(gog, g_nf, v.coset_rep))
 
 
+def _step(gog: GraphOfGroups, p: NormalForm, r: int,
+          t: Traversal) -> NormalForm:
+    """The path p followed by the element r at its end and the traversal t,
+    as a seam product."""
+    q = NormalForm(gog.near(t), ((r, t),), gog.vertices[gog.far(t)].identity)
+    return path_multiply(gog, p, q)
+
+
+def neighbor(gog: GraphOfGroups, v: TreeVertex, r: int,
+             t: Traversal) -> TreeVertex:
+    """The neighbor of v across r·t: r is an element of the group at
+    v.orbit and t a traversal starting there."""
+    return vertex_from_path(gog, _step(gog, v.coset_rep, r, t))
+
+
 def neighbors(gog: GraphOfGroups, v: TreeVertex) -> list[TreeVertex]:
     """All adjacent tree vertices: one per coset of each incident edge
     group image (the count is the sum of the indices)."""
-    out = []
-    for t in gog.incident(v.orbit):
-        far_id = gog.vertices[gog.far(t)].identity
-        for r in gog.transversal(t):
-            p = path_normal_form(gog, v.coset_rep.start,
-                                 list(v.coset_rep.steps) + [(r, t)], far_id)
-            out.append(vertex_from_path(gog, p))
-    return out
+    return [neighbor(gog, v, r, t)
+            for t in gog.incident(v.orbit) for r in gog.transversal(t)]
 
 
 def distance(gog: GraphOfGroups, u: TreeVertex, w: TreeVertex) -> int:
@@ -129,15 +139,16 @@ def axis_window(gog: GraphOfGroups, g: WordLike, periods: int,
         path_multiply(gog, g_nf, anchor.coset_rep))
     if len(stretch.steps) != length:
         raise GogError("anchor is not on the axis")
+    # The running path keeps its trailing element: the edge-group part
+    # carried along a step decides which neighbor the next step reaches.
     verts = [anchor]
-    segment_base = anchor.coset_rep
+    path = anchor.coset_rep
     for _ in range(periods):
-        for i in range(1, len(stretch.steps) + 1):
-            prefix = NormalForm(stretch.start, stretch.steps[:i],
-                                gog.vertices[gog.far(stretch.steps[i - 1][1])].identity)
-            verts.append(vertex_from_path(
-                gog, path_multiply(gog, segment_base, prefix)))
-        segment_base = path_multiply(gog, segment_base, stretch)
+        for r, t in stretch.steps:
+            path = _step(gog, path, r, t)
+            verts.append(vertex_from_path(gog, path))
+        path = path_multiply(gog, path,
+                             NormalForm(anchor.orbit, (), stretch.tail))
     return AxisSegment(g_nf, tuple(verts), length)
 
 

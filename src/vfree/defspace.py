@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 from . import fingroup as fg
 from .fingroup import FiniteGroup, GroupHom
-from .gogwords import Edge, GogError, GraphOfGroups, Traversal
+from .gogwords import (Edge, GogError, GraphOfGroups, Traversal,
+                       _spanning_forest)
 
 ENUM_VERTEX_CAP = 3
 ENUM_EDGE_CAP = 3
@@ -484,38 +485,16 @@ def _connected_shapes(p: int, q: int):
     """Connected multigraph shapes: multisets of endpoint pairs (i, j)."""
     slots = [(i, j) for i in range(p) for j in range(i, p)]
     for combo in itertools.combinations_with_replacement(slots, q):
-        parent = list(range(p))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in combo:
-            parent[find(i)] = find(j)
-        if len({find(i) for i in range(p)}) == 1:
+        if _spanning_forest(range(p), combo)[1] == 1:
             yield combo
 
 
 def _candidate_graph(shape, vgroups, egroups, monos) -> Optional[GraphOfGroups]:
     vertices = [(f"v{k}", grp) for k, grp in enumerate(vgroups)]
-    edges = []
-    parent = list(range(len(vgroups)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree = []
-    for k, ((i, j), egrp, (mi, mj)) in enumerate(zip(shape, egroups, monos)):
-        eid = f"e{k}"
-        edges.append(Edge(eid, egrp, (f"v{i}", f"v{j}"), (mi, mj)))
-        if i != j and find(i) != find(j):
-            parent[find(i)] = find(j)
-            tree.append(eid)
+    edges = [Edge(f"e{k}", egrp, (f"v{i}", f"v{j}"), (mi, mj))
+             for k, ((i, j), egrp, (mi, mj))
+             in enumerate(zip(shape, egroups, monos))]
+    tree = [f"e{k}" for k in _spanning_forest(range(len(vgroups)), shape)[0]]
     try:
         return GraphOfGroups(vertices, edges, "v0", tree)
     except GogError:

@@ -114,12 +114,12 @@ class FiniteGroup:
         return self.table[self.table[g][x]][self.inverses[g]]
 
     def power(self, i: int, k: int) -> int:
+        """i^k, with k reduced modulo the order of i first."""
         if k < 0:
             return self.power(self.inverses[i], -k)
         acc = self.identity
-        while k:
+        for _ in range(k % self.element_order(i)):
             acc = self.table[acc][i]
-            k -= 1
         return acc
 
     def element_order(self, i: int) -> int:
@@ -750,11 +750,11 @@ def evaluate_word(group: FiniteGroup, text: str) -> int:
     """
     acc = group.identity
     for token in text.split():
-        name, _, exp = token.partition("^")
+        name, caret, exp = token.partition("^")
         if name not in group.generators:
             raise GroupError(f"unknown generator {name!r}")
         power = 1
-        if exp:
+        if caret:
             try:
                 power = int(exp)
             except ValueError:

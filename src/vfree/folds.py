@@ -20,6 +20,7 @@ from .bstree import (
     TreeVertex,
     base_vertex,
     distance,
+    neighbor,
     standard_vertex,
     translate,
     vertex_from_path,
@@ -413,10 +414,6 @@ def classify_fold(marked: MarkedTree, d: FoldDirective) -> str:
     return "collapse"
 
 
-def _nf_sort_key(nf: NormalForm):
-    return (len(nf.steps), nf.steps, nf.tail)
-
-
 def available_folds(marked: MarkedTree) -> dict:
     """All applicable directives, grouped by priority class.
 
@@ -455,7 +452,7 @@ def available_folds(marked: MarkedTree) -> dict:
             if pfar == marked.vertices[v].image:
                 continue
             cur = _stab_from(marked, eid, end)
-            for h in sorted(marked.vertices[v].stab, key=_nf_sort_key):
+            for h in sorted(marked.vertices[v].stab, key=NormalForm.sort_key):
                 if h in cur:
                     continue
                 if translate(gog, h, pfar) == pfar:
@@ -467,14 +464,8 @@ def available_folds(marked: MarkedTree) -> dict:
 def _crossing(gog: GraphOfGroups, u: TreeVertex,
               x: TreeVertex) -> Optional[Traversal]:
     """The quotient traversal realizing the tree edge from u to x."""
-    for t in gog.incident(u.orbit):
-        far_id = gog.vertices[gog.far(t)].identity
-        for r in gog.transversal(t):
-            p = path_normal_form(gog, u.coset_rep.start,
-                                 list(u.coset_rep.steps) + [(r, t)], far_id)
-            if vertex_from_path(gog, p) == x:
-                return t
-    return None
+    return next((t for t in gog.incident(u.orbit) for r in gog.transversal(t)
+                 if neighbor(gog, u, r, t) == x), None)
 
 
 def maximality_flags(marked: MarkedTree) -> dict[str, bool]:
@@ -627,8 +618,7 @@ def marked_rose_for_basis(gog: GraphOfGroups, words,
         names = [hub] + [f"{hub}{i}_{j}" for j in range(1, k)]
         for j in range(1, k):
             far = gog.far(g.steps[j - 1][1])
-            pref = path_normal_form(gog, g.start, g.steps[:j],
-                                    gog.vertices[far].identity)
+            pref = NormalForm(g.start, g.steps[:j], gog.vertices[far].identity)
             vertices[names[j]] = MarkedVertex(vertex_from_path(gog, pref),
                                               frozenset([ident]))
         for j in range(k):

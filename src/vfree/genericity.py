@@ -41,7 +41,6 @@ from .gogwords import (
     parse_word,
     path_invert,
     path_multiply,
-    path_normal_form,
 )
 
 GENERATION_DEPTH_CAP = 8
@@ -49,12 +48,8 @@ GENERATION_SIZE_CAP = 20000
 MASK64 = (1 << 64) - 1
 
 
-def _nf_key(nf: NormalForm):
-    return (len(nf.steps), nf.steps, nf.tail)
-
-
 def _vertex_key(v: TreeVertex):
-    return (v.orbit, _nf_key(v.coset_rep))
+    return (v.orbit, v.coset_rep.sort_key())
 
 
 # -- Whitehead graphs ---------------------------------------------------------
@@ -248,8 +243,7 @@ def group_ball(gog: GraphOfGroups, radius: int) -> list[NormalForm]:
     out = []
     for v in sorted(verts, key=_vertex_key):
         for t in grp.elements():
-            out.append(path_normal_form(gog, v.coset_rep.start,
-                                        v.coset_rep.steps, t))
+            out.append(NormalForm(v.coset_rep.start, v.coset_rep.steps, t))
     return out
 
 

@@ -11,6 +11,11 @@ syllable is a coset representative followed by an edge traversal, with one
 trailing free element.  Representatives are the minimal-index elements of
 their cosets, so equality of group elements is literal equality of the
 normalized data.
+
+Normalization happens only at the boundary: normal_form, path_normal_form
+and parse_word take outside data and check it.  Everything after that
+takes normal forms from this library as given and does only local work:
+a product reduces the seam and the right operand, never the left one.
 """
 
 from __future__ import annotations
@@ -77,6 +82,10 @@ class NormalForm:
 
     def syllable_length(self) -> int:
         return len(self.steps)
+
+    def sort_key(self):
+        """Deterministic order: shorter first, then by the literal data."""
+        return (len(self.steps), self.steps, self.tail)
 
 
 WordLike = Union[GroupWord, NormalForm]
@@ -170,25 +179,11 @@ class GraphOfGroups:
                 raise GogError(f"spanning tree edge {eid!r} is not an edge")
             if self.edges[eid].ends[0] == self.edges[eid].ends[1]:
                 raise GogError(f"loop edge {eid!r} cannot lie in a spanning tree")
-        parent = {v: v for v in self.vertices}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for eid in self.spanning_tree:
-            a, b = (find(v) for v in self.edges[eid].ends)
-            if a == b:
-                raise GogError("spanning tree contains a cycle")
-            parent[a] = b
-        for eid, e in self.edges.items():
-            a, b = (find(v) for v in e.ends)
-            parent[a] = b
-        roots = {find(v) for v in self.vertices}
-        if len(roots) != 1:
-            raise GogError("underlying graph is not connected")
+        # (vertex count - 1) edges without a cycle connect every vertex, so
+        # this check also rules out a disconnected underlying graph.
+        tree_ends = [self.edges[eid].ends for eid in self.spanning_tree]
+        if _spanning_forest(self.vertices, tree_ends)[1] != 1:
+            raise GogError("spanning tree contains a cycle")
 
     # -- local accessors ---------------------------------------------------
 
@@ -210,22 +205,41 @@ class GraphOfGroups:
 
     def tree_path(self, u: str, w: str) -> tuple[Traversal, ...]:
         """The geodesic path of spanning-tree traversals from u to w."""
-        up_u: list[Traversal] = []
-        v = u
-        while self._tree_step[v] is not None:
-            step = self._tree_step[v]
-            up_u.append(step)
-            v = self.far(step)
-        up_w: list[Traversal] = []
-        v = w
-        while self._tree_step[v] is not None:
-            step = self._tree_step[v]
-            up_w.append(step)
-            v = self.far(step)
+        up_u, up_w = self._path_to_base(u), self._path_to_base(w)
         while up_u and up_w and up_u[-1] == up_w[-1]:
             up_u.pop()
             up_w.pop()
         return tuple(up_u) + tuple(t.reverse() for t in reversed(up_w))
+
+    def _path_to_base(self, v: str) -> list[Traversal]:
+        out = []
+        while self._tree_step[v] is not None:
+            out.append(self._tree_step[v])
+            v = self.far(out[-1])
+        return out
+
+
+def _spanning_forest(nodes: Iterable, pairs: Sequence[tuple]
+                     ) -> tuple[list[int], int]:
+    """Union-find over the nodes, joining the pairs in order.
+
+    Returns the indices of the pairs that joined two components (a
+    spanning forest, first come first kept) and the component count."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    picked = []
+    for k, (a, b) in enumerate(pairs):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            picked.append(k)
+    return picked, len(parent) - len(picked)
 
 
 # -- normalization ---------------------------------------------------------
@@ -233,10 +247,15 @@ class GraphOfGroups:
 
 def _reduce_raw(gog: GraphOfGroups, start: str,
                 raw_steps: Iterable[tuple[int, Traversal]],
-                raw_tail: int) -> NormalForm:
-    """Normalize a raw path word given as (element, traversal) steps plus tail."""
-    out: list[tuple[int, Traversal]] = []
-    v = start
+                raw_tail: int,
+                prefix: tuple[tuple[int, Traversal], ...] = ()) -> NormalForm:
+    """Normalize a raw path word given as (element, traversal) steps plus tail.
+
+    The raw steps are read after `prefix`, the steps of a normal form from
+    `start`: the prefix is kept as it stands except where the raw steps
+    cancel into it, so only the seam and the raw steps cost work."""
+    out = list(prefix)
+    v = gog.far(out[-1][1]) if out else start
     grp = gog.vertices[v]
     acc = grp.identity
     for g, t in raw_steps:
@@ -336,16 +355,21 @@ def path_normal_form(gog: GraphOfGroups, start: str,
 
 
 def path_multiply(gog: GraphOfGroups, p: NormalForm, q: NormalForm) -> NormalForm:
-    """Concatenation p * q of composable paths, renormalized."""
+    """Concatenation p * q of composable paths, in normal form.
+
+    p must be a normal form from this library (normal_form,
+    path_normal_form, or arithmetic on their results); it is not checked
+    again.  Only the seam and q are reduced: p's steps are kept as they
+    stand except where q cancels into them.  q may be any path word.
+    """
     if end_vertex(gog, p) != q.start:
         raise GogError("paths are not composable")
+    grp = gog.vertices[q.start]
     if not q.steps:
-        grp = gog.vertices[q.start]
         return NormalForm(p.start, p.steps, grp.mul(p.tail, q.tail))
     (g, t), rest = q.steps[0], q.steps[1:]
-    grp = gog.vertices[q.start]
-    raw = list(p.steps) + [(grp.mul(p.tail, g), t)] + list(rest)
-    return _reduce_raw(gog, p.start, raw, q.tail)
+    return _reduce_raw(gog, p.start, [(grp.mul(p.tail, g), t), *rest],
+                       q.tail, p.steps)
 
 
 def path_invert(gog: GraphOfGroups, p: NormalForm) -> NormalForm:
@@ -463,10 +487,10 @@ def parse_word(gog: GraphOfGroups, text: str) -> GroupWord:
     items: list = []
     v = gog.base_vertex
     for token in text.split():
-        name, _, exp = token.partition("^")
+        name, caret, exp = token.partition("^")
         if not name:
             raise GogError(f"malformed token {token!r}")
-        if exp:
+        if caret:
             try:
                 power = int(exp)
             except ValueError:

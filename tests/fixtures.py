@@ -45,6 +45,72 @@ def build_z2_z3() -> gw.GraphOfGroups:
     return gw.build_free_product(fg.build_cyclic(2, "s"), fg.build_cyclic(3, "t"))
 
 
+def build_s3_amalgam() -> gw.GraphOfGroups:
+    """S3 *_{Z/2} S3 over a transposition: the edge group is not normal."""
+    x = fg.group_from_permutations({"x": (1, 0, 2), "y": (1, 2, 0)})
+    u = fg.group_from_permutations({"u": (1, 0, 2), "w": (1, 2, 0)})
+    c = fg.build_cyclic(2, "c")
+    return gw.build_amalgam(
+        x, u, c, fg.GroupHom.from_generator_images(c, x, {"c": x.generator("x")}),
+        fg.GroupHom.from_generator_images(c, u, {"c": u.generator("u")}))
+
+
+def build_klein_hnn() -> gw.GraphOfGroups:
+    """HNN extension of (Z/2)^2 whose stable letter t conjugates e2 to e1."""
+    v = fg.build_boolean_vectors(2)
+    c = fg.build_cyclic(2, "c")
+    i0 = fg.GroupHom.from_generator_images(c, v, {"c": v.generator("e1")})
+    i1 = fg.GroupHom.from_generator_images(c, v, {"c": v.generator("e2")})
+    return gw.GraphOfGroups([("v", v)], [gw.Edge("t", c, ("v", "v"), (i0, i1))],
+                            "v", set())
+
+
+def seam_presentations() -> dict[str, gw.GraphOfGroups]:
+    """Presentations for the seam-product and axis-window oracle tests:
+    the built-ins, a free product, a rose of loop edges, copies whose
+    identities are not index 0, and two with non-normal edge groups."""
+    out = {"sl2z": gw.build_sl2z(),
+           "counterexample": build_counterexample_gog(),
+           "z2z3": build_z2_z3()}
+    for name in list(out):
+        out[name + "-relabelled"] = relabelled(out[name])
+    out["z4z6"] = gw.build_free_product(fg.build_cyclic(4, "a"),
+                                        fg.build_cyclic(6, "b"))
+    out["rose"] = gw.build_rose(["p", "q"])
+    out["s3-amalgam"] = build_s3_amalgam()
+    out["klein-hnn"] = build_klein_hnn()
+    return out
+
+
+def random_letter_word(gog, rng, max_letters):
+    """Seeded random word text in the presentation's letters and their
+    inverses."""
+    letters = [name for name, _ in gw.generator_letters(gog)]
+    return " ".join(rng.choice(letters) + rng.choice(("", "^-1"))
+                    for _ in range(rng.randint(0, max_letters)))
+
+
+def relabelled(gog: gw.GraphOfGroups) -> gw.GraphOfGroups:
+    """The same presentation with every group's element i renamed i + 1
+    (mod the order), so no nontrivial group has its identity at index 0.
+    Injections are stored as generator words and keep their meaning."""
+    data = gw.gog_to_json(gog)
+    for part in data["vertices"] + data["edges"]:
+        grp = part["group"]
+        n = len(grp["table"])
+        table = [[0] * n for _ in range(n)]
+        labels = [""] * n
+        for i, row in enumerate(grp["table"]):
+            labels[(i + 1) % n] = grp["labels"][i]
+            for j, x in enumerate(row):
+                table[(i + 1) % n][(j + 1) % n] = (x + 1) % n
+        grp["table"] = table
+        grp["labels"] = labels
+        grp["generators"] = {k: (i + 1) % n
+                             for k, i in grp["generators"].items()}
+    return gw.gog_from_json(data)
+
+
 def random_words(alphabet, count, max_len, seed):
     rng = random.Random(seed)
     return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))

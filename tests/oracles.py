@@ -1,13 +1,17 @@
 """Independent ground-truth oracles used by the test suite.
 
-Nothing here imports the library's word machinery: the rewriting closure
-works on plain letter strings with union-find, and the matrix oracles use
-exact 2x2 integer arithmetic.
+The rewriting closure works on plain letter strings with union-find, and
+the matrix oracles use exact 2x2 integer arithmetic; neither imports the
+library's word machinery.  The whole-path product at the end is the
+library's earlier product: it reduces the full concatenation from scratch,
+so it checks the seam-local product without sharing its resume logic.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import vfree.gogwords as gw
 
 
 def inverse_word(w: str, inverse: dict[str, str]) -> str:
@@ -154,3 +158,18 @@ def mat_order(m: tuple, cap: int = 12):
             return k
         p = mat_mul(p, m)
     return None
+
+
+# -- whole-path product ------------------------------------------------------
+
+
+def whole_path_multiply(gog, p, q):
+    """p * q by reducing every step of the concatenated path again."""
+    if gw.end_vertex(gog, p) != q.start:
+        raise gw.GogError("paths are not composable")
+    grp = gog.vertices[q.start]
+    if not q.steps:
+        return gw.NormalForm(p.start, p.steps, grp.mul(p.tail, q.tail))
+    (g, t), rest = q.steps[0], q.steps[1:]
+    raw = list(p.steps) + [(grp.mul(p.tail, g), t)] + list(rest)
+    return gw.path_normal_form(gog, p.start, raw, q.tail)

@@ -13,11 +13,13 @@ import oracles as oc
 import tree_oracle as tro
 import vfree.bstree as bt
 import vfree.gogwords as gw
-from fixtures import build_z2_z3, random_words
+from fixtures import (build_z2_z3, random_letter_word, random_words,
+                      seam_presentations)
 
 SL2Z = gw.build_sl2z()
 Z2Z3 = build_z2_z3()
 BASE = bt.base_vertex(SL2Z)
+SEAM = seam_presentations()
 
 
 def nf(gog, text):
@@ -64,6 +66,22 @@ def test_neighbor_counts_match_edge_indices():
     # Free product Z/2 * Z/3: trivial edge group, so 2 and 3 neighbors.
     assert len(bt.neighbors(Z2Z3, bt.base_vertex(Z2Z3))) == 2
     assert len(bt.neighbors(Z2Z3, bt.standard_vertex(Z2Z3, "vB"))) == 3
+
+
+@pytest.mark.parametrize("name", ["s3-amalgam", "counterexample-relabelled",
+                                  "klein-hnn"])
+def test_neighbor_depends_only_on_the_coset(name):
+    gog = SEAM[name]
+    for v in bt.ball(gog, bt.base_vertex(gog), 2):
+        grp = gog.vertices[v.orbit]
+        for t in gog.incident(v.orbit):
+            image = [gog.edges[t.edge].inj[t.dir](c)
+                     for c in gog.edges[t.edge].group.elements()]
+            for r in gog.transversal(t):
+                want = bt.neighbor(gog, v, r, t)
+                assert want in bt.neighbors(gog, v)
+                assert all(bt.neighbor(gog, v, grp.mul(r, h), t) == want
+                           for h in image)
 
 
 def test_neighbors_are_symmetric_and_at_distance_one():
@@ -246,6 +264,26 @@ def test_axis_window_equivariance():
         conj_seg = bt.axis_window(SL2Z, gw.conjugate(SL2Z, h, g), 1,
                                   anchor=moved[0])
         assert conj_seg.vertices == moved
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+def test_axis_window_matches_prefix_oracle(name):
+    gog = SEAM[name]
+    rng = random.Random(4100 + sorted(SEAM).index(name))
+    checked = 0
+    while checked < 12:
+        g = nf(gog, random_letter_word(gog, rng, 7))
+        if bt.classify(gog, g).kind != "hyperbolic":
+            continue
+        checked += 1
+        for periods in (1, 2, 3):
+            assert bt.axis_window(gog, g, periods).vertices == \
+                tro.axis_window_by_prefixes(gog, g, periods)
+        h = nf(gog, random_letter_word(gog, rng, 4))
+        anchor = bt.translate(gog, h, bt.axis_window(gog, g, 1).vertices[0])
+        hgh = gw.conjugate(gog, h, g)
+        assert bt.axis_window(gog, hgh, 2, anchor=anchor).vertices == \
+            tro.axis_window_by_prefixes(gog, hgh, 2, anchor=anchor)
 
 
 def test_axis_window_rejects_bad_input():

@@ -119,6 +119,19 @@ def test_nf_command(capsys):
     assert json.loads(out)["syllables"] == 2
 
 
+def test_nf_rejects_bare_caret(capsys):
+    code, out, err = run(capsys, "nf", "--group", "sl2z", "--word", "a^")
+    assert code == 1 and out == ""
+    assert "malformed exponent in 'a^'" in err
+
+
+def test_nf_of_a_huge_exponent(capsys):
+    code, huge, _ = run(capsys, "nf", "--group", "sl2z",
+                        "--word", "a^99999999999")
+    _, small, _ = run(capsys, "nf", "--group", "sl2z", "--word", "a^3")
+    assert code == 0 and huge == small
+
+
 def test_classify_and_axis(capsys):
     code, out, _ = run(capsys, "classify", "--group", "sl2z", "--word", "a b")
     assert code == 0

@@ -82,6 +82,21 @@ def test_cyclic_table():
     assert g.label(3) == "b^3"
 
 
+def test_power_reduces_the_exponent_modulo_the_order():
+    g = fg.build_cyclic(4, "a")
+    a = g.generator("a")
+    assert g.power(a, 10**12 + 1) == a
+    assert g.power(a, -(10**12 + 1)) == g.inv(a)
+    assert g.power(a, 10**12) == g.identity
+
+
+def test_evaluate_word_rejects_bare_caret():
+    g = fg.build_cyclic(4, "a")
+    with pytest.raises(fg.GroupError, match=r"malformed exponent in 'a\^'"):
+        fg.evaluate_word(g, "a^")
+    assert fg.evaluate_word(g, "a^3") == g.power(g.generator("a"), 3)
+
+
 def test_boolean_vectors_xor():
     c = fg.build_boolean_vectors(4)
     assert c.order == 16

@@ -13,12 +13,15 @@ import random
 import pytest
 
 import oracles as oc
+import vfree.bstree as bt
 import vfree.fingroup as fg
 import vfree.gogwords as gw
-from fixtures import build_counterexample_gog, build_z2_z3
+from fixtures import (build_counterexample_gog, build_klein_hnn, build_z2_z3,
+                      random_letter_word, seam_presentations)
 
 SL2Z = gw.build_sl2z()
 Z2Z3 = build_z2_z3()
+SEAM = seam_presentations()
 
 
 def nf(gog, text):
@@ -254,19 +257,47 @@ def test_cyclic_reduction_on_random_conjugates():
             assert back == y
 
 
+# -- seam-local products -----------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+def test_path_multiply_matches_whole_path_oracle(name):
+    gog = SEAM[name]
+    rng = random.Random(20260 + sorted(SEAM).index(name))
+    reps = [v.coset_rep for v in bt.ball(gog, bt.base_vertex(gog), 2)]
+    for _ in range(40):
+        p = nf(gog, random_letter_word(gog, rng, 8))
+        q = nf(gog, random_letter_word(gog, rng, 8))
+        r = rng.choice(reps)
+        p_inv, q_inv = gw.path_invert(gog, p), gw.path_invert(gog, q)
+        for x, y in ((p, q), (p, p_inv), (q_inv, q), (p, r),
+                     (gw.path_invert(gog, r), p)):
+            assert gw.path_multiply(gog, x, y) == \
+                oc.whole_path_multiply(gog, x, y)
+        assert gw.is_identity(gog, gw.path_multiply(gog, p, p_inv))
+
+
+@pytest.mark.parametrize("name", ["sl2z", "counterexample", "z2z3"])
+def test_relabelled_tables_give_the_same_geometry(name):
+    gog, moved = SEAM[name], SEAM[name + "-relabelled"]
+    assert any(grp.identity != 0 for grp in moved.vertices.values())
+    rng = random.Random(31)
+    here, there = bt.base_vertex(gog), bt.base_vertex(moved)
+    for _ in range(60):
+        word = random_letter_word(gog, rng, 8)
+        g, h = nf(gog, word), nf(moved, word)
+        cg, ch = bt.classify(gog, g), bt.classify(moved, h)
+        assert (g.syllable_length(), cg.kind, cg.translation_length) == \
+            (h.syllable_length(), ch.kind, ch.translation_length)
+        g_here, h_there = bt.translate(gog, g, here), bt.translate(moved, h, there)
+        assert bt.distance(gog, here, g_here) == \
+            bt.distance(moved, there, h_there)
+        here, there = g_here, h_there
+
+
 # -- HNN edges and free groups ---------------------------------------------------
 
-def _klein_hnn():
-    v = fg.build_boolean_vectors(2)
-    c = fg.build_cyclic(2, "c")
-    i0 = fg.GroupHom.from_generator_images(c, v, {"c": v.generator("e1")})
-    i1 = fg.GroupHom.from_generator_images(c, v, {"c": v.generator("e2")})
-    return gw.GraphOfGroups([("v", v)], [gw.Edge("t", c, ("v", "v"), (i0, i1))],
-                            "v", set())
-
-
 def test_hnn_stable_letter_conjugates_across_the_edge():
-    hnn = _klein_hnn()
+    hnn = build_klein_hnn()
     assert nf(hnn, "t e2 t^-1") == nf(hnn, "e1")
     assert nf(hnn, "t^-1 e1 t") == nf(hnn, "e2")
     assert nf(hnn, "t e1 t^-1").syllable_length() == 2
@@ -305,6 +336,12 @@ def test_malformed_words_rejected():
     rose = gw.build_rose(["x", "y"])
     with pytest.raises(gw.GogError):
         gw.normal_form(SL2Z, gw.parse_word(rose, "x"))
+
+
+def test_parse_word_rejects_bare_caret():
+    with pytest.raises(gw.GogError, match=r"malformed exponent in 'a\^'"):
+        gw.parse_word(SL2Z, "a^")
+    assert nf(SL2Z, "a^0 b") == nf(SL2Z, "b")
 
 
 def test_ambiguous_letter_rejected():

@@ -3,11 +3,15 @@
 These deliberately avoid the algebraic distance and classification
 routines: distances are found by searching outward through neighbor
 lists, so they cross-check the normal-form projection independently.
+The axis-window oracle rebuilds every window vertex from a prefix product
+reduced from scratch, as the library did before its one-pass window.
 """
 
 from __future__ import annotations
 
+import oracles as oc
 import vfree.bstree as bt
+import vfree.gogwords as gw
 
 
 def bfs_distance(gog, src, dst, max_radius):
@@ -44,3 +48,32 @@ def min_displacement(gog, g, radius=6, cap=24):
         if best == 0:
             break
     return best
+
+
+def _vertex(gog, p):
+    p = gw.path_normal_form(gog, p.start, p.steps, p.tail)
+    end = gw.end_vertex(gog, p)
+    return bt.TreeVertex(end, gw.NormalForm(p.start, p.steps,
+                                            gog.vertices[end].identity))
+
+
+def axis_window_by_prefixes(gog, g, periods, anchor=None):
+    """The vertices of bt.axis_window(gog, g, periods, anchor): vertex i of
+    a period is the period's base times the stretch prefix of length i."""
+    g_nf = gw.normal_form(gog, g)
+    if anchor is None:
+        anchor = _vertex(gog, gw.cyclic_reduction(gog, g_nf)[0])
+    stretch = oc.whole_path_multiply(
+        gog, gw.path_invert(gog, anchor.coset_rep),
+        oc.whole_path_multiply(gog, g_nf, anchor.coset_rep))
+    verts = [anchor]
+    segment_base = anchor.coset_rep
+    for _ in range(periods):
+        for i in range(1, len(stretch.steps) + 1):
+            far = gog.far(stretch.steps[i - 1][1])
+            prefix = gw.NormalForm(stretch.start, stretch.steps[:i],
+                                   gog.vertices[far].identity)
+            verts.append(_vertex(
+                gog, oc.whole_path_multiply(gog, segment_base, prefix)))
+        segment_base = oc.whole_path_multiply(gog, segment_base, stretch)
+    return tuple(verts)
