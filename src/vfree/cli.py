@@ -9,6 +9,7 @@ byte-stable for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -235,11 +236,18 @@ def counterexample_phi(gog: GraphOfGroups) -> Callable:
     psi = counterexample_psi(gog)
     u = normal_form(gog, parse_word(gog, "z^-1 x y z"))
 
+    images: dict = {}
+
     def syllable_image(vid: str, elem: int):
-        if vid == "vA":
-            return _vertex_loop(gog, "vA", psi(elem))
-        return multiply(gog, multiply(gog, u, _vertex_loop(gog, "vB", elem)),
-                        invert(gog, u))
+        key = (vid, elem)
+        if key not in images:
+            if vid == "vA":
+                images[key] = _vertex_loop(gog, "vA", psi(elem))
+            else:
+                images[key] = multiply(
+                    gog, multiply(gog, u, _vertex_loop(gog, "vB", elem)),
+                    invert(gog, u))
+        return images[key]
 
     def phi(w):
         nf = normal_form(gog, w)
@@ -730,10 +738,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -442,6 +442,8 @@ def element_order(gog: GraphOfGroups, w: WordLike) -> Union[int, float]:
 
 # -- input words -------------------------------------------------------------
 
+MAX_WORD_TRAVERSALS = 100_000
+
 
 def _letter_items(gog: GraphOfGroups, at: str, name: str, power: int
                   ) -> tuple[list, str]:
@@ -482,10 +484,13 @@ def parse_word(gog: GraphOfGroups, text: str) -> GroupWord:
 
     Letters are vertex-group generator names or non-tree edge names; a
     trailing ^k (k a nonzero integer, typically -1) inverts or repeats.
-    Spanning-tree crossings are inserted automatically.
+    Spanning-tree crossings are inserted automatically.  A word may cross
+    non-tree edges at most MAX_WORD_TRAVERSALS times in all; the count is
+    checked before a letter is expanded.
     """
     items: list = []
     v = gog.base_vertex
+    traversals = 0
     for token in text.split():
         name, caret, exp = token.partition("^")
         if not name:
@@ -499,6 +504,11 @@ def parse_word(gog: GraphOfGroups, text: str) -> GroupWord:
                 continue
         else:
             power = 1
+        if name in gog.edges:
+            traversals += abs(power)
+            if traversals > MAX_WORD_TRAVERSALS:
+                raise GogError(f"letter {name!r} takes the word past "
+                               f"{MAX_WORD_TRAVERSALS} edge traversals")
         new_items, v = _letter_items(gog, v, name, power)
         items.extend(new_items)
     items.extend(gog.tree_path(v, gog.base_vertex))

@@ -2,14 +2,18 @@
 
 The rewriting closure works on plain letter strings with union-find, and
 the matrix oracles use exact 2x2 integer arithmetic; neither imports the
-library's word machinery.  The whole-path product at the end is the
-library's earlier product: it reduces the full concatenation from scratch,
-so it checks the seam-local product without sharing its resume logic.
+library's word machinery.  The whole-path product is the library's
+earlier product: it reduces the full concatenation from scratch, so it
+checks the seam-local product without sharing its resume logic.  The
+table checks at the end are the library's earlier group validation,
+triple by triple, kept to judge the generator-based check that replaced
+it.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import vfree.gogwords as gw
 
@@ -173,3 +177,56 @@ def whole_path_multiply(gog, p, q):
     (g, t), rest = q.steps[0], q.steps[1:]
     raw = list(p.steps) + [(grp.mul(p.tail, g), t)] + list(rest)
     return gw.path_normal_form(gog, p.start, raw, q.tail)
+
+
+# -- group tables, triple by triple ------------------------------------------
+
+ASSOC_EXHAUSTIVE_LIMIT = 64
+ASSOC_SAMPLES = 20000
+
+
+def associativity_failure(table, exhaustive_limit=ASSOC_EXHAUSTIVE_LIMIT):
+    """The first triple (a, b, c) with (ab)c != a(bc), or None.
+
+    Every triple is tried up to order exhaustive_limit; above it only the
+    seeded sample of ASSOC_SAMPLES triples that FiniteGroup once used.
+    """
+    n = len(table)
+    if n <= exhaustive_limit:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(0x5EED)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(ASSOC_SAMPLES))
+    for a, b, c in triples:
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+def is_group_generated_by(table, gens) -> bool:
+    """Whether the square table over 0..n-1 is a group, associative on
+    every triple, that the indices in gens generate (multiplicative
+    closure, which in a finite group is the generated subgroup)."""
+    n = len(table)
+    if any(len(row) != n or not all(0 <= v < n for v in row)
+           for row in table):
+        return False
+    ids = [e for e in range(n)
+           if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not ids:
+        return False
+    e = ids[0]
+    if not all(any(table[x][y] == e == table[y][x] for y in range(n))
+               for x in range(n)):
+        return False
+    if associativity_failure(table, exhaustive_limit=n) is not None:
+        return False
+    if not all(0 <= g < n for g in gens):
+        return False
+    reached = {e, *gens}
+    while True:
+        new = {table[a][b] for a in reached for b in reached} - reached
+        if not new:
+            return len(reached) == n
+        reached |= new

@@ -1,9 +1,13 @@
 """CLI plumbing and the two built-in verification pipelines."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vfree
 import vfree.fingroup as fg
 import vfree.gogwords as gw
 from fixtures import build_A
@@ -21,6 +25,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """Exit code and stdout of the same command in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(vfree.__file__))
+    proc = subprocess.run([sys.executable, "-m", "vfree.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return proc.returncode, proc.stdout
 
 
 def check_by_id(report, cid):
@@ -130,6 +143,53 @@ def test_nf_of_a_huge_exponent(capsys):
                         "--word", "a^99999999999")
     _, small, _ = run(capsys, "nf", "--group", "sl2z", "--word", "a^3")
     assert code == 0 and huge == small
+
+
+def test_nf_caps_edge_traversals(capsys, tmp_path):
+    rose = tmp_path / "rose.json"
+    rose.write_text(json.dumps(gw.gog_to_json(gw.build_rose(["x"]))))
+    code, out, err = run(capsys, "nf", "--group", str(rose),
+                         "--word", "x^99999999999")
+    assert code == 1 and out == ""
+    assert "letter 'x' takes the word past 100000 edge traversals" in err
+
+
+Z2Z3_JSON = gw.gog_to_json(load_group("z2z3"))
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("table", True, "table[0][1] is not an integer"),
+    ("table", 1.0, "table[0][1] is not an integer"),
+    ("table", "1", "table[0][1] is not an integer"),
+    ("generator", True, "generator 's' index is not an integer"),
+    ("generator", 1.0, "generator 's' index is not an integer"),
+    ("generator", "1", "generator 's' index is not an integer"),
+])
+def test_table_json_needs_integers(capsys, tmp_path, field, bad, message):
+    data = json.loads(json.dumps(Z2Z3_JSON))
+    group = data["vertices"][0]["group"]
+    if field == "table":
+        group["table"][0][1] = bad
+    else:
+        group["generators"]["s"] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "nf", "--group", str(path), "--word", "s")
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_main_called_repeatedly_matches_fresh_processes(capsys):
+    calls = [("nf", "--group", "sl2z", "--word", "a b b"),
+             ("classify", "--group", "counterexample", "--word", "x z"),
+             ("nf", "--group", "sl2z", "--wrd", "a"),
+             ("group", "--group", "z2z3"),
+             ("no-such-command",),
+             ("nf", "--group", "sl2z", "--word", "a b", "--format", "json")]
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == run_fresh(*argv), argv
+    assert [run(capsys, *argv)[0] for argv in calls] == [0, 0, 2, 0, 2, 0]
 
 
 def test_classify_and_axis(capsys):

@@ -9,7 +9,11 @@ import random
 
 import pytest
 
+import oracles as oc
+from fixtures import build_counterexample_gog, build_z2_z3, relabelled
+from vfree import defspace as ds
 from vfree import fingroup as fg
+from vfree import gogwords as gw
 
 
 # -- independent oracles ----------------------------------------------------
@@ -111,6 +115,92 @@ def test_table_validation_rejects_bad_data():
         fg.FiniteGroup([[0, 1], [1, 1]], {"g": 1})  # 1 has no inverse
     with pytest.raises(fg.GroupError):
         fg.FiniteGroup([[0, 1], [1, 0]], {"g": 0})  # g generates nothing
+
+
+def _accepts(table, gens):
+    try:
+        fg.FiniteGroup(table, gens)
+    except fg.GroupError:
+        return False
+    return True
+
+
+# A loop of order 5 (a Latin square with identity 0, every x·x = 0) that
+# is not a group, times Z/2.  Its first generator z = (1, 0) lies in the
+# nucleus and passes the row test; the loop's generators do not.
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+         (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+Z2_LOOP5 = tuple(tuple(5 * (i ^ j) + LOOP5[p][q]
+                       for j in range(2) for q in range(5))
+                 for i in range(2) for p in range(5))
+
+
+def _shuffled(table, gens, rng):
+    """The same table with its elements renamed by a seeded permutation."""
+    n = len(table)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    return out, {k: perm[v] for k, v in gens.items()}
+
+
+def _oracle_cases():
+    """(table, generators) pairs: every catalog group of order <= 12, the
+    groups of the relabelled fixtures and of counterexample, and Z/2 times
+    a non-associative loop; each also with only its first generator kept,
+    with seeded one-entry corruptions and with seeded renamings."""
+    rng = random.Random(31)
+    loop = {"z": 5, "a": 1, "b": 2}
+    yield Z2_LOOP5, loop
+    for _ in range(10):
+        yield _shuffled(Z2_LOOP5, loop, rng)
+    groups = list(ds.small_groups(12))
+    for gog in (relabelled(gw.build_sl2z()), relabelled(build_z2_z3()),
+                relabelled(build_counterexample_gog())):
+        groups += list(gog.vertices.values())
+        groups += [e.group for e in gog.edges.values()]
+    counter = build_counterexample_gog()
+    groups += [counter.vertices["vA"], counter.vertices["vB"]]
+    for g in groups:
+        gens = dict(g.generators)
+        yield g.table, gens
+        first = next(iter(gens))
+        yield g.table, {first: gens[first]}
+        yield _shuffled(g.table, gens, rng)
+        for _ in range(3 if g.order > 1 else 0):
+            t = [list(row) for row in g.table]
+            i, j = rng.randrange(g.order), rng.randrange(g.order)
+            t[i][j] = (t[i][j] + rng.randrange(1, g.order)) % g.order
+            yield t, gens
+
+
+def test_table_check_agrees_with_the_triple_oracle():
+    verdicts = []
+    for table, gens in _oracle_cases():
+        expected = oc.is_group_generated_by(table, list(gens.values()))
+        assert _accepts(table, gens) == expected, (table, gens)
+        verdicts.append(expected)
+    assert verdicts.count(True) > 40 and verdicts.count(False) > 100
+
+
+def test_non_associative_table_above_order_64_is_rejected():
+    # Z/128 with 2+36 misread as 39: 0 is still the identity, every
+    # element keeps its inverse, and the old 20,000-triple sample misses it.
+    t = [list(row) for row in fg.build_cyclic(128, "a").table]
+    t[2][36] = 39
+    assert oc.associativity_failure(t) is None
+    assert oc.associativity_failure(t, exhaustive_limit=128) is not None
+    with pytest.raises(fg.GroupError, match="associativity fails"):
+        fg.FiniteGroup(t, {"a": 1})
+
+
+def test_large_products_pass_the_exact_check():
+    g = fg.build_direct_product(fg.build_cyclic(4, "c"), fg.build_dicyclic(6))
+    assert g.order == 96
+    assert fg.FiniteGroup(g.table, g.generators).order == 96
 
 
 def test_random_tables_are_closed_groups():

@@ -344,6 +344,17 @@ def test_parse_word_rejects_bare_caret():
     assert nf(SL2Z, "a^0 b") == nf(SL2Z, "b")
 
 
+def test_parse_word_caps_edge_traversals_before_expanding():
+    rose = gw.build_rose(["x"])
+    with pytest.raises(gw.GogError, match=r"letter 'x' takes the word past"):
+        gw.parse_word(rose, "x^100001")
+    two = gw.build_rose(["x", "y"])
+    with pytest.raises(gw.GogError, match=r"letter 'x' takes the word past"):
+        gw.parse_word(two, "y^3 x^-99998")
+    at_cap = gw.parse_word(two, "y^3 x^-99997")
+    assert sum(isinstance(it, gw.Traversal) for it in at_cap.items) == 100000
+
+
 def test_ambiguous_letter_rejected():
     z2a = fg.build_cyclic(2, "p")
     z2b = fg.build_cyclic(2, "g")
