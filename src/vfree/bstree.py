@@ -76,6 +76,17 @@ def base_vertex(gog: GraphOfGroups) -> TreeVertex:
     return standard_vertex(gog, gog.base_vertex)
 
 
+def stabilizer(gog: GraphOfGroups, orbit: str) -> list[NormalForm]:
+    """The stabilizer of the standard vertex of an orbit, as based loops:
+    entry x is rho·x·rho⁻¹ for the element x of the vertex group and rho
+    the spanning-tree path from the base to the orbit."""
+    rho = standard_vertex(gog, orbit).coset_rep
+    rho_inv = path_invert(gog, rho)
+    return [path_multiply(gog, path_multiply(gog, rho, NormalForm(orbit, (), x)),
+                          rho_inv)
+            for x in gog.vertices[orbit].elements()]
+
+
 def translate(gog: GraphOfGroups, g: WordLike, v: TreeVertex) -> TreeVertex:
     """The action of a group element on a tree vertex."""
     g_nf = normal_form(gog, g)

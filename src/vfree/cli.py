@@ -19,7 +19,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Optional
 
-from .bstree import axis_window, base_vertex, classify as classify_element
+from .bstree import (
+    axis_window,
+    base_vertex,
+    classify as classify_element,
+    stabilizer,
+)
 from .defspace import (
     degree_sum,
     enumerate_reduced,
@@ -57,7 +62,6 @@ from .genericity import (
 from .gogwords import (
     GogError,
     GraphOfGroups,
-    GroupWord,
     element_order,
     format_nf,
     generator_letters,
@@ -205,14 +209,6 @@ def verify_sl2z(gog: Optional[GraphOfGroups] = None) -> VerificationReport:
 # -- case study: the endomorphism counterexample --------------------------------
 
 
-def _vertex_loop(gog: GraphOfGroups, vid: str, elem: int):
-    """Normal form of a vertex-group element as a loop at the base."""
-    items = (tuple(gog.tree_path(gog.base_vertex, vid))
-             + (("g", vid, elem),)
-             + tuple(gog.tree_path(vid, gog.base_vertex)))
-    return normal_form(gog, GroupWord(items))
-
-
 def _edge_images(gog: GraphOfGroups):
     """Element sets of the two vertex-group copies of the edge group."""
     e = gog.edges["e"]
@@ -235,19 +231,17 @@ def counterexample_phi(gog: GraphOfGroups) -> Callable:
     by u = z^-1 x y z on the vB factor, applied syllable by syllable."""
     psi = counterexample_psi(gog)
     u = normal_form(gog, parse_word(gog, "z^-1 x y z"))
-
-    images: dict = {}
+    u_inv = invert(gog, u)
+    loops_a, loops_b = stabilizer(gog, "vA"), stabilizer(gog, "vB")
+    images_b: dict = {}
 
     def syllable_image(vid: str, elem: int):
-        key = (vid, elem)
-        if key not in images:
-            if vid == "vA":
-                images[key] = _vertex_loop(gog, "vA", psi(elem))
-            else:
-                images[key] = multiply(
-                    gog, multiply(gog, u, _vertex_loop(gog, "vB", elem)),
-                    invert(gog, u))
-        return images[key]
+        if vid == "vA":
+            return loops_a[psi(elem)]
+        if elem not in images_b:
+            images_b[elem] = multiply(gog, multiply(gog, u, loops_b[elem]),
+                                      u_inv)
+        return images_b[elem]
 
     def phi(w):
         nf = normal_form(gog, w)
@@ -283,14 +277,14 @@ def _phi_predicted_steps(gog: GraphOfGroups, nf) -> int:
     return (total - 1) + (sides[0] == "vB") + (sides[-1] == "vB")
 
 
-def _sample_reduced_forms(gog: GraphOfGroups, max_syllables: int,
-                          target: int, seed: int) -> list:
-    """Every vertex-group element plus seeded random loops, deduplicated,
-    all of syllable length at most max_syllables, identity excluded."""
+def _sample_reduced_forms(gog: GraphOfGroups, loops: dict,
+                          max_syllables: int, target: int, seed: int) -> list:
+    """Every vertex-group element (loops maps each vertex to its
+    stabilizer) plus seeded random loops, deduplicated, all of syllable
+    length at most max_syllables, identity excluded."""
     seen = {}
     for vid in sorted(gog.vertices):
-        for elem in range(gog.vertices[vid].order):
-            nf = _vertex_loop(gog, vid, elem)
+        for nf in loops[vid]:
             if not is_identity(gog, nf):
                 seen.setdefault(nf, nf)
     rng = random.Random(seed)
@@ -315,6 +309,7 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         gog = load_group("counterexample")
     checks: list = []
     basis = ("e1", "e2", "e3", "e4")
+    loops = {vid: stabilizer(gog, vid) for vid in gog.vertices}
 
     def check_build():
         a, b = gog.vertices["vA"], gog.vertices["vB"]
@@ -343,16 +338,15 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         ia = e.inj[0] if e.ends[0] == "vA" else e.inj[1]
         agreements = 0
         for c in range(e.group.order):
-            lhs = multiply(gog, multiply(gog, u, _vertex_loop(gog, "vA", ia(c))),
-                           u_inv)
-            rhs = _vertex_loop(gog, "vA", psi(ia(c)))
+            lhs = multiply(gog, multiply(gog, u, loops["vA"][ia(c)]), u_inv)
+            rhs = loops["vA"][psi(ia(c))]
             agreements += lhs == rhs
         perm = []
         a = gog.vertices["vA"]
         basis_elems = {a.generator(n): i for i, n in enumerate(basis)}
         for name in basis:
-            img = multiply(gog, multiply(gog, u, _vertex_loop(
-                gog, "vA", a.generator(name))), u_inv)
+            img = multiply(gog, multiply(
+                gog, u, loops["vA"][a.generator(name)]), u_inv)
             perm.append(basis_elems[img.tail])
         ok = agreements == e.group.order
         return ok, {"agreements": agreements, "out_of": e.group.order,
@@ -364,7 +358,7 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         ia = e.inj[0] if e.ends[0] == "vA" else e.inj[1]
         ib = e.inj[1] if e.ends[0] == "vA" else e.inj[0]
         agree = all(
-            phi(_vertex_loop(gog, "vA", ia(c))) == phi(_vertex_loop(gog, "vB", ib(c)))
+            phi(loops["vA"][ia(c)]) == phi(loops["vB"][ib(c)])
             for c in range(e.group.order))
         x = normal_form(gog, parse_word(gog, "x"))
         y = normal_form(gog, parse_word(gog, "y"))
@@ -373,8 +367,8 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
 
     def check_normal_form_preservation():
         phi = counterexample_phi(gog)
-        sample = _sample_reduced_forms(gog, max_syllables=6, target=240,
-                                       seed=20250814)
+        sample = _sample_reduced_forms(gog, loops, max_syllables=6,
+                                       target=240, seed=20250814)
         preserved = nontrivial = 0
         for w in sample:
             image = phi(w)
@@ -590,15 +584,30 @@ def cmd_whitehead(args) -> int:
     return 0
 
 
+def _integer(text, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GogError(f"{where} is not an integer: {text!r}") from None
+
+
+def _weight(w, i: int) -> Fraction:
+    try:
+        return Fraction(w)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise GogError(f"weights[{i}] is not a rational number: {w!r}"
+                       ) from None
+
+
 def cmd_walk(args) -> int:
     gog = load_group(args.group)
-    seed = int(os.environ.get("VFREE_SEED", args.seed))
+    seed = _integer(os.environ.get("VFREE_SEED", args.seed), "VFREE_SEED")
     if args.measure is not None:
         data = _load_json(args.measure)
         support = tuple(normal_form(gog, parse_word(gog, w))
                         for w in data["support"])
         if "weights" in data:
-            weights = tuple(Fraction(w) for w in data["weights"])
+            weights = tuple(_weight(w, i) for i, w in enumerate(data["weights"]))
         else:
             weights = tuple([Fraction(1, len(support))] * len(support))
         spec = RandomWalkSpec(support, weights, args.trials, seed)
@@ -606,7 +615,8 @@ def cmd_walk(args) -> int:
         letters = [name for name, _ in generator_letters(gog)]
         words = [w for name in letters for w in (name, f"{name}^-1")]
         spec = uniform_spec(gog, words, args.trials, seed)
-    lengths = [int(part) for part in args.lengths.split(",") if part]
+    lengths = [_integer(part, "--lengths entry")
+               for part in args.lengths.split(",") if part]
     rows = run_genericity_experiment(gog, spec, lengths)
     if args.format == "json":
         print(_dump([{"n": r.n, "trials": r.trials,

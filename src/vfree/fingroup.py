@@ -10,12 +10,20 @@ ad(gh) = ad(g)∘ad(h).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GroupError(ValueError):
     """Raised when group data fails validation or an operation is illegal."""
+
+
+MAX_GROUP_ORDER = 512
+"""The most elements a group built from JSON or from permutations may
+have, checked before any table is built: a table holds n² entries, an
+order-512 one builds in under a second, and the largest builtin group has
+order 64."""
 
 
 class FiniteGroup:
@@ -32,8 +40,7 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]],
                  generators: dict[str, int],
-                 labels: Optional[Sequence[str]] = None,
-                 check: bool = True):
+                 labels: Optional[Sequence[str]] = None):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         if self.order == 0:
@@ -50,8 +57,7 @@ class FiniteGroup:
             raise GroupError("label list length does not match group order")
         self.labels = tuple(labels)
         self._orders: Optional[tuple[int, ...]] = None
-        if check:
-            self._check_group_axioms()
+        self._check_group_axioms()
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -611,7 +617,8 @@ def group_from_permutations(perms: dict[str, Sequence[int]]) -> FiniteGroup:
 
     Permutations are tuples over 0..d-1 and multiply rightmost-first:
     (p*q)(i) = p[q[i]]. The identity gets index 0; labels use cycle
-    notation on the moved points.
+    notation on the moved points. A closure past MAX_GROUP_ORDER elements
+    is an error, raised before any table is built.
     """
     if not perms:
         raise GroupError("need at least one permutation")
@@ -627,6 +634,9 @@ def group_from_permutations(perms: dict[str, Sequence[int]]) -> FiniteGroup:
     pos = {ident: 0}
     frontier = [ident]
     while frontier:
+        if len(elts) > MAX_GROUP_ORDER:
+            raise GroupError(f"permutations generate more than "
+                             f"{MAX_GROUP_ORDER} elements, the order cap")
         nxt = []
         for x in frontier:
             for p in items.values():
@@ -803,7 +813,40 @@ def group_to_json(group: FiniteGroup) -> dict:
             "labels": list(group.labels)}
 
 
-def _action_perm(c: FiniteGroup, spec) -> tuple[int, ...]:
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list", tuple: "a list",
+               dict: "an object", type(None): "null"}
+
+
+def _typed(val, want: str, where: str):
+    """val itself, if its JSON type is `want`; else an error naming where."""
+    got = _JSON_TYPES.get(type(val), type(val).__name__)
+    if got != want:
+        raise GroupError(f"{where} is not {want} (got {got})")
+    return val
+
+
+def _typed_list(val, want: type, where: str) -> list:
+    """A JSON list whose entries all have the exact type `want` (int or
+    str); group tables are checked with this, so the scan stays in C."""
+    if not set(map(type, _typed(val, "a list", where))) <= {want}:
+        i = next(i for i, x in enumerate(val) if type(x) is not want)
+        _typed(val[i], _JSON_TYPES[want], f"{where}[{i}]")
+    return val
+
+
+def _field(data: dict, key: str, want: str):
+    """The required field data[key], checked to have JSON type `want`."""
+    return _typed(data[key], want, f"field {key!r}")
+
+
+def _check_order(what: str, order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise GroupError(f"{what} {order} is above the order cap "
+                         f"{MAX_GROUP_ORDER}")
+
+
+def _action_perm(c: FiniteGroup, spec, where: str) -> tuple[int, ...]:
     """Interpret a JSON action value as a permutation of C's elements.
 
     Accepts cycle notation over basis vectors (C must be (Z/2)^k with
@@ -819,9 +862,11 @@ def _action_perm(c: FiniteGroup, spec) -> tuple[int, ...]:
             k = c.order.bit_length() - 1
             if 1 << k != c.order:
                 raise GroupError("matrix actions need a (Z/2)^k factor")
+            for i, row in enumerate(spec):
+                _typed_list(row, int, f"{where}[{i}]")
             return basis_matrix_perm(spec, k)
-        return tuple(spec)
-    raise GroupError(f"cannot interpret action spec {spec!r}")
+        return tuple(_typed_list(spec, int, where))
+    raise GroupError(f"cannot interpret {where} = {spec!r}")
 
 
 def group_from_json(data) -> FiniteGroup:
@@ -834,45 +879,71 @@ def group_from_json(data) -> FiniteGroup:
     {"kind":"dicyclic","n":2},
     {"kind":"permutations","perms":{name:[...]}},
     {"kind":"table","table":[[...]],"generators":{...}[,"labels":[...]]}.
+    Every field is type-checked and a wrong one is named in the error.  A
+    group may have at most MAX_GROUP_ORDER elements (and a permutation at
+    most that many points); the order is checked before any table is
+    built.
     """
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        kind = data["kind"]
+        kind = _typed(data, "an object", "group")["kind"]
         if kind == "cyclic":
-            return build_cyclic(data["n"], data.get("name", "g"))
+            n = _field(data, "n", "an integer")
+            _check_order("cyclic order", n)
+            return build_cyclic(n, _typed(data.get("name", "g"), "a string",
+                                          "field 'name'"))
         if kind == "boolean":
-            return build_boolean_vectors(data["k"], data.get("names"))
+            k = _field(data, "k", "an integer")
+            if k >= MAX_GROUP_ORDER.bit_length():
+                raise GroupError(f"boolean order 2^{k} is above the order "
+                                 f"cap {MAX_GROUP_ORDER}")
+            names = data.get("names")
+            if names is not None:
+                _typed_list(names, str, "names")
+            return build_boolean_vectors(k, names)
         if kind == "semidirect":
-            c = group_from_json(data["c"])
-            q = group_from_json(data["q"])
-            action = {name: _action_perm(c, spec)
-                      for name, spec in data["action"].items()}
+            c = group_from_json(_field(data, "c", "an object"))
+            q = group_from_json(_field(data, "q", "an object"))
+            _check_order("semidirect product order", c.order * q.order)
+            action = {name: _action_perm(c, spec, f"action[{name!r}]")
+                      for name, spec in
+                      _field(data, "action", "an object").items()}
             return build_semidirect(c, q, action)
         if kind == "direct":
-            factors = [group_from_json(f) for f in data["factors"]]
+            factors = [group_from_json(f)
+                       for f in _field(data, "factors", "a list")]
             if len(factors) < 2:
                 raise GroupError("direct product needs at least two factors")
+            _check_order("direct product order",
+                         math.prod(f.order for f in factors))
             out = factors[0]
             for f in factors[1:]:
                 out = build_direct_product(out, f)
             return out
         if kind == "dicyclic":
-            return build_dicyclic(data["n"])
+            n = _field(data, "n", "an integer")
+            _check_order("dicyclic order", 4 * n)
+            return build_dicyclic(n)
         if kind == "permutations":
+            perms = _field(data, "perms", "an object")
+            for name, p in perms.items():
+                _typed_list(p, int, f"perms[{name!r}]")
+                _check_order(f"perms[{name!r}] degree", len(p))
             return group_from_permutations(
-                {name: tuple(p) for name, p in data["perms"].items()})
+                {name: tuple(p) for name, p in perms.items()})
         if kind == "table":
-            table, gens = data["table"], dict(data["generators"])
+            table = _field(data, "table", "a list")
+            _check_order("table order", len(table))
             for i, row in enumerate(table):
-                if not set(map(type, row)) <= {int}:
-                    j = next(j for j, v in enumerate(row) if type(v) is not int)
-                    raise GroupError(f"table[{i}][{j}] is not an integer")
+                _typed_list(row, int, f"table[{i}]")
+            gens = _field(data, "generators", "an object")
             for name, idx in gens.items():
-                if type(idx) is not int:
-                    raise GroupError(
-                        f"generator {name!r} index is not an integer")
-            return FiniteGroup(table, gens, data.get("labels"))
+                _typed(idx, "an integer", f"generator {name!r} index")
+            labels = data.get("labels")
+            if labels is not None:
+                _typed_list(labels, str, "labels")
+            return FiniteGroup(table, gens, labels)
         raise GroupError(f"unknown group kind {kind!r}")
     except (KeyError, TypeError) as exc:
         raise GroupError(f"malformed group JSON: {exc}") from exc

@@ -21,6 +21,7 @@ from .bstree import (
     base_vertex,
     distance,
     neighbor,
+    stabilizer,
     standard_vertex,
     translate,
     vertex_from_path,
@@ -574,15 +575,12 @@ def identity_marking(gog: GraphOfGroups) -> MarkedTree:
     stabilizers, canonical edge placements. Terminal by construction."""
     vertices = {}
     reps = {}
+    stabs = {}
     for name in gog.vertices:
         sv = standard_vertex(gog, name)
         reps[name] = sv.coset_rep
-        ri = path_invert(gog, sv.coset_rep)
-        grp = gog.vertices[name]
-        stab = frozenset(
-            _mul(gog, sv.coset_rep, NormalForm(name, (), g), ri)
-            for g in range(grp.order))
-        vertices[name] = MarkedVertex(sv, stab)
+        stabs[name] = stabilizer(gog, name)
+        vertices[name] = MarkedVertex(sv, frozenset(stabs[name]))
     edges = {}
     for eid, e in gog.edges.items():
         a, b = e.ends
@@ -590,10 +588,8 @@ def identity_marking(gog: GraphOfGroups) -> MarkedTree:
             gog, a, [(gog.vertices[a].identity, Traversal(eid, 0))],
             gog.vertices[b].identity)
         twist = _mul(gog, reps[a], cross, path_invert(gog, reps[b]))
-        rai = path_invert(gog, reps[a])
-        stab = frozenset(
-            _mul(gog, reps[a], NormalForm(a, (), e.inj[0].mapping[c]), rai)
-            for c in range(e.group.order))
+        stab = frozenset(stabs[a][e.inj[0].mapping[c]]
+                         for c in range(e.group.order))
         edges[eid] = MarkedEdge((a, b), twist, stab)
     return MarkedTree(gog, vertices, edges)
 

@@ -1,12 +1,14 @@
 """Whitehead graphs, filling certificates, and random-walk genericity.
 
 A hyperbolic element crosses a periodic sequence of turns at the vertices
-of its axis.  Pulling one period of turns back to the standard orbit
-representatives and saturating under the vertex group action yields the
-exact Whitehead graph at each quotient vertex; complete graphs at every
-vertex certify that the element is one-ended relative to splittings over
-finite subgroups.  Seeded random walks estimate how common that
-certificate is among words of a given length.
+of its axis.  One period of turns is read straight off the syllables of
+its cyclically reduced core: each is a pair of directions, (element,
+traversal) pairs at a vertex of one orbit.  Placing each turn at the
+standard vertex of its orbit and saturating under the stabilizer there
+yields the exact Whitehead graph at each quotient vertex; complete graphs
+at every vertex certify that the element is one-ended relative to
+splittings over finite subgroups.  Seeded random walks estimate how
+common that certificate is among words of a given length.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .bstree import (
     axis_window,
     ball,
     base_vertex,
-    classify,
+    neighbor,
     neighbors,
+    stabilizer,
     standard_vertex,
     translate,
 )
@@ -34,6 +37,7 @@ from .gogwords import (
     GraphOfGroups,
     NormalForm,
     WordLike,
+    cyclic_reduction,
     end_vertex,
     generator_letters,
     identity_nf,
@@ -83,58 +87,59 @@ class WhiteheadGraph:
         return len(self.edges) == math.comb(len(self.nodes), 2)
 
 
-def _require_hyperbolic(gog: GraphOfGroups, g_nf: NormalForm) -> None:
-    if classify(gog, g_nf).kind != "hyperbolic":
+def _hyperbolic_core(gog: GraphOfGroups, g_nf: NormalForm) -> NormalForm:
+    """The cyclically reduced core of a hyperbolic element."""
+    core = cyclic_reduction(gog, g_nf)[1]
+    if not core.steps:
         raise GogError("element is elliptic (finite order); an axis is needed")
+    return core
 
 
-def _axis_turns(gog: GraphOfGroups, g_nf: NormalForm) -> list:
-    """One period of axis turns as (vertex, previous, next) triples.
+def _core_turns(gog: GraphOfGroups, core: NormalForm) -> list:
+    """One period of axis turns, read off a cyclically reduced core, as
+    (orbit, entering, leaving) triples whose directions are (element,
+    traversal) pairs at a vertex of that orbit.
 
-    Every turn of the full axis is a translate of one of these by a power
-    of the element, so the list is a complete set of turn orbits."""
-    seg = axis_window(gog, g_nf, 1)
-    verts = seg.vertices
-    wrap_prev = translate(gog, path_invert(gog, g_nf), verts[-2])
+    Syllable i = (r_i, t_i) turns at near(t_i): the axis enters along
+    (identity, t_{i-1} reversed) and leaves along (r_i, t_i).  The core's
+    tail sits between its last syllable and its first, so the entering
+    element of turn 0 is tail⁻¹.  Every turn of the axis of every
+    conjugate is a translate of one of these."""
     turns = []
-    for i in range(seg.period):
-        prv = verts[i - 1] if i else wrap_prev
-        turns.append((verts[i], prv, verts[i + 1]))
+    for i, (r, t) in enumerate(core.steps):
+        at = gog.near(t)
+        back = (gog.vertices[at].inv(core.tail) if i == 0
+                else gog.vertices[at].identity)
+        turns.append((at, (back, core.steps[i - 1][1].reverse()), (r, t)))
     return turns
 
 
-def _stabilizer_lifts(gog: GraphOfGroups, orbit: str) -> list[NormalForm]:
-    """The stabilizer of the standard vertex, as based group elements."""
-    rho = standard_vertex(gog, orbit).coset_rep
-    rho_inv = path_invert(gog, rho)
-    out = []
-    for x in gog.vertices[orbit].elements():
-        mid = NormalForm(orbit, (), x)
-        out.append(path_multiply(gog, path_multiply(gog, rho, mid), rho_inv))
-    return out
-
-
-def _graph_at(gog: GraphOfGroups, orbit: str, turns: list,
-              early_stop: bool = False) -> WhiteheadGraph:
+def _graph_at(gog: GraphOfGroups, orbit: str, turns: list) -> WhiteheadGraph:
+    """The Whitehead graph at one orbit: each turn there is placed at the
+    standard vertex and saturated by its stabilizer.  It stops once the
+    graph is complete, since a complete graph gains no more edges."""
     std = standard_vertex(gog, orbit)
     nodes = frozenset(neighbors(gog, std))
     complete_count = math.comb(len(nodes), 2)
-    sat = _stabilizer_lifts(gog, orbit)
-    rho = std.coset_rep
+    sat = stabilizer(gog, orbit)
     edges = set()
-    for w, prv, nxt in turns:
-        if w.orbit != orbit:
+    for at, back, out in turns:
+        if at != orbit:
             continue
-        # w = kappa * std for the group element kappa below; pulling the
-        # turn back by kappa^-1 lands it at the standard representative.
-        kappa_inv = path_multiply(gog, rho, path_invert(gog, w.coset_rep))
-        p0 = translate(gog, kappa_inv, prv)
-        n0 = translate(gog, kappa_inv, nxt)
+        p0 = neighbor(gog, std, *back)
+        n0 = neighbor(gog, std, *out)
         for s in sat:
             edges.add(frozenset((translate(gog, s, p0), translate(gog, s, n0))))
-        if early_stop and len(edges) == complete_count:
+        if len(edges) == complete_count:
             break
     return WhiteheadGraph(std, nodes, frozenset(edges))
+
+
+def _graphs(gog: GraphOfGroups, core: NormalForm):
+    """The Whitehead graphs of a hyperbolic core, one per orbit in sorted
+    order, each computed when it is consumed."""
+    turns = _core_turns(gog, core)
+    return (_graph_at(gog, orbit, turns) for orbit in sorted(gog.vertices))
 
 
 def whitehead_graph(gog: GraphOfGroups, g: WordLike,
@@ -143,9 +148,8 @@ def whitehead_graph(gog: GraphOfGroups, g: WordLike,
     computed from one axis period and saturated by the vertex group."""
     if orbit_vertex not in gog.vertices:
         raise GogError(f"unknown vertex {orbit_vertex!r}")
-    g_nf = normal_form(gog, g)
-    _require_hyperbolic(gog, g_nf)
-    return _graph_at(gog, orbit_vertex, _axis_turns(gog, g_nf))
+    core = _hyperbolic_core(gog, normal_form(gog, g))
+    return _graph_at(gog, orbit_vertex, _core_turns(gog, core))
 
 
 # -- filling and one-endedness ------------------------------------------------
@@ -180,20 +184,8 @@ def fills(gog: GraphOfGroups, g: WordLike) -> FillingReport:
     """Whether every orbit vertex sees a complete Whitehead graph, with the
     full per-vertex graphs for inspection of the missing turns."""
     g_nf = normal_form(gog, g)
-    _require_hyperbolic(gog, g_nf)
-    turns = _axis_turns(gog, g_nf)
-    graphs = tuple(_graph_at(gog, orbit, turns)
-                   for orbit in sorted(gog.vertices))
+    graphs = tuple(_graphs(gog, _hyperbolic_core(gog, g_nf)))
     return FillingReport(g_nf, all(w.is_complete for w in graphs), graphs)
-
-
-def _fills_fast(gog: GraphOfGroups, g_nf: NormalForm) -> bool:
-    """Completeness check with early exits; agrees with fills().fills."""
-    turns = _axis_turns(gog, g_nf)
-    for orbit in sorted(gog.vertices):
-        if not _graph_at(gog, orbit, turns, early_stop=True).is_complete:
-            return False
-    return True
 
 
 def one_ended_certificate(gog: GraphOfGroups, g: WordLike) -> OneEndedCertificate:
@@ -269,8 +261,8 @@ def p_match(gog: GraphOfGroups, g: WordLike, h: WordLike, p: int,
         raise GogError("p must be at least 1")
     g_nf = normal_form(gog, g)
     h_nf = normal_form(gog, h)
-    _require_hyperbolic(gog, g_nf)
-    _require_hyperbolic(gog, h_nf)
+    _hyperbolic_core(gog, g_nf)
+    _hyperbolic_core(gog, h_nf)
     seg_g = axis_window(gog, g_nf, 1)
     seg_h = axis_window(gog, h_nf, 1)
     d_g = len(seg_g.vertices[0].coset_rep.steps)
@@ -420,11 +412,10 @@ def run_genericity_experiment(gog: GraphOfGroups, spec: RandomWalkSpec,
             raise GogError("walk lengths must be nonnegative integers")
         hyp = fil = 0
         for t in range(spec.trials):
-            w = sample_walk(gog, spec, n, t)
-            if classify(gog, w).kind == "hyperbolic":
+            core = cyclic_reduction(gog, sample_walk(gog, spec, n, t))[1]
+            if core.steps:
                 hyp += 1
-                if _fills_fast(gog, w):
-                    fil += 1
+                fil += all(w.is_complete for w in _graphs(gog, core))
         rows.append(ExperimentRow(n, spec.trials, hyp, fil))
     return tuple(rows)
 

@@ -13,6 +13,7 @@ import oracles as oc
 import tree_oracle as tro
 import vfree.bstree as bt
 import vfree.gogwords as gw
+from vfree.cli import load_group
 from fixtures import (build_z2_z3, random_letter_word, random_words,
                       seam_presentations)
 
@@ -52,6 +53,18 @@ def test_base_and_standard_vertices():
     assert bt.distance(SL2Z, BASE, vb) == 1
     with pytest.raises(gw.GogError):
         bt.standard_vertex(SL2Z, "vC")
+
+
+@pytest.mark.parametrize("name", ["sl2z", "counterexample", "z2z3"])
+def test_stabilizer_entries_are_generator_letters(name):
+    gog = load_group(name)
+    for vid, grp in gog.vertices.items():
+        stab = bt.stabilizer(gog, vid)
+        assert len(stab) == grp.order
+        assert all(bt.translate(gog, s, bt.standard_vertex(gog, vid))
+                   == bt.standard_vertex(gog, vid) for s in stab)
+        for letter, idx in grp.generators.items():
+            assert stab[idx] == nf(gog, letter)
 
 
 def test_neighbor_counts_match_edge_indices():

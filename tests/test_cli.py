@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -179,6 +180,19 @@ def test_table_json_needs_integers(capsys, tmp_path, field, bad, message):
     assert message in err
 
 
+def test_group_file_past_the_order_cap_exits_quickly(capsys, tmp_path):
+    data = json.loads(json.dumps(Z2Z3_JSON))
+    data["vertices"][0]["group"] = {"kind": "cyclic", "n": 10_000_000,
+                                    "name": "s"}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", "--group", str(path), "--word", "s")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "cyclic order 10000000 is above the order cap 512" in err
+
+
 def test_main_called_repeatedly_matches_fresh_processes(capsys):
     calls = [("nf", "--group", "sl2z", "--word", "a b b"),
              ("classify", "--group", "counterexample", "--word", "x z"),
@@ -302,6 +316,30 @@ def test_walk_custom_measure(capsys, tmp_path):
     rows = json.loads(out)
     assert [r["n"] for r in rows] == [4, 8]
     assert all(r["trials"] == 5 for r in rows)
+
+
+@pytest.mark.parametrize("weights,lengths,seed,message", [
+    (["1/0", "1/2", "1/2"], "4", None,
+     "weights[0] is not a rational number: '1/0'"),
+    ([0.5, "x", 0.25], "4", None, "weights[1] is not a rational number: 'x'"),
+    (None, "8,x", None, "--lengths entry is not an integer: 'x'"),
+    (None, "4", "abc", "VFREE_SEED is not an integer: 'abc'"),
+])
+def test_walk_input_errors_name_the_field(capsys, tmp_path, monkeypatch,
+                                          weights, lengths, seed, message):
+    argv = ["walk", "--group", "z2z3", "--lengths", lengths, "--trials", "2"]
+    if weights is not None:
+        measure = tmp_path / "m.json"
+        measure.write_text(json.dumps({"support": ["s", "t", "t^-1"],
+                                       "weights": weights}))
+        argv += ["--measure", str(measure)]
+    if seed is not None:
+        monkeypatch.setenv("VFREE_SEED", seed)
+    else:
+        monkeypatch.delenv("VFREE_SEED", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_emit_formula_command(capsys, tmp_path):

@@ -117,6 +117,72 @@ def test_table_validation_rejects_bad_data():
         fg.FiniteGroup([[0, 1], [1, 0]], {"g": 0})  # g generates nothing
 
 
+CYC = {"kind": "cyclic", "n": 2}
+
+
+@pytest.mark.parametrize("data,message", [
+    (5, "group is not an object (got an integer)"),
+    ({"kind": "cyclic", "n": True}, "field 'n' is not an integer (got a boolean)"),
+    ({"kind": "cyclic", "n": "4"}, "field 'n' is not an integer (got a string)"),
+    ({"kind": "cyclic", "n": 4.0}, "field 'n' is not an integer (got a number)"),
+    ({"kind": "cyclic", "n": 4, "name": 5}, "field 'name' is not a string"),
+    ({"kind": "boolean", "k": "2"}, "field 'k' is not an integer"),
+    ({"kind": "boolean", "k": 2, "names": ["a", 1]}, "names[1] is not a string"),
+    ({"kind": "semidirect", "c": 5, "q": CYC, "action": {}},
+     "field 'c' is not an object"),
+    ({"kind": "semidirect", "c": CYC, "q": CYC, "action": {"g": [0, "1"]}},
+     "action['g'][1] is not an integer"),
+    ({"kind": "semidirect", "c": {"kind": "boolean", "k": 2},
+      "q": CYC, "action": {"g": [[0, 1], [1, None]]}},
+     "action['g'][1][1] is not an integer (got null)"),
+    ({"kind": "direct", "factors": {}}, "field 'factors' is not a list"),
+    ({"kind": "dicyclic", "n": None}, "field 'n' is not an integer (got null)"),
+    ({"kind": "permutations", "perms": {"s": [1, "0"]}},
+     "perms['s'][1] is not an integer"),
+    ({"kind": "permutations", "perms": [[1, 0]]}, "field 'perms' is not an object"),
+    ({"kind": "table", "table": [[0, 1], 5], "generators": {"a": 1}},
+     "table[1] is not a list"),
+    ({"kind": "table", "table": [[0, 1], [1, 0]], "generators": {"a": 1},
+      "labels": [1, "a"]}, "labels[0] is not a string"),
+])
+def test_group_json_names_the_bad_field(data, message):
+    with pytest.raises(fg.GroupError) as exc:
+        fg.group_from_json(data)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"kind": "cyclic", "n": 10_000_000}, "cyclic order 10000000"),
+    ({"kind": "boolean", "k": 10}, "boolean order 2^10"),
+    ({"kind": "dicyclic", "n": 129}, "dicyclic order 516"),
+    ({"kind": "semidirect", "c": {"kind": "boolean", "k": 5},
+      "q": {"kind": "cyclic", "n": 17, "name": "h"}, "action": {}},
+     "semidirect product order 544"),
+    ({"kind": "direct", "factors": [{"kind": "cyclic", "n": 32},
+                                    {"kind": "cyclic", "n": 17, "name": "h"}]},
+     "direct product order 544"),
+    ({"kind": "table", "table": [[0]] * 513, "generators": {}},
+     "table order 513"),
+    ({"kind": "permutations", "perms": {"s": list(range(513))}},
+     "perms['s'] degree 513"),
+    # the closure of a 7-cycle and a transposition is all of S7
+    ({"kind": "permutations", "perms": {"s": [1, 2, 3, 4, 5, 6, 0],
+                                        "t": [1, 0, 2, 3, 4, 5, 6]}},
+     "permutations generate more than 512 elements"),
+])
+def test_group_json_order_cap(data, message):
+    with pytest.raises(fg.GroupError) as exc:
+        fg.group_from_json(data)
+    assert message in str(exc.value)
+    assert f"{fg.MAX_GROUP_ORDER}" in str(exc.value)
+
+
+def test_group_json_order_cap_admits_its_bound():
+    assert fg.MAX_GROUP_ORDER == 512
+    assert fg.group_from_json({"kind": "cyclic", "n": 512}).order == 512
+    assert fg.group_from_json({"kind": "boolean", "k": 9}).order == 512
+
+
 def _accepts(table, gens):
     try:
         fg.FiniteGroup(table, gens)

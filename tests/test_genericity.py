@@ -2,11 +2,14 @@
 
 Whitehead edges are cross-checked against a definition-level oracle that
 scans the axes of explicitly enumerated conjugates for segments through
-the standard vertex.  Filling fixtures come from an exhaustive bounded
-search; walk statistics are frozen from a seeded pilot run.
+the standard vertex, and graph for graph against the tree-pullback
+construction in whitehead_oracle.py.  Filling fixtures come from an
+exhaustive bounded search; walk statistics are frozen from a seeded pilot
+run.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,10 +18,12 @@ import vfree.bstree as bt
 import vfree.fingroup as fg
 import vfree.genericity as gen
 import vfree.gogwords as gw
-from fixtures import random_words
+import whitehead_oracle as who
+from fixtures import random_letter_word, random_words, seam_presentations
 
 SL2Z = gw.build_sl2z()
 FREE46 = gw.build_free_product(fg.build_cyclic(4, "a"), fg.build_cyclic(6, "b"))
+SEAM = seam_presentations()
 
 # First filling elements found by the exhaustive alternating-word search.
 FILLING_SL2Z = "a b"
@@ -177,16 +182,46 @@ def test_inconclusive_certificate_carries_report():
 
 
 def test_fills_fast_path_agrees():
-    words = random_words("aAbB", 25, 9, 703)
+    # run_genericity_experiment stops at the first incomplete orbit; its
+    # filling count must still be the count of fills() over the same walks.
     for gog in (SL2Z, FREE46):
-        seen = 0
-        for word in words:
-            g = fold_letters(gog, word)
-            if bt.classify(gog, g).kind != "hyperbolic":
-                continue
-            assert gen._fills_fast(gog, g) == gen.fills(gog, g).fills
-            seen += 1
-        assert seen >= 10
+        spec = gen.uniform_spec(gog, ["a", "a^-1", "b", "b^-1"], 24, 703)
+        rows = gen.run_genericity_experiment(gog, spec, [8, 64])
+        for row in rows:
+            walks = [gen.sample_walk(gog, spec, row.n, t)
+                     for t in range(spec.trials)]
+            hyp = [w for w in walks if bt.classify(gog, w).kind == "hyperbolic"]
+            assert row.hyperbolic_count == len(hyp) >= 10
+            assert row.filling_count == sum(gen.fills(gog, w).fills
+                                            for w in hyp)
+        if gog is FREE46:
+            assert 0 < rows[-1].filling_count < rows[-1].hyperbolic_count
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+def test_whitehead_matches_pullback_oracle(name):
+    # Turns read off the core against turns pulled back from an axis
+    # window through the tree, for random hyperbolic elements and one
+    # conjugate of each, at every orbit.
+    gog = SEAM[name]
+    rng = random.Random(4700 + sorted(SEAM).index(name))
+    checked = 0
+    while checked < 10:
+        g = nf(gog, random_letter_word(gog, rng, 7))
+        if bt.classify(gog, g).kind != "hyperbolic":
+            continue
+        checked += 1
+        h = nf(gog, random_letter_word(gog, rng, 4))
+        for w in (g, gw.conjugate(gog, h, g)):
+            want = [who.whitehead_by_pullback(gog, w, orbit)
+                    for orbit in sorted(gog.vertices)]
+            report = gen.fills(gog, w)
+            assert [(x.nodes, x.edges) for x in report.graphs] == want
+            assert report.fills == all(len(e) == math.comb(len(n), 2)
+                                       for n, e in want)
+            for x, orbit in zip(report.graphs, sorted(gog.vertices)):
+                single = gen.whitehead_graph(gog, w, orbit)
+                assert (single.nodes, single.edges) == (x.nodes, x.edges)
 
 
 # -- p-matches ----------------------------------------------------------------
