@@ -36,6 +36,8 @@ from .defspace import (
 from .fingroup import (
     GroupError,
     GroupHom,
+    _field,
+    _typed,
     build_cyclic,
     check_hom,
     cycle_notation,
@@ -603,11 +605,13 @@ def cmd_walk(args) -> int:
     gog = load_group(args.group)
     seed = _integer(os.environ.get("VFREE_SEED", args.seed), "VFREE_SEED")
     if args.measure is not None:
-        data = _load_json(args.measure)
-        support = tuple(normal_form(gog, parse_word(gog, w))
-                        for w in data["support"])
+        data = _typed(_load_json(args.measure), "an object", "measure JSON")
+        words = [_typed(w, "a string", f"support[{i}]")
+                 for i, w in enumerate(_field(data, "support", "a list"))]
+        support = tuple(normal_form(gog, parse_word(gog, w)) for w in words)
         if "weights" in data:
-            weights = tuple(_weight(w, i) for i, w in enumerate(data["weights"]))
+            weights = tuple(_weight(w, i) for i, w in
+                            enumerate(_field(data, "weights", "a list")))
         else:
             weights = tuple([Fraction(1, len(support))] * len(support))
         spec = RandomWalkSpec(support, weights, args.trials, seed)

@@ -336,26 +336,26 @@ def _dispatch(gog: GraphOfGroups, move: DeformationMove):
 
 def _edge_compatible(e1: Edge, e2: Edge, alphas, flip: bool) -> bool:
     """Does some edge-group isomorphism commute with the injections up to
-    conjugation at each end?"""
+    conjugation at each end?  The α-images of e1's injections are read
+    once, and each conjugation is a row of the target's table."""
     if e1.group.order != e2.group.order:
         return False
     ends2 = (e2.inj[1], e2.inj[0]) if flip else e2.inj
-    a0, a1 = alphas
-    t0, t1 = ends2[0].target, ends2[1].target
+    img0 = [alphas[0].mapping[y] for y in e1.inj[0].mapping]
+    img1 = [alphas[1].mapping[y] for y in e1.inj[1].mapping]
     im0 = set(ends2[0].mapping)
     sec0 = _hom_section(ends2[0])
-    dom = range(e1.group.order)
-    for c0 in range(t0.order):
-        twisted = [t0.conj(c0, a0(e1.inj[0](x))) for x in dom]
+    map1 = ends2[1].mapping
+    conjugates1 = None
+    for row0 in ends2[0].target.conjugation_rows():
+        twisted = [row0[y] for y in img0]
         if set(twisted) != im0:
             continue
-        beta = [sec0[y] for y in twisted]
-        if len(set(beta)) != e1.group.order:
-            continue
-        lhs = [ends2[1](b) for b in beta]
-        for c1 in range(t1.order):
-            if all(lhs[x] == t1.conj(c1, a1(e1.inj[1](x))) for x in dom):
-                return True
+        if conjugates1 is None:
+            conjugates1 = {tuple([row1[y] for y in img1])
+                           for row1 in ends2[1].target.conjugation_rows()}
+        if tuple([map1[sec0[y]] for y in twisted]) in conjugates1:
+            return True
     return False
 
 
@@ -375,6 +375,7 @@ def are_gog_isomorphic(g1: GraphOfGroups, g2: GraphOfGroups) -> bool:
         return False
 
     e1_ids = sorted(g1.edges)
+    isos: dict[tuple[str, str], Sequence[GroupHom]] = {}
     for perm in itertools.permutations(v2):
         sigma = dict(zip(v1, perm))
         if any(g1.vertices[v].order != g2.vertices[sigma[v]].order
@@ -386,23 +387,20 @@ def are_gog_isomorphic(g1: GraphOfGroups, g2: GraphOfGroups) -> bool:
         for eid in sorted(g2.edges):
             e = g2.edges[eid]
             buckets.setdefault(tuple(sorted(e.ends)), []).append(eid)
-        target_of: dict[str, tuple] = {}
-        ok = True
-        for eid in e1_ids:
-            key = tuple(sorted(sigma[x] for x in g1.edges[eid].ends))
-            if not buckets.get(key):
-                ok = False
-                break
-            target_of[eid] = key
-        if not ok:
+        if any(not buckets.get(tuple(sorted(sigma[x]
+                                            for x in g1.edges[eid].ends)))
+               for eid in e1_ids):
             continue
         iso_lists = {}
         for v in v1:
-            isos = list(fg.isomorphisms_iter(g1.vertices[v],
-                                             g2.vertices[sigma[v]]))
-            if not isos:
+            pair = (v, sigma[v])
+            if pair not in isos:
+                a, b = g1.vertices[v], g2.vertices[sigma[v]]
+                isos[pair] = a.automorphisms() if a is b \
+                    else list(fg.isomorphisms_iter(a, b))
+            if not isos[pair]:
                 break
-            iso_lists[v] = isos
+            iso_lists[v] = isos[pair]
         if len(iso_lists) != len(v1):
             continue
         if _match_edges(g1, g2, sigma, e1_ids, buckets, iso_lists):
@@ -510,6 +508,14 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
 
     Optional vertex_groups / edge_groups pin the group multisets instead
     of drawing them from the small-groups catalog.
+
+    Candidates are sorted by _canonical_key and each is kept unless it is
+    isomorphic to a graph kept before it.  It is compared, through
+    are_gog_isomorphic, only with the kept graphs that share its
+    _IsoClasses key.  That is exact: isomorphic graphs share the key, so
+    a kept graph outside the bucket could never have matched, and every
+    verdict, hence every kept representative and its place in the list,
+    is the one a comparison with all kept graphs gives.
     """
     p, q, r = vertex_count, edge_count, max_order
     if p < 1 or p > ENUM_VERTEX_CAP or q < 0 or q > ENUM_EDGE_CAP \
@@ -522,6 +528,13 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
         raise GogError("vertex_groups must list one group per vertex")
     if edge_groups is not None and len(edge_groups) != q:
         raise GogError("edge_groups must list one group per edge")
+
+    mono_memo: dict[tuple[FiniteGroup, FiniteGroup], list[GroupHom]] = {}
+
+    def monos_into(egrp: FiniteGroup, vgrp: FiniteGroup) -> list[GroupHom]:
+        if (egrp, vgrp) not in mono_memo:
+            mono_memo[egrp, vgrp] = fg.all_monomorphisms(egrp, vgrp)
+        return mono_memo[egrp, vgrp]
 
     found: list[GraphOfGroups] = []
     for shape in _connected_shapes(p, q):
@@ -539,10 +552,12 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
         for vgroups in vertex_pools:
             for egroups in _edge_group_pools(shape, vgroups, catalog,
                                              edge_groups):
+                if _has_collapsible_edge(shape, vgroups, egroups):
+                    continue
                 mono_pools = []
                 for (i, j), egrp in zip(shape, egroups):
-                    mi = fg.all_monomorphisms(egrp, vgroups[i])
-                    mj = fg.all_monomorphisms(egrp, vgroups[j])
+                    mi = monos_into(egrp, vgroups[i])
+                    mj = monos_into(egrp, vgroups[j])
                     if not mi or not mj:
                         mono_pools = None
                         break
@@ -558,11 +573,70 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                     found.append(cand)
 
     found.sort(key=_canonical_key)
-    kept: list[GraphOfGroups] = []
+    classes = _IsoClasses()
     for cand in found:
-        if not any(are_gog_isomorphic(cand, old) for old in kept):
-            kept.append(cand)
-    return kept
+        classes.add(cand)
+    return classes.kept
+
+
+def _has_collapsible_edge(shape, vgroups, egroups) -> bool:
+    """Does every candidate on these groups fail is_reduced?  An edge
+    group of the order of an endpoint group has index 1 there whatever
+    the injections, and a non-loop edge of index 1 is collapsible."""
+    return any(i != j and c.order in (vgroups[i].order, vgroups[j].order)
+               for (i, j), c in zip(shape, egroups))
+
+
+class _IsoClasses:
+    """Graphs of groups kept up to isomorphism, in the order they came.
+
+    A graph is tested with are_gog_isomorphic only against kept graphs
+    with the same key.  The key is (sorted vertex-group profiles, sorted
+    edge keys).  A group's profile is the sorted multiset of (order,
+    conjugacy-class size) over its elements, an element's stat.  An edge
+    key is the least, over both orientations, of (profile at one end,
+    profile at the other, sorted pairs of the stats of inj_0(c) and
+    inj_1(c) over the edge group).  An isomorphism carries each edge to
+    one whose injections agree with its own through one edge-group
+    bijection, up to vertex-group isomorphisms and conjugations, and
+    those keep an element's order and class size: isomorphic graphs
+    share the key.
+    """
+
+    def __init__(self):
+        self.kept: list[GraphOfGroups] = []
+        self._buckets: dict[tuple, list[GraphOfGroups]] = {}
+        self._stats: dict[FiniteGroup, tuple] = {}
+
+    def _group_stats(self, grp: FiniteGroup) -> tuple:
+        """(stat of each element, profile) of grp."""
+        if grp not in self._stats:
+            sizes = [len(set(col)) for col in zip(*grp.conjugation_rows())]
+            stats = tuple(zip(grp.element_orders(), sizes))
+            self._stats[grp] = (stats, tuple(sorted(stats)))
+        return self._stats[grp]
+
+    def key(self, gog: GraphOfGroups) -> tuple:
+        edge_keys = []
+        for e in gog.edges.values():
+            (sa, pa), (sb, pb) = (self._group_stats(gog.vertices[v])
+                                  for v in e.ends)
+            ca = [sa[y] for y in e.inj[0].mapping]
+            cb = [sb[y] for y in e.inj[1].mapping]
+            edge_keys.append(min((pa, pb, tuple(sorted(zip(ca, cb)))),
+                                 (pb, pa, tuple(sorted(zip(cb, ca))))))
+        profiles = sorted(self._group_stats(g)[1]
+                          for g in gog.vertices.values())
+        return tuple(profiles), tuple(sorted(edge_keys))
+
+    def add(self, gog: GraphOfGroups) -> bool:
+        """Keep gog unless it is isomorphic to a kept graph; True if kept."""
+        bucket = self._buckets.setdefault(self.key(gog), [])
+        if any(are_gog_isomorphic(gog, old) for old in bucket):
+            return False
+        bucket.append(gog)
+        self.kept.append(gog)
+        return True
 
 
 def _edge_group_pools(shape, vgroups, catalog, edge_groups):
@@ -627,7 +701,8 @@ def nonredundant_expansions(gog: GraphOfGroups, depth: int,
         raise GogError(f"expansion depth capped at {EXPANSION_DEPTH_CAP}")
     if not is_reduced(gog):
         raise GogError("expansion search expects a reduced splitting")
-    seen: list[GraphOfGroups] = [gog]
+    seen = _IsoClasses()
+    seen.add(gog)
     results: list[GraphOfGroups] = [gog]
     frontier: list[GraphOfGroups] = [gog]
     for _ in range(depth):
@@ -638,15 +713,14 @@ def nonredundant_expansions(gog: GraphOfGroups, depth: int,
                     new = apply_move(cur, move)
                 except GogError:
                     continue
-                if any(are_gog_isomorphic(new, old) for old in seen):
+                if not seen.add(new):
                     continue
-                seen.append(new)
                 nxt.append(new)
                 if is_non_redundant(new):
                     results.append(new)
         frontier = nxt
     if with_report:
-        report = {"explored": len(seen),
+        report = {"explored": len(seen.kept),
                   "frontier_all_redundant": all(not is_non_redundant(g)
                                                 for g in frontier)}
         return results, report

@@ -36,7 +36,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("table", "order", "identity", "inverses", "generators",
-                 "labels", "_orders")
+                 "labels", "_orders", "_auts", "_conj")
 
     def __init__(self, table: Sequence[Sequence[int]],
                  generators: dict[str, int],
@@ -57,6 +57,8 @@ class FiniteGroup:
             raise GroupError("label list length does not match group order")
         self.labels = tuple(labels)
         self._orders: Optional[tuple[int, ...]] = None
+        self._auts: Optional[tuple[GroupHom, ...]] = None
+        self._conj: Optional[tuple[tuple[int, ...], ...]] = None
         self._check_group_axioms()
 
     def _find_identity(self) -> int:
@@ -151,6 +153,21 @@ class FiniteGroup:
         if self._orders is None:
             self._orders = tuple(self.element_order(i) for i in range(self.order))
         return self._orders
+
+    def automorphisms(self) -> tuple[GroupHom, ...]:
+        """Aut(G), in isomorphisms_iter order; listed once and kept."""
+        if self._auts is None:
+            self._auts = tuple(isomorphisms_iter(self, self))
+        return self._auts
+
+    def conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
+        """rows[g][x] = g·x·g⁻¹ for every g; built once and kept."""
+        if self._conj is None:
+            t = self.table
+            self._conj = tuple(
+                tuple(t[gx][self.inverses[g]] for gx in t[g])
+                for g in range(self.order))
+        return self._conj
 
     def label(self, i: int) -> str:
         return self.labels[i]

@@ -28,6 +28,9 @@ from .fingroup import (
     FiniteGroup,
     GroupError,
     GroupHom,
+    _field,
+    _typed,
+    _typed_list,
     check_hom,
     coset_data,
     evaluate_word,
@@ -610,12 +613,13 @@ def build_free_product(A: FiniteGroup, B: FiniteGroup) -> GraphOfGroups:
 
 
 def _hom_from_spec(edge_group: FiniteGroup, target: FiniteGroup,
-                   spec: dict) -> GroupHom:
+                   spec, where: str) -> GroupHom:
     images = {}
-    for name, word in spec.items():
+    for name, word in _typed(spec, "an object", where).items():
         if name not in edge_group.generators:
             raise GogError(f"injection names unknown generator {name!r}")
-        images[name] = evaluate_word(target, word)
+        images[name] = evaluate_word(
+            target, _typed(word, "a string", f"{where}[{name!r}]"))
     return GroupHom.from_generator_images(edge_group, target, images)
 
 
@@ -625,25 +629,43 @@ def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
     Expected shape: {"vertices": [{"id", "group"}...],
     "edges": [{"id", "group", "ends": [u, w], "maps": [spec0, spec1]}...],
     "base": id, "tree": [edge ids]}, where each injection spec maps edge
-    generator names to words in the endpoint group's generators.
+    generator names to words in the endpoint group's generators.  Every
+    field is type-checked, and a wrong one is named in the error with the
+    JSON type it had.
     """
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        vertices = [(v["id"], group_from_json(v["group"]))
-                    for v in data["vertices"]]
+        _typed(data, "an object", "graph of groups")
+        vertices = []
+        for i, v in enumerate(_field(data, "vertices", "a list")):
+            where = f"vertices[{i}]"
+            vid = _typed(_typed(v, "an object", where)["id"], "a string",
+                         f"{where}.id")
+            vertices.append((vid, group_from_json(v["group"])))
         vgroups = dict(vertices)
         edges = []
-        for e in data["edges"]:
+        for i, e in enumerate(_field(data, "edges", "a list")):
+            where = f"edges[{i}]"
+            eid = _typed(_typed(e, "an object", where)["id"], "a string",
+                         f"{where}.id")
             grp = group_from_json(e["group"])
-            ends = tuple(e["ends"])
+            ends = tuple(_typed_list(e["ends"], str, f"{where}.ends"))
             if len(ends) != 2 or any(v not in vgroups for v in ends):
-                raise GogError(f"edge {e.get('id')!r} has bad endpoints {ends}")
-            inj = tuple(_hom_from_spec(grp, vgroups[v], spec)
-                        for v, spec in zip(ends, e["maps"]))
-            edges.append(Edge(e["id"], grp, ends, inj))
-        return GraphOfGroups(vertices, edges, data["base"],
-                             set(data.get("tree", ())))
+                raise GogError(f"edge {eid!r} has bad endpoints {ends}")
+            maps = _typed(e["maps"], "a list", f"{where}.maps")
+            if len(maps) != 2:
+                raise GogError(f"{where}.maps must list 2 injections "
+                               f"(got {len(maps)})")
+            inj = tuple(_hom_from_spec(grp, vgroups[v], spec,
+                                       f"{where}.maps[{k}]")
+                        for k, (v, spec) in enumerate(zip(ends, maps)))
+            edges.append(Edge(eid, grp, ends, inj))
+        tree = [_typed(t, "a string", f"tree[{i}]") for i, t in
+                enumerate(_typed(data.get("tree", []), "a list",
+                                 "field 'tree'"))]
+        return GraphOfGroups(vertices, edges,
+                             _field(data, "base", "a string"), set(tree))
     except (KeyError, TypeError) as exc:
         raise GogError(f"malformed graph-of-groups JSON: {exc}") from exc
 

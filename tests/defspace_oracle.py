@@ -1,0 +1,177 @@
+"""Reference enumeration of reduced splittings: every candidate is built
+and every pair of survivors is compared.
+
+This is the enumeration `defspace` used before it learned to skip
+candidates with a collapsible edge, to compare candidates only inside
+invariant buckets, and to read conjugations from cached tables.  Its
+isomorphism test is the element-by-element one, with every vertex-group
+isomorphism listed afresh.  The tests require `defspace` to return the
+same graphs, in the same order, as this module.
+"""
+
+import itertools
+
+import vfree.defspace as ds
+import vfree.fingroup as fg
+from vfree.gogwords import GogError
+
+
+def edge_compatible(e1, e2, alphas, flip):
+    """Does some edge-group isomorphism commute with the injections up to
+    conjugation at each end?"""
+    if e1.group.order != e2.group.order:
+        return False
+    ends2 = (e2.inj[1], e2.inj[0]) if flip else e2.inj
+    a0, a1 = alphas
+    t0, t1 = ends2[0].target, ends2[1].target
+    im0 = set(ends2[0].mapping)
+    sec0 = {ends2[0](c): c for c in range(ends2[0].source.order)}
+    dom = range(e1.group.order)
+    for c0 in range(t0.order):
+        twisted = [t0.conj(c0, a0(e1.inj[0](x))) for x in dom]
+        if set(twisted) != im0:
+            continue
+        beta = [sec0[y] for y in twisted]
+        if len(set(beta)) != e1.group.order:
+            continue
+        lhs = [ends2[1](b) for b in beta]
+        for c1 in range(t1.order):
+            if all(lhs[x] == t1.conj(c1, a1(e1.inj[1](x))) for x in dom):
+                return True
+    return False
+
+
+def are_gog_isomorphic(g1, g2):
+    """A graph isomorphism together with vertex and edge group isomorphisms
+    commuting with the injections up to conjugation in the target vertex
+    groups, searched over every vertex bijection and isomorphism."""
+    v1, v2 = sorted(g1.vertices), sorted(g2.vertices)
+    if len(v1) != len(v2) or len(g1.edges) != len(g2.edges):
+        return False
+    if sorted(g1.vertices[v].order for v in v1) != \
+            sorted(g2.vertices[v].order for v in v2):
+        return False
+    if sorted(e.group.order for e in g1.edges.values()) != \
+            sorted(e.group.order for e in g2.edges.values()):
+        return False
+
+    e1_ids = sorted(g1.edges)
+    for perm in itertools.permutations(v2):
+        sigma = dict(zip(v1, perm))
+        if any(g1.vertices[v].order != g2.vertices[sigma[v]].order
+               or ds.quotient_degree(g1, v) != ds.quotient_degree(g2, sigma[v])
+               for v in v1):
+            continue
+        buckets = {}
+        for eid in sorted(g2.edges):
+            e = g2.edges[eid]
+            buckets.setdefault(tuple(sorted(e.ends)), []).append(eid)
+        if any(not buckets.get(tuple(sorted(sigma[x]
+                                            for x in g1.edges[eid].ends)))
+               for eid in e1_ids):
+            continue
+        iso_lists = {}
+        for v in v1:
+            isos = list(fg.isomorphisms_iter(g1.vertices[v],
+                                             g2.vertices[sigma[v]]))
+            if not isos:
+                break
+            iso_lists[v] = isos
+        if len(iso_lists) != len(v1):
+            continue
+        if _match_edges(g1, g2, sigma, e1_ids, buckets, iso_lists):
+            return True
+    return False
+
+
+def _match_edges(g1, g2, sigma, e1_ids, buckets, iso_lists):
+    for alpha_choice in itertools.product(*(iso_lists[v]
+                                            for v in sorted(iso_lists))):
+        alpha = dict(zip(sorted(iso_lists), alpha_choice))
+
+        def assign(idx, pool):
+            if idx == len(e1_ids):
+                return True
+            e1 = g1.edges[e1_ids[idx]]
+            key = tuple(sorted(sigma[x] for x in e1.ends))
+            for pick in list(pool[key]):
+                e2 = g2.edges[pick]
+                for flip in (False, True):
+                    ends2 = (e2.ends[1], e2.ends[0]) if flip else e2.ends
+                    if tuple(sigma[x] for x in e1.ends) != ends2:
+                        continue
+                    a = (alpha[e1.ends[0]], alpha[e1.ends[1]])
+                    if edge_compatible(e1, e2, a, flip):
+                        pool[key].remove(pick)
+                        if assign(idx + 1, pool):
+                            return True
+                        pool[key].append(pick)
+            return False
+
+        if assign(0, {k: list(v) for k, v in buckets.items()}):
+            return True
+    return False
+
+
+def candidates(p, q, r, vertex_groups=None, edge_groups=None):
+    """Every buildable candidate of the enumeration, reduced or not, as
+    (shape, vertex groups, edge groups, graph of groups)."""
+    catalog = ds.small_groups(r)
+    for shape in ds._connected_shapes(p, q):
+        if vertex_groups is None:
+            vertex_pools = itertools.product(catalog, repeat=p)
+        else:
+            vertex_pools = []
+            for perm in itertools.permutations(range(p)):
+                pool = [vertex_groups[k] for k in perm]
+                if not any(all(a is b for a, b in zip(pool, old))
+                           for old in vertex_pools):
+                    vertex_pools.append(pool)
+        for vgroups in vertex_pools:
+            for egroups in ds._edge_group_pools(shape, vgroups, catalog,
+                                                edge_groups):
+                mono_pools = []
+                for (i, j), egrp in zip(shape, egroups):
+                    mi = fg.all_monomorphisms(egrp, vgroups[i])
+                    mj = fg.all_monomorphisms(egrp, vgroups[j])
+                    mono_pools.append([(a, b) for a in mi for b in mj])
+                for monos in itertools.product(*mono_pools):
+                    cand = ds._candidate_graph(shape, vgroups, egroups, monos)
+                    if cand is not None:
+                        yield shape, vgroups, egroups, cand
+
+
+def enumerate_reduced(p, q, r, vertex_groups=None, edge_groups=None):
+    """Reduced minimal candidates, sorted by the canonical key and kept
+    when no earlier kept graph is isomorphic to them."""
+    found = [cand for _, _, _, cand
+             in candidates(p, q, r, vertex_groups, edge_groups)
+             if ds.is_reduced(cand) and ds.is_minimal(cand)]
+    found.sort(key=ds._canonical_key)
+    kept = []
+    for cand in found:
+        if not any(are_gog_isomorphic(cand, old) for old in kept):
+            kept.append(cand)
+    return kept
+
+
+def nonredundant_expansions(gog, depth):
+    """(results, explored count) of the expansion search, deduplicating
+    each new graph against every graph seen before it."""
+    seen, results, frontier = [gog], [gog], [gog]
+    for _ in range(depth):
+        nxt = []
+        for cur in frontier:
+            for move in ds.expansion_moves(cur):
+                try:
+                    new = ds.apply_move(cur, move)
+                except GogError:
+                    continue
+                if any(are_gog_isomorphic(new, old) for old in seen):
+                    continue
+                seen.append(new)
+                nxt.append(new)
+                if ds.is_non_redundant(new):
+                    results.append(new)
+        frontier = nxt
+    return results, len(seen)

@@ -180,6 +180,16 @@ def test_table_json_needs_integers(capsys, tmp_path, field, bad, message):
     assert message in err
 
 
+def test_group_file_fields_are_type_checked(capsys, tmp_path):
+    data = json.loads(json.dumps(Z2Z3_JSON))
+    data["tree"] = 7
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "nf", "--group", str(path), "--word", "s")
+    assert code == 1 and out == ""
+    assert "field 'tree' is not a list (got an integer)" in err
+
+
 def test_group_file_past_the_order_cap_exits_quickly(capsys, tmp_path):
     data = json.loads(json.dumps(Z2Z3_JSON))
     data["vertices"][0]["group"] = {"kind": "cyclic", "n": 10_000_000,
@@ -338,6 +348,23 @@ def test_walk_input_errors_name_the_field(capsys, tmp_path, monkeypatch,
     else:
         monkeypatch.delenv("VFREE_SEED", raising=False)
     code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("measure,message", [
+    ({"support": ["s", "t"], "weights": 5},
+     "field 'weights' is not a list (got an integer)"),
+    ([1, 2], "measure JSON is not an object (got a list)"),
+    ({"support": "s t"}, "field 'support' is not a list (got a string)"),
+    ({"support": ["s", 3]}, "support[1] is not a string (got an integer)"),
+])
+def test_walk_measure_shape_errors_name_the_field(capsys, tmp_path, measure,
+                                                  message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(measure))
+    code, out, err = run(capsys, "walk", "--group", "z2z3", "--measure",
+                         str(path), "--lengths", "4", "--trials", "2")
     assert code == 1 and out == ""
     assert message in err
 

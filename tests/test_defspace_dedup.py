@@ -1,0 +1,182 @@
+"""The enumeration's shortcuts against the reference enumeration.
+
+`enumerate_reduced` skips candidates with a collapsible edge before
+building them and compares the rest only inside invariant buckets, with
+conjugations read from cached tables.  Each shortcut is meant to be
+exact: the outputs must equal those of `defspace_oracle`, which builds
+every candidate and compares every pair element by element, and the
+invariant key must agree on isomorphic graphs.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import defspace_oracle as oracle
+import vfree.defspace as ds
+import vfree.fingroup as fg
+import vfree.gogwords as gw
+from test_defspace import ROSE3, SL2Z, build_star
+from vfree.fingroup import FiniteGroup, GroupHom
+from vfree.gogwords import Edge, GraphOfGroups
+
+CATALOG_QUERIES = (
+    [(1, 1, r) for r in range(1, 8)] + [(2, 1, r) for r in range(1, 8)]
+    + [(2, 2, r) for r in range(1, 4)] + [(3, 2, r) for r in range(1, 4)]
+    + [(1, 2, r) for r in range(1, 4)] + [(3, 3, r) for r in range(1, 3)])
+# Two-vertex amalgams at max order 12, as (catalog index of A, catalog
+# index of B, order of the cyclic edge group).
+AMALGAMS = ((3, 6, 2), (7, 13, 2), (13, 17, 2), (20, 20, 2), (22, 22, 2),
+            (7, 22, 3), (19, 22, 3), (12, 12, 1))
+
+
+def as_json(graphs):
+    return [gw.gog_to_json(g) for g in graphs]
+
+
+@pytest.mark.parametrize("query", CATALOG_QUERIES, ids=str)
+def test_enumerate_reduced_matches_oracle(query):
+    assert as_json(ds.enumerate_reduced(*query)) == \
+        as_json(oracle.enumerate_reduced(*query))
+
+
+@pytest.mark.parametrize("amalgam", AMALGAMS, ids=str)
+def test_pinned_amalgams_match_oracle(amalgam):
+    a, b, c = amalgam
+    catalog = ds.small_groups(12)
+    pins = {"vertex_groups": [catalog[a], catalog[b]],
+            "edge_groups": [fg.build_cyclic(c)]}
+    assert as_json(ds.enumerate_reduced(2, 1, 12, **pins)) == \
+        as_json(oracle.enumerate_reduced(2, 1, 12, **pins))
+
+
+@pytest.mark.parametrize("seed", ["sl2z", "star", "rose3"])
+def test_nonredundant_expansions_match_oracle(seed):
+    gog = {"sl2z": SL2Z, "star": build_star(), "rose3": ROSE3}[seed]
+    got, report = ds.nonredundant_expansions(gog, 2, with_report=True)
+    want, explored = oracle.nonredundant_expansions(gog, 2)
+    assert as_json(got) == as_json(want)
+    assert report["explored"] == explored
+
+
+# -- soundness of the shortcuts -------------------------------------------------
+
+
+def permuted_group(grp: FiniteGroup, rng) -> tuple[FiniteGroup, list[int]]:
+    """A copy of grp with its elements renumbered by a random permutation
+    pi, as a new object, and pi."""
+    pi = list(range(grp.order))
+    rng.shuffle(pi)
+    table = [[0] * grp.order for _ in range(grp.order)]
+    for i, row in enumerate(grp.table):
+        for j, x in enumerate(row):
+            table[pi[i]][pi[j]] = pi[x]
+    gens = {name: pi[idx] for name, idx in grp.generators.items()}
+    return FiniteGroup(table, gens), pi
+
+
+def isomorphic_copy(gog: GraphOfGroups, rng, new_groups: bool
+                    ) -> GraphOfGroups:
+    """gog with vertices and edges renamed, edge ends swapped at random,
+    each vertex group moved by a random automorphism (and, with
+    new_groups, onto a renumbered copy), each edge group by a random
+    automorphism, and each injection followed by a random conjugation."""
+    auts = {}
+
+    def random_aut(grp):
+        if grp not in auts:
+            auts[grp] = list(fg.isomorphisms_iter(grp, grp))
+        return rng.choice(auts[grp]).mapping
+
+    vids = sorted(gog.vertices)
+    names = [f"w{k}" for k in range(len(vids))]
+    rng.shuffle(names)
+    rename = dict(zip(vids, names))
+    groups, alpha = {}, {}
+    for v in vids:
+        grp, aut = gog.vertices[v], random_aut(gog.vertices[v])
+        if new_groups:
+            grp, pi = permuted_group(grp, rng)
+            aut = [pi[y] for y in aut]
+        groups[v], alpha[v] = grp, aut
+
+    eids = sorted(gog.edges)
+    enames = [f"f{k}" for k in range(len(eids))]
+    rng.shuffle(enames)
+    erename = dict(zip(eids, enames))
+    edges = []
+    for eid in eids:
+        e = gog.edges[eid]
+        beta = random_aut(e.group)
+        injs = []
+        for v, inj in zip(e.ends, e.inj):
+            tgt = groups[v]
+            g = rng.randrange(tgt.order)
+            injs.append(GroupHom(e.group, tgt, tuple(
+                tgt.conj(g, alpha[v][inj(beta[c])])
+                for c in range(e.group.order))))
+        ends = [rename[v] for v in e.ends]
+        if rng.random() < 0.5:
+            ends.reverse()
+            injs.reverse()
+        edges.append(Edge(erename[eid], e.group, tuple(ends), tuple(injs)))
+    vertices = [(rename[v], groups[v]) for v in vids]
+    rng.shuffle(vertices)
+    return GraphOfGroups(vertices, edges, rng.choice(names),
+                         [erename[e] for e in gog.spanning_tree])
+
+
+@pytest.mark.parametrize("query", [(2, 1, 6), (1, 2, 3), (3, 2, 2)], ids=str)
+def test_invariant_key_agrees_on_isomorphic_copies(query):
+    rng = random.Random(sum(query))
+    classes = ds._IsoClasses()
+    for _, _, _, gog in oracle.candidates(*query):
+        for new_groups in (False, True):
+            copy = isomorphic_copy(gog, rng, new_groups)
+            assert classes.key(copy) == classes.key(gog)
+            assert ds.are_gog_isomorphic(gog, copy)
+            assert ds.are_gog_isomorphic(copy, gog)
+
+
+def test_different_keys_are_never_isomorphic():
+    graphs = [gog for _, _, _, gog in oracle.candidates(2, 1, 5)]
+    classes = ds._IsoClasses()
+    keys = [classes.key(g) for g in graphs]
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(graphs)), 2)
+             if keys[i] != keys[j]]
+    assert pairs
+    for i, j in pairs:
+        assert not oracle.are_gog_isomorphic(graphs[i], graphs[j])
+
+
+@pytest.mark.parametrize("query", [(2, 1, 6), (3, 2, 2)], ids=str)
+def test_collapsible_precheck_skips_exactly_the_unreduced(query):
+    skipped = kept = 0
+    for shape, vgroups, egroups, gog in oracle.candidates(*query):
+        skip = ds._has_collapsible_edge(shape, vgroups, egroups)
+        assert skip == (not (ds.is_reduced(gog) and ds.is_minimal(gog)))
+        skipped += skip
+        kept += not skip
+    assert skipped and kept
+
+
+def test_invariant_key_sees_conjugacy_class_sizes():
+    # Z/4 *_{Z/2} D4 with Z/2 sent to the centre of D4 or to a reflection:
+    # every image has order 2, so only the class sizes (1 or 2) in the key
+    # tell the two non-isomorphic amalgams apart.
+    d4 = ds._dihedral(4)
+    z4, z2 = fg.build_cyclic(4, "a"), fg.build_cyclic(2, "c")
+    involutions = [x for x in d4.elements() if d4.element_order(x) == 2]
+    central = next(x for x in involutions
+                   if all(d4.mul(x, g) == d4.mul(g, x) for g in d4.elements()))
+    reflection = next(x for x in involutions
+                      if any(d4.mul(x, g) != d4.mul(g, x)
+                             for g in d4.elements()))
+    into_z4 = GroupHom(z2, z4, (0, 2))
+    graphs = [gw.build_amalgam(z4, d4, z2, into_z4,
+                               GroupHom(z2, d4, (d4.identity, x)))
+              for x in (central, reflection)]
+    classes = ds._IsoClasses()
+    assert classes.key(graphs[0]) != classes.key(graphs[1])
+    assert not oracle.are_gog_isomorphic(*graphs)

@@ -7,6 +7,7 @@ itself validated against the matrices before being used to judge the
 library.
 """
 
+import json
 import math
 import random
 
@@ -423,6 +424,40 @@ def test_gog_json_loading_and_roundtrip():
         assert nf(again, w) == nf(SL2Z, w)
     with pytest.raises(gw.GogError):
         gw.gog_from_json({"vertices": [], "edges": []})
+
+
+@pytest.mark.parametrize("path,bad,message", [
+    ((), 5, "graph of groups is not an object (got an integer)"),
+    (("vertices",), 5, "field 'vertices' is not a list (got an integer)"),
+    (("vertices", 0), "vA", "vertices[0] is not an object (got a string)"),
+    (("vertices", 0, "id"), 5, "vertices[0].id is not a string (got an integer)"),
+    (("edges",), "e", "field 'edges' is not a list (got a string)"),
+    (("edges", 0), None, "edges[0] is not an object (got null)"),
+    (("edges", 0, "id"), 7, "edges[0].id is not a string (got an integer)"),
+    (("edges", 0, "ends"), "vA vB", "edges[0].ends is not a list (got a string)"),
+    (("edges", 0, "ends", 1), 1, "edges[0].ends[1] is not a string"),
+    (("edges", 0, "maps"), {}, "edges[0].maps is not a list (got an object)"),
+    (("edges", 0, "maps"), [{"c": "a a"}],
+     "edges[0].maps must list 2 injections (got 1)"),
+    (("edges", 0, "maps", 1), ["b"], "edges[0].maps[1] is not an object"),
+    (("edges", 0, "maps", 1, "c"), 3,
+     "edges[0].maps[1]['c'] is not a string (got an integer)"),
+    (("base",), 0, "field 'base' is not a string (got an integer)"),
+    (("tree",), 7, "field 'tree' is not a list (got an integer)"),
+    (("tree", 0), True, "tree[0] is not a string (got a boolean)"),
+])
+def test_gog_json_names_the_bad_field(path, bad, message):
+    data = json.loads(SL2Z_JSON)
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+    else:
+        data = bad
+    with pytest.raises(ValueError) as err:
+        gw.gog_from_json(data)
+    assert message in str(err.value)
 
 
 def test_format_nf_is_readable():
