@@ -18,9 +18,7 @@ from .gogwords import (
     GraphOfGroups,
     NormalForm,
     Traversal,
-    WordLike,
     end_vertex,
-    normal_form,
     cyclic_reduction,
     path_invert,
     path_multiply,
@@ -87,10 +85,10 @@ def stabilizer(gog: GraphOfGroups, orbit: str) -> list[NormalForm]:
             for x in gog.vertices[orbit].elements()]
 
 
-def translate(gog: GraphOfGroups, g: WordLike, v: TreeVertex) -> TreeVertex:
-    """The action of a group element on a tree vertex."""
-    g_nf = normal_form(gog, g)
-    return vertex_from_path(gog, path_multiply(gog, g_nf, v.coset_rep))
+def translate(gog: GraphOfGroups, g: NormalForm, v: TreeVertex) -> TreeVertex:
+    """The action of a group element on a tree vertex.  g must be a normal
+    form from this library; it is not reduced again."""
+    return vertex_from_path(gog, path_multiply(gog, g, v.coset_rep))
 
 
 def _step(gog: GraphOfGroups, p: NormalForm, r: int,
@@ -121,25 +119,25 @@ def distance(gog: GraphOfGroups, u: TreeVertex, w: TreeVertex) -> int:
     return len(p.steps)
 
 
-def classify(gog: GraphOfGroups, g: WordLike) -> Classification:
+def classify(gog: GraphOfGroups, g: NormalForm) -> Classification:
     """Elliptic elements come with a fixed vertex, hyperbolic ones with
-    their translation length (the cyclically reduced syllable count)."""
+    their translation length (the cyclically reduced syllable count).
+    g must be a normal form from this library."""
     conj, core = cyclic_reduction(gog, g)
     if not core.steps:
         return Classification("elliptic", vertex_from_path(gog, conj), 0)
     return Classification("hyperbolic", None, len(core.steps))
 
 
-def axis_window(gog: GraphOfGroups, g: WordLike, periods: int,
+def axis_window(gog: GraphOfGroups, g: NormalForm, periods: int,
                 anchor: Optional[TreeVertex] = None) -> AxisSegment:
     """A geodesic window of the axis covering `periods` fundamental
     domains, starting at a vertex displaced by exactly the translation
     length (the canonical anchor from cyclic reduction, or a caller-chosen
-    axis vertex)."""
+    axis vertex).  g must be a normal form from this library."""
     if periods < 1:
         raise GogError("periods must be positive")
-    g_nf = normal_form(gog, g)
-    conj, core = cyclic_reduction(gog, g_nf)
+    conj, core = cyclic_reduction(gog, g)
     if not core.steps:
         raise GogError("no axis: element is elliptic")
     length = len(core.steps)
@@ -147,7 +145,7 @@ def axis_window(gog: GraphOfGroups, g: WordLike, periods: int,
         anchor = vertex_from_path(gog, conj)
     stretch = path_multiply(
         gog, path_invert(gog, anchor.coset_rep),
-        path_multiply(gog, g_nf, anchor.coset_rep))
+        path_multiply(gog, g, anchor.coset_rep))
     if len(stretch.steps) != length:
         raise GogError("anchor is not on the axis")
     # The running path keeps its trailing element: the edge-group part
@@ -160,7 +158,7 @@ def axis_window(gog: GraphOfGroups, g: WordLike, periods: int,
             verts.append(vertex_from_path(gog, path))
         path = path_multiply(gog, path,
                              NormalForm(anchor.orbit, (), stretch.tail))
-    return AxisSegment(g_nf, tuple(verts), length)
+    return AxisSegment(g, tuple(verts), length)
 
 
 def ball(gog: GraphOfGroups, center: TreeVertex, radius: int

@@ -64,18 +64,17 @@ from .genericity import (
 from .gogwords import (
     GogError,
     GraphOfGroups,
+    conjugate,
     element_order,
     format_nf,
     generator_letters,
     gog_from_json,
     gog_to_json,
     identity_nf,
-    invert,
     is_identity,
-    multiply,
     nf_to_json,
-    normal_form,
     parse_word,
+    path_multiply,
 )
 
 BUILTIN_GROUPS = ("sl2z", "counterexample", "z2z3")
@@ -162,14 +161,14 @@ def verify_sl2z(gog: Optional[GraphOfGroups] = None) -> VerificationReport:
         return ok, {"vertex_orders": orders, "edge_orders": edge_orders}
 
     def check_orders():
-        a = normal_form(gog, parse_word(gog, "a"))
-        b = normal_form(gog, parse_word(gog, "b"))
-        a2 = multiply(gog, a, a)
-        b3 = multiply(gog, multiply(gog, b, b), b)
+        a = parse_word(gog, "a")
+        b = parse_word(gog, "b")
+        a2 = path_multiply(gog, a, a)
+        b3 = path_multiply(gog, path_multiply(gog, b, b), b)
         ok = (element_order(gog, a) == 4 and element_order(gog, b) == 6
               and a2 == b3
-              and multiply(gog, a2, a) == multiply(gog, a, a2)
-              and multiply(gog, a2, b) == multiply(gog, b, a2))
+              and path_multiply(gog, a2, a) == path_multiply(gog, a, a2)
+              and path_multiply(gog, a2, b) == path_multiply(gog, b, a2))
         return ok, {"order_a": element_order(gog, a),
                     "order_b": element_order(gog, b),
                     "a^2": format_nf(gog, a2), "b^3": format_nf(gog, b3)}
@@ -230,10 +229,10 @@ def counterexample_psi(gog: GraphOfGroups) -> GroupHom:
 
 def counterexample_phi(gog: GraphOfGroups) -> Callable:
     """The endomorphism acting as psi on the vA factor and as conjugation
-    by u = z^-1 x y z on the vB factor, applied syllable by syllable."""
+    by u = z^-1 x y z on the vB factor, applied syllable by syllable to
+    a normal form from this library."""
     psi = counterexample_psi(gog)
-    u = normal_form(gog, parse_word(gog, "z^-1 x y z"))
-    u_inv = invert(gog, u)
+    u = parse_word(gog, "z^-1 x y z")
     loops_a, loops_b = stabilizer(gog, "vA"), stabilizer(gog, "vB")
     images_b: dict = {}
 
@@ -241,18 +240,16 @@ def counterexample_phi(gog: GraphOfGroups) -> Callable:
         if vid == "vA":
             return loops_a[psi(elem)]
         if elem not in images_b:
-            images_b[elem] = multiply(gog, multiply(gog, u, loops_b[elem]),
-                                      u_inv)
+            images_b[elem] = conjugate(gog, u, loops_b[elem])
         return images_b[elem]
 
-    def phi(w):
-        nf = normal_form(gog, w)
+    def phi(nf):
         out = identity_nf(gog)
         v = nf.start
         for r, t in nf.steps:
-            out = multiply(gog, out, syllable_image(v, r))
+            out = path_multiply(gog, out, syllable_image(v, r))
             v = gog.far(t)
-        return multiply(gog, out, syllable_image(v, nf.tail))
+        return path_multiply(gog, out, syllable_image(v, nf.tail))
 
     return phi
 
@@ -297,7 +294,7 @@ def _sample_reduced_forms(gog: GraphOfGroups, loops: dict,
         text = " ".join(
             rng.choice(letters) + rng.choice(("", "^-1"))
             for _ in range(rng.randint(1, 2 * max_syllables)))
-        nf = normal_form(gog, parse_word(gog, text))
+        nf = parse_word(gog, text)
         if not is_identity(gog, nf) and len(nf.steps) <= max_syllables:
             seen.setdefault(nf, nf)
     return list(seen)
@@ -334,21 +331,19 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
 
     def check_conjugation_matches_psi():
         psi = counterexample_psi(gog)
-        u = normal_form(gog, parse_word(gog, "z^-1 x y z"))
-        u_inv = invert(gog, u)
+        u = parse_word(gog, "z^-1 x y z")
         e = gog.edges["e"]
         ia = e.inj[0] if e.ends[0] == "vA" else e.inj[1]
         agreements = 0
         for c in range(e.group.order):
-            lhs = multiply(gog, multiply(gog, u, loops["vA"][ia(c)]), u_inv)
+            lhs = conjugate(gog, u, loops["vA"][ia(c)])
             rhs = loops["vA"][psi(ia(c))]
             agreements += lhs == rhs
         perm = []
         a = gog.vertices["vA"]
         basis_elems = {a.generator(n): i for i, n in enumerate(basis)}
         for name in basis:
-            img = multiply(gog, multiply(
-                gog, u, loops["vA"][a.generator(name)]), u_inv)
+            img = conjugate(gog, u, loops["vA"][a.generator(name)])
             perm.append(basis_elems[img.tail])
         ok = agreements == e.group.order
         return ok, {"agreements": agreements, "out_of": e.group.order,
@@ -362,8 +357,8 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         agree = all(
             phi(loops["vA"][ia(c)]) == phi(loops["vB"][ib(c)])
             for c in range(e.group.order))
-        x = normal_form(gog, parse_word(gog, "x"))
-        y = normal_form(gog, parse_word(gog, "y"))
+        x = parse_word(gog, "x")
+        y = parse_word(gog, "y")
         swaps = phi(x) == y and phi(y) == x
         return agree and swaps, {"edge_agreements": agree, "swaps_x_y": swaps}
 
@@ -447,7 +442,7 @@ def cmd_group(args) -> int:
 
 def cmd_nf(args) -> int:
     gog = load_group(args.group)
-    nf = normal_form(gog, parse_word(gog, args.word))
+    nf = parse_word(gog, args.word)
     if args.format == "json":
         print(_dump(nf_to_json(gog, nf)))
     else:
@@ -457,7 +452,7 @@ def cmd_nf(args) -> int:
 
 def cmd_classify(args) -> int:
     gog = load_group(args.group)
-    c = classify_element(gog, normal_form(gog, parse_word(gog, args.word)))
+    c = classify_element(gog, parse_word(gog, args.word))
     if args.format == "json":
         out = {"kind": c.kind, "translation_length": c.translation_length}
         if c.fixed_vertex is not None:
@@ -474,8 +469,7 @@ def cmd_classify(args) -> int:
 
 def cmd_axis(args) -> int:
     gog = load_group(args.group)
-    seg = axis_window(gog, normal_form(gog, parse_word(gog, args.word)),
-                      args.periods)
+    seg = axis_window(gog, parse_word(gog, args.word), args.periods)
     if args.format == "json":
         print(_dump({"period": seg.period,
                      "vertices": [{"orbit": v.orbit,
@@ -530,8 +524,8 @@ def cmd_fold(args) -> int:
     if kind == "identity":
         marked = identity_marking(gog)
     elif kind == "basis":
-        words = [parse_word(gog, w) for w in spec["words"]]
-        marked = marked_rose_for_basis(gog, words, hub=spec.get("hub", "u"))
+        marked = marked_rose_for_basis(gog, spec["words"],
+                                       hub=spec.get("hub", "u"))
     else:
         raise GogError(f"unknown marking kind {kind!r}; expected "
                        "'identity' or 'basis'")
@@ -555,7 +549,7 @@ def cmd_fold(args) -> int:
 
 def cmd_whitehead(args) -> int:
     gog = load_group(args.group)
-    g = normal_form(gog, parse_word(gog, args.word))
+    g = parse_word(gog, args.word)
     if args.vertex is not None:
         graphs = [whitehead_graph(gog, g, args.vertex)]
         fills_flag = all(w.is_complete for w in graphs)
@@ -608,7 +602,7 @@ def cmd_walk(args) -> int:
         data = _typed(_load_json(args.measure), "an object", "measure JSON")
         words = [_typed(w, "a string", f"support[{i}]")
                  for i, w in enumerate(_field(data, "support", "a list"))]
-        support = tuple(normal_form(gog, parse_word(gog, w)) for w in words)
+        support = tuple(parse_word(gog, w) for w in words)
         if "weights" in data:
             weights = tuple(_weight(w, i) for i, w in
                             enumerate(_field(data, "weights", "a list")))

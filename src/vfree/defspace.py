@@ -541,14 +541,7 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
         if vertex_groups is None:
             vertex_pools = itertools.product(catalog, repeat=p)
         else:
-            seen = set()
-            pools = []
-            for perm in itertools.permutations(range(p)):
-                key = tuple(id(vertex_groups[k]) for k in perm)
-                if key not in seen:
-                    seen.add(key)
-                    pools.append([vertex_groups[k] for k in perm])
-            vertex_pools = pools
+            vertex_pools = _arrangements(vertex_groups)
         for vgroups in vertex_pools:
             for egroups in _edge_group_pools(shape, vgroups, catalog,
                                              edge_groups):
@@ -639,14 +632,20 @@ class _IsoClasses:
         return True
 
 
+def _arrangements(groups: Sequence[FiniteGroup]):
+    """Each distinct ordering of pinned groups, telling groups apart by
+    identity, in the order of the first permutation giving it."""
+    seen = set()
+    for perm in itertools.permutations(range(len(groups))):
+        key = tuple(id(groups[k]) for k in perm)
+        if key not in seen:
+            seen.add(key)
+            yield [groups[k] for k in perm]
+
+
 def _edge_group_pools(shape, vgroups, catalog, edge_groups):
     if edge_groups is not None:
-        seen = set()
-        for perm in itertools.permutations(range(len(shape))):
-            key = tuple(id(edge_groups[k]) for k in perm)
-            if key not in seen:
-                seen.add(key)
-                yield [edge_groups[k] for k in perm]
+        yield from _arrangements(edge_groups)
         return
     per_edge = []
     for i, j in shape:

@@ -358,7 +358,10 @@ def coset_data(group: FiniteGroup, sub_elements: Sequence[int]
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, found by closing cyclic subgroups under joins."""
+    """Every subgroup, found by closing cyclic subgroups under joins.
+
+    <H, g> = <H, gh> for every h in H, so each subgroup H is joined with
+    one element per left coset gH other than H itself."""
     seen: dict[tuple[int, ...], Subgroup] = {}
     trivial = Subgroup(group, (group.identity,))
     seen[trivial.elements] = trivial
@@ -366,9 +369,11 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     while frontier:
         nxt = []
         for sub in frontier:
+            covered = set(sub.elements)
             for g in range(group.order):
-                if g in set(sub.elements):
+                if g in covered:
                     continue
+                covered.update(group.mul(g, h) for h in sub.elements)
                 bigger = subgroup_closure(group, sub.elements + (g,))
                 if bigger.elements not in seen:
                     seen[bigger.elements] = bigger

@@ -31,7 +31,7 @@ from .gogwords import (
     GraphOfGroups,
     NormalForm,
     Traversal,
-    WordLike,
+    _spanning_forest,
     end_vertex,
     identity_nf,
     is_identity,
@@ -46,8 +46,10 @@ DEFAULT_CLOSURE_CAP = 1024
 
 
 def _nf(gog: GraphOfGroups, w) -> NormalForm:
+    """A marking input as a checked normal form: strings are parsed, and
+    anything else is reduced and checked as a loop word."""
     if isinstance(w, str):
-        w = parse_word(gog, w)
+        return parse_word(gog, w)
     return normal_form(gog, w)
 
 
@@ -195,7 +197,9 @@ class MarkedTree:
                 if _mul(gog, ti, s, me.twist) not in self.vertices[b].stab:
                     raise GogError(f"edge {eid!r} stabilizer does not carry "
                                    "into its far vertex stabilizer")
-        self._check_connected()
+        ends = [me.ends for me in self.edges.values()]
+        if _spanning_forest(self.vertices, ends)[1] != 1:
+            raise GogError("marked shape is not connected")
 
     def _is_element(self, nf: NormalForm) -> bool:
         gog = self.ambient
@@ -216,19 +220,6 @@ class MarkedTree:
                 if _mul(gog, x, y) not in stab:
                     raise GogError(f"stabilizer at {where} is not closed "
                                    "under products")
-
-    def _check_connected(self) -> None:
-        seen = {next(iter(self.vertices))}
-        grow = True
-        while grow:
-            grow = False
-            for me in self.edges.values():
-                a, b = me.ends
-                if (a in seen) != (b in seen):
-                    seen.update((a, b))
-                    grow = True
-        if seen != set(self.vertices):
-            raise GogError("marked shape is not connected")
 
 
 def _near_name(marked: MarkedTree, edge: str, end: int) -> str:
@@ -398,21 +389,19 @@ def fold(marked: MarkedTree, d: FoldDirective,
     raise GogError(f"unknown fold kind {d.kind!r}")
 
 
-def classify_fold(marked: MarkedTree, d: FoldDirective) -> str:
-    """Priority class of a legal directive.
+# Pair folds identify edges in distinct orbits; since every marked
+# stabilizer here is finite they always count as type2 and type1 is
+# unreachable. Stabilizer folds identify an edge with translates of itself,
+# staying inside one orbit: type3. Collapses report their own class.
+_FOLD_CLASS = {"pair": "type2", "stabilizer": "type3",
+               "collapse": "collapse"}
 
-    Pair folds identify edges in distinct orbits; since every marked
-    stabilizer here is finite they always count as type2 and type1 is
-    unreachable. Stabilizer folds identify an edge with translates of
-    itself, staying inside one orbit: type3. Collapses report their own
-    class.
-    """
+
+def classify_fold(marked: MarkedTree, d: FoldDirective) -> str:
+    """Priority class of a directive, after checking that it is legal by
+    applying it."""
     fold(marked, d)
-    if d.kind == "pair":
-        return "type2"
-    if d.kind == "stabilizer":
-        return "type3"
-    return "collapse"
+    return _FOLD_CLASS[d.kind]
 
 
 def available_folds(marked: MarkedTree) -> dict:
@@ -561,9 +550,9 @@ def fold_sequence(source: MarkedTree, target: GraphOfGroups,
         if not picks:
             raise GogError("map not foldable: no legal fold and the target "
                            "is not reached; " + _diagnostic(cur))
-        d = replace(picks[0], classification=classify_fold(cur, picks[0]))
-        cur = fold(cur, d)
-        steps.append((d, cur))
+        cur = fold(cur, picks[0])
+        steps.append((replace(picks[0],
+                              classification=_FOLD_CLASS[picks[0].kind]), cur))
     if is_terminal(cur):
         return steps
     raise GogError(f"max_steps {max_steps} exceeded before reaching the "

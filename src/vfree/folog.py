@@ -64,10 +64,10 @@ class Word:
         return " ".join(v if e == 1 else f"{v}^{e}" for v, e in self.syllables)
 
 
-WordLike = Union[str, Word]
+WordArg = Union[str, Word]
 
 
-def word(w: WordLike) -> Word:
+def word(w: WordArg) -> Word:
     """Parse "x y^-2" style text (or pass a Word through)."""
     if isinstance(w, Word):
         return w
@@ -80,24 +80,24 @@ def word(w: WordLike) -> Word:
     return Word(_reduce_syllables(sylls))
 
 
-def wmul(*ws: WordLike) -> Word:
+def wmul(*ws: WordArg) -> Word:
     sylls: list = []
     for w in ws:
         sylls.extend(word(w).syllables)
     return Word(_reduce_syllables(sylls))
 
 
-def winv(w: WordLike) -> Word:
+def winv(w: WordArg) -> Word:
     return Word(_reduce_syllables((v, -e) for v, e in reversed(word(w).syllables)))
 
 
-def wpow(w: WordLike, k: int) -> Word:
+def wpow(w: WordArg, k: int) -> Word:
     if k < 0:
         return wpow(winv(w), -k)
     return wmul(*([word(w)] * k)) if k else Word(())
 
 
-def wsub(w: WordLike, mapping: dict) -> Word:
+def wsub(w: WordArg, mapping: dict) -> Word:
     """Substitute words for variables (simultaneously)."""
     parts = []
     for v, e in word(w).syllables:
@@ -105,7 +105,7 @@ def wsub(w: WordLike, mapping: dict) -> Word:
     return wmul(*parts)
 
 
-def word_variables(w: WordLike) -> set:
+def word_variables(w: WordArg) -> set:
     return {v for v, _ in word(w).syllables}
 
 
@@ -164,12 +164,12 @@ def disj(parts: Sequence) -> object:
     return parts[0] if len(parts) == 1 else Or(parts)
 
 
-def eq(lhs: WordLike, rhs: WordLike = "1") -> Eq:
+def eq(lhs: WordArg, rhs: WordArg = "1") -> Eq:
     """lhs = rhs, stored as the single word lhs * rhs^-1 = 1."""
     return Eq(wmul(lhs, winv(rhs)))
 
 
-def neq(lhs: WordLike, rhs: WordLike = "1") -> Neq:
+def neq(lhs: WordArg, rhs: WordArg = "1") -> Neq:
     return Neq(wmul(lhs, winv(rhs)))
 
 
@@ -273,7 +273,7 @@ def _check_vars(words: Sequence[Word], allowed: set, what: str) -> None:
                 f"found {sorted(extra)[0]!r}")
 
 
-def emit_theta_sl2z(relators: Sequence[WordLike], words: Sequence[WordLike],
+def emit_theta_sl2z(relators: Sequence[WordArg], words: Sequence[WordArg],
                     orders: tuple = (4, 6)) -> Formula:
     """Existential transport sentence for an amalgam of two cyclic groups.
 
@@ -298,7 +298,7 @@ def emit_theta_sl2z(relators: Sequence[WordLike], words: Sequence[WordLike],
     return Formula(free, Exists(("x", "y"), conj(parts)))
 
 
-def emit_delta_related(n: int, blocks: Sequence[Sequence[WordLike]]) -> Formula:
+def emit_delta_related(n: int, blocks: Sequence[Sequence[WordArg]]) -> Formula:
     """Existential sentence equating two generating tuples block by block
     up to one conjugator per block: for each block word w,
     w(x_1..x_n) = u_i w(x_{n+1}..x_{2n}) u_i^-1.
@@ -325,9 +325,9 @@ def emit_delta_related(n: int, blocks: Sequence[Sequence[WordLike]]) -> Formula:
 
 
 def emit_mu(g_presentation: tuple, u_presentation: tuple,
-            embedding_words: Sequence[WordLike],
-            test_words: Sequence[WordLike],
-            kill_words: Sequence[WordLike], inner_theta: Formula) -> Formula:
+            embedding_words: Sequence[WordArg],
+            test_words: Sequence[WordArg],
+            kill_words: Sequence[WordArg], inner_theta: Formula) -> Formula:
     """Forall-exists transport sentence through a subgroup.
 
     FORALL x_1..x_n: if the ambient relators hold and each free z_i equals

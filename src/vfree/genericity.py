@@ -36,12 +36,10 @@ from .gogwords import (
     GogError,
     GraphOfGroups,
     NormalForm,
-    WordLike,
     cyclic_reduction,
     end_vertex,
     generator_letters,
     identity_nf,
-    normal_form,
     parse_word,
     path_invert,
     path_multiply,
@@ -142,13 +140,14 @@ def _graphs(gog: GraphOfGroups, core: NormalForm):
     return (_graph_at(gog, orbit, turns) for orbit in sorted(gog.vertices))
 
 
-def whitehead_graph(gog: GraphOfGroups, g: WordLike,
+def whitehead_graph(gog: GraphOfGroups, g: NormalForm,
                     orbit_vertex: str) -> WhiteheadGraph:
     """Exact Whitehead graph of a hyperbolic element at one quotient vertex,
-    computed from one axis period and saturated by the vertex group."""
+    computed from one axis period and saturated by the vertex group.  g
+    must be a normal form from this library."""
     if orbit_vertex not in gog.vertices:
         raise GogError(f"unknown vertex {orbit_vertex!r}")
-    core = _hyperbolic_core(gog, normal_form(gog, g))
+    core = _hyperbolic_core(gog, g)
     return _graph_at(gog, orbit_vertex, _core_turns(gog, core))
 
 
@@ -180,21 +179,23 @@ class OneEndedCertificate:
         return self.status == "certified_one_ended"
 
 
-def fills(gog: GraphOfGroups, g: WordLike) -> FillingReport:
+def fills(gog: GraphOfGroups, g: NormalForm) -> FillingReport:
     """Whether every orbit vertex sees a complete Whitehead graph, with the
-    full per-vertex graphs for inspection of the missing turns."""
-    g_nf = normal_form(gog, g)
-    graphs = tuple(_graphs(gog, _hyperbolic_core(gog, g_nf)))
-    return FillingReport(g_nf, all(w.is_complete for w in graphs), graphs)
+    full per-vertex graphs for inspection of the missing turns.  g must be
+    a normal form from this library."""
+    graphs = tuple(_graphs(gog, _hyperbolic_core(gog, g)))
+    return FillingReport(g, all(w.is_complete for w in graphs), graphs)
 
 
-def one_ended_certificate(gog: GraphOfGroups, g: WordLike) -> OneEndedCertificate:
+def one_ended_certificate(gog: GraphOfGroups, g: NormalForm
+                          ) -> OneEndedCertificate:
     """Certify one-endedness relative to finite splittings via filling.
 
     The criterion is one-sided: a complete set of Whitehead graphs
     certifies, anything less is inconclusive.  Elliptic elements are
     rejected; finite order elements always admit a splitting fixing them,
-    so no certificate is possible for them."""
+    so no certificate is possible for them.  g must be a normal form from
+    this library."""
     report = fills(gog, g)
     status = "certified_one_ended" if report.fills else "inconclusive"
     return OneEndedCertificate(status, report)
@@ -247,7 +248,7 @@ def _two_sided_window(gog: GraphOfGroups, g_nf: NormalForm,
     return list(reversed(back.vertices[1:])) + list(fwd.vertices)
 
 
-def p_match(gog: GraphOfGroups, g: WordLike, h: WordLike, p: int,
+def p_match(gog: GraphOfGroups, g: NormalForm, h: NormalForm, p: int,
             search_radius: int) -> MatchResult:
     """Search for translates of the two axes sharing a segment longer
     than p, over translating elements from the radius ball.
@@ -256,22 +257,21 @@ def p_match(gog: GraphOfGroups, g: WordLike, h: WordLike, p: int,
     of the second contains a witness segment within the inspected windows
     (the intersection of two lines in a tree contains the projection of
     either anchor onto the other line), so per candidate the answer is
-    exact; only the candidate set is bounded."""
+    exact; only the candidate set is bounded.  g and h must be normal forms
+    from this library."""
     if p < 1:
         raise GogError("p must be at least 1")
-    g_nf = normal_form(gog, g)
-    h_nf = normal_form(gog, h)
-    _hyperbolic_core(gog, g_nf)
-    _hyperbolic_core(gog, h_nf)
-    seg_g = axis_window(gog, g_nf, 1)
-    seg_h = axis_window(gog, h_nf, 1)
+    _hyperbolic_core(gog, g)
+    _hyperbolic_core(gog, h)
+    seg_g = axis_window(gog, g, 1)
+    seg_h = axis_window(gog, h, 1)
     d_g = len(seg_g.vertices[0].coset_rep.steps)
     d_h = len(seg_h.vertices[0].coset_rep.steps)
     reach = 2 * search_radius + 2 * d_h + d_g + p + 1
     per_g = math.ceil((reach + d_g) / seg_g.period) + 1
     per_h = math.ceil((reach + search_radius + d_h) / seg_h.period) + 1
-    g_line = _two_sided_window(gog, g_nf, per_g)
-    h_line = _two_sided_window(gog, h_nf, per_h)
+    g_line = _two_sided_window(gog, g, per_g)
+    h_line = _two_sided_window(gog, h, per_h)
     g_edges = [frozenset(e) for e in zip(g_line, g_line[1:])]
     for u in group_ball(gog, search_radius):
         moved = [translate(gog, u, v) for v in h_line]
@@ -331,10 +331,10 @@ def splitmix64(seed: int, index: int) -> int:
 
 def uniform_spec(gog: GraphOfGroups, words: Sequence[Union[str, NormalForm]],
                  trials: int, seed: int) -> RandomWalkSpec:
-    """Uniform measure on the given words (strings are parsed)."""
-    support = tuple(
-        normal_form(gog, parse_word(gog, w) if isinstance(w, str) else w)
-        for w in words)
+    """Uniform measure on the given words: strings are parsed, anything
+    else must be a normal form from this library."""
+    support = tuple(parse_word(gog, w) if isinstance(w, str) else w
+                    for w in words)
     if not support:
         raise GogError("measure support must be nonempty")
     weights = tuple(Fraction(1, len(support)) for _ in support)

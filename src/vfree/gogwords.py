@@ -12,17 +12,19 @@ trailing free element.  Representatives are the minimal-index elements of
 their cosets, so equality of group elements is literal equality of the
 normalized data.
 
-Normalization happens only at the boundary: normal_form, path_normal_form
-and parse_word take outside data and check it.  Everything after that
-takes normal forms from this library as given and does only local work:
-a product reduces the seam and the right operand, never the left one.
+Normalization happens once, at the boundary: parse_word reads letters,
+normal_form reduces and checks a loop word built outside the library, and
+path_normal_form does the same for a path word between any two vertices.
+Every other function takes normal forms from this library as given and
+never reduces them again; a product reduces only the seam and the right
+operand.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .fingroup import (
     FiniteGroup,
@@ -63,18 +65,6 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class GroupWord:
-    """Raw input word: a loop at the base vertex, not yet normalized.
-
-    items entries are either ("g", vertex_id, element_index) or a Traversal.
-    Spanning-tree crossings appear as explicit traversals here; the parser
-    inserts them, they carry no letter in input syntax.
-    """
-
-    items: tuple
-
-
-@dataclass(frozen=True)
 class NormalForm:
     """Canonical path word: start vertex, (representative, traversal) steps,
     and one trailing free element in the group at the end vertex."""
@@ -89,9 +79,6 @@ class NormalForm:
     def sort_key(self):
         """Deterministic order: shorter first, then by the literal data."""
         return (len(self.steps), self.steps, self.tail)
-
-
-WordLike = Union[GroupWord, NormalForm]
 
 
 class GraphOfGroups:
@@ -298,50 +285,21 @@ def is_identity(gog: GraphOfGroups, nf: NormalForm) -> bool:
     return not nf.steps and nf.tail == gog.vertices[nf.start].identity
 
 
-def _word_to_raw(gog: GraphOfGroups, w: WordLike
-                 ) -> tuple[str, list[tuple[int, Traversal]], int]:
-    if isinstance(w, NormalForm):
-        if w.start not in gog.vertices:
-            raise GogError(f"unknown start vertex {w.start!r}")
-        return w.start, list(w.steps), w.tail
-    if not isinstance(w, GroupWord):
-        raise GogError(f"not a word: {w!r}")
-    v = gog.base_vertex
-    steps: list[tuple[int, Traversal]] = []
-    pending = gog.vertices[v].identity
-    for item in w.items:
-        if isinstance(item, Traversal):
-            if item.edge not in gog.edges or item.dir not in (0, 1):
-                raise GogError(f"unknown traversal {item!r}")
-            if gog.near(item) != v:
-                raise GogError(f"traversal {item} does not start at {v!r}")
-            steps.append((pending, item))
-            v = gog.far(item)
-            pending = gog.vertices[v].identity
-        else:
-            tag, vid, idx = item
-            if tag != "g":
-                raise GogError(f"malformed word item {item!r}")
-            if vid != v:
-                raise GogError(f"element at {vid!r} but path is at {v!r}")
-            grp = gog.vertices[v]
-            if not 0 <= idx < grp.order:
-                raise GogError(f"element index {idx} out of range at {v!r}")
-            pending = grp.mul(pending, idx)
-    if v != gog.base_vertex:
-        raise GogError("word is not a loop at the base vertex")
-    return gog.base_vertex, steps, pending
+def normal_form(gog: GraphOfGroups, w: NormalForm) -> NormalForm:
+    """Reduce and check a loop word built outside this library.
 
-
-def normal_form(gog: GraphOfGroups, w: WordLike) -> NormalForm:
-    """Canonical normal form of a loop word at the base vertex.
-
-    Two words represent the same group element exactly when their normal
-    forms are equal.
+    w is a path word with any (element, traversal) steps: each traversal
+    must start where the path is, every element index must be in range,
+    and the reduced path must end at its start vertex.  Two loop words
+    represent the same group element exactly when their normal forms are
+    equal.  Normal forms from this library need no second pass.
     """
-    start, steps, tail = _word_to_raw(gog, w)
-    nf = _reduce_raw(gog, start, steps, tail)
-    if isinstance(w, NormalForm) and end_vertex(gog, nf) != nf.start:
+    if not isinstance(w, NormalForm):
+        raise GogError(f"not a word: {w!r}")
+    if w.start not in gog.vertices:
+        raise GogError(f"unknown start vertex {w.start!r}")
+    nf = _reduce_raw(gog, w.start, w.steps, w.tail)
+    if end_vertex(gog, nf) != nf.start:
         raise GogError("word is not a loop")
     return nf
 
@@ -352,6 +310,8 @@ def normal_form(gog: GraphOfGroups, w: WordLike) -> NormalForm:
 def path_normal_form(gog: GraphOfGroups, start: str,
                      steps: Iterable[tuple[int, Traversal]],
                      tail: int) -> NormalForm:
+    """Reduce and check a path word from start built outside this library:
+    the checks of normal_form, except that the path may end anywhere."""
     if start not in gog.vertices:
         raise GogError(f"unknown start vertex {start!r}")
     return _reduce_raw(gog, start, steps, tail)
@@ -360,7 +320,7 @@ def path_normal_form(gog: GraphOfGroups, start: str,
 def path_multiply(gog: GraphOfGroups, p: NormalForm, q: NormalForm) -> NormalForm:
     """Concatenation p * q of composable paths, in normal form.
 
-    p must be a normal form from this library (normal_form,
+    p must be a normal form from this library (parse_word, normal_form,
     path_normal_form, or arithmetic on their results); it is not checked
     again.  Only the seam and q are reduced: p's steps are kept as they
     stand except where q cancels into them.  q may be any path word.
@@ -386,33 +346,23 @@ def path_invert(gog: GraphOfGroups, p: NormalForm) -> NormalForm:
     return _reduce_raw(gog, end, raw, carry)
 
 
-def multiply(gog: GraphOfGroups, w1: WordLike, w2: WordLike) -> NormalForm:
-    """Product of two group elements (loop words at the base vertex)."""
-    return path_multiply(gog, normal_form(gog, w1), normal_form(gog, w2))
-
-
-def invert(gog: GraphOfGroups, w: WordLike) -> NormalForm:
-    """Inverse of a group element (loop word at the base vertex)."""
-    return path_invert(gog, normal_form(gog, w))
-
-
-def conjugate(gog: GraphOfGroups, h: WordLike, w: WordLike) -> NormalForm:
-    """h * w * h^-1 for loop words."""
-    h_nf = normal_form(gog, h)
-    return path_multiply(gog, path_multiply(gog, h_nf, normal_form(gog, w)),
-                         path_invert(gog, h_nf))
+def conjugate(gog: GraphOfGroups, h: NormalForm, w: NormalForm) -> NormalForm:
+    """h * w * h^-1 for loops at the base vertex.  h and w must be normal
+    forms from this library; they are not reduced again."""
+    return path_multiply(gog, path_multiply(gog, h, w), path_invert(gog, h))
 
 
 # -- cyclic reduction and orders --------------------------------------------
 
 
-def cyclic_reduction(gog: GraphOfGroups, w: WordLike
+def cyclic_reduction(gog: GraphOfGroups, w: NormalForm
                      ) -> tuple[NormalForm, NormalForm]:
     """Split w as conjugator * core * conjugator^-1 with the core cyclically
     reduced: either no traversals at all (elliptic) or no pinch across the
     wrap-around (hyperbolic).  The conjugator is a path from the base vertex
-    to the core's anchor vertex."""
-    cur = normal_form(gog, w)
+    to the core's anchor vertex.  w must be a normal form of a loop from
+    this library; it is not reduced again."""
+    cur = w
     conj = identity_nf(gog, cur.start)
     while cur.steps:
         r1, t1 = cur.steps[0]
@@ -434,9 +384,10 @@ def cyclic_reduction(gog: GraphOfGroups, w: WordLike
     return conj, cur
 
 
-def element_order(gog: GraphOfGroups, w: WordLike) -> Union[int, float]:
+def element_order(gog: GraphOfGroups, w: NormalForm) -> Union[int, float]:
     """Order of the element: a positive integer, or math.inf when the
-    cyclically reduced core still crosses an edge (hyperbolic)."""
+    cyclically reduced core still crosses an edge (hyperbolic).  w must
+    be a normal form from this library."""
     conj, core = cyclic_reduction(gog, w)
     if core.steps:
         return float("inf")
@@ -448,51 +399,42 @@ def element_order(gog: GraphOfGroups, w: WordLike) -> Union[int, float]:
 MAX_WORD_TRAVERSALS = 100_000
 
 
-def _letter_items(gog: GraphOfGroups, at: str, name: str, power: int
-                  ) -> tuple[list, str]:
-    """Items realizing one parsed letter (with integer exponent) starting at
-    vertex `at`; returns (items, new current vertex)."""
-    items: list = []
-    v = at
-    if name in gog.edges:
-        if name in gog.spanning_tree:
-            raise GogError(f"{name!r} is a spanning-tree edge and carries no letter")
-        e = gog.edges[name]
-        for _ in range(abs(power)):
-            d = 0 if power > 0 else 1
-            items.extend(gog.tree_path(v, e.ends[d]))
-            items.append(Traversal(name, d))
-            v = e.ends[1 - d]
-        return items, v
+def _letter_vertex(gog: GraphOfGroups, at: str, name: str) -> str:
+    """The vertex whose group reads the generator letter `name`, seen from
+    the vertex `at`: at itself if its group has the letter, else the one
+    vertex that does."""
     homes = gog._letter_home.get(name)
     if not homes:
         raise GogError(f"unknown letter {name!r}")
-    if v in homes:
-        home = v
-    elif len(homes) == 1:
-        home = homes[0]
-    else:
-        raise GogError(f"letter {name!r} is ambiguous between vertices {homes}")
-    grp = gog.vertices[home]
-    idx = grp.generators[name]
-    if power < 0:
-        idx, power = grp.inv(idx), -power
-    items.extend(gog.tree_path(v, home))
-    items.append(("g", home, grp.power(idx, power)))
-    return items, home
+    if at in homes:
+        return at
+    if len(homes) == 1:
+        return homes[0]
+    raise GogError(f"letter {name!r} is ambiguous between vertices {homes}")
 
 
-def parse_word(gog: GraphOfGroups, text: str) -> GroupWord:
-    """Parse whitespace-separated letters into a loop word at the base.
+def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
+    """Parse whitespace-separated letters into the normal form of a loop
+    at the base vertex.
 
     Letters are vertex-group generator names or non-tree edge names; a
     trailing ^k (k a nonzero integer, typically -1) inverts or repeats.
     Spanning-tree crossings are inserted automatically.  A word may cross
     non-tree edges at most MAX_WORD_TRAVERSALS times in all; the count is
-    checked before a letter is expanded.
+    checked before a letter is expanded.  The letters are read into one
+    raw path word, which normal_form reduces in a single pass.
     """
-    items: list = []
+    steps: list[tuple[int, Traversal]] = []
     v = gog.base_vertex
+    acc = gog.vertices[v].identity
+
+    def cross(path: Iterable[Traversal]) -> None:
+        nonlocal v, acc
+        for t in path:
+            steps.append((acc, t))
+            v = gog.far(t)
+            acc = gog.vertices[v].identity
+
     traversals = 0
     for token in text.split():
         name, caret, exp = token.partition("^")
@@ -512,10 +454,24 @@ def parse_word(gog: GraphOfGroups, text: str) -> GroupWord:
             if traversals > MAX_WORD_TRAVERSALS:
                 raise GogError(f"letter {name!r} takes the word past "
                                f"{MAX_WORD_TRAVERSALS} edge traversals")
-        new_items, v = _letter_items(gog, v, name, power)
-        items.extend(new_items)
-    items.extend(gog.tree_path(v, gog.base_vertex))
-    return GroupWord(tuple(items))
+            if name in gog.spanning_tree:
+                raise GogError(f"{name!r} is a spanning-tree edge and "
+                               "carries no letter")
+            d = 0 if power > 0 else 1
+            near = gog.edges[name].ends[d]
+            for _ in range(abs(power)):
+                cross(gog.tree_path(v, near))
+                cross((Traversal(name, d),))
+            continue
+        home = _letter_vertex(gog, v, name)
+        cross(gog.tree_path(v, home))
+        grp = gog.vertices[home]
+        idx = grp.generators[name]
+        if power < 0:
+            idx, power = grp.inv(idx), -power
+        acc = grp.mul(acc, grp.power(idx, power))
+    cross(gog.tree_path(v, gog.base_vertex))
+    return normal_form(gog, NormalForm(gog.base_vertex, tuple(steps), acc))
 
 
 def generator_letters(gog: GraphOfGroups) -> list[tuple[str, NormalForm]]:
@@ -527,10 +483,10 @@ def generator_letters(gog: GraphOfGroups) -> list[tuple[str, NormalForm]]:
         for name in sorted(grp.generators):
             if grp.generators[name] == grp.identity:
                 continue
-            out.append((name, normal_form(gog, parse_word(gog, name))))
+            out.append((name, parse_word(gog, name)))
     for eid in sorted(gog.edges):
         if eid not in gog.spanning_tree:
-            out.append((eid, normal_form(gog, parse_word(gog, eid))))
+            out.append((eid, parse_word(gog, eid)))
     return out
 
 

@@ -7,7 +7,11 @@ earlier product: it reduces the full concatenation from scratch, so it
 checks the seam-local product without sharing its resume logic.  The
 table checks at the end are the library's earlier group validation,
 triple by triple, kept to judge the generator-based check that replaced
-it.
+it.  The subgroup lattice by every element is the library's earlier
+all_subgroups, which joins each subgroup with every element outside it.
+The two-pass parser is the library's earlier parse_word: it expands
+letters into items first and turns the items into a raw path word
+second, so it judges the one-pass parser that replaced it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import vfree.fingroup as fg
 import vfree.gogwords as gw
 
 
@@ -177,6 +182,121 @@ def whole_path_multiply(gog, p, q):
     (g, t), rest = q.steps[0], q.steps[1:]
     raw = list(p.steps) + [(grp.mul(p.tail, g), t)] + list(rest)
     return gw.path_normal_form(gog, p.start, raw, q.tail)
+
+
+# -- subgroup lattice, element by element ----------------------------------------
+
+
+def all_subgroups_by_every_element(group):
+    """Every subgroup, in all_subgroups' order: each subgroup found so far
+    is joined with every element outside it."""
+    seen = {}
+    trivial = fg.Subgroup(group, (group.identity,))
+    seen[trivial.elements] = trivial
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in range(group.order):
+                if g in set(sub.elements):
+                    continue
+                bigger = fg.subgroup_closure(group, sub.elements + (g,))
+                if bigger.elements not in seen:
+                    seen[bigger.elements] = bigger
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda s: (s.order, s.elements))
+
+
+# -- two-pass word parser ------------------------------------------------------
+
+
+def _letter_items(gog, at, name, power):
+    """Items realizing one letter with integer exponent from vertex `at`:
+    Traversals and ("g", vertex, element) entries, and the new vertex."""
+    items = []
+    v = at
+    if name in gog.edges:
+        if name in gog.spanning_tree:
+            raise gw.GogError(
+                f"{name!r} is a spanning-tree edge and carries no letter")
+        e = gog.edges[name]
+        for _ in range(abs(power)):
+            d = 0 if power > 0 else 1
+            items.extend(gog.tree_path(v, e.ends[d]))
+            items.append(gw.Traversal(name, d))
+            v = e.ends[1 - d]
+        return items, v
+    homes = gog._letter_home.get(name)
+    if not homes:
+        raise gw.GogError(f"unknown letter {name!r}")
+    if v in homes:
+        home = v
+    elif len(homes) == 1:
+        home = homes[0]
+    else:
+        raise gw.GogError(
+            f"letter {name!r} is ambiguous between vertices {homes}")
+    grp = gog.vertices[home]
+    idx = grp.generators[name]
+    if power < 0:
+        idx, power = grp.inv(idx), -power
+    items.extend(gog.tree_path(v, home))
+    items.append(("g", home, grp.power(idx, power)))
+    return items, home
+
+
+def _items_to_raw(gog, items):
+    """Raw (element, traversal) steps and tail of a loop of items."""
+    v = gog.base_vertex
+    steps = []
+    pending = gog.vertices[v].identity
+    for item in items:
+        if isinstance(item, gw.Traversal):
+            if gog.near(item) != v:
+                raise gw.GogError(f"traversal {item} does not start at {v!r}")
+            steps.append((pending, item))
+            v = gog.far(item)
+            pending = gog.vertices[v].identity
+        else:
+            _, vid, idx = item
+            if vid != v:
+                raise gw.GogError(f"element at {vid!r} but path is at {v!r}")
+            pending = gog.vertices[v].mul(pending, idx)
+    if v != gog.base_vertex:
+        raise gw.GogError("word is not a loop at the base vertex")
+    return steps, pending
+
+
+def two_pass_parse(gog, text):
+    """Normal form of a word text: letters to items, items to a raw path
+    word, then one reduction."""
+    items = []
+    v = gog.base_vertex
+    traversals = 0
+    for token in text.split():
+        name, caret, exp = token.partition("^")
+        if not name:
+            raise gw.GogError(f"malformed token {token!r}")
+        if caret:
+            try:
+                power = int(exp)
+            except ValueError:
+                raise gw.GogError(f"malformed exponent in {token!r}") from None
+            if power == 0:
+                continue
+        else:
+            power = 1
+        if name in gog.edges:
+            traversals += abs(power)
+            if traversals > gw.MAX_WORD_TRAVERSALS:
+                raise gw.GogError(f"letter {name!r} takes the word past "
+                                  f"{gw.MAX_WORD_TRAVERSALS} edge traversals")
+        new_items, v = _letter_items(gog, v, name, power)
+        items.extend(new_items)
+    items.extend(gog.tree_path(v, gog.base_vertex))
+    steps, tail = _items_to_raw(gog, items)
+    return gw.path_normal_form(gog, gog.base_vertex, steps, tail)
 
 
 # -- group tables, triple by triple ------------------------------------------

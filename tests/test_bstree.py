@@ -151,7 +151,7 @@ def test_translate_is_an_isometric_action():
     for w1, w2 in zip(random_words("aAbB", 8, 5, 406),
                       random_words("aAbB", 8, 5, 407)):
         g, h = sl2z_elt(w1), sl2z_elt(w2)
-        gh = gw.multiply(SL2Z, g, h)
+        gh = gw.path_multiply(SL2Z, g, h)
         u, v = rng.choice(verts), rng.choice(verts)
         assert bt.translate(SL2Z, gh, u) == bt.translate(
             SL2Z, g, bt.translate(SL2Z, h, u))
@@ -205,7 +205,7 @@ def test_translation_length_of_powers():
         found += 1
         p = gw.identity_nf(SL2Z)
         for n in range(1, 5):
-            p = gw.multiply(SL2Z, p, g)
+            p = gw.path_multiply(SL2Z, p, g)
             assert bt.classify(SL2Z, p).translation_length == \
                 n * c.translation_length
         if found >= 8:
@@ -260,10 +260,10 @@ def test_axis_window_is_geodesic_across_periods():
 def test_axis_of_square_runs_along_axis():
     g = sl2z_elt("ab")
     two = bt.axis_window(SL2Z, g, 2)
-    sq = bt.axis_window(SL2Z, gw.multiply(SL2Z, g, g), 1)
+    sq = bt.axis_window(SL2Z, gw.path_multiply(SL2Z, g, g), 1)
     assert sq.period == 4
     assert sq.vertices == two.vertices
-    anchored = bt.axis_window(SL2Z, gw.multiply(SL2Z, g, g), 1,
+    anchored = bt.axis_window(SL2Z, gw.path_multiply(SL2Z, g, g), 1,
                               anchor=two.vertices[0])
     assert anchored.vertices == two.vertices
 

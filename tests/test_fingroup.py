@@ -331,6 +331,16 @@ def test_all_subgroups_of_z6():
     assert orders == [1, 2, 3, 6]
 
 
+def test_all_subgroups_matches_every_element_oracle():
+    counterexample = build_counterexample_gog()
+    groups = ds.small_groups(12) + [counterexample.vertices["vA"],
+                                    counterexample.vertices["vB"]]
+    for grp in groups:
+        found = [s.elements for s in fg.all_subgroups(grp)]
+        assert found == [s.elements
+                         for s in oc.all_subgroups_by_every_element(grp)]
+
+
 def test_coset_data_decomposition():
     b = fg.build_cyclic(6, "b")
     reps, dec = fg.coset_data(b, (0, 3))

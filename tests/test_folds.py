@@ -241,6 +241,21 @@ def test_two_element_basis_needs_exactly_one_fold():
     assert seq[0][0].kind == "pair"
 
 
+def test_fold_sequence_applies_each_fold_once(monkeypatch):
+    applied = []
+    for kind in ("pair", "stabilizer", "collapse"):
+        real = getattr(fo, f"_apply_{kind}")
+
+        def counted(marked, d, cap, real=real):
+            applied.append(d.kind)
+            return real(marked, d, cap)
+        monkeypatch.setattr(fo, f"_apply_{kind}", counted)
+    m = fo.marked_rose_for_basis(ROSE, ["x", "x y x"])
+    seq = fo.fold_sequence(m, ROSE, 20)
+    assert len(seq) > 1
+    assert applied == [d.kind for d, _ in seq]
+
+
 def test_subdivided_presentation_collapses_back():
     full = subdivided_sl2z(Z2A)
     seq = fo.fold_sequence(full, SL2Z, 10)

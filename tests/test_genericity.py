@@ -228,7 +228,7 @@ def test_whitehead_matches_pullback_oracle(name):
 
 def test_p_match_same_axis_and_conjugate_translates():
     g = nf(SL2Z, "a b")
-    res = gen.p_match(SL2Z, g, gw.invert(SL2Z, g), 5, 2)
+    res = gen.p_match(SL2Z, g, gw.path_invert(SL2Z, g), 5, 2)
     assert res.matched and res.status == "match"
     assert res.h_translator == gw.identity_nf(SL2Z)
     assert res.overlap_length == len(res.overlap) - 1 > 5
@@ -245,7 +245,7 @@ def test_p_match_sl2z_ab_vs_ab2():
     g, h = nf(SL2Z, "a b"), nf(SL2Z, "a b b")
     # a (ab^2) a^-1 = (ab)^-1, so the two axes coincide after translating
     # by a; the search finds exactly that witness.
-    assert gw.conjugate(SL2Z, nf(SL2Z, "a"), h) == gw.invert(SL2Z, g)
+    assert gw.conjugate(SL2Z, nf(SL2Z, "a"), h) == gw.path_invert(SL2Z, g)
     res = gen.p_match(SL2Z, g, h, 4, 6)
     assert res.matched
     assert res.h_translator == nf(SL2Z, "a")

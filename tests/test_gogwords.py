@@ -124,13 +124,15 @@ def test_specified_word_values():
 def test_multiply_invert_roundtrip():
     for w in random_words("aAbB", 40, 8, seed=101):
         x = fold_letters(SL2Z, SL2Z_LETTERS, w)
-        assert gw.is_identity(SL2Z, gw.multiply(SL2Z, x, gw.invert(SL2Z, x)))
-        assert gw.is_identity(SL2Z, gw.multiply(SL2Z, gw.invert(SL2Z, x), x))
+        x_inv = gw.path_invert(SL2Z, x)
+        assert gw.is_identity(SL2Z, gw.path_multiply(SL2Z, x, x_inv))
+        assert gw.is_identity(SL2Z, gw.path_multiply(SL2Z, x_inv, x))
 
 
 def test_multiply_of_powers_inverse_cancels():
-    m = gw.multiply(SL2Z, nf(SL2Z, "a^2"), nf(SL2Z, "b^3"))
-    assert gw.is_identity(SL2Z, gw.multiply(SL2Z, gw.invert(SL2Z, m), m))
+    m = gw.path_multiply(SL2Z, nf(SL2Z, "a^2"), nf(SL2Z, "b^3"))
+    assert gw.is_identity(SL2Z,
+                          gw.path_multiply(SL2Z, gw.path_invert(SL2Z, m), m))
 
 
 def test_multiply_is_associative_and_invert_is_involution():
@@ -139,11 +141,11 @@ def test_multiply_is_associative_and_invert_is_involution():
     rng = random.Random(13)
     for _ in range(40):
         x, y, z = (rng.choice(elems) for _ in range(3))
-        left = gw.multiply(SL2Z, gw.multiply(SL2Z, x, y), z)
-        right = gw.multiply(SL2Z, x, gw.multiply(SL2Z, y, z))
+        left = gw.path_multiply(SL2Z, gw.path_multiply(SL2Z, x, y), z)
+        right = gw.path_multiply(SL2Z, x, gw.path_multiply(SL2Z, y, z))
         assert left == right
     for x in elems:
-        assert gw.invert(SL2Z, gw.invert(SL2Z, x)) == x
+        assert gw.path_invert(SL2Z, gw.path_invert(SL2Z, x)) == x
 
 
 def test_normal_form_is_idempotent():
@@ -170,7 +172,7 @@ def test_letterwise_product_matches_literal_word():
     u_literal = nf(gog, "z^-1 x y z")
     u_product = gw.identity_nf(gog)
     for letter in ("z^-1", "x", "y", "z"):
-        u_product = gw.multiply(gog, u_product, nf(gog, letter))
+        u_product = gw.path_multiply(gog, u_product, nf(gog, letter))
     assert u_literal == u_product
 
 
@@ -185,9 +187,10 @@ def test_conjugation_by_u_permutes_the_edge_group():
 def test_edge_group_elements_agree_from_both_sides():
     gog = build_counterexample_gog()
     # e1 read in the vB group pinches back to e1 read in the vA group
-    word = gw.GroupWord((gw.Traversal("e", 0),
-                         ("g", "vB", gog.vertices["vB"].generator("e1")),
-                         gw.Traversal("e", 1)))
+    ident = gog.vertices["vA"].identity
+    word = gw.NormalForm("vA", ((ident, gw.Traversal("e", 0)),
+                                (gog.vertices["vB"].generator("e1"),
+                                 gw.Traversal("e", 1))), ident)
     assert gw.normal_form(gog, word) == nf(gog, "e1")
 
 
@@ -302,7 +305,7 @@ def test_hnn_stable_letter_conjugates_across_the_edge():
     assert nf(hnn, "t e2 t^-1") == nf(hnn, "e1")
     assert nf(hnn, "t^-1 e1 t") == nf(hnn, "e2")
     assert nf(hnn, "t e1 t^-1").syllable_length() == 2
-    assert not gw.is_identity(hnn, gw.multiply(hnn, nf(hnn, "t e1 t^-1"),
+    assert not gw.is_identity(hnn, gw.path_multiply(hnn, nf(hnn, "t e1 t^-1"),
                                                nf(hnn, "e2")))
     assert gw.element_order(hnn, nf(hnn, "t")) == math.inf
 
@@ -327,12 +330,15 @@ def test_malformed_words_rejected():
         gw.parse_word(SL2Z, "e")  # spanning-tree edge carries no letter
     with pytest.raises(gw.GogError):
         gw.parse_word(SL2Z, "a^x")
+    ident = SL2Z.vertices["vA"].identity
     # a dangling traversal is not a loop
     with pytest.raises(gw.GogError):
-        gw.normal_form(SL2Z, gw.GroupWord((gw.Traversal("e", 0),)))
-    # element placed at the wrong vertex
+        gw.normal_form(SL2Z, gw.NormalForm(
+            "vA", ((ident, gw.Traversal("e", 0)),), ident))
+    # traversal from the wrong vertex
     with pytest.raises(gw.GogError):
-        gw.normal_form(SL2Z, gw.GroupWord((("g", "vB", 1),)))
+        gw.normal_form(SL2Z, gw.NormalForm(
+            "vA", ((ident, gw.Traversal("e", 1)),), ident))
     # word from a different graph
     rose = gw.build_rose(["x", "y"])
     with pytest.raises(gw.GogError):
@@ -353,7 +359,7 @@ def test_parse_word_caps_edge_traversals_before_expanding():
     with pytest.raises(gw.GogError, match=r"letter 'x' takes the word past"):
         gw.parse_word(two, "y^3 x^-99998")
     at_cap = gw.parse_word(two, "y^3 x^-99997")
-    assert sum(isinstance(it, gw.Traversal) for it in at_cap.items) == 100000
+    assert at_cap.syllable_length() == 100000
 
 
 def test_ambiguous_letter_rejected():
@@ -370,6 +376,55 @@ def test_ambiguous_letter_rejected():
     with pytest.raises(gw.GogError):
         gw.parse_word(star, "g")
     assert gw.is_identity(star, nf(star, "p p"))
+
+
+def _powered_word(gog, rng, max_letters):
+    """Seeded word text over the presentation's letters, vertex generators
+    and non-tree edges alike, each raised to a power in +-1..+-5."""
+    letters = [name for name, _ in gw.generator_letters(gog)]
+    tokens = []
+    for _ in range(rng.randint(0, max_letters)):
+        power = rng.choice((1, 2, 3, 4, 5, -1, -2, -3, -4, -5))
+        name = rng.choice(letters)
+        tokens.append(name if power == 1 and rng.random() < 0.5
+                      else f"{name}^{power}")
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+def test_parse_word_matches_two_pass_oracle(name):
+    gog = SEAM[name]
+    rng = random.Random(f"parse-{name}")
+    for _ in range(60):
+        text = _powered_word(gog, rng, 8)
+        assert gw.parse_word(gog, text) == oc.two_pass_parse(gog, text), text
+
+
+def _shared_letter_star():
+    """Base u with a generator p; leaves v and w both name a generator g."""
+    z2a, z2b, z2c = (fg.build_cyclic(2, n) for n in ("p", "g", "g"))
+    triv = fg.build_cyclic(1, "c")
+    hom = {grp: fg.GroupHom(triv, grp, (grp.identity,))
+           for grp in (z2a, z2b, z2c)}
+    edges = [gw.Edge("f1", triv, ("u", "v"), (hom[z2a], hom[z2b])),
+             gw.Edge("f2", triv, ("u", "w"), (hom[z2a], hom[z2c]))]
+    return gw.GraphOfGroups([("u", z2a), ("v", z2b), ("w", z2c)], edges,
+                            "u", {"f1", "f2"})
+
+
+@pytest.mark.parametrize("gog, text", [
+    (SL2Z, "a q"),                      # unknown letter
+    (SL2Z, "a e^2"),                    # spanning-tree edge letter
+    (SL2Z, "a^"),                       # bare caret
+    (_shared_letter_star(), "p g"),     # ambiguous letter
+    (gw.build_rose(["x"]), "x^100001"),  # past the traversal cap
+])
+def test_parse_word_errors_match_two_pass_oracle(gog, text):
+    with pytest.raises(gw.GogError) as one_pass:
+        gw.parse_word(gog, text)
+    with pytest.raises(gw.GogError) as two_pass:
+        oc.two_pass_parse(gog, text)
+    assert str(one_pass.value) == str(two_pass.value)
 
 
 def test_build_amalgam_rejects_non_injective_map():

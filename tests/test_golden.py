@@ -17,7 +17,6 @@ import contextlib
 import io
 import json
 import pathlib
-import sys
 import tempfile
 
 import pytest
@@ -98,4 +97,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()
