@@ -665,11 +665,10 @@ def _canonical_key(gog: GraphOfGroups):
 # -- bounded expansion search --------------------------------------------------
 
 
-def expansion_moves(gog: GraphOfGroups) -> list[DeformationMove]:
-    """Every legal elementary expansion of the graph, with the subgroup and
-    the reattached ends spelled out. Moves that would leave a dangling
-    vertex are filtered here by a dry run."""
-    out = []
+def _expansions(gog: GraphOfGroups):
+    """(move, result) for every legal elementary expansion of the graph,
+    each result built once; moves that would leave a dangling vertex are
+    skipped."""
     for w in sorted(gog.vertices):
         ends = [(t.edge, t.dir) for t in gog.incident(w)]
         for sub in fg.all_subgroups(gog.vertices[w]):
@@ -680,11 +679,17 @@ def expansion_moves(gog: GraphOfGroups) -> list[DeformationMove]:
                 for moved in itertools.combinations(allowed, k):
                     move = expansion_move(w, sub.elements, moved)
                     try:
-                        _apply_expansion(gog, move)
+                        new = _apply_expansion(gog, move)[0]
                     except GogError:
                         continue
-                    out.append(move)
-    return out
+                    yield move, new
+
+
+def expansion_moves(gog: GraphOfGroups) -> list[DeformationMove]:
+    """Every legal elementary expansion of the graph, with the subgroup and
+    the reattached ends spelled out. Moves that would leave a dangling
+    vertex are filtered out by building each expansion."""
+    return [move for move, _ in _expansions(gog)]
 
 
 def nonredundant_expansions(gog: GraphOfGroups, depth: int,
@@ -707,11 +712,7 @@ def nonredundant_expansions(gog: GraphOfGroups, depth: int,
     for _ in range(depth):
         nxt = []
         for cur in frontier:
-            for move in expansion_moves(cur):
-                try:
-                    new = apply_move(cur, move)
-                except GogError:
-                    continue
+            for _, new in _expansions(cur):
                 if not seen.add(new):
                     continue
                 nxt.append(new)

@@ -245,28 +245,23 @@ class GroupHom:
     @staticmethod
     def from_generator_images(source: FiniteGroup, target: FiniteGroup,
                               images: dict[str, int]) -> "GroupHom":
-        """Extend generator images to all elements along BFS words.
+        """Extend generator images to all elements along the Cayley tree of
+        the generators in sorted-name order (see _cayley_tree).
 
         The extension always exists as a map; whether it is a homomorphism
         must be checked afterwards (check_hom reports a witness if not).
         """
         if set(images) != set(source.generators):
             raise GroupError("images must be given for exactly the declared generators")
+        names = sorted(images)
+        tree = _cayley_tree(source, [source.generators[n] for n in names])
+        if len(tree) + 1 != source.order:
+            raise GroupError("generators do not reach every element")
+        imgs = [images[n] for n in names]
         mapping = [-1] * source.order
         mapping[source.identity] = target.identity
-        frontier = [source.identity]
-        gen_items = [(source.generators[n], images[n]) for n in sorted(images)]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, img in gen_items:
-                    y = source.mul(x, g)
-                    if mapping[y] < 0:
-                        mapping[y] = target.mul(mapping[x], img)
-                        nxt.append(y)
-            frontier = nxt
-        if any(v < 0 for v in mapping):
-            raise GroupError("generators do not reach every element")
+        for x, k, y in tree:
+            mapping[y] = target.mul(mapping[x], imgs[k])
         return GroupHom(source, target, tuple(mapping))
 
 
@@ -297,24 +292,39 @@ def check_hom(h: GroupHom) -> HomReport:
     return HomReport("valid_iso" if bijective else "valid_hom")
 
 
-def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """The subgroup generated by the given element indices (orbit closure)."""
+def _cayley_tree(group: FiniteGroup, gens: Sequence[int]
+                 ) -> list[tuple[int, int, int]]:
+    """The breadth-first spanning tree of <gens> in the right Cayley graph.
+
+    Returns one (x, k, x·gens[k]) triple per element other than the
+    identity, in the order the elements are first reached; x is always
+    reached before x·gens[k].  Right multiplication alone reaches the
+    whole subgroup because the group is finite.
+    """
+    table = group.table
     seen = {group.identity}
-    gens = [g for g in gens]
+    tree = []
+    frontier = [group.identity]
+    for x in frontier:
+        row = table[x]
+        for k, g in enumerate(gens):
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                tree.append((x, k, y))
+                frontier.append(y)
+    return tree
+
+
+def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    """The subgroup generated by the given element indices: the nodes of
+    their Cayley tree."""
+    gens = list(gens)
     for g in gens:
         if not 0 <= g < group.order:
             raise GroupError(f"generator index {g} out of range")
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                for y in (group.mul(x, g), group.mul(x, group.inv(g))):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return Subgroup(group, tuple(sorted(seen)))
+    nodes = [group.identity] + [y for _, _, y in _cayley_tree(group, gens)]
+    return Subgroup(group, tuple(sorted(nodes)))
 
 
 def conjugation_action(group: FiniteGroup, g: int, sub: Subgroup) -> GroupHom:
@@ -401,67 +411,60 @@ def _generating_sequence(group: FiniteGroup) -> list[int]:
     return chosen
 
 
-def _extend_partial(src: FiniteGroup, tgt: FiniteGroup,
-                    phi: dict[int, int], g: int, h: int,
-                    injective: bool) -> Optional[dict[int, int]]:
-    """Extend a partial homomorphism (defined on a subgroup) by g → h.
-
-    Closes the domain under multiplication, defining images of new products
-    and failing on the first inconsistency (or collision, when injective).
-    """
-    if g in phi:
-        return phi if phi[g] == h else None
-    phi = dict(phi)
-    used = set(phi.values())
-    if injective and h in used:
-        return None
-    phi[g] = h
-    used.add(h)
-    frontier = [g]
-    while frontier:
-        x = frontier.pop()
-        fx = phi[x]
-        for y, fy in list(phi.items()):
-            for p, q in ((src.mul(x, y), tgt.mul(fx, fy)),
-                         (src.mul(y, x), tgt.mul(fy, fx))):
-                fp = phi.get(p)
-                if fp is not None:
-                    if fp != q:
-                        return None
-                else:
-                    if injective and q in used:
-                        return None
-                    phi[p] = q
-                    used.add(q)
-                    frontier.append(p)
-    return phi
-
-
 def _homs_by_images(src: FiniteGroup, tgt: FiniteGroup,
                     injective: bool, surjective: bool) -> Iterator[GroupHom]:
+    """Every homomorphism src → tgt (injective or onto, if asked).
+
+    Images h_1, h_2, ... are picked in index order for the generating
+    sequence g_1, g_2, ...; each new h_k is spread over <g_1..g_k> along
+    that prefix's Cayley tree, and the branch is kept only if
+    φ(x·g_i) = φ(x)·h_i for every x in <g_1..g_k> and every i <= k, which
+    makes φ a homomorphism there (and, when injective, only if φ is
+    one-to-one there).
+    """
     gens = _generating_sequence(src)
     src_orders = src.element_orders()
     tgt_orders = tgt.element_orders()
+    table = tgt.table
+    levels = []
+    for k in range(1, len(gens) + 1):
+        tree = _cayley_tree(src, gens[:k])
+        nodes = [src.identity] + [y for _, _, y in tree]
+        edges = [(x, i, src.mul(x, g)) for x in nodes
+                 for i, g in enumerate(gens[:k])]
+        levels.append((tree, nodes, edges))
+    phi = [-1] * src.order
+    phi[src.identity] = tgt.identity
+    images: list[int] = []
 
-    def rec(phi: dict[int, int], k: int) -> Iterator[GroupHom]:
+    def consistent(k: int) -> bool:
+        tree, nodes, edges = levels[k]
+        for x, i, y in tree:
+            phi[y] = table[phi[x]][images[i]]
+        for x, i, y in edges:
+            if phi[y] != table[phi[x]][images[i]]:
+                return False
+        return not injective or len({phi[x] for x in nodes}) == len(nodes)
+
+    def rec(k: int) -> Iterator[GroupHom]:
         if k == len(gens):
-            if surjective and len(set(phi.values())) != tgt.order:
+            if surjective and len(set(phi)) != tgt.order:
                 return
-            yield GroupHom(src, tgt, tuple(phi[i] for i in range(src.order)))
+            yield GroupHom(src, tgt, tuple(phi))
             return
-        g = gens[k]
-        o = src_orders[g]
+        o = src_orders[gens[k]]
         for h in range(tgt.order):
             if injective:
                 if tgt_orders[h] != o:
                     continue
             elif o % tgt_orders[h] != 0:
                 continue
-            ext = _extend_partial(src, tgt, phi, g, h, injective)
-            if ext is not None:
-                yield from rec(ext, k + 1)
+            images.append(h)
+            if consistent(k):
+                yield from rec(k + 1)
+            images.pop()
 
-    yield from rec({src.identity: tgt.identity}, 0)
+    yield from rec(0)
 
 
 def all_monomorphisms(src: FiniteGroup, tgt: FiniteGroup) -> list[GroupHom]:
@@ -543,20 +546,13 @@ def build_semidirect(c: FiniteGroup, q: FiniteGroup,
     for name, perm in action.items():
         if not _is_automorphism_perm(c, perm):
             raise GroupError(f"action of {name!r} is not an automorphism of C")
-    # extend q ↦ action(q) along BFS words; composition is rightmost-first
+    # extend q ↦ action(q) along the Cayley tree; composition is
+    # rightmost-first
+    names = sorted(action)
+    perms = [tuple(action[n]) for n in names]
     acts: dict[int, tuple[int, ...]] = {q.identity: tuple(range(c.order))}
-    frontier = [q.identity]
-    gen_items = [(q.generators[n], tuple(action[n])) for n in sorted(action)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, perm in gen_items:
-                y = q.mul(x, g)
-                if y not in acts:
-                    ax = acts[x]
-                    acts[y] = tuple(ax[perm[i]] for i in range(c.order))
-                    nxt.append(y)
-        frontier = nxt
+    for x, k, y in _cayley_tree(q, [q.generators[n] for n in names]):
+        acts[y] = tuple(map(acts[x].__getitem__, perms[k]))
     for q1 in range(q.order):
         for q2 in range(q.order):
             a1, a2, a12 = acts[q1], acts[q2], acts[q.mul(q1, q2)]
@@ -807,24 +803,20 @@ def evaluate_word(group: FiniteGroup, text: str) -> int:
 def generator_word(group: FiniteGroup, idx: int) -> str:
     """A shortest word in the generators equal to the given element.
 
-    Deterministic (BFS in sorted generator order); empty string for the
-    identity.
+    Deterministic: the path to the element in the Cayley tree of the
+    generators in sorted-name order (see _cayley_tree); empty string for
+    the identity.
     """
     if not 0 <= idx < group.order:
         raise GroupError(f"element index {idx} out of range")
-    words = {group.identity: ""}
-    frontier = [group.identity]
-    gen_items = [(name, group.generators[name]) for name in sorted(group.generators)]
-    while idx not in words and frontier:
-        nxt = []
-        for x in frontier:
-            for name, g in gen_items:
-                y = group.mul(x, g)
-                if y not in words:
-                    words[y] = f"{words[x]} {name}".strip()
-                    nxt.append(y)
-        frontier = nxt
-    return words[idx]
+    names = sorted(group.generators)
+    parent = {y: (x, k) for x, k, y in
+              _cayley_tree(group, [group.generators[n] for n in names])}
+    letters = []
+    while idx != group.identity:
+        idx, k = parent[idx]
+        letters.append(names[k])
+    return " ".join(reversed(letters))
 
 
 def group_to_json(group: FiniteGroup) -> dict:

@@ -153,13 +153,11 @@ class MarkedTree:
     the tree edge running from the lift of a to d times the lift of b.
     """
 
-    def __init__(self, ambient: GraphOfGroups, vertices, edges,
-                 check: bool = True):
+    def __init__(self, ambient: GraphOfGroups, vertices, edges):
         self.ambient = ambient
         self.vertices = dict(vertices)
         self.edges = dict(edges)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         gog = self.ambient
@@ -244,12 +242,11 @@ def far_image(marked: MarkedTree, edge: str, end: int) -> TreeVertex:
     return translate(marked.ambient, mu, marked.vertices[far].image)
 
 
-def _stab_from(marked: MarkedTree, edge: str, end: int) -> frozenset:
-    me = marked.edges[edge]
+def _stab_from(gog: GraphOfGroups, me: MarkedEdge, end: int) -> frozenset:
+    """The edge's stabilizer as seen from its near vertex at the given end."""
     if end == 0:
         return me.stab
-    return _conj_set(marked.ambient,
-                     path_invert(marked.ambient, me.twist), me.stab)
+    return _conj_set(gog, path_invert(gog, me.twist), me.stab)
 
 
 def _merge_vertex(gog: GraphOfGroups, vertices: dict, edges: dict,
@@ -313,9 +310,8 @@ def _apply_pair(marked: MarkedTree, d: FoldDirective, cap: int) -> MarkedTree:
     else:
         gamma = _mul(gog, path_invert(gog, mu2), mu1)
         _merge_vertex(gog, vertices, edges, far1, far2, gamma, cap)
-    probe = MarkedTree(gog, vertices, edges, check=False)
-    merged = nf_closure(gog, set(_stab_from(probe, d.edge, d.end))
-                        | set(_stab_from(probe, d.edge2, d.end2)), cap)
+    merged = nf_closure(gog, set(_stab_from(gog, edges[d.edge], d.end))
+                        | set(_stab_from(gog, edges[d.edge2], d.end2)), cap)
     me = edges[d.edge]
     stab = merged if d.end == 0 else _conj_set(gog, me.twist, merged)
     edges[d.edge] = MarkedEdge(me.ends, me.twist, stab)
@@ -347,7 +343,8 @@ def _apply_stabilizer(marked: MarkedTree, d: FoldDirective,
     grown = nf_closure(gog, set(fv.stab)
                        | _conj_set(gog, path_invert(gog, mu), hgrp), cap)
     vertices[far] = MarkedVertex(fv.image, grown)
-    newt = nf_closure(gog, set(_stab_from(marked, d.edge, d.end)) | hgrp, cap)
+    newt = nf_closure(gog, set(_stab_from(gog, marked.edges[d.edge], d.end))
+                      | hgrp, cap)
     me = edges[d.edge]
     stab = newt if d.end == 0 else _conj_set(gog, me.twist, newt)
     edges[d.edge] = MarkedEdge(me.ends, me.twist, stab)
@@ -441,7 +438,7 @@ def available_folds(marked: MarkedTree) -> dict:
             pfar = far_image(marked, eid, end)
             if pfar == marked.vertices[v].image:
                 continue
-            cur = _stab_from(marked, eid, end)
+            cur = _stab_from(gog, marked.edges[eid], end)
             for h in sorted(marked.vertices[v].stab, key=NormalForm.sort_key):
                 if h in cur:
                     continue

@@ -288,17 +288,15 @@ def is_identity(gog: GraphOfGroups, nf: NormalForm) -> bool:
 def normal_form(gog: GraphOfGroups, w: NormalForm) -> NormalForm:
     """Reduce and check a loop word built outside this library.
 
-    w is a path word with any (element, traversal) steps: each traversal
-    must start where the path is, every element index must be in range,
-    and the reduced path must end at its start vertex.  Two loop words
-    represent the same group element exactly when their normal forms are
-    equal.  Normal forms from this library need no second pass.
+    w is a path word with any (element, traversal) steps, checked as by
+    path_normal_form; the reduced path must also end at its start vertex.
+    Two loop words represent the same group element exactly when their
+    normal forms are equal.  Normal forms from this library need no
+    second pass.
     """
     if not isinstance(w, NormalForm):
         raise GogError(f"not a word: {w!r}")
-    if w.start not in gog.vertices:
-        raise GogError(f"unknown start vertex {w.start!r}")
-    nf = _reduce_raw(gog, w.start, w.steps, w.tail)
+    nf = path_normal_form(gog, w.start, w.steps, w.tail)
     if end_vertex(gog, nf) != nf.start:
         raise GogError("word is not a loop")
     return nf
@@ -310,10 +308,21 @@ def normal_form(gog: GraphOfGroups, w: NormalForm) -> NormalForm:
 def path_normal_form(gog: GraphOfGroups, start: str,
                      steps: Iterable[tuple[int, Traversal]],
                      tail: int) -> NormalForm:
-    """Reduce and check a path word from start built outside this library:
-    the checks of normal_form, except that the path may end anywhere."""
+    """Reduce and check a path word from start built outside this library.
+
+    Each step must cross an edge of the graph in direction 0 or 1 from
+    where the path is, and every element index must be in range; the
+    path may end anywhere.
+    """
     if start not in gog.vertices:
         raise GogError(f"unknown start vertex {start!r}")
+    steps = tuple(steps)
+    for k, (_, t) in enumerate(steps):
+        if t.edge not in gog.edges:
+            raise GogError(f"step {k} crosses unknown edge {t.edge!r}")
+        if t.dir not in (0, 1):
+            raise GogError(f"step {k} crosses edge {t.edge!r} in direction "
+                           f"{t.dir!r}, not 0 or 1")
     return _reduce_raw(gog, start, steps, tail)
 
 
@@ -418,7 +427,8 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
     at the base vertex.
 
     Letters are vertex-group generator names or non-tree edge names; a
-    trailing ^k (k a nonzero integer, typically -1) inverts or repeats.
+    trailing ^k (k an integer, typically -1) inverts or repeats, and ^0
+    is the identity but must still name a letter.
     Spanning-tree crossings are inserted automatically.  A word may cross
     non-tree edges at most MAX_WORD_TRAVERSALS times in all; the count is
     checked before a letter is expanded.  The letters are read into one
@@ -440,15 +450,12 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
         name, caret, exp = token.partition("^")
         if not name:
             raise GogError(f"malformed token {token!r}")
+        power = 1
         if caret:
             try:
                 power = int(exp)
             except ValueError:
                 raise GogError(f"malformed exponent in {token!r}") from None
-            if power == 0:
-                continue
-        else:
-            power = 1
         if name in gog.edges:
             traversals += abs(power)
             if traversals > MAX_WORD_TRAVERSALS:
@@ -464,6 +471,8 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
                 cross((Traversal(name, d),))
             continue
         home = _letter_vertex(gog, v, name)
+        if power == 0:
+            continue
         cross(gog.tree_path(v, home))
         grp = gog.vertices[home]
         idx = grp.generators[name]

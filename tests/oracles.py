@@ -11,7 +11,10 @@ it.  The subgroup lattice by every element is the library's earlier
 all_subgroups, which joins each subgroup with every element outside it.
 The two-pass parser is the library's earlier parse_word: it expands
 letters into items first and turns the items into a raw path word
-second, so it judges the one-pass parser that replaced it.
+second, so it judges the one-pass parser that replaced it.  The
+homomorphism search by pairwise closure is the library's earlier search:
+it closes each partial map under all products of pairs, so it judges the
+search that spreads generator images along a Cayley tree.
 """
 
 from __future__ import annotations
@@ -350,3 +353,115 @@ def is_group_generated_by(table, gens) -> bool:
         if not new:
             return len(reached) == n
         reached |= new
+
+
+# -- homomorphism search by pairwise closure -----------------------------------
+
+
+def _closure(group, gens):
+    """<gens> as a set, walking by x·g and x·g⁻¹."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (group.mul(x, g), group.mul(x, group.inv(g))):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return seen
+
+
+def _generating_sequence(group):
+    """The library's greedy generating sequence: each step takes the
+    least-index element whose closure with the chosen ones grows most."""
+    chosen = []
+    reached = {group.identity}
+    while len(reached) < group.order:
+        best, best_closure = -1, reached
+        for g in range(group.order):
+            if g in reached:
+                continue
+            closure = _closure(group, chosen + [g])
+            if len(closure) > len(best_closure):
+                best, best_closure = g, closure
+                if len(closure) == group.order:
+                    break
+        chosen.append(best)
+        reached = best_closure
+    return chosen
+
+
+def _extend_partial(src, tgt, phi, g, h, injective):
+    """Extend a partial homomorphism (defined on a subgroup) by g → h,
+    closing the domain under products of pairs; None on the first
+    inconsistency (or collision, when injective)."""
+    if g in phi:
+        return phi if phi[g] == h else None
+    phi = dict(phi)
+    used = set(phi.values())
+    if injective and h in used:
+        return None
+    phi[g] = h
+    used.add(h)
+    frontier = [g]
+    while frontier:
+        x = frontier.pop()
+        fx = phi[x]
+        for y, fy in list(phi.items()):
+            for p, q in ((src.mul(x, y), tgt.mul(fx, fy)),
+                         (src.mul(y, x), tgt.mul(fy, fx))):
+                fp = phi.get(p)
+                if fp is not None:
+                    if fp != q:
+                        return None
+                else:
+                    if injective and q in used:
+                        return None
+                    phi[p] = q
+                    used.add(q)
+                    frontier.append(p)
+    return phi
+
+
+def homs_by_closure(src, tgt, injective, surjective):
+    """The library's earlier homomorphism search: generator images in
+    index order, each choice closed under pairwise products."""
+    gens = _generating_sequence(src)
+    src_orders = src.element_orders()
+    tgt_orders = tgt.element_orders()
+
+    def rec(phi, k):
+        if k == len(gens):
+            if surjective and len(set(phi.values())) != tgt.order:
+                return
+            yield fg.GroupHom(src, tgt, tuple(phi[i] for i in range(src.order)))
+            return
+        g = gens[k]
+        o = src_orders[g]
+        for h in range(tgt.order):
+            if injective:
+                if tgt_orders[h] != o:
+                    continue
+            elif o % tgt_orders[h] != 0:
+                continue
+            ext = _extend_partial(src, tgt, phi, g, h, injective)
+            if ext is not None:
+                yield from rec(ext, k + 1)
+
+    yield from rec({src.identity: tgt.identity}, 0)
+
+
+def monomorphisms_by_closure(src, tgt):
+    """all_monomorphisms, by the earlier search."""
+    if tgt.order % src.order != 0:
+        return []
+    return list(homs_by_closure(src, tgt, injective=True, surjective=False))
+
+
+def isomorphisms_by_closure(g1, g2):
+    """isomorphisms_iter, by the earlier search, as a list."""
+    if g1.order != g2.order or \
+            sorted(g1.element_orders()) != sorted(g2.element_orders()):
+        return []
+    return list(homs_by_closure(g1, g2, injective=True, surjective=True))

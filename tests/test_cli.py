@@ -245,6 +245,31 @@ def test_group_dump_round_trips(capsys):
     assert "vA: order 64" in out and "vB: order 48" in out
 
 
+@pytest.mark.parametrize("fmt, expected", [
+    ("text", "0 non-redundant expansions within depth 1\n"),
+    ("json", "[]\n"),
+], ids=["text", "json"])
+def test_expand_counterexample_within_budget(capsys, fmt, expected):
+    # Automorphisms of the order-64 vertex group dominate this command;
+    # 4 s is the budget for it on one core.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "defspace", "expand", "--group",
+                       "counterexample", "--depth", "1", "--format", fmt)
+    assert time.perf_counter() - start < 4.0
+    assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize("word, message", [
+    ("q^0", "unknown letter 'q'"),
+    ("e^0", "'e' is a spanning-tree edge and carries no letter"),
+], ids=["unknown", "tree-edge"])
+def test_zero_power_of_a_bad_letter_exits_1(capsys, word, message):
+    code, out, err = run(capsys, "nf", "--group", "sl2z", "--word", word)
+    assert code == 1 and out == "" and message in err
+    code, out, _ = run(capsys, "nf", "--group", "sl2z", "--word", "a^0")
+    assert code == 0 and out == "1\n"
+
+
 def test_defspace_commands(capsys):
     code, out, _ = run(capsys, "defspace", "reduced", "--group", "sl2z")
     assert code == 0

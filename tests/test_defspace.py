@@ -389,6 +389,21 @@ def test_nonredundant_expansions_sl2z_saturates():
     assert report["frontier_all_redundant"]
 
 
+def test_nonredundant_expansions_build_each_expansion_once(monkeypatch):
+    built = {}
+    apply_expansion = ds._apply_expansion
+
+    def counting(gog, move):
+        built[gog, move] = built.get((gog, move), 0) + 1
+        return apply_expansion(gog, move)
+
+    monkeypatch.setattr(ds, "_apply_expansion", counting)
+    out = ds.nonredundant_expansions(SL2Z, 2)
+    assert out == [SL2Z]
+    assert len(built) > 1
+    assert set(built.values()) == {1}
+
+
 def test_nonredundant_expansions_match_brute_force():
     for gog in (build_star(), ROSE3):
         oracle = _brute_force_depth_one(gog)

@@ -431,6 +431,34 @@ def test_monos_z2_into_z4_and_z6():
     assert len(fg.all_monomorphisms(z2, fg.build_boolean_vectors(2))) == 3
 
 
+def test_hom_search_matches_pairwise_closure_oracle():
+    """all_monomorphisms, isomorphisms_iter and automorphisms list the
+    earlier search's homomorphisms in its order: every pair of catalog
+    groups where the order divides, each catalog group against a seeded
+    renaming of itself, and both counterexample vertex groups.  Between
+    groups of one order the oracle's monomorphisms are its isomorphisms
+    (a one-to-one map onto a group of the same order is onto), so that
+    list is built once."""
+    rng = random.Random(47)
+    catalog = ds.small_groups(12)
+    renamed = [fg.FiniteGroup(*_shuffled(g.table, g.generators, rng))
+               for g in catalog]
+    counter = build_counterexample_gog()
+    groups = catalog + [counter.vertices["vA"], counter.vertices["vB"]]
+    pairs = [(a, b) for a in groups for b in groups if b.order % a.order == 0]
+    pairs += [p for g, r in zip(catalog, renamed) for p in ((g, r), (r, g))]
+    for a, b in pairs:
+        isos = oc.isomorphisms_by_closure(a, b)
+        monos = isos if a.order == b.order else \
+            oc.monomorphisms_by_closure(a, b)
+        assert fg.all_monomorphisms(a, b) == monos, (a, b)
+        assert list(fg.isomorphisms_iter(a, b)) == isos, (a, b)
+        if a is b:
+            assert list(a.automorphisms()) == isos, a
+    for r in renamed:
+        assert list(r.automorphisms()) == oc.isomorphisms_by_closure(r, r)
+
+
 def test_are_isomorphic_cap():
     a = build_A()
     doubled = fg.build_direct_product(a, fg.build_cyclic(2, "w"))

@@ -427,6 +427,38 @@ def test_parse_word_errors_match_two_pass_oracle(gog, text):
     assert str(one_pass.value) == str(two_pass.value)
 
 
+@pytest.mark.parametrize("gog, text", [
+    (SL2Z, "a q"),                      # unknown letter
+    (SL2Z, "a e"),                      # spanning-tree edge letter
+    (_shared_letter_star(), "p g"),     # ambiguous letter
+], ids=["unknown", "tree-edge", "ambiguous"])
+def test_zero_power_still_names_a_letter(gog, text):
+    with pytest.raises(gw.GogError) as bare:
+        gw.parse_word(gog, text)
+    with pytest.raises(gw.GogError) as zero:
+        gw.parse_word(gog, text + "^0")
+    assert str(zero.value) == str(bare.value)
+
+
+def test_zero_power_does_not_move():
+    for gog in (SL2Z, build_klein_hnn(), build_counterexample_gog()):
+        for name, _ in gw.generator_letters(gog):
+            assert gw.parse_word(gog, f"{name}^0") == gw.identity_nf(gog)
+    assert nf(SL2Z, "a b^0 a") == nf(SL2Z, "a a")
+
+
+@pytest.mark.parametrize("step, message", [
+    (gw.Traversal("zz", 0), "step 0 crosses unknown edge 'zz'"),
+    (gw.Traversal("e", 2), "step 0 crosses edge 'e' in direction 2"),
+], ids=["unknown-edge", "bad-direction"])
+def test_unknown_traversals_are_named(step, message):
+    ident = SL2Z.vertices["vA"].identity
+    with pytest.raises(gw.GogError, match=message):
+        gw.normal_form(SL2Z, gw.NormalForm("vA", ((ident, step),), ident))
+    with pytest.raises(gw.GogError, match=message):
+        gw.path_normal_form(SL2Z, "vA", [(ident, step)], ident)
+
+
 def test_build_amalgam_rejects_non_injective_map():
     z2 = fg.build_cyclic(2, "c")
     z4 = fg.build_cyclic(4, "a")
