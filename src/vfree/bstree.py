@@ -74,15 +74,15 @@ def base_vertex(gog: GraphOfGroups) -> TreeVertex:
     return standard_vertex(gog, gog.base_vertex)
 
 
-def stabilizer(gog: GraphOfGroups, orbit: str) -> list[NormalForm]:
-    """The stabilizer of the standard vertex of an orbit, as based loops:
-    entry x is rho·x·rho⁻¹ for the element x of the vertex group and rho
-    the spanning-tree path from the base to the orbit."""
-    rho = standard_vertex(gog, orbit).coset_rep
-    rho_inv = path_invert(gog, rho)
-    return [path_multiply(gog, path_multiply(gog, rho, NormalForm(orbit, (), x)),
-                          rho_inv)
-            for x in gog.vertices[orbit].elements()]
+def stabilizer(gog: GraphOfGroups, v: TreeVertex) -> list[NormalForm]:
+    """The stabilizer of a tree vertex, as based loops indexed by the
+    vertex group at v.orbit: entry x is rep·x·rep⁻¹ for rep the coset
+    representative of v, so products of entries follow that group's
+    table."""
+    rep = v.coset_rep
+    rep_inv = path_invert(gog, rep)
+    return [path_multiply(gog, rep, NormalForm(v.orbit, (), x), rep_inv)
+            for x in gog.vertices[v.orbit].elements()]
 
 
 def translate(gog: GraphOfGroups, g: NormalForm, v: TreeVertex) -> TreeVertex:

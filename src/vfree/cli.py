@@ -24,6 +24,7 @@ from .bstree import (
     base_vertex,
     classify as classify_element,
     stabilizer,
+    standard_vertex,
 )
 from .defspace import (
     degree_sum,
@@ -38,6 +39,7 @@ from .fingroup import (
     GroupHom,
     _field,
     _typed,
+    _typed_list,
     build_cyclic,
     check_hom,
     cycle_notation,
@@ -164,7 +166,7 @@ def verify_sl2z(gog: Optional[GraphOfGroups] = None) -> VerificationReport:
         a = parse_word(gog, "a")
         b = parse_word(gog, "b")
         a2 = path_multiply(gog, a, a)
-        b3 = path_multiply(gog, path_multiply(gog, b, b), b)
+        b3 = path_multiply(gog, b, b, b)
         ok = (element_order(gog, a) == 4 and element_order(gog, b) == 6
               and a2 == b3
               and path_multiply(gog, a2, a) == path_multiply(gog, a, a2)
@@ -233,7 +235,8 @@ def counterexample_phi(gog: GraphOfGroups) -> Callable:
     a normal form from this library."""
     psi = counterexample_psi(gog)
     u = parse_word(gog, "z^-1 x y z")
-    loops_a, loops_b = stabilizer(gog, "vA"), stabilizer(gog, "vB")
+    loops_a, loops_b = (stabilizer(gog, standard_vertex(gog, vid))
+                        for vid in ("vA", "vB"))
     images_b: dict = {}
 
     def syllable_image(vid: str, elem: int):
@@ -308,7 +311,8 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         gog = load_group("counterexample")
     checks: list = []
     basis = ("e1", "e2", "e3", "e4")
-    loops = {vid: stabilizer(gog, vid) for vid in gog.vertices}
+    loops = {vid: stabilizer(gog, standard_vertex(gog, vid))
+             for vid in gog.vertices}
 
     def check_build():
         a, b = gog.vertices["vA"], gog.vertices["vB"]
@@ -517,15 +521,23 @@ def cmd_defspace(args) -> int:
     return 0
 
 
+def _list_field(data: dict, key: str, want: type, where: str) -> list:
+    """The required field data[key], a JSON list whose entries have type
+    want; errors name the field as where (a dotted path when nested)."""
+    return _typed_list(_typed(data[key], "a list", f"field {where!r}"),
+                       want, where)
+
+
 def cmd_fold(args) -> int:
     gog = load_group(args.target)
-    spec = _load_json(args.source)
+    spec = _typed(_load_json(args.source), "an object", "marking JSON")
     kind = spec.get("marking")
     if kind == "identity":
         marked = identity_marking(gog)
     elif kind == "basis":
-        marked = marked_rose_for_basis(gog, spec["words"],
-                                       hub=spec.get("hub", "u"))
+        words = _list_field(spec, "words", str, "words")
+        hub = _typed(spec.get("hub", "u"), "a string", "field 'hub'")
+        marked = marked_rose_for_basis(gog, words, hub=hub)
     else:
         raise GogError(f"unknown marking kind {kind!r}; expected "
                        "'identity' or 'basis'")
@@ -626,28 +638,53 @@ def cmd_walk(args) -> int:
     return 0
 
 
-def _inner_formula(spec):
+def _delta_formula(spec: dict, prefix: str):
+    """The delta formula of a JSON object with fields n and blocks, named
+    prefix + field in errors."""
+    n = _typed(spec["n"], "an integer", f"field {prefix + 'n'!r}")
+    blocks = [_typed_list(b, str, f"{prefix}blocks[{i}]") for i, b in
+              enumerate(_list_field(spec, "blocks", list, prefix + "blocks"))]
+    return emit_delta_related(n, blocks)
+
+
+def _inner_formula(params: dict):
+    spec = _typed(params["inner"], "an object", "field 'inner'")
     kind = spec.get("kind", "delta")
     if kind == "delta":
-        return emit_delta_related(spec["n"], spec["blocks"])
+        return _delta_formula(spec, "inner.")
     if kind == "text":
-        return parse_formula(spec["formula"])
+        return parse_formula(_typed(spec["formula"], "a string",
+                                    "field 'inner.formula'"))
     raise GogError(f"unknown inner formula kind {kind!r}")
 
 
+def _presentation(params: dict, key: str) -> tuple:
+    spec = _typed(params[key], "an object", f"field {key!r}")
+    return (_typed(spec["generators"], "an integer",
+                   f"field '{key}.generators'"),
+            _list_field(spec, "relators", str, f"{key}.relators"))
+
+
 def cmd_emit_formula(args) -> int:
-    params = _load_json(args.params) if args.params else {}
+    params = _typed(_load_json(args.params) if args.params else {},
+                    "an object", "parameter JSON")
     if args.which == "theta":
-        f = emit_theta_sl2z(params.get("relators", SL2Z_RELATORS),
-                            params.get("words", ["x"]),
-                            tuple(params.get("orders", (4, 6))))
+        given = {"relators": SL2Z_RELATORS, "words": ["x"],
+                 "orders": (4, 6), **params}
+        relators = _list_field(given, "relators", str, "relators")
+        words = _list_field(given, "words", str, "words")
+        orders = _list_field(given, "orders", int, "orders")
+        if len(orders) != 2:
+            raise GogError(f"field 'orders' must list 2 orders "
+                           f"(got {len(orders)})")
+        f = emit_theta_sl2z(relators, words, tuple(orders))
     elif args.which == "delta":
-        f = emit_delta_related(params["n"], params["blocks"])
+        f = _delta_formula(params, "")
     else:
-        f = emit_mu((params["g"]["generators"], params["g"]["relators"]),
-                    (params["u"]["generators"], params["u"]["relators"]),
-                    params["embedding"], params["tests"], params["kill"],
-                    _inner_formula(params["inner"]))
+        f = emit_mu(_presentation(params, "g"), _presentation(params, "u"),
+                    *(_list_field(params, key, str, key)
+                      for key in ("embedding", "tests", "kill")),
+                    _inner_formula(params))
     if args.format == "json":
         print(_dump({"formula": pretty_print(f),
                      "classification": classify_formula(f),

@@ -375,6 +375,10 @@ def are_gog_isomorphic(g1: GraphOfGroups, g2: GraphOfGroups) -> bool:
         return False
 
     e1_ids = sorted(g1.edges)
+    # Edges are matched by the unordered pair of mapped endpoints.
+    buckets: dict[tuple, list[str]] = {}
+    for eid in sorted(g2.edges):
+        buckets.setdefault(tuple(sorted(g2.edges[eid].ends)), []).append(eid)
     isos: dict[tuple[str, str], Sequence[GroupHom]] = {}
     for perm in itertools.permutations(v2):
         sigma = dict(zip(v1, perm))
@@ -382,11 +386,6 @@ def are_gog_isomorphic(g1: GraphOfGroups, g2: GraphOfGroups) -> bool:
                or quotient_degree(g1, v) != quotient_degree(g2, sigma[v])
                for v in v1):
             continue
-        # Match edges by the unordered pair of mapped endpoints.
-        buckets: dict[tuple, list[str]] = {}
-        for eid in sorted(g2.edges):
-            e = g2.edges[eid]
-            buckets.setdefault(tuple(sorted(e.ends)), []).append(eid)
         if any(not buckets.get(tuple(sorted(sigma[x]
                                             for x in g1.edges[eid].ends)))
                for eid in e1_ids):
@@ -487,16 +486,13 @@ def _connected_shapes(p: int, q: int):
             yield combo
 
 
-def _candidate_graph(shape, vgroups, egroups, monos) -> Optional[GraphOfGroups]:
+def _candidate_graph(shape, vgroups, egroups, monos) -> GraphOfGroups:
     vertices = [(f"v{k}", grp) for k, grp in enumerate(vgroups)]
     edges = [Edge(f"e{k}", egrp, (f"v{i}", f"v{j}"), (mi, mj))
              for k, ((i, j), egrp, (mi, mj))
              in enumerate(zip(shape, egroups, monos))]
     tree = [f"e{k}" for k in _spanning_forest(range(len(vgroups)), shape)[0]]
-    try:
-        return GraphOfGroups(vertices, edges, "v0", tree)
-    except GogError:
-        return None
+    return GraphOfGroups(vertices, edges, "v0", tree)
 
 
 def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
@@ -557,13 +553,8 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                     mono_pools.append([(a, b) for a in mi for b in mj])
                 if mono_pools is None:
                     continue
-                for monos in itertools.product(*mono_pools):
-                    cand = _candidate_graph(shape, vgroups, egroups, monos)
-                    if cand is None:
-                        continue
-                    if not (is_reduced(cand) and is_minimal(cand)):
-                        continue
-                    found.append(cand)
+                found.extend(_candidate_graph(shape, vgroups, egroups, monos)
+                             for monos in itertools.product(*mono_pools))
 
     found.sort(key=_canonical_key)
     classes = _IsoClasses()
@@ -575,7 +566,9 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
 def _has_collapsible_edge(shape, vgroups, egroups) -> bool:
     """Does every candidate on these groups fail is_reduced?  An edge
     group of the order of an endpoint group has index 1 there whatever
-    the injections, and a non-loop edge of index 1 is collapsible."""
+    the injections, and a non-loop edge of index 1 is collapsible.  When
+    no edge is, every candidate is reduced, and minimal too: a dangling
+    vertex needs a non-loop edge of index 1."""
     return any(i != j and c.order in (vgroups[i].order, vgroups[j].order)
                for (i, j), c in zip(shape, egroups))
 

@@ -8,7 +8,9 @@ stabilizer as an explicit finite set of based normal forms plus the image
 vertex in the ambient tree, and every shape edge records a twist element
 of G placing the far endpoint of its lift. Folds identify edges with equal
 images, growing stabilizers by closure, and drive the presentation toward
-the ambient quotient itself.
+the ambient quotient itself. A finite stabilizer fixes a vertex of the
+ambient tree, a marked vertex's image or an edge's near image, so its
+closures and subgroup checks run in that vertex group's table.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .bstree import (
     translate,
     vertex_from_path,
 )
+from .fingroup import subgroup_closure
 from .gogwords import (
     GogError,
     GraphOfGroups,
@@ -42,8 +45,6 @@ from .gogwords import (
     path_normal_form,
 )
 
-DEFAULT_CLOSURE_CAP = 1024
-
 
 def _nf(gog: GraphOfGroups, w) -> NormalForm:
     """A marking input as a checked normal form: strings are parsed, and
@@ -53,45 +54,33 @@ def _nf(gog: GraphOfGroups, w) -> NormalForm:
     return normal_form(gog, w)
 
 
-def _mul(gog: GraphOfGroups, *paths: NormalForm) -> NormalForm:
-    out = paths[0]
-    for p in paths[1:]:
-        out = path_multiply(gog, out, p)
-    return out
-
-
 def _conj_set(gog: GraphOfGroups, c: NormalForm,
               elts: Iterable[NormalForm]) -> frozenset:
     """The set {c g c^-1 : g in elts}."""
     ci = path_invert(gog, c)
-    return frozenset(_mul(gog, c, g, ci) for g in elts)
+    return frozenset(path_multiply(gog, c, g, ci) for g in elts)
 
 
-def nf_closure(gog: GraphOfGroups, elements: Iterable[NormalForm],
-               cap: int = DEFAULT_CLOSURE_CAP) -> frozenset:
-    """Subgroup closure of based group elements under normal-form products.
+def _table_indices(gog: GraphOfGroups, at: TreeVertex, elements,
+                   outside: str) -> tuple[list[NormalForm], list[int]]:
+    """The stabilizer of the tree vertex at, indexed by its vertex group,
+    and the indices of the elements in it; an element that does not fix
+    at raises GogError(outside)."""
+    table = stabilizer(gog, at)
+    index = {s: x for x, s in enumerate(table)}
+    idx = [index.get(g) for g in elements]
+    if None in idx:
+        raise GogError(outside)
+    return table, idx
 
-    The cap bounds the closure size; exceeding it means the generated
-    subgroup has left the finite-stabilizer regime this engine covers.
-    """
-    found = {identity_nf(gog)}
-    frontier = []
-    for g in elements:
-        for h in (g, path_invert(gog, g)):
-            if h not in found:
-                found.add(h)
-                frontier.append(h)
-    while frontier:
-        g = frontier.pop()
-        for h in list(found):
-            for p in (_mul(gog, g, h), _mul(gog, h, g)):
-                if p not in found:
-                    found.add(p)
-                    frontier.append(p)
-        if len(found) > cap:
-            raise GogError(
-                f"infinite-or-large stabilizer: closure exceeded cap {cap}")
-    return frozenset(found)
+
+def _closure(gog: GraphOfGroups, at: TreeVertex, elements) -> frozenset:
+    """The subgroup generated by elements fixing the tree vertex at,
+    closed in the table of its vertex group."""
+    table, idx = _table_indices(gog, at, elements,
+                                "fold element does not fix its vertex")
+    sub = subgroup_closure(gog.vertices[at.orbit], idx)
+    return frozenset(table[x] for x in sub.elements)
 
 
 @dataclass(frozen=True)
@@ -163,17 +152,10 @@ class MarkedTree:
         gog = self.ambient
         if not self.vertices:
             raise GogError("marked tree needs at least one vertex")
-        ident = identity_nf(gog)
         for name, mv in self.vertices.items():
-            for s in mv.stab:
-                if not self._is_element(s):
-                    raise GogError(f"stabilizer entry at vertex {name!r} is "
-                                   "not a based group element")
-                if translate(gog, s, mv.image) != mv.image:
-                    raise GogError(
-                        f"stabilizer entry at vertex {name!r} does not fix "
-                        "its image")
-            self._check_subgroup(f"vertex {name!r}", mv.stab, ident)
+            self._check_subgroup(
+                f"vertex {name!r}", mv.stab, mv.image,
+                f"stabilizer entry at vertex {name!r} does not fix its image")
         for eid, me in self.edges.items():
             a, b = me.ends
             if a not in self.vertices or b not in self.vertices:
@@ -181,8 +163,11 @@ class MarkedTree:
             if not self._is_element(me.twist):
                 raise GogError(f"edge {eid!r} twist is not a based group "
                                "element")
-            self._check_subgroup(f"edge {eid!r}", me.stab, ident)
             near = self.vertices[a]
+            self._check_subgroup(
+                f"edge {eid!r}", me.stab, near.image,
+                f"edge {eid!r} stabilizer is not inside its near vertex "
+                "stabilizer")
             far_pt = translate(gog, me.twist, self.vertices[b].image)
             if distance(gog, near.image, far_pt) > 1:
                 raise GogError(
@@ -192,7 +177,8 @@ class MarkedTree:
                 if s not in near.stab:
                     raise GogError(f"edge {eid!r} stabilizer is not inside "
                                    "its near vertex stabilizer")
-                if _mul(gog, ti, s, me.twist) not in self.vertices[b].stab:
+                if (path_multiply(gog, ti, s, me.twist)
+                        not in self.vertices[b].stab):
                     raise GogError(f"edge {eid!r} stabilizer does not carry "
                                    "into its far vertex stabilizer")
         ends = [me.ends for me in self.edges.values()]
@@ -204,20 +190,22 @@ class MarkedTree:
         return (nf.start == gog.base_vertex
                 and end_vertex(gog, nf) == gog.base_vertex)
 
-    def _check_subgroup(self, where: str, stab: frozenset,
-                        ident: NormalForm) -> None:
+    def _check_subgroup(self, where: str, stab: frozenset, at: TreeVertex,
+                        outside: str) -> None:
+        """Check that stab is a subgroup of the stabilizer of the tree
+        vertex at; outside is the error for an entry not fixing at."""
         gog = self.ambient
-        if ident not in stab:
-            raise GogError(f"stabilizer at {where} is missing the identity")
         for s in stab:
             if not self._is_element(s):
                 raise GogError(f"stabilizer entry at {where} is not a based "
                                "group element")
-        for x in stab:
-            for y in stab:
-                if _mul(gog, x, y) not in stab:
-                    raise GogError(f"stabilizer at {where} is not closed "
-                                   "under products")
+        _, idx = _table_indices(gog, at, stab, outside)
+        if identity_nf(gog) not in stab:
+            raise GogError(f"stabilizer at {where} is missing the identity")
+        if len(subgroup_closure(gog.vertices[at.orbit], idx).elements) \
+                != len(idx):
+            raise GogError(f"stabilizer at {where} is not closed under "
+                           "products")
 
 
 def _near_name(marked: MarkedTree, edge: str, end: int) -> str:
@@ -250,36 +238,36 @@ def _stab_from(gog: GraphOfGroups, me: MarkedEdge, end: int) -> frozenset:
 
 
 def _merge_vertex(gog: GraphOfGroups, vertices: dict, edges: dict,
-                  keep: str, gone: str, gamma: NormalForm, cap: int) -> None:
+                  keep: str, gone: str, gamma: NormalForm) -> None:
     """Identify the lift of gone with gamma times the lift of keep,
     renaming gone away and re-twisting its incident edges."""
     kv, gv = vertices[keep], vertices[gone]
     if translate(gog, gamma, kv.image) != gv.image:
         raise GogError("fold witness does not match the marked images")
     gi = path_invert(gog, gamma)
-    stab = nf_closure(gog, set(kv.stab) | _conj_set(gog, gi, gv.stab), cap)
+    stab = _closure(gog, kv.image, set(kv.stab) | _conj_set(gog, gi, gv.stab))
     vertices[keep] = MarkedVertex(kv.image, stab)
     del vertices[gone]
     for eid, me in list(edges.items()):
         a, b = me.ends
         twist, estab = me.twist, me.stab
         if a == gone and b == gone:
-            twist = _mul(gog, gi, twist, gamma)
+            twist = path_multiply(gog, gi, twist, gamma)
             estab = _conj_set(gog, gi, estab)
             a = b = keep
         elif a == gone:
-            twist = _mul(gog, gi, twist)
+            twist = path_multiply(gog, gi, twist)
             estab = _conj_set(gog, gi, estab)
             a = keep
         elif b == gone:
-            twist = _mul(gog, twist, gamma)
+            twist = path_multiply(gog, twist, gamma)
             b = keep
         else:
             continue
         edges[eid] = MarkedEdge((a, b), twist, estab)
 
 
-def _apply_pair(marked: MarkedTree, d: FoldDirective, cap: int) -> MarkedTree:
+def _apply_pair(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     gog = marked.ambient
     if d.edge == d.edge2:
         raise GogError("edges lie in the same orbit; identify an edge with "
@@ -299,19 +287,20 @@ def _apply_pair(marked: MarkedTree, d: FoldDirective, cap: int) -> MarkedTree:
         raise GogError("edge maps to a point; collapse it instead")
     vertices, edges = dict(marked.vertices), dict(marked.edges)
     if far1 == far2:
-        gamma = _mul(gog, path_invert(gog, mu2), mu1)
+        gamma = path_multiply(gog, path_invert(gog, mu2), mu1)
         if not is_identity(gog, gamma):
             mv = vertices[far1]
             vertices[far1] = MarkedVertex(
-                mv.image, nf_closure(gog, set(mv.stab) | {gamma}, cap))
+                mv.image, _closure(gog, mv.image, set(mv.stab) | {gamma}))
     elif far2 == v1 and far1 != v1:
-        gamma = _mul(gog, path_invert(gog, mu1), mu2)
-        _merge_vertex(gog, vertices, edges, far2, far1, gamma, cap)
+        gamma = path_multiply(gog, path_invert(gog, mu1), mu2)
+        _merge_vertex(gog, vertices, edges, far2, far1, gamma)
     else:
-        gamma = _mul(gog, path_invert(gog, mu2), mu1)
-        _merge_vertex(gog, vertices, edges, far1, far2, gamma, cap)
-    merged = nf_closure(gog, set(_stab_from(gog, edges[d.edge], d.end))
-                        | set(_stab_from(gog, edges[d.edge2], d.end2)), cap)
+        gamma = path_multiply(gog, path_invert(gog, mu2), mu1)
+        _merge_vertex(gog, vertices, edges, far1, far2, gamma)
+    merged = _closure(gog, vertices[v1].image,
+                      set(_stab_from(gog, edges[d.edge], d.end))
+                      | set(_stab_from(gog, edges[d.edge2], d.end2)))
     me = edges[d.edge]
     stab = merged if d.end == 0 else _conj_set(gog, me.twist, merged)
     edges[d.edge] = MarkedEdge(me.ends, me.twist, stab)
@@ -319,8 +308,7 @@ def _apply_pair(marked: MarkedTree, d: FoldDirective, cap: int) -> MarkedTree:
     return MarkedTree(gog, vertices, edges)
 
 
-def _apply_stabilizer(marked: MarkedTree, d: FoldDirective,
-                      cap: int) -> MarkedTree:
+def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     gog = marked.ambient
     v = _near_name(marked, d.edge, d.end)
     if not d.elements:
@@ -337,22 +325,21 @@ def _apply_stabilizer(marked: MarkedTree, d: FoldDirective,
         if translate(gog, h, pfar) != pfar:
             raise GogError("fold does not respect the marking: an element "
                            "moves the image of the far endpoint")
-    hgrp = nf_closure(gog, elems, cap)
+    hgrp = _closure(gog, sv.image, elems)
     vertices, edges = dict(marked.vertices), dict(marked.edges)
     fv = vertices[far]
-    grown = nf_closure(gog, set(fv.stab)
-                       | _conj_set(gog, path_invert(gog, mu), hgrp), cap)
+    grown = _closure(gog, fv.image, set(fv.stab)
+                     | _conj_set(gog, path_invert(gog, mu), hgrp))
     vertices[far] = MarkedVertex(fv.image, grown)
-    newt = nf_closure(gog, set(_stab_from(gog, marked.edges[d.edge], d.end))
-                      | hgrp, cap)
+    newt = _closure(gog, sv.image,
+                    set(_stab_from(gog, marked.edges[d.edge], d.end)) | hgrp)
     me = edges[d.edge]
     stab = newt if d.end == 0 else _conj_set(gog, me.twist, newt)
     edges[d.edge] = MarkedEdge(me.ends, me.twist, stab)
     return MarkedTree(gog, vertices, edges)
 
 
-def _apply_collapse(marked: MarkedTree, d: FoldDirective,
-                    cap: int) -> MarkedTree:
+def _apply_collapse(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     gog = marked.ambient
     if d.edge not in marked.edges:
         raise GogError(f"unknown edge {d.edge!r} in fold directive")
@@ -367,22 +354,20 @@ def _apply_collapse(marked: MarkedTree, d: FoldDirective,
         if not is_identity(gog, me.twist):
             mv = vertices[a]
             vertices[a] = MarkedVertex(
-                mv.image, nf_closure(gog, set(mv.stab) | {me.twist}, cap))
+                mv.image, _closure(gog, mv.image, set(mv.stab) | {me.twist}))
     else:
-        _merge_vertex(gog, vertices, edges, a, b,
-                      path_invert(gog, me.twist), cap)
+        _merge_vertex(gog, vertices, edges, a, b, path_invert(gog, me.twist))
     return MarkedTree(gog, vertices, edges)
 
 
-def fold(marked: MarkedTree, d: FoldDirective,
-         closure_cap: int = DEFAULT_CLOSURE_CAP) -> MarkedTree:
+def fold(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     """Apply one fold directive, returning a new marked tree."""
     if d.kind == "pair":
-        return _apply_pair(marked, d, closure_cap)
+        return _apply_pair(marked, d)
     if d.kind == "stabilizer":
-        return _apply_stabilizer(marked, d, closure_cap)
+        return _apply_stabilizer(marked, d)
     if d.kind == "collapse":
-        return _apply_collapse(marked, d, closure_cap)
+        return _apply_collapse(marked, d)
     raise GogError(f"unknown fold kind {d.kind!r}")
 
 
@@ -559,23 +544,19 @@ def fold_sequence(source: MarkedTree, target: GraphOfGroups,
 def identity_marking(gog: GraphOfGroups) -> MarkedTree:
     """Mark the ambient presentation over itself: standard lifts, full
     stabilizers, canonical edge placements. Terminal by construction."""
-    vertices = {}
-    reps = {}
-    stabs = {}
-    for name in gog.vertices:
-        sv = standard_vertex(gog, name)
-        reps[name] = sv.coset_rep
-        stabs[name] = stabilizer(gog, name)
-        vertices[name] = MarkedVertex(sv, frozenset(stabs[name]))
+    std = {name: standard_vertex(gog, name) for name in gog.vertices}
+    stabs = {name: stabilizer(gog, v) for name, v in std.items()}
+    vertices = {name: MarkedVertex(v, frozenset(stabs[name]))
+                for name, v in std.items()}
     edges = {}
     for eid, e in gog.edges.items():
         a, b = e.ends
         cross = path_normal_form(
             gog, a, [(gog.vertices[a].identity, Traversal(eid, 0))],
             gog.vertices[b].identity)
-        twist = _mul(gog, reps[a], cross, path_invert(gog, reps[b]))
-        stab = frozenset(stabs[a][e.inj[0].mapping[c]]
-                         for c in range(e.group.order))
+        twist = path_multiply(gog, std[a].coset_rep, cross,
+                              path_invert(gog, std[b].coset_rep))
+        stab = frozenset(stabs[a][x] for x in e.inj[0].mapping)
         edges[eid] = MarkedEdge((a, b), twist, stab)
     return MarkedTree(gog, vertices, edges)
 

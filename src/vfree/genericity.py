@@ -119,7 +119,7 @@ def _graph_at(gog: GraphOfGroups, orbit: str, turns: list) -> WhiteheadGraph:
     std = standard_vertex(gog, orbit)
     nodes = frozenset(neighbors(gog, std))
     complete_count = math.comb(len(nodes), 2)
-    sat = stabilizer(gog, orbit)
+    sat = stabilizer(gog, std)
     edges = set()
     for at, back, out in turns:
         if at != orbit:

@@ -310,24 +310,35 @@ def path_normal_form(gog: GraphOfGroups, start: str,
                      tail: int) -> NormalForm:
     """Reduce and check a path word from start built outside this library.
 
-    Each step must cross an edge of the graph in direction 0 or 1 from
-    where the path is, and every element index must be in range; the
-    path may end anywhere.
+    Each step must be an (element index, Traversal) pair crossing an edge
+    of the graph in direction 0 or 1 from where the path is, and every
+    element index, the tail's too, must be an int in range; the path may
+    end anywhere.
     """
     if start not in gog.vertices:
         raise GogError(f"unknown start vertex {start!r}")
     steps = tuple(steps)
-    for k, (_, t) in enumerate(steps):
+    for k, step in enumerate(steps):
+        if not (isinstance(step, tuple) and len(step) == 2
+                and isinstance(step[0], int)
+                and isinstance(step[1], Traversal)):
+            raise GogError(f"step {k} is not an (element index, Traversal) "
+                           f"pair: {step!r}")
+        t = step[1]
         if t.edge not in gog.edges:
             raise GogError(f"step {k} crosses unknown edge {t.edge!r}")
         if t.dir not in (0, 1):
             raise GogError(f"step {k} crosses edge {t.edge!r} in direction "
                            f"{t.dir!r}, not 0 or 1")
+    if not isinstance(tail, int):
+        raise GogError(f"tail {tail!r} is not an element index")
     return _reduce_raw(gog, start, steps, tail)
 
 
-def path_multiply(gog: GraphOfGroups, p: NormalForm, q: NormalForm) -> NormalForm:
-    """Concatenation p * q of composable paths, in normal form.
+def path_multiply(gog: GraphOfGroups, p: NormalForm, q: NormalForm,
+                  *rest: NormalForm) -> NormalForm:
+    """Concatenation p * q (* each of rest, left to right) of composable
+    paths, in normal form.
 
     p must be a normal form from this library (parse_word, normal_form,
     path_normal_form, or arithmetic on their results); it is not checked
@@ -338,10 +349,12 @@ def path_multiply(gog: GraphOfGroups, p: NormalForm, q: NormalForm) -> NormalFor
         raise GogError("paths are not composable")
     grp = gog.vertices[q.start]
     if not q.steps:
-        return NormalForm(p.start, p.steps, grp.mul(p.tail, q.tail))
-    (g, t), rest = q.steps[0], q.steps[1:]
-    return _reduce_raw(gog, p.start, [(grp.mul(p.tail, g), t), *rest],
-                       q.tail, p.steps)
+        out = NormalForm(p.start, p.steps, grp.mul(p.tail, q.tail))
+    else:
+        (g, t), tail_steps = q.steps[0], q.steps[1:]
+        out = _reduce_raw(gog, p.start, [(grp.mul(p.tail, g), t), *tail_steps],
+                          q.tail, p.steps)
+    return path_multiply(gog, out, *rest) if rest else out
 
 
 def path_invert(gog: GraphOfGroups, p: NormalForm) -> NormalForm:
@@ -358,7 +371,7 @@ def path_invert(gog: GraphOfGroups, p: NormalForm) -> NormalForm:
 def conjugate(gog: GraphOfGroups, h: NormalForm, w: NormalForm) -> NormalForm:
     """h * w * h^-1 for loops at the base vertex.  h and w must be normal
     forms from this library; they are not reduced again."""
-    return path_multiply(gog, path_multiply(gog, h, w), path_invert(gog, h))
+    return path_multiply(gog, h, w, path_invert(gog, h))
 
 
 # -- cyclic reduction and orders --------------------------------------------

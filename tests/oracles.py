@@ -14,7 +14,10 @@ letters into items first and turns the items into a raw path word
 second, so it judges the one-pass parser that replaced it.  The
 homomorphism search by pairwise closure is the library's earlier search:
 it closes each partial map under all products of pairs, so it judges the
-search that spreads generator images along a Cayley tree.
+search that spreads generator images along a Cayley tree.  The product
+closure of based elements is the fold engine's earlier stabilizer
+closure: it multiplies every pair of normal forms until nothing new
+appears, so it judges the closure that runs in a vertex group's table.
 """
 
 from __future__ import annotations
@@ -465,3 +468,24 @@ def isomorphisms_by_closure(g1, g2):
             sorted(g1.element_orders()) != sorted(g2.element_orders()):
         return []
     return list(homs_by_closure(g1, g2, injective=True, surjective=True))
+
+
+def product_closure(gog, elements) -> frozenset:
+    """The subgroup generated by based elements, closed under products of
+    normal forms.  The elements must generate a finite subgroup, as those
+    fixing one tree vertex do."""
+    found = {gw.identity_nf(gog)}
+    frontier = []
+    for g in elements:
+        for h in (g, gw.path_invert(gog, g)):
+            if h not in found:
+                found.add(h)
+                frontier.append(h)
+    while frontier:
+        g = frontier.pop()
+        for h in list(found):
+            for p in (gw.path_multiply(gog, g, h), gw.path_multiply(gog, h, g)):
+                if p not in found:
+                    found.add(p)
+                    frontier.append(p)
+    return frozenset(found)

@@ -59,7 +59,7 @@ def test_base_and_standard_vertices():
 def test_stabilizer_entries_are_generator_letters(name):
     gog = load_group(name)
     for vid, grp in gog.vertices.items():
-        stab = bt.stabilizer(gog, vid)
+        stab = bt.stabilizer(gog, bt.standard_vertex(gog, vid))
         assert len(stab) == grp.order
         assert all(bt.translate(gog, s, bt.standard_vertex(gog, vid))
                    == bt.standard_vertex(gog, vid) for s in stab)

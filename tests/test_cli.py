@@ -417,6 +417,31 @@ def test_emit_formula_command(capsys, tmp_path):
     assert "'n'" in err
 
 
+@pytest.mark.parametrize("argv, spec, message", [
+    (["fold", "--target", "sl2z", "--source"], [1, 2],
+     "marking JSON is not an object (got a list)"),
+    (["fold", "--target", "sl2z", "--source"],
+     {"marking": "basis", "words": 5},
+     "field 'words' is not a list (got an integer)"),
+    (["emit-formula", "theta", "--params"], [1, 2],
+     "parameter JSON is not an object (got a list)"),
+    (["emit-formula", "theta", "--params"], {"words": 5},
+     "field 'words' is not a list (got an integer)"),
+    (["emit-formula", "theta", "--params"], {"relators": 5},
+     "field 'relators' is not a list (got an integer)"),
+    (["emit-formula", "delta", "--params"], {"n": "x", "blocks": [["x1"]]},
+     "field 'n' is not an integer (got a string)"),
+], ids=["fold-list", "fold-words", "params-list", "theta-words",
+        "theta-relators", "delta-n"])
+def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
+                                                     spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_exit_codes(capsys):
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2

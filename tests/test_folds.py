@@ -4,17 +4,23 @@ and termination at the ambient presentation.
 
 Free-group fold counts are cross-checked against an independent folding
 oracle on labeled graphs; stabilizer growth is cross-checked against a
-brute-force closure computed directly from normal-form products.
+brute-force closure computed directly from normal-form products, and
+property tests hold the vertex-group table closure and the subgroup check
+of marked trees to the product closure oracle.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vfree.bstree as bt
 import vfree.folds as fo
 import vfree.gogwords as gw
+from fixtures import seam_presentations
+from oracles import product_closure
 
 ROSE = gw.build_rose(["x", "y"])
 SL2Z = gw.build_sl2z()
+SEAM = seam_presentations()
 
 Z4 = ["", "a", "a a", "a a a"]
 Z6 = ["", "b", "b b", "b b b", "b b b b", "b b b b b"]
@@ -194,15 +200,6 @@ def test_fold_error_conditions():
         fo.fold(one, fo.stabilizer_fold("E", 0, ()))
 
 
-def test_closure_cap_signals_leaving_the_finite_regime():
-    base = bt.base_vertex(SL2Z)
-    vb = bt.standard_vertex(SL2Z, "vB")
-    one = mk(SL2Z, {"v": (base, Z4), "w": (vb, Z2A)},
-             {"E": (("v", "w"), "", [""])})
-    with pytest.raises(gw.GogError, match="infinite-or-large stabilizer"):
-        fo.fold(one, fo.stabilizer_fold("E", 0, ("a a",)), closure_cap=1)
-
-
 # -- fold sequences ---------------------------------------------------------------
 
 def _assert_priority(source, seq):
@@ -246,9 +243,9 @@ def test_fold_sequence_applies_each_fold_once(monkeypatch):
     for kind in ("pair", "stabilizer", "collapse"):
         real = getattr(fo, f"_apply_{kind}")
 
-        def counted(marked, d, cap, real=real):
+        def counted(marked, d, real=real):
             applied.append(d.kind)
-            return real(marked, d, cap)
+            return real(marked, d)
         monkeypatch.setattr(fo, f"_apply_{kind}", counted)
     m = fo.marked_rose_for_basis(ROSE, ["x", "x y x"])
     seq = fo.fold_sequence(m, ROSE, 20)
@@ -301,3 +298,48 @@ def test_fold_sequence_errors():
     stuck = mk(SL2Z, {"v": (base, [""])}, {})
     with pytest.raises(gw.GogError, match="not foldable"):
         fo.fold_sequence(stuck, SL2Z, 10)
+
+
+# -- property tests: closures in vertex-group tables ------------------------------
+
+@st.composite
+def stabilized_vertices(draw, gog):
+    """A standard tree vertex, or one translated by a short random word,
+    with its stabilizer."""
+    v = bt.standard_vertex(gog, draw(st.sampled_from(sorted(gog.vertices))))
+    letters = [name + power for name, _ in gw.generator_letters(gog)
+               for power in ("", "^-1")]
+    word = draw(st.lists(st.sampled_from(letters), max_size=3))
+    v = bt.translate(gog, gw.parse_word(gog, " ".join(word)), v)
+    return v, bt.stabilizer(gog, v)
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_table_closure_matches_product_closure(name, data):
+    gog = SEAM[name]
+    v, stab = data.draw(stabilized_vertices(gog))
+    gens = data.draw(st.lists(st.sampled_from(stab), max_size=3))
+    assert fo._closure(gog, v, gens) == product_closure(gog, gens)
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_marked_tree_accepts_exactly_the_subgroups(name, data):
+    gog = SEAM[name]
+    v, stab = data.draw(stabilized_vertices(gog))
+    group = product_closure(
+        gog, data.draw(st.lists(st.sampled_from(stab), max_size=2)))
+    added = data.draw(st.lists(st.sampled_from(stab), max_size=1))
+    dropped = data.draw(st.lists(
+        st.sampled_from(sorted(group, key=gw.NormalForm.sort_key)),
+        max_size=1))
+    subset = (group | frozenset(added)) - frozenset(dropped)
+    try:
+        fo.MarkedTree(gog, {"v": fo.MarkedVertex(v, subset)}, {})
+        accepted = True
+    except gw.GogError:
+        accepted = False
+    assert accepted == (product_closure(gog, subset) == subset)

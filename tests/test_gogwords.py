@@ -459,6 +459,23 @@ def test_unknown_traversals_are_named(step, message):
         gw.path_normal_form(SL2Z, "vA", [(ident, step)], ident)
 
 
+@pytest.mark.parametrize("steps, tail, message", [
+    ((("x", gw.Traversal("e", 0)),), 0,
+     r"step 0 is not an \(element index, Traversal\) pair: \('x'"),
+    (((0, ("e", 0)),), 0,
+     r"step 0 is not an \(element index, Traversal\) pair: \(0, \('e'"),
+    (((0,),), 0,
+     r"step 0 is not an \(element index, Traversal\) pair: \(0,\)"),
+    ((), "x", "tail 'x' is not an element index"),
+], ids=["string-element", "plain-tuple-traversal", "short-step",
+        "string-tail"])
+def test_malformed_steps_and_tails_are_named(steps, tail, message):
+    with pytest.raises(gw.GogError, match=message):
+        gw.normal_form(SL2Z, gw.NormalForm("vA", steps, tail))
+    with pytest.raises(gw.GogError, match=message):
+        gw.path_normal_form(SL2Z, "vA", steps, tail)
+
+
 def test_build_amalgam_rejects_non_injective_map():
     z2 = fg.build_cyclic(2, "c")
     z4 = fg.build_cyclic(4, "a")
