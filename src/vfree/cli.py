@@ -257,14 +257,13 @@ def counterexample_phi(gog: GraphOfGroups) -> Callable:
     return phi
 
 
-def _phi_predicted_steps(gog: GraphOfGroups, nf) -> int:
+def _phi_predicted_steps(gog: GraphOfGroups, c_img: dict, nf) -> int:
     """Syllable length the phi image must have if no reduction occurs.
 
     Each vA syllable maps to one vA syllable and each vB syllable to the
     five-syllable word z^-1 . xy . (z b z^-1) . (xy)^-1 . z; concatenation
     stays alternating, so the image length is exact unless something
     collapses."""
-    c_img = _edge_images(gog)
     sides = []
     v = nf.start
     for r, t in nf.steps:
@@ -367,14 +366,15 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         return agree and swaps, {"edge_agreements": agree, "swaps_x_y": swaps}
 
     def check_normal_form_preservation():
-        phi = counterexample_phi(gog)
+        phi, c_img = counterexample_phi(gog), _edge_images(gog)
         sample = _sample_reduced_forms(gog, loops, max_syllables=6,
                                        target=240, seed=20250814)
         preserved = nontrivial = 0
         for w in sample:
             image = phi(w)
             nontrivial += not is_identity(gog, image)
-            preserved += len(image.steps) == _phi_predicted_steps(gog, w)
+            preserved += len(image.steps) == _phi_predicted_steps(
+                gog, c_img, w)
         ok = preserved == len(sample) and nontrivial == len(sample)
         return ok, {"sampled": len(sample), "max_syllables": 6,
                     "no_collapse": preserved, "nontrivial_images": nontrivial}

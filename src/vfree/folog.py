@@ -67,6 +67,13 @@ class Word:
 WordArg = Union[str, Word]
 
 
+def _exponent(text: str, token: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormulaError(f"malformed exponent in {token!r}") from None
+
+
 def word(w: WordArg) -> Word:
     """Parse "x y^-2" style text (or pass a Word through)."""
     if isinstance(w, Word):
@@ -76,7 +83,7 @@ def word(w: WordArg) -> Word:
         if tok == "1":
             continue
         name, caret, exp = tok.partition("^")
-        sylls.append((name, int(exp) if caret else 1))
+        sylls.append((name, _exponent(exp, tok) if caret else 1))
     return Word(_reduce_syllables(sylls))
 
 
@@ -541,7 +548,8 @@ class _Parser:
                 e = 1
                 if self.peek() == "^":
                     self.take()
-                    e = int(self.take())
+                    exp = self.take()
+                    e = _exponent(exp, f"{v}^{exp}")
                 sylls.append((v, e))
             else:
                 break

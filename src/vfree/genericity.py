@@ -380,14 +380,8 @@ def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> None:
     _check_generation(gog, spec.support)
 
 
-def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
-                trial: int) -> NormalForm:
-    """The element reached by trial number `trial` after `length` steps.
-
-    Steps multiply on the right; the walk of a shorter length is a prefix
-    of the walk of a longer one at the same trial index."""
-    if length < 0:
-        raise GogError("walk length must be nonnegative")
+def _walk(gog: GraphOfGroups, spec: RandomWalkSpec, trial: int):
+    """The elements trial number `trial` reaches after 0, 1, 2, ... steps."""
     fracs = [Fraction(w) for w in spec.weights]
     denom = math.lcm(*(f.denominator for f in fracs))
     cums = list(itertools.accumulate(int(f * denom) for f in fracs))
@@ -395,29 +389,44 @@ def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
         raise GogError("weights must sum to 1")
     rng = random.Random(splitmix64(spec.seed, trial))
     cur = identity_nf(gog)
-    for _ in range(length):
+    while True:
+        yield cur
         pick = spec.support[bisect.bisect_right(cums, rng.randrange(denom))]
         cur = path_multiply(gog, cur, pick)
-    return cur
+
+
+def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
+                trial: int) -> NormalForm:
+    """The element reached by trial number `trial` after `length` steps.
+
+    Steps multiply on the right; the walk of a shorter length is a prefix
+    of the walk of a longer one at the same trial index, so an experiment
+    walks each trial once, to its longest length."""
+    if length < 0:
+        raise GogError("walk length must be nonnegative")
+    return next(itertools.islice(_walk(gog, spec, trial), length, None))
 
 
 def run_genericity_experiment(gog: GraphOfGroups, spec: RandomWalkSpec,
                               lengths: Sequence[int]) -> tuple:
     """Hyperbolicity and filling counts over seeded independent walks, one
-    row per requested length, in the requested order."""
+    row per requested length, in the requested order (a length may repeat).
+    Each trial is walked once, to the longest length, and its element is
+    classified as the walk passes each requested length."""
     validate_walk_spec(gog, spec)
-    rows = []
-    for n in lengths:
-        if not isinstance(n, int) or n < 0:
-            raise GogError("walk lengths must be nonnegative integers")
-        hyp = fil = 0
-        for t in range(spec.trials):
-            core = cyclic_reduction(gog, sample_walk(gog, spec, n, t))[1]
-            if core.steps:
-                hyp += 1
-                fil += all(w.is_complete for w in _graphs(gog, core))
-        rows.append(ExperimentRow(n, spec.trials, hyp, fil))
-    return tuple(rows)
+    if any(not isinstance(n, int) or n < 0 for n in lengths):
+        raise GogError("walk lengths must be nonnegative integers")
+    counts = {n: [0, 0] for n in lengths}
+    for t in range(spec.trials):
+        for n, g in zip(range(max(lengths, default=-1) + 1),
+                        _walk(gog, spec, t)):
+            if n in counts:
+                core = cyclic_reduction(gog, g)[1]
+                if core.steps:
+                    counts[n][0] += 1
+                    counts[n][1] += all(w.is_complete
+                                        for w in _graphs(gog, core))
+    return tuple(ExperimentRow(n, spec.trials, *counts[n]) for n in lengths)
 
 
 def experiment_csv(rows: Sequence[ExperimentRow]) -> str:

@@ -305,6 +305,14 @@ def normal_form(gog: GraphOfGroups, w: NormalForm) -> NormalForm:
 # -- path-level arithmetic (used by the tree layer) -------------------------
 
 
+def _has(table: dict, key) -> bool:
+    """Whether key is in table; an unhashable key is not."""
+    try:
+        return key in table
+    except TypeError:
+        return False
+
+
 def path_normal_form(gog: GraphOfGroups, start: str,
                      steps: Iterable[tuple[int, Traversal]],
                      tail: int) -> NormalForm:
@@ -315,7 +323,7 @@ def path_normal_form(gog: GraphOfGroups, start: str,
     element index, the tail's too, must be an int in range; the path may
     end anywhere.
     """
-    if start not in gog.vertices:
+    if not _has(gog.vertices, start):
         raise GogError(f"unknown start vertex {start!r}")
     steps = tuple(steps)
     for k, step in enumerate(steps):
@@ -325,7 +333,7 @@ def path_normal_form(gog: GraphOfGroups, start: str,
             raise GogError(f"step {k} is not an (element index, Traversal) "
                            f"pair: {step!r}")
         t = step[1]
-        if t.edge not in gog.edges:
+        if not _has(gog.edges, t.edge):
             raise GogError(f"step {k} crosses unknown edge {t.edge!r}")
         if t.dir not in (0, 1):
             raise GogError(f"step {k} crosses edge {t.edge!r} in direction "
@@ -381,29 +389,20 @@ def cyclic_reduction(gog: GraphOfGroups, w: NormalForm
                      ) -> tuple[NormalForm, NormalForm]:
     """Split w as conjugator * core * conjugator^-1 with the core cyclically
     reduced: either no traversals at all (elliptic) or no pinch across the
-    wrap-around (hyperbolic).  The conjugator is a path from the base vertex
-    to the core's anchor vertex.  w must be a normal form of a loop from
-    this library; it is not reduced again."""
-    cur = w
-    conj = identity_nf(gog, cur.start)
-    while cur.steps:
-        r1, t1 = cur.steps[0]
-        rn, tn = cur.steps[-1]
-        if t1 != tn.reverse():
+    wrap-around (hyperbolic).  The conjugator is the prefix of w up to the
+    core's anchor vertex, a normal form as every prefix of one is.  w must
+    be a normal form of a loop from this library; it is not reduced again."""
+    steps, k, tail = w.steps, 0, w.tail
+    while 2 * k < len(steps):
+        (r1, t1), (rn, tn) = steps[k], steps[-1 - k]
+        seam = gog.vertices[gog.near(t1)].mul(tail, r1)
+        if t1 != tn.reverse() or seam not in gog._pinch[t1]:
             break
-        anchor_grp = gog.vertices[cur.start]
-        seam = anchor_grp.mul(cur.tail, r1)
-        pinch = gog._pinch[t1]
-        if seam not in pinch:
-            break
-        far_elt = pinch[seam]
-        new_anchor = gog.far(t1)
-        new_tail = gog.vertices[new_anchor].mul(rn, far_elt)
-        prefix = NormalForm(cur.start, ((r1, t1),),
-                            gog.vertices[new_anchor].identity)
-        conj = path_multiply(gog, conj, prefix)
-        cur = NormalForm(new_anchor, cur.steps[1:-1], new_tail)
-    return conj, cur
+        tail = gog.vertices[gog.far(t1)].mul(rn, gog._pinch[t1][seam])
+        k += 1
+    anchor = gog.far(steps[k - 1][1]) if k else w.start
+    return (NormalForm(w.start, steps[:k], gog.vertices[anchor].identity),
+            NormalForm(anchor, steps[k:len(steps) - k], tail))
 
 
 def element_order(gog: GraphOfGroups, w: NormalForm) -> Union[int, float]:

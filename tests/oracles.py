@@ -5,9 +5,11 @@ the matrix oracles use exact 2x2 integer arithmetic; neither imports the
 library's word machinery.  The whole-path product is the library's
 earlier product: it reduces the full concatenation from scratch, so it
 checks the seam-local product without sharing its resume logic.  The
-table checks at the end are the library's earlier group validation,
-triple by triple, kept to judge the generator-based check that replaced
-it.  The subgroup lattice by every element is the library's earlier
+scanning closure is the rewriting closure's earlier construction, which
+tries every rule at every position of every word, so it judges the
+rule-first construction on integer-coded words.  The table checks at
+the end are the library's earlier group validation, triple by triple,
+kept to judge the generator-based check that replaced it.  The subgroup lattice by every element is the library's earlier
 all_subgroups, which joins each subgroup with every element outside it.
 The two-pass parser is the library's earlier parse_word: it expands
 letters into items first and turns the items into a raw path word
@@ -18,14 +20,24 @@ search that spreads generator images along a Cayley tree.  The product
 closure of based elements is the fold engine's earlier stabilizer
 closure: it multiplies every pair of normal forms until nothing new
 appears, so it judges the closure that runs in a vertex group's table.
+The cyclic reduction by products is the library's earlier peel loop: it
+rebuilds the conjugator with one product per peeled syllable, so it judges
+the loop that only moves an index.  The experiment by re-walking is the
+library's earlier random-walk experiment: it walks every trial again from
+the identity for each requested length, so it judges the experiment that
+walks each trial once.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import vfree.fingroup as fg
+import vfree.genericity as gen
 import vfree.gogwords as gw
 
 
@@ -37,11 +49,16 @@ class RewritingClosure:
     """Exhaustive rewriting closure of the word problem on short words.
 
     Universe: all strings over the alphabet up to max_len. Relators are
-    closed under inversion and rotation, split into replacement rules
-    u -> v with len(v) <= len(u), and applied at every position of every
-    word in the universe; union-find records the identifications. Any
+    closed under inversion and rotation and split into replacement rules
+    u -> v with len(v) <= len(u); union-find joins x u y with x v y for
+    every rule and all words x, y with len(xuy) <= max_len. Any
     identification that momentarily lengthens a word is still found, from
     the longer side.
+
+    The joins run rule first on integer-coded words: with the alphabet
+    numbered 0..A-1, the word c_1..c_L is universe entry
+    offset[L] + (c_1..c_L read in base A), so for fixed x the words x u y
+    are one run of consecutive entries, as are the words x v y.
     """
 
     def __init__(self, alphabet: str, inverse: dict[str, str],
@@ -72,9 +89,82 @@ class RewritingClosure:
         for length in range(1, max_len + 1):
             self.universe.extend(
                 "".join(p) for p in itertools.product(alphabet, repeat=length))
-        self.index = {w: i for i, w in enumerate(self.universe)}
+        self._code = {ch: k for k, ch in enumerate(alphabet)}
+        self._offset = [0]
+        for length in range(max_len):
+            self._offset.append(self._offset[-1] + len(alphabet) ** length)
         self._parent = list(range(len(self.universe)))
+        self._identify()
 
+    def _number(self, w: str) -> int:
+        """The word w read as a number in base len(alphabet)."""
+        n = 0
+        for ch in w:
+            n = n * len(self.alphabet) + self._code[ch]
+        return n
+
+    def index(self, w: str) -> int:
+        """The universe entry of the word w."""
+        return self._offset[len(w)] + self._number(w)
+
+    def _identify(self) -> None:
+        base, offset = len(self.alphabet), self._offset
+        parent = self._parent
+        for u, repls in self.rules.items():
+            for v in repls:
+                cu, cv = self._number(u), self._number(v)
+                for i in range(self.max_len - len(u) + 1):
+                    for j in range(self.max_len - len(u) - i + 1):
+                        span = base ** j
+                        for x in range(base ** i):
+                            wu = offset[i + len(u) + j] + \
+                                (x * base ** len(u) + cu) * span
+                            wv = offset[i + len(v) + j] + \
+                                (x * base ** len(v) + cv) * span
+                            for a, b in zip(range(wu, wu + span),
+                                            range(wv, wv + span)):
+                                while parent[a] != a:
+                                    parent[a] = parent[parent[a]]
+                                    a = parent[a]
+                                while parent[b] != b:
+                                    parent[b] = parent[parent[b]]
+                                    b = parent[b]
+                                if a != b:
+                                    parent[b] = a
+
+    def _find(self, i: int) -> int:
+        parent = self._parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def _union(self, w1: str, w2: str) -> None:
+        a, b = self._find(self.index(w1)), self._find(self.index(w2))
+        if a != b:
+            self._parent[b] = a
+
+    def root(self, w: str) -> int:
+        return self._find(self.index(w))
+
+    def same(self, w1: str, w2: str) -> bool:
+        return self.root(w1) == self.root(w2)
+
+    def is_identity(self, w: str) -> bool:
+        return self.same(w, "")
+
+    def partition(self) -> list[int]:
+        """For each universe entry, the least index in its class."""
+        least: dict[int, int] = {}
+        return [least.setdefault(self._find(i), i)
+                for i in range(len(self.universe))]
+
+
+class ScanningClosure(RewritingClosure):
+    """The same closure built by the earlier scan: every position of every
+    word is tried against every rule length, on letter strings."""
+
+    def _identify(self) -> None:
         for w in self.universe:
             n = len(w)
             for i in range(n):
@@ -85,27 +175,6 @@ class RewritingClosure:
                     if repls:
                         for repl in repls:
                             self._union(w, w[:i] + repl + w[i + ulen:])
-
-    def _find(self, i: int) -> int:
-        parent = self._parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def _union(self, w1: str, w2: str) -> None:
-        a, b = self._find(self.index[w1]), self._find(self.index[w2])
-        if a != b:
-            self._parent[b] = a
-
-    def root(self, w: str) -> int:
-        return self._find(self.index[w])
-
-    def same(self, w1: str, w2: str) -> bool:
-        return self.root(w1) == self.root(w2)
-
-    def is_identity(self, w: str) -> bool:
-        return self.same(w, "")
 
 
 # -- exact 2x2 integer matrix oracles ---------------------------------------
@@ -155,14 +224,14 @@ def psl2_matrix_up_to_sign(w: str) -> tuple:
     return min(m, neg)
 
 
-def sl2z_closure(max_len: int) -> RewritingClosure:
-    return RewritingClosure("aAbB", {"a": "A", "A": "a", "b": "B", "B": "b"},
-                            ["aaaa", "bbbbbb", "aaBBB"], max_len)
+def sl2z_closure(max_len: int, build=RewritingClosure) -> RewritingClosure:
+    return build("aAbB", {"a": "A", "A": "a", "b": "B", "B": "b"},
+                 ["aaaa", "bbbbbb", "aaBBB"], max_len)
 
 
-def psl2_closure(max_len: int) -> RewritingClosure:
-    return RewritingClosure("stT", {"s": "s", "t": "T", "T": "t"},
-                            ["ss", "ttt"], max_len)
+def psl2_closure(max_len: int, build=RewritingClosure) -> RewritingClosure:
+    return build("stT", {"s": "s", "t": "T", "T": "t"}, ["ss", "ttt"],
+                 max_len)
 
 
 def mat_order(m: tuple, cap: int = 12):
@@ -489,3 +558,62 @@ def product_closure(gog, elements) -> frozenset:
                     found.add(p)
                     frontier.append(p)
     return frozenset(found)
+
+
+# -- cyclic reduction by products ----------------------------------------------
+
+
+def cyclic_reduction_by_products(gog, w):
+    """(conjugator, core) of a loop normal form: each peeled syllable is
+    multiplied onto the conjugator."""
+    cur = w
+    conj = gw.identity_nf(gog, cur.start)
+    while cur.steps:
+        r1, t1 = cur.steps[0]
+        rn, tn = cur.steps[-1]
+        if t1 != tn.reverse():
+            break
+        seam = gog.vertices[cur.start].mul(cur.tail, r1)
+        pinch = gog._pinch[t1]
+        if seam not in pinch:
+            break
+        new_anchor = gog.far(t1)
+        new_tail = gog.vertices[new_anchor].mul(rn, pinch[seam])
+        prefix = gw.NormalForm(cur.start, ((r1, t1),),
+                               gog.vertices[new_anchor].identity)
+        conj = gw.path_multiply(gog, conj, prefix)
+        cur = gw.NormalForm(new_anchor, cur.steps[1:-1], new_tail)
+    return conj, cur
+
+
+# -- random-walk experiment, re-walking each length ------------------------------
+
+
+def walk_from_identity(gog, spec, length, trial):
+    """The element trial number `trial` reaches after `length` steps,
+    walked from the identity."""
+    fracs = [Fraction(w) for w in spec.weights]
+    denom = math.lcm(*(f.denominator for f in fracs))
+    cums = list(itertools.accumulate(int(f * denom) for f in fracs))
+    rng = random.Random(gen.splitmix64(spec.seed, trial))
+    cur = gw.identity_nf(gog)
+    for _ in range(length):
+        pick = spec.support[bisect.bisect_right(cums, rng.randrange(denom))]
+        cur = gw.path_multiply(gog, cur, pick)
+    return cur
+
+
+def experiment_by_rewalking(gog, spec, lengths):
+    """(n, trials, hyperbolic count, filling count) per requested length,
+    each trial walked again from the identity for every length."""
+    rows = []
+    for n in lengths:
+        hyp = fil = 0
+        for t in range(spec.trials):
+            core = cyclic_reduction_by_products(
+                gog, walk_from_identity(gog, spec, n, t))[1]
+            if core.steps:
+                hyp += 1
+                fil += gen.fills(gog, core).fills
+        rows.append((n, spec.trials, hyp, fil))
+    return rows

@@ -431,8 +431,16 @@ def test_emit_formula_command(capsys, tmp_path):
      "field 'relators' is not a list (got an integer)"),
     (["emit-formula", "delta", "--params"], {"n": "x", "blocks": [["x1"]]},
      "field 'n' is not an integer (got a string)"),
+    (["emit-formula", "theta", "--params"], {"words": ["x^a"]},
+     "vfree: malformed exponent in 'x^a'\n"),
+    (["emit-formula", "mu", "--params"], {
+        "g": {"generators": 2, "relators": ["x1^4", "x2^6", "x1^2 x2^-3"]},
+        "u": {"generators": 1, "relators": ["y1^6"]},
+        "embedding": ["x1 x2"], "tests": ["x1^2"], "kill": ["y1^3"],
+        "inner": {"kind": "text", "formula": "FREE x1 x2 . x1^x2 = 1"}},
+     "vfree: malformed exponent in 'x1^x2'\n"),
 ], ids=["fold-list", "fold-words", "params-list", "theta-words",
-        "theta-relators", "delta-n"])
+        "theta-relators", "delta-n", "theta-exponent", "mu-inner-exponent"])
 def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
                                                      spec, message):
     path = tmp_path / "spec.json"

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vfree.folog import (
     SL2Z_RELATORS,
@@ -253,6 +254,59 @@ def test_parse_rejections():
         parse("FREE x . x = 2")
     with pytest.raises(FormulaError):
         parse("x & y")
+
+
+def test_malformed_exponents_are_named():
+    with pytest.raises(FormulaError) as exc:
+        word("x^a")
+    assert str(exc.value) == "malformed exponent in 'x^a'"
+    with pytest.raises(FormulaError) as exc:
+        parse("FREE x1 x2 . x1^x2 = 1")
+    assert str(exc.value) == "malformed exponent in 'x1^x2'"
+
+
+def words_over(names):
+    """Word texts over the given variables with exponents of either sign,
+    "1" when empty."""
+    return st.lists(st.tuples(st.sampled_from(names), st.integers(-9, 9)),
+                    max_size=4).map(
+        lambda sylls: " ".join(f"{v}^{e}" for v, e in sylls) or "1")
+
+
+def variables(prefix, count):
+    return [f"{prefix}{j + 1}" for j in range(count)]
+
+
+@st.composite
+def emitted_formulas(draw):
+    """A formula from one of the three emitters, on random words."""
+    which = draw(st.sampled_from(["theta", "delta", "mu"]))
+    if which == "theta":
+        return emit_theta_sl2z(
+            draw(st.lists(words_over(["x", "y"]), max_size=3)),
+            draw(st.lists(words_over(["x", "y"]), min_size=1, max_size=3)),
+            draw(st.tuples(st.integers(2, 6), st.integers(2, 6))))
+    if which == "delta":
+        n = draw(st.integers(1, 3))
+        return emit_delta_related(n, draw(st.lists(
+            st.lists(words_over(variables("x", n)), min_size=1, max_size=3),
+            min_size=1, max_size=3)))
+    n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    xs, ys = words_over(variables("x", n)), words_over(variables("y", p))
+    inner = emit_delta_related(p, draw(st.lists(
+        st.lists(words_over(variables("x", p)), min_size=1, max_size=2),
+        min_size=1, max_size=2)))
+    return emit_mu((n, draw(st.lists(xs, max_size=2))),
+                   (p, draw(st.lists(ys, max_size=2))),
+                   draw(st.lists(xs, min_size=p, max_size=p)),
+                   draw(st.lists(xs, min_size=1, max_size=2)),
+                   draw(st.lists(ys, min_size=1, max_size=2)), inner)
+
+
+@settings(max_examples=150)
+@given(f=emitted_formulas())
+def test_emitted_formulas_round_trip(f):
+    assert parse(pretty_print(f)) == f
 
 
 def random_formula(rng):

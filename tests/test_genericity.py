@@ -13,17 +13,21 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles as oc
 import vfree.bstree as bt
 import vfree.fingroup as fg
 import vfree.genericity as gen
 import vfree.gogwords as gw
 import whitehead_oracle as who
-from fixtures import random_letter_word, random_words, seam_presentations
+from fixtures import (build_z2_z3, random_letter_word, random_words,
+                      seam_presentations)
 
 SL2Z = gw.build_sl2z()
 FREE46 = gw.build_free_product(fg.build_cyclic(4, "a"), fg.build_cyclic(6, "b"))
 SEAM = seam_presentations()
+WALKED = {"sl2z": SL2Z, "z2z3": build_z2_z3(), "free46": FREE46}
 
 # First filling elements found by the exhaustive alternating-word search.
 FILLING_SL2Z = "a b"
@@ -347,3 +351,37 @@ def test_walk_rejects_bad_lengths():
         gen.run_genericity_experiment(SL2Z, spec, [-1])
     with pytest.raises(gw.GogError, match="nonnegative"):
         gen.sample_walk(SL2Z, spec, -2, 0)
+
+
+def letter_spec(gog, trials, seed):
+    """Uniform measure on every generator letter and its inverse."""
+    return gen.uniform_spec(gog, [name + sfx for name, _ in
+                                  gw.generator_letters(gog)
+                                  for sfx in ("", "^-1")], trials, seed)
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+@settings(max_examples=15)
+@given(lengths=st.lists(st.integers(0, 64), max_size=5),
+       trials=st.integers(1, 4), seed=st.integers(0, 2**64 - 1))
+@example(lengths=[0, 32, 8, 32, 64], trials=4, seed=7)
+def test_experiment_matches_rewalking_oracle(name, lengths, trials, seed):
+    gog = WALKED[name]
+    spec = letter_spec(gog, trials, seed)
+    rows = gen.run_genericity_experiment(gog, spec, lengths)
+    assert [(r.n, r.trials, r.hyperbolic_count, r.filling_count)
+            for r in rows] == oc.experiment_by_rewalking(gog, spec, lengths)
+    assert [gen.sample_walk(gog, spec, n, 0) for n in lengths] == [
+        oc.walk_from_identity(gog, spec, n, 0) for n in lengths]
+
+
+def test_experiment_walks_each_trial_once(monkeypatch):
+    spec = letter_spec(SL2Z, 3, 5)
+    gen.validate_walk_spec(SL2Z, spec)
+    monkeypatch.setattr(gen, "_check_generation", lambda gog, support: None)
+    calls = []
+    real = gen.path_multiply
+    monkeypatch.setattr(gen, "path_multiply",
+                        lambda *args: calls.append(args) or real(*args))
+    gen.run_genericity_experiment(SL2Z, spec, [8, 32, 128])
+    assert len(calls) == 3 * 128

@@ -12,6 +12,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 import vfree.bstree as bt
@@ -69,6 +70,13 @@ def test_rewriting_closure_matches_matrices_free_product():
         r, m = closure.root(w), oc.psl2_matrix_up_to_sign(w)
         assert by_root.setdefault(r, m) == m
         assert by_mat.setdefault(m, r) == r
+
+
+@pytest.mark.parametrize("closure", [oc.sl2z_closure, oc.psl2_closure],
+                         ids=["sl2z", "psl2"])
+def test_rule_first_closure_matches_scanning_closure(closure):
+    assert closure(8).partition() == \
+        closure(8, oc.ScanningClosure).partition()
 
 
 # -- word problem against the oracles ----------------------------------------
@@ -261,6 +269,31 @@ def test_cyclic_reduction_on_random_conjugates():
             assert back == y
 
 
+@pytest.mark.parametrize("name", sorted(SEAM))
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cyclic_reduction_matches_product_oracle(name, seed):
+    gog = SEAM[name]
+    rng = random.Random(seed)
+    w = gw.parse_word(gog, random_letter_word(gog, rng, 6))
+    h = gw.parse_word(gog, random_letter_word(gog, rng, 4))
+    y = gw.conjugate(gog, h, w)
+    assert gw.cyclic_reduction(gog, y) == oc.cyclic_reduction_by_products(
+        gog, y)
+
+
+def test_cyclic_reduction_makes_no_products(monkeypatch):
+    calls = []
+    real = gw.path_multiply
+    monkeypatch.setattr(gw, "path_multiply",
+                        lambda *args: calls.append(args) or real(*args))
+    y = gw.conjugate(SL2Z, nf(SL2Z, "a b a b"), nf(SL2Z, "a b^2"))
+    calls.clear()
+    conj, core = gw.cyclic_reduction(SL2Z, y)
+    assert calls == []
+    assert conj.steps == y.steps[:3] and core.syllable_length() == 2
+
+
 # -- seam-local products -----------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(SEAM))
@@ -450,7 +483,8 @@ def test_zero_power_does_not_move():
 @pytest.mark.parametrize("step, message", [
     (gw.Traversal("zz", 0), "step 0 crosses unknown edge 'zz'"),
     (gw.Traversal("e", 2), "step 0 crosses edge 'e' in direction 2"),
-], ids=["unknown-edge", "bad-direction"])
+    (gw.Traversal(["e"], 0), r"step 0 crosses unknown edge \['e'\]"),
+], ids=["unknown-edge", "bad-direction", "unhashable-edge"])
 def test_unknown_traversals_are_named(step, message):
     ident = SL2Z.vertices["vA"].identity
     with pytest.raises(gw.GogError, match=message):
@@ -474,6 +508,17 @@ def test_malformed_steps_and_tails_are_named(steps, tail, message):
         gw.normal_form(SL2Z, gw.NormalForm("vA", steps, tail))
     with pytest.raises(gw.GogError, match=message):
         gw.path_normal_form(SL2Z, "vA", steps, tail)
+
+
+@pytest.mark.parametrize("start", ["vZ", ["vA"]], ids=["unknown", "list"])
+def test_unknown_start_vertex_is_named(start):
+    message = f"unknown start vertex {start!r}"
+    with pytest.raises(gw.GogError) as exc:
+        gw.normal_form(SL2Z, gw.NormalForm(start, (), 0))
+    assert str(exc.value) == message
+    with pytest.raises(gw.GogError) as exc:
+        gw.path_normal_form(SL2Z, start, [], 0)
+    assert str(exc.value) == message
 
 
 def test_build_amalgam_rejects_non_injective_map():

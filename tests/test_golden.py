@@ -51,6 +51,8 @@ CASES = {
              "--trials", "200", "--seed", "7"],
     "walk_json": ["walk", "--group", "sl2z", "--lengths", "8,32,128",
                   "--trials", "200", "--seed", "7", "--format", "json"],
+    "walk_unsorted": ["walk", "--group", "sl2z", "--lengths", "32,8,32",
+                      "--trials", "5", "--seed", "7"],
     "emit_formula_theta": ["emit-formula", "theta"],
     "verify_sl2z": ["verify", "sl2z"],
     "verify_sl2z_text": ["verify", "sl2z", "--format", "text"],
