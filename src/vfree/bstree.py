@@ -5,13 +5,15 @@ vertex orbit plus a canonical coset representative: the normal form of a
 path from the base vertex with its trailing free element dropped.  All
 queries (adjacency, distance, classification, axis windows) are local;
 nothing global is ever materialized except small breadth-first balls used
-by callers that explicitly ask for them.
+by callers that explicitly ask for them, and the frame of each orbit's
+standard vertex (its neighbors and stabilizer), which is built once per
+graph of groups and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .gogwords import (
     GogError,
@@ -49,6 +51,15 @@ class Classification:
     translation_length: int
 
 
+class Frame(NamedTuple):
+    """The standard vertex of an orbit, the set of its neighbors, and its
+    stabilizer as a tuple indexed by the orbit's vertex group."""
+
+    vertex: TreeVertex
+    neighbors: frozenset
+    stabilizer: tuple
+
+
 def vertex_from_path(gog: GraphOfGroups, p: NormalForm) -> TreeVertex:
     """The tree vertex reached by a path from the base (the trailing
     element is dropped; it stabilizes the vertex).  p must be a normal
@@ -83,6 +94,17 @@ def stabilizer(gog: GraphOfGroups, v: TreeVertex) -> list[NormalForm]:
     rep_inv = path_invert(gog, rep)
     return [path_multiply(gog, rep, NormalForm(v.orbit, (), x), rep_inv)
             for x in gog.vertices[v.orbit].elements()]
+
+
+def standard_frame(gog: GraphOfGroups, orbit: str) -> Frame:
+    """The frame at the standard vertex of an orbit, built the first time
+    it is asked for and kept on the graph of groups."""
+    frame = gog._frames.get(orbit)
+    if frame is None:
+        std = standard_vertex(gog, orbit)
+        frame = gog._frames[orbit] = Frame(
+            std, frozenset(neighbors(gog, std)), tuple(stabilizer(gog, std)))
+    return frame
 
 
 def translate(gog: GraphOfGroups, g: NormalForm, v: TreeVertex) -> TreeVertex:

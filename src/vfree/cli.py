@@ -23,8 +23,7 @@ from .bstree import (
     axis_window,
     base_vertex,
     classify as classify_element,
-    stabilizer,
-    standard_vertex,
+    standard_frame,
 )
 from .defspace import (
     degree_sum,
@@ -235,7 +234,7 @@ def counterexample_phi(gog: GraphOfGroups) -> Callable:
     a normal form from this library."""
     psi = counterexample_psi(gog)
     u = parse_word(gog, "z^-1 x y z")
-    loops_a, loops_b = (stabilizer(gog, standard_vertex(gog, vid))
+    loops_a, loops_b = (standard_frame(gog, vid).stabilizer
                         for vid in ("vA", "vB"))
     images_b: dict = {}
 
@@ -310,7 +309,7 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         gog = load_group("counterexample")
     checks: list = []
     basis = ("e1", "e2", "e3", "e4")
-    loops = {vid: stabilizer(gog, standard_vertex(gog, vid))
+    loops = {vid: standard_frame(gog, vid).stabilizer
              for vid in gog.vertices}
 
     def check_build():

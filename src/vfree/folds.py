@@ -24,7 +24,7 @@ from .bstree import (
     distance,
     neighbor,
     stabilizer,
-    standard_vertex,
+    standard_frame,
     translate,
     vertex_from_path,
 )
@@ -544,19 +544,18 @@ def fold_sequence(source: MarkedTree, target: GraphOfGroups,
 def identity_marking(gog: GraphOfGroups) -> MarkedTree:
     """Mark the ambient presentation over itself: standard lifts, full
     stabilizers, canonical edge placements. Terminal by construction."""
-    std = {name: standard_vertex(gog, name) for name in gog.vertices}
-    stabs = {name: stabilizer(gog, v) for name, v in std.items()}
-    vertices = {name: MarkedVertex(v, frozenset(stabs[name]))
-                for name, v in std.items()}
+    frames = {name: standard_frame(gog, name) for name in gog.vertices}
+    vertices = {name: MarkedVertex(f.vertex, frozenset(f.stabilizer))
+                for name, f in frames.items()}
     edges = {}
     for eid, e in gog.edges.items():
         a, b = e.ends
         cross = path_normal_form(
             gog, a, [(gog.vertices[a].identity, Traversal(eid, 0))],
             gog.vertices[b].identity)
-        twist = path_multiply(gog, std[a].coset_rep, cross,
-                              path_invert(gog, std[b].coset_rep))
-        stab = frozenset(stabs[a][x] for x in e.inj[0].mapping)
+        twist = path_multiply(gog, frames[a].vertex.coset_rep, cross,
+                              path_invert(gog, frames[b].vertex.coset_rep))
+        stab = frozenset(frames[a].stabilizer[x] for x in e.inj[0].mapping)
         edges[eid] = MarkedEdge((a, b), twist, stab)
     return MarkedTree(gog, vertices, edges)
 

@@ -27,15 +27,14 @@ from .bstree import (
     ball,
     base_vertex,
     neighbor,
-    neighbors,
-    stabilizer,
-    standard_vertex,
+    standard_frame,
     translate,
 )
 from .gogwords import (
     GogError,
     GraphOfGroups,
     NormalForm,
+    _reduce_into,
     cyclic_reduction,
     end_vertex,
     generator_letters,
@@ -116,10 +115,8 @@ def _graph_at(gog: GraphOfGroups, orbit: str, turns: list) -> WhiteheadGraph:
     """The Whitehead graph at one orbit: each turn there is placed at the
     standard vertex and saturated by its stabilizer.  It stops once the
     graph is complete, since a complete graph gains no more edges."""
-    std = standard_vertex(gog, orbit)
-    nodes = frozenset(neighbors(gog, std))
+    std, nodes, sat = standard_frame(gog, orbit)
     complete_count = math.comb(len(nodes), 2)
-    sat = stabilizer(gog, std)
     edges = set()
     for at, back, out in turns:
         if at != orbit:
@@ -381,18 +378,25 @@ def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> None:
 
 
 def _walk(gog: GraphOfGroups, spec: RandomWalkSpec, trial: int):
-    """The elements trial number `trial` reaches after 0, 1, 2, ... steps."""
+    """The elements trial number `trial` reaches after 0, 1, 2, ... steps,
+    each yielded as its normal-form steps and tail.  The steps are one
+    list that every later step extends or cancels in place, so a caller
+    copies what it keeps before it asks for the next element."""
     fracs = [Fraction(w) for w in spec.weights]
     denom = math.lcm(*(f.denominator for f in fracs))
     cums = list(itertools.accumulate(int(f * denom) for f in fracs))
     if cums[-1] != denom:
         raise GogError("weights must sum to 1")
     rng = random.Random(splitmix64(spec.seed, trial))
-    cur = identity_nf(gog)
+    steps: list = []
+    v = gog.base_vertex
+    tail = gog.vertices[v].identity
     while True:
-        yield cur
+        yield steps, tail
         pick = spec.support[bisect.bisect_right(cums, rng.randrange(denom))]
-        cur = path_multiply(gog, cur, pick)
+        if pick.start != v:
+            raise GogError("paths are not composable")
+        v, tail = _reduce_into(gog, steps, v, tail, pick.steps, pick.tail)
 
 
 def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
@@ -404,7 +408,8 @@ def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
     walks each trial once, to its longest length."""
     if length < 0:
         raise GogError("walk length must be nonnegative")
-    return next(itertools.islice(_walk(gog, spec, trial), length, None))
+    steps, tail = next(itertools.islice(_walk(gog, spec, trial), length, None))
+    return NormalForm(gog.base_vertex, tuple(steps), tail)
 
 
 def run_genericity_experiment(gog: GraphOfGroups, spec: RandomWalkSpec,
@@ -418,9 +423,10 @@ def run_genericity_experiment(gog: GraphOfGroups, spec: RandomWalkSpec,
         raise GogError("walk lengths must be nonnegative integers")
     counts = {n: [0, 0] for n in lengths}
     for t in range(spec.trials):
-        for n, g in zip(range(max(lengths, default=-1) + 1),
-                        _walk(gog, spec, t)):
+        for n, (steps, tail) in zip(range(max(lengths, default=-1) + 1),
+                                    _walk(gog, spec, t)):
             if n in counts:
+                g = NormalForm(gog.base_vertex, tuple(steps), tail)
                 core = cyclic_reduction(gog, g)[1]
                 if core.steps:
                     counts[n][0] += 1

@@ -18,6 +18,13 @@ path_normal_form does the same for a path word between any two vertices.
 Every other function takes normal forms from this library as given and
 never reduces them again; a product reduces only the seam and the right
 operand.
+
+Each GraphOfGroups is compiled once, at construction: every traversal gets
+one record holding its near and far vertices, its reverse traversal, its
+push and pinch tables and the far vertex's multiplication table.  One
+reducer reads these records: it extends a list of normal-form steps in
+place, one record lookup per raw step, so products, inverses and random
+walks share it and allocate nothing per step beyond the steps they keep.
 """
 
 from __future__ import annotations
@@ -81,12 +88,36 @@ class NormalForm:
         return (len(self.steps), self.steps, self.tail)
 
 
+class _Crossing(NamedTuple):
+    """The compiled record of one traversal t.  push maps an element g at
+    the near vertex to (r, f) with g = r · ι_near(c) and f = ι_far(c), r
+    the canonical coset representative; pinch maps each ι_near(c) to
+    ι_far(c)."""
+
+    near: str
+    far: str
+    rev: Traversal
+    push: dict
+    pinch: dict
+    far_table: tuple
+
+
 class GraphOfGroups:
-    """Immutable graph of finite groups with precomputed coset tables."""
+    """Immutable graph of finite groups, compiled once at construction.
+
+    The constructor checks every injection and builds, for each of the two
+    traversals of each edge, its coset transversal and a _Crossing record
+    (near and far vertex, the interned reverse traversal, push and pinch
+    tables, the far vertex's multiplication table); products reduce in
+    place through these records.  The tree layer keeps the Whitehead frame
+    of each orbit (its standard vertex, neighbors and stabilizer) in
+    _frames the first time it is asked for, so it is built once per graph
+    of groups.
+    """
 
     __slots__ = ("vertices", "edges", "base_vertex", "spanning_tree",
-                 "_push", "_pinch", "_transversal", "_incident",
-                 "_tree_step", "_letter_home")
+                 "_push", "_pinch", "_transversal", "_crossing",
+                 "_incident", "_tree_step", "_letter_home", "_frames")
 
     def __init__(self, vertices: Iterable[tuple[str, FiniteGroup]],
                  edges: Iterable[Edge], base_vertex: str,
@@ -121,26 +152,24 @@ class GraphOfGroups:
         self._validate_graph()
 
         self._incident: dict[str, list[Traversal]] = {v: [] for v in self.vertices}
-        for eid in sorted(self.edges):
-            e = self.edges[eid]
-            for d in (0, 1):
-                self._incident[e.ends[d]].append(Traversal(eid, d))
-
         self._push = {}
         self._pinch = {}
         self._transversal = {}
-        for eid, e in self.edges.items():
-            for d in (0, 1):
-                t = Traversal(eid, d)
-                near = self.vertices[e.ends[d]]
-                i_near, i_far = e.inj[d], e.inj[1 - d]
-                image = [i_near(c) for c in range(e.group.order)]
-                preim = {h: c for c, h in enumerate(image)}
-                reps, decomp = coset_data(near, image)
-                self._push[t] = {g: (r, i_far(preim[h]))
-                                 for g, (r, h) in decomp.items()}
-                self._pinch[t] = {h: i_far(c) for c, h in enumerate(image)}
+        self._crossing: dict[Traversal, _Crossing] = {}
+        for eid in sorted(self.edges):
+            e = self.edges[eid]
+            pair = (Traversal(eid, 0), Traversal(eid, 1))
+            for d, t in enumerate(pair):
+                self._incident[e.ends[d]].append(t)
+                image = e.inj[d].mapping
+                pinch = self._pinch[t] = dict(zip(image, e.inj[1 - d].mapping))
+                reps, decomp = coset_data(self.vertices[e.ends[d]], image)
+                push = self._push[t] = {g: (r, pinch[h])
+                                        for g, (r, h) in decomp.items()}
                 self._transversal[t] = reps
+                self._crossing[t] = _Crossing(
+                    e.ends[d], e.ends[1 - d], pair[1 - d], push, pinch,
+                    self.vertices[e.ends[1 - d]].table)
 
         self._tree_step: dict[str, Optional[Traversal]] = {self.base_vertex: None}
         frontier = [self.base_vertex]
@@ -160,6 +189,7 @@ class GraphOfGroups:
         for vid in sorted(self.vertices):
             for name in self.vertices[vid].generators:
                 self._letter_home.setdefault(name, []).append(vid)
+        self._frames: dict = {}
 
     def _validate_graph(self) -> None:
         if len(self.spanning_tree) != len(self.vertices) - 1:
@@ -181,10 +211,10 @@ class GraphOfGroups:
         return self.vertices[vertex]
 
     def near(self, t: Traversal) -> str:
-        return self.edges[t.edge].ends[t.dir]
+        return self._crossing[t].near
 
     def far(self, t: Traversal) -> str:
-        return self.edges[t.edge].ends[1 - t.dir]
+        return self._crossing[t].far
 
     def incident(self, vertex: str) -> list[Traversal]:
         return list(self._incident[vertex])
@@ -235,45 +265,48 @@ def _spanning_forest(nodes: Iterable, pairs: Sequence[tuple]
 # -- normalization ---------------------------------------------------------
 
 
+def _reduce_into(gog: GraphOfGroups, out: list, v: str, acc: int,
+                 raw_steps: Iterable[tuple[int, Traversal]],
+                 raw_tail: int) -> tuple[str, int]:
+    """Reduce a raw path word, (element, traversal) steps plus a tail, onto
+    a normal form in place, and return its new end vertex and tail.
+
+    out holds the steps of a normal form ending at v, with acc its tail
+    there.  The raw steps are appended to out, or cancel into its last
+    steps, so only the seam and the raw steps cost work."""
+    crossing = gog._crossing
+    table = gog.vertices[v].table
+    for g, t in raw_steps:
+        near, far, rev, push, pinch, far_table = crossing[t]
+        if near != v:
+            raise GogError(f"traversal {t} does not start at {v!r}")
+        if not 0 <= g < len(table):
+            raise GogError(f"element index {g} out of range at {v!r}")
+        acc = table[acc][g]
+        if out and out[-1][1] == rev and acc in pinch:
+            acc = far_table[out.pop()[0]][pinch[acc]]
+        else:
+            r, acc = push[acc]
+            out.append((r, t))
+        v, table = far, far_table
+    if not 0 <= raw_tail < len(table):
+        raise GogError(f"tail index {raw_tail} out of range at {v!r}")
+    return v, table[acc][raw_tail]
+
+
 def _reduce_raw(gog: GraphOfGroups, start: str,
                 raw_steps: Iterable[tuple[int, Traversal]],
-                raw_tail: int,
-                prefix: tuple[tuple[int, Traversal], ...] = ()) -> NormalForm:
-    """Normalize a raw path word given as (element, traversal) steps plus tail.
-
-    The raw steps are read after `prefix`, the steps of a normal form from
-    `start`: the prefix is kept as it stands except where the raw steps
-    cancel into it, so only the seam and the raw steps cost work."""
-    out = list(prefix)
-    v = gog.far(out[-1][1]) if out else start
-    grp = gog.vertices[v]
-    acc = grp.identity
-    for g, t in raw_steps:
-        if gog.near(t) != v:
-            raise GogError(f"traversal {t} does not start at {v!r}")
-        if not 0 <= g < grp.order:
-            raise GogError(f"element index {g} out of range at {v!r}")
-        acc = grp.mul(acc, g)
-        pinch = gog._pinch[t]
-        if out and out[-1][1] == t.reverse() and acc in pinch:
-            far_elt = pinch[acc]
-            r_prev, t_prev = out.pop()
-            v = gog.near(t_prev)
-            grp = gog.vertices[v]
-            acc = grp.mul(r_prev, far_elt)
-        else:
-            r, far_elt = gog._push[t][acc]
-            out.append((r, t))
-            v = gog.far(t)
-            grp = gog.vertices[v]
-            acc = far_elt
-    if not 0 <= raw_tail < grp.order:
-        raise GogError(f"tail index {raw_tail} out of range at {v!r}")
-    return NormalForm(start, tuple(out), grp.mul(acc, raw_tail))
+                raw_tail: int) -> NormalForm:
+    """Normalize a raw path word from start given as (element, traversal)
+    steps plus tail."""
+    out: list[tuple[int, Traversal]] = []
+    tail = _reduce_into(gog, out, start, gog.vertices[start].identity,
+                        raw_steps, raw_tail)[1]
+    return NormalForm(start, tuple(out), tail)
 
 
 def end_vertex(gog: GraphOfGroups, nf: NormalForm) -> str:
-    return gog.far(nf.steps[-1][1]) if nf.steps else nf.start
+    return gog._crossing[nf.steps[-1][1]].far if nf.steps else nf.start
 
 
 def identity_nf(gog: GraphOfGroups, vertex: Optional[str] = None) -> NormalForm:
@@ -355,13 +388,9 @@ def path_multiply(gog: GraphOfGroups, p: NormalForm, q: NormalForm,
     """
     if end_vertex(gog, p) != q.start:
         raise GogError("paths are not composable")
-    grp = gog.vertices[q.start]
-    if not q.steps:
-        out = NormalForm(p.start, p.steps, grp.mul(p.tail, q.tail))
-    else:
-        (g, t), tail_steps = q.steps[0], q.steps[1:]
-        out = _reduce_raw(gog, p.start, [(grp.mul(p.tail, g), t), *tail_steps],
-                          q.tail, p.steps)
+    steps = list(p.steps)
+    tail = _reduce_into(gog, steps, q.start, p.tail, q.steps, q.tail)[1]
+    out = NormalForm(p.start, tuple(steps), tail)
     return path_multiply(gog, out, *rest) if rest else out
 
 
@@ -371,8 +400,9 @@ def path_invert(gog: GraphOfGroups, p: NormalForm) -> NormalForm:
     raw: list[tuple[int, Traversal]] = []
     carry = gog.vertices[end].inv(p.tail)
     for r, t in reversed(p.steps):
-        raw.append((carry, t.reverse()))
-        carry = gog.vertices[gog.near(t)].inv(r)
+        c = gog._crossing[t]
+        raw.append((carry, c.rev))
+        carry = gog.vertices[c.near].inv(r)
     return _reduce_raw(gog, end, raw, carry)
 
 
@@ -395,12 +425,13 @@ def cyclic_reduction(gog: GraphOfGroups, w: NormalForm
     steps, k, tail = w.steps, 0, w.tail
     while 2 * k < len(steps):
         (r1, t1), (rn, tn) = steps[k], steps[-1 - k]
-        seam = gog.vertices[gog.near(t1)].mul(tail, r1)
-        if t1 != tn.reverse() or seam not in gog._pinch[t1]:
+        c = gog._crossing[t1]
+        seam = gog.vertices[c.near].mul(tail, r1)
+        if tn != c.rev or seam not in c.pinch:
             break
-        tail = gog.vertices[gog.far(t1)].mul(rn, gog._pinch[t1][seam])
+        tail = c.far_table[rn][c.pinch[seam]]
         k += 1
-    anchor = gog.far(steps[k - 1][1]) if k else w.start
+    anchor = gog._crossing[steps[k - 1][1]].far if k else w.start
     return (NormalForm(w.start, steps[:k], gog.vertices[anchor].identity),
             NormalForm(anchor, steps[k:len(steps) - k], tail))
 

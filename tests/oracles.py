@@ -4,10 +4,14 @@ The rewriting closure works on plain letter strings with union-find, and
 the matrix oracles use exact 2x2 integer arithmetic; neither imports the
 library's word machinery.  The whole-path product is the library's
 earlier product: it reduces the full concatenation from scratch, so it
-checks the seam-local product without sharing its resume logic.  The
-scanning closure is the rewriting closure's earlier construction, which
-tries every rule at every position of every word, so it judges the
-rule-first construction on integer-coded words.  The table checks at
+checks the seam-local product without sharing its resume logic.  It
+reduces with the reducer by traversals, the library's earlier reducer,
+which looks up each traversal's push and pinch tables by key and reads
+its ends from the edges, so it shares no code with the library's reducer
+over compiled traversal records and judges it.  The scanning closure
+is the rewriting closure's earlier construction, which tries every rule
+at every position of every word, so it judges the rule-first
+construction on integer-coded words.  The table checks at
 the end are the library's earlier group validation, triple by triple,
 kept to judge the generator-based check that replaced it.  The subgroup lattice by every element is the library's earlier
 all_subgroups, which joins each subgroup with every element outside it.
@@ -247,6 +251,43 @@ def mat_order(m: tuple, cap: int = 12):
 # -- whole-path product ------------------------------------------------------
 
 
+def reduce_by_traversals(gog, start, raw_steps, raw_tail):
+    """The normal form of a raw path word from start, (element, traversal)
+    steps plus tail, reduced step by step through the Traversal-keyed push
+    and pinch tables, with each edge's ends read from gog.edges."""
+
+    def ends(t):
+        e = gog.edges[t.edge].ends
+        return e[t.dir], e[1 - t.dir]
+
+    out = []
+    v = start
+    grp = gog.vertices[v]
+    acc = grp.identity
+    for g, t in raw_steps:
+        if ends(t)[0] != v:
+            raise gw.GogError(f"traversal {t} does not start at {v!r}")
+        if not 0 <= g < grp.order:
+            raise gw.GogError(f"element index {g} out of range at {v!r}")
+        acc = grp.mul(acc, g)
+        pinch = gog._pinch[t]
+        if out and out[-1][1] == t.reverse() and acc in pinch:
+            far_elt = pinch[acc]
+            r_prev, t_prev = out.pop()
+            v = ends(t_prev)[0]
+            grp = gog.vertices[v]
+            acc = grp.mul(r_prev, far_elt)
+        else:
+            r, far_elt = gog._push[t][acc]
+            out.append((r, t))
+            v = ends(t)[1]
+            grp = gog.vertices[v]
+            acc = far_elt
+    if not 0 <= raw_tail < grp.order:
+        raise gw.GogError(f"tail index {raw_tail} out of range at {v!r}")
+    return gw.NormalForm(start, tuple(out), grp.mul(acc, raw_tail))
+
+
 def whole_path_multiply(gog, p, q):
     """p * q by reducing every step of the concatenated path again."""
     if gw.end_vertex(gog, p) != q.start:
@@ -256,7 +297,7 @@ def whole_path_multiply(gog, p, q):
         return gw.NormalForm(p.start, p.steps, grp.mul(p.tail, q.tail))
     (g, t), rest = q.steps[0], q.steps[1:]
     raw = list(p.steps) + [(grp.mul(p.tail, g), t)] + list(rest)
-    return gw.path_normal_form(gog, p.start, raw, q.tail)
+    return reduce_by_traversals(gog, p.start, raw, q.tail)
 
 
 # -- subgroup lattice, element by element ----------------------------------------

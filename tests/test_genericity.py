@@ -228,6 +228,32 @@ def test_whitehead_matches_pullback_oracle(name):
                 assert (single.nodes, single.edges) == (x.nodes, x.edges)
 
 
+@pytest.mark.parametrize("name", sorted(SEAM))
+def test_whitehead_frames_built_once_match_pullback_oracle(name):
+    # The frame of each orbit is built the first time a graph needs it and
+    # kept; graphs from a fresh copy of the presentation and from the same
+    # copy once its frames exist both equal the pullback oracle's.
+    gog = gw.gog_from_json(gw.gog_to_json(SEAM[name]))
+    assert gog._frames == {}
+    rng = random.Random(5200 + sorted(SEAM).index(name))
+    checked = 0
+    while checked < 4:
+        g = nf(gog, random_letter_word(gog, rng, 7))
+        if bt.classify(gog, g).kind != "hyperbolic":
+            continue
+        checked += 1
+        for orbit in sorted(gog.vertices):
+            got = gen.whitehead_graph(gog, g, orbit)
+            assert (got.nodes, got.edges) == who.whitehead_by_pullback(
+                gog, g, orbit)
+    assert sorted(gog._frames) == sorted(gog.vertices)
+    for orbit in sorted(gog.vertices):
+        frame = bt.standard_frame(gog, orbit)
+        assert frame is gog._frames[orbit]
+        assert type(frame.stabilizer) is tuple
+        assert list(frame.stabilizer) == who.stabilizer_lifts(gog, orbit)
+
+
 # -- p-matches ----------------------------------------------------------------
 
 def test_p_match_same_axis_and_conjugate_translates():
@@ -376,12 +402,35 @@ def test_experiment_matches_rewalking_oracle(name, lengths, trials, seed):
 
 
 def test_experiment_walks_each_trial_once(monkeypatch):
+    # One draw per walk step: the walk reads each pick onto its steps in
+    # place, so its draws, not its products, count the steps it takes.
     spec = letter_spec(SL2Z, 3, 5)
     gen.validate_walk_spec(SL2Z, spec)
     monkeypatch.setattr(gen, "_check_generation", lambda gog, support: None)
     calls = []
-    real = gen.path_multiply
-    monkeypatch.setattr(gen, "path_multiply",
+    real = random.Random.randrange
+    monkeypatch.setattr(random.Random, "randrange",
                         lambda *args: calls.append(args) or real(*args))
     gen.run_genericity_experiment(SL2Z, spec, [8, 32, 128])
     assert len(calls) == 3 * 128
+
+
+def no_products(*args):
+    raise AssertionError("the walk made a path_multiply product")
+
+
+def test_walk_makes_no_products(monkeypatch):
+    lengths = [0, 32, 8, 32, 64]
+    for gog in WALKED.values():
+        spec = letter_spec(gog, 4, 7)
+        want = oc.experiment_by_rewalking(gog, spec, lengths)
+        gen.validate_walk_spec(gog, spec)
+        with monkeypatch.context() as m:
+            m.setattr(gen, "_check_generation", lambda gog, support: None)
+            m.setattr(gen, "path_multiply", no_products)
+            rows = gen.run_genericity_experiment(gog, spec, lengths)
+            walked = [gen.sample_walk(gog, spec, n, 1) for n in lengths]
+        assert [(r.n, r.trials, r.hyperbolic_count, r.filling_count)
+                for r in rows] == want
+        assert walked == [oc.walk_from_identity(gog, spec, n, 1)
+                          for n in lengths]

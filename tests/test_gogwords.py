@@ -313,6 +313,62 @@ def test_path_multiply_matches_whole_path_oracle(name):
         assert gw.is_identity(gog, gw.path_multiply(gog, p, p_inv))
 
 
+def random_raw_path(gog, rng, start, max_steps):
+    """A seeded raw path word from start: (element, traversal) steps and a
+    tail, with elements drawn from the whole vertex group.  Half the steps
+    turn back along the previous traversal with an element of the edge
+    group's image, so pinches, chains of them included, are common."""
+    steps, v = [], start
+    for _ in range(rng.randint(0, max_steps)):
+        if steps and rng.random() < 0.5:
+            t = steps[-1][1].reverse()
+            g = rng.choice(sorted(gog._pinch[t]))
+        else:
+            t = rng.choice(gog.incident(v))
+            g = rng.randrange(gog.vertices[v].order)
+        steps.append((g, t))
+        v = gog.far(t)
+    return steps, rng.randrange(gog.vertices[v].order)
+
+
+def reduction_error(reduce, *args):
+    with pytest.raises(gw.GogError) as exc:
+        reduce(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reducer_matches_traversal_keyed_oracle(name, seed):
+    gog = SEAM[name]
+    rng = random.Random(seed)
+    start = rng.choice(sorted(gog.vertices))
+    steps, tail = random_raw_path(gog, rng, start, 12)
+    p = gw.path_normal_form(gog, start, steps, tail)
+    assert p == oc.reduce_by_traversals(gog, start, steps, tail)
+    q_steps, q_tail = random_raw_path(gog, rng, gw.end_vertex(gog, p), 12)
+    q = gw.NormalForm(gw.end_vertex(gog, p), tuple(q_steps), q_tail)
+    assert gw.path_multiply(gog, p, q) == oc.whole_path_multiply(gog, p, q)
+    # Break one step, or the tail, and both reducers name the same fault.
+    k = rng.randrange(len(steps) + 1)
+    if k == len(steps):
+        v = gog.far(steps[-1][1]) if steps else start
+        bad, tail = steps, gog.vertices[v].order + rng.randrange(3)
+    else:
+        g, t = steps[k]
+        elsewhere = [u for u in sorted(gog._pinch)
+                     if gog.near(u) != gog.near(t)]
+        if elsewhere and rng.random() < 0.5:
+            step = (0, rng.choice(elsewhere))
+        else:
+            step = (rng.choice((-1 - g, g + gog.vertices[gog.near(t)].order)),
+                    t)
+        bad = steps[:k] + [step] + steps[k + 1:]
+    assert reduction_error(gw.path_normal_form, gog, start, bad, tail) == \
+        reduction_error(oc.reduce_by_traversals, gog, start, bad, tail)
+
+
 @pytest.mark.parametrize("name", ["sl2z", "counterexample", "z2z3"])
 def test_relabelled_tables_give_the_same_geometry(name):
     gog, moved = SEAM[name], SEAM[name + "-relabelled"]
@@ -508,6 +564,15 @@ def test_malformed_steps_and_tails_are_named(steps, tail, message):
         gw.normal_form(SL2Z, gw.NormalForm("vA", steps, tail))
     with pytest.raises(gw.GogError, match=message):
         gw.path_normal_form(SL2Z, "vA", steps, tail)
+
+
+@pytest.mark.parametrize("tail", [-1, 4], ids=["negative", "past-order"])
+def test_product_checks_the_tail_of_a_stepless_factor(tail):
+    # A right factor with no steps goes through the same reducer as any
+    # other, so its tail is range-checked too.
+    with pytest.raises(gw.GogError) as exc:
+        gw.path_multiply(SL2Z, nf(SL2Z, "a b"), gw.NormalForm("vA", (), tail))
+    assert str(exc.value) == f"tail index {tail} out of range at 'vA'"
 
 
 @pytest.mark.parametrize("start", ["vZ", ["vA"]], ids=["unknown", "list"])

@@ -53,6 +53,10 @@ CASES = {
                   "--trials", "200", "--seed", "7", "--format", "json"],
     "walk_unsorted": ["walk", "--group", "sl2z", "--lengths", "32,8,32",
                       "--trials", "5", "--seed", "7"],
+    "walk_counterexample": ["walk", "--group", "counterexample", "--lengths",
+                            "4,16", "--trials", "20", "--seed", "3"],
+    "walk_z2z3": ["walk", "--group", "z2z3", "--lengths", "4,16",
+                  "--trials", "20", "--seed", "3"],
     "emit_formula_theta": ["emit-formula", "theta"],
     "verify_sl2z": ["verify", "sl2z"],
     "verify_sl2z_text": ["verify", "sl2z", "--format", "text"],
