@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
-import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Optional
 
 from .bstree import (
     axis_window,
-    base_vertex,
     classify as classify_element,
     standard_frame,
 )
@@ -34,8 +33,8 @@ from .defspace import (
     nonredundant_expansions,
 )
 from .fingroup import (
-    GroupError,
     GroupHom,
+    _check_order,
     _field,
     _typed,
     _typed_list,
@@ -56,6 +55,7 @@ from .folog import (
 )
 from .genericity import (
     RandomWalkSpec,
+    _walk,
     experiment_csv,
     fills,
     run_genericity_experiment,
@@ -65,6 +65,7 @@ from .genericity import (
 from .gogwords import (
     GogError,
     GraphOfGroups,
+    NormalForm,
     conjugate,
     element_order,
     format_nf,
@@ -211,11 +212,10 @@ def verify_sl2z(gog: Optional[GraphOfGroups] = None) -> VerificationReport:
 # -- case study: the endomorphism counterexample --------------------------------
 
 
-def _edge_images(gog: GraphOfGroups):
-    """Element sets of the two vertex-group copies of the edge group."""
+def _edge_injections(gog: GraphOfGroups) -> dict:
+    """The edge group's injection into each of its two end vertices."""
     e = gog.edges["e"]
-    return {vid: frozenset(e.inj[k](c) for c in range(e.group.order))
-            for k, vid in enumerate(e.ends)}
+    return dict(zip(e.ends, e.inj))
 
 
 def counterexample_psi(gog: GraphOfGroups) -> GroupHom:
@@ -256,7 +256,7 @@ def counterexample_phi(gog: GraphOfGroups) -> Callable:
     return phi
 
 
-def _phi_predicted_steps(gog: GraphOfGroups, c_img: dict, nf) -> int:
+def _phi_predicted_steps(gog: GraphOfGroups, inj: dict, nf) -> int:
     """Syllable length the phi image must have if no reduction occurs.
 
     Each vA syllable maps to one vA syllable and each vB syllable to the
@@ -266,10 +266,10 @@ def _phi_predicted_steps(gog: GraphOfGroups, c_img: dict, nf) -> int:
     sides = []
     v = nf.start
     for r, t in nf.steps:
-        if r not in c_img[v]:
+        if r not in inj[v].mapping:
             sides.append(v)
         v = gog.far(t)
-    if nf.tail not in c_img[v]:
+    if nf.tail not in inj[v].mapping:
         sides.append(v)
     if not sides:
         return 0
@@ -277,26 +277,30 @@ def _phi_predicted_steps(gog: GraphOfGroups, c_img: dict, nf) -> int:
     return (total - 1) + (sides[0] == "vB") + (sides[-1] == "vB")
 
 
+def _letter_measure(gog: GraphOfGroups, trials: int, seed: int
+                    ) -> RandomWalkSpec:
+    """The uniform measure on the generator letters and their inverses."""
+    return uniform_spec(gog, [w for name, _ in generator_letters(gog)
+                              for w in (name, f"{name}^-1")], trials, seed)
+
+
 def _sample_reduced_forms(gog: GraphOfGroups, loops: dict,
                           max_syllables: int, target: int, seed: int) -> list:
-    """Every vertex-group element (loops maps each vertex to its
-    stabilizer) plus seeded random loops, deduplicated, all of syllable
-    length at most max_syllables, identity excluded."""
-    seen = {}
-    for vid in sorted(gog.vertices):
-        for nf in loops[vid]:
-            if not is_identity(gog, nf):
-                seen.setdefault(nf, nf)
-    rng = random.Random(seed)
-    letters = [name for name, _ in generator_letters(gog)]
-    attempts = 0
-    while len(seen) < target and attempts < 40 * target:
-        attempts += 1
-        text = " ".join(
-            rng.choice(letters) + rng.choice(("", "^-1"))
-            for _ in range(rng.randint(1, 2 * max_syllables)))
-        nf = parse_word(gog, text)
-        if not is_identity(gog, nf) and len(nf.steps) <= max_syllables:
+    """The first target distinct non-identity elements of syllable length
+    at most max_syllables among the vertex-group elements (loops maps each
+    vertex to its stabilizer), then those passed by seeded walks of
+    2 * max_syllables letters, 40 * target steps in all."""
+    spec = _letter_measure(gog, 1, seed)
+    walked = (NormalForm(gog.base_vertex, tuple(steps), tail)
+              for trial in range(20 * target // max_syllables)
+              for steps, tail in itertools.islice(
+                  _walk(gog, spec, trial), 2 * max_syllables + 1))
+    seen: dict = {}
+    for nf in itertools.chain(*(loops[v] for v in sorted(gog.vertices)),
+                              walked):
+        if len(seen) == target:
+            break
+        if len(nf.steps) <= max_syllables and not is_identity(gog, nf):
             seen.setdefault(nf, nf)
     return list(seen)
 
@@ -334,8 +338,7 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
     def check_conjugation_matches_psi():
         psi = counterexample_psi(gog)
         u = parse_word(gog, "z^-1 x y z")
-        e = gog.edges["e"]
-        ia = e.inj[0] if e.ends[0] == "vA" else e.inj[1]
+        e, ia = gog.edges["e"], _edge_injections(gog)["vA"]
         agreements = 0
         for c in range(e.group.order):
             lhs = conjugate(gog, u, loops["vA"][ia(c)])
@@ -353,19 +356,17 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
 
     def check_phi_well_defined():
         phi = counterexample_phi(gog)
-        e = gog.edges["e"]
-        ia = e.inj[0] if e.ends[0] == "vA" else e.inj[1]
-        ib = e.inj[1] if e.ends[0] == "vA" else e.inj[0]
-        agree = all(
-            phi(loops["vA"][ia(c)]) == phi(loops["vB"][ib(c)])
-            for c in range(e.group.order))
+        inj = _edge_injections(gog)
+        agree = all(phi(loops["vA"][inj["vA"](c)])
+                    == phi(loops["vB"][inj["vB"](c)])
+                    for c in range(gog.edges["e"].group.order))
         x = parse_word(gog, "x")
         y = parse_word(gog, "y")
         swaps = phi(x) == y and phi(y) == x
         return agree and swaps, {"edge_agreements": agree, "swaps_x_y": swaps}
 
     def check_normal_form_preservation():
-        phi, c_img = counterexample_phi(gog), _edge_images(gog)
+        phi, inj = counterexample_phi(gog), _edge_injections(gog)
         sample = _sample_reduced_forms(gog, loops, max_syllables=6,
                                        target=240, seed=20250814)
         preserved = nontrivial = 0
@@ -373,7 +374,7 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
             image = phi(w)
             nontrivial += not is_identity(gog, image)
             preserved += len(image.steps) == _phi_predicted_steps(
-                gog, c_img, w)
+                gog, inj, w)
         ok = preserved == len(sample) and nontrivial == len(sample)
         return ok, {"sampled": len(sample), "max_syllables": 6,
                     "no_collapse": preserved, "nontrivial_images": nontrivial}
@@ -613,17 +614,13 @@ def cmd_walk(args) -> int:
         data = _typed(_load_json(args.measure), "an object", "measure JSON")
         words = [_typed(w, "a string", f"support[{i}]")
                  for i, w in enumerate(_field(data, "support", "a list"))]
-        support = tuple(parse_word(gog, w) for w in words)
-        if "weights" in data:
-            weights = tuple(_weight(w, i) for i, w in
-                            enumerate(_field(data, "weights", "a list")))
-        else:
-            weights = tuple([Fraction(1, len(support))] * len(support))
-        spec = RandomWalkSpec(support, weights, args.trials, seed)
-    else:
-        letters = [name for name, _ in generator_letters(gog)]
-        words = [w for name in letters for w in (name, f"{name}^-1")]
         spec = uniform_spec(gog, words, args.trials, seed)
+        if "weights" in data:
+            spec = replace(spec, weights=tuple(
+                _weight(w, i) for i, w in
+                enumerate(_field(data, "weights", "a list"))))
+    else:
+        spec = _letter_measure(gog, args.trials, seed)
     lengths = [_integer(part, "--lengths entry")
                for part in args.lengths.split(",") if part]
     rows = run_genericity_experiment(gog, spec, lengths)
@@ -676,6 +673,8 @@ def cmd_emit_formula(args) -> int:
         if len(orders) != 2:
             raise GogError(f"field 'orders' must list 2 orders "
                            f"(got {len(orders)})")
+        for order in orders:
+            _check_order("field 'orders' entry", order)
         f = emit_theta_sl2z(relators, words, tuple(orders))
     elif args.which == "delta":
         f = _delta_formula(params, "")

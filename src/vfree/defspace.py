@@ -519,7 +519,7 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
         raise GogError(
             f"enumeration capped at {ENUM_VERTEX_CAP} vertices, "
             f"{ENUM_EDGE_CAP} edges, order {ENUM_ORDER_CAP}")
-    catalog = [g for g in small_groups(r)]
+    catalog = small_groups(r) if None in (vertex_groups, edge_groups) else []
     if vertex_groups is not None and len(vertex_groups) != p:
         raise GogError("vertex_groups must list one group per vertex")
     if edge_groups is not None and len(edge_groups) != q:

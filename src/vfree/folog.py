@@ -98,10 +98,31 @@ def winv(w: WordArg) -> Word:
     return Word(_reduce_syllables((v, -e) for v, e in reversed(word(w).syllables)))
 
 
+MAX_POWER_SYLLABLES = 100_000
+
+
 def wpow(w: WordArg, k: int) -> Word:
+    """w^k.  Peeling inverse end syllables writes w as c · core · c^-1; a
+    one-syllable core v^e gives c · v^(e·k) · c^-1 at once.  A longer
+    core's power is refused before it is built when its exact syllable
+    count (copies merge at each seam when the core starts and ends with
+    one variable) is above MAX_POWER_SYLLABLES."""
     if k < 0:
         return wpow(winv(w), -k)
-    return wmul(*([word(w)] * k)) if k else Word(())
+    s = word(w).syllables
+    n = 0
+    while 2 * n + 1 < len(s) and s[n] == (s[-1 - n][0], -s[-1 - n][1]):
+        n += 1
+    c, core = Word(s[:n]), s[n:len(s) - n]
+    if k == 0 or len(core) <= 1:
+        return wmul(c, Word(_reduce_syllables((v, e * k) for v, e in core)),
+                    winv(c))
+    merge = core[0][0] == core[-1][0]
+    length = 2 * n + k * (len(core) - merge) + merge
+    if length > MAX_POWER_SYLLABLES:
+        raise FormulaError(f"power {k} of {Word(s)} would have {length} "
+                           f"syllables, above the cap of {MAX_POWER_SYLLABLES}")
+    return wmul(c, *[Word(core)] * k, winv(c))
 
 
 def wsub(w: WordArg, mapping: dict) -> Word:

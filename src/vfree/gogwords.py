@@ -19,12 +19,14 @@ Every other function takes normal forms from this library as given and
 never reduces them again; a product reduces only the seam and the right
 operand.
 
-Each GraphOfGroups is compiled once, at construction: every traversal gets
-one record holding its near and far vertices, its reverse traversal, its
-push and pinch tables and the far vertex's multiplication table.  One
-reducer reads these records: it extends a list of normal-form steps in
-place, one record lookup per raw step, so products, inverses and random
-walks share it and allocate nothing per step beyond the steps they keep.
+Each GraphOfGroups is compiled once, at construction.  Every traversal
+gets one record holding its near and far vertices, its reverse
+traversal, its push and pinch tables, the far vertex's multiplication
+table and its coset transversal at the near vertex; every vertex keeps
+its one path of spanning-tree traversals from the base.  One reducer
+reads the records: it extends a list of normal-form steps in place, one
+record lookup per raw step, so products, inverses and random walks share
+it and allocate nothing per step beyond the steps they keep.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .fingroup import (
     FiniteGroup,
-    GroupError,
     GroupHom,
     _field,
     _typed,
@@ -92,7 +93,7 @@ class _Crossing(NamedTuple):
     """The compiled record of one traversal t.  push maps an element g at
     the near vertex to (r, f) with g = r · ι_near(c) and f = ι_far(c), r
     the canonical coset representative; pinch maps each ι_near(c) to
-    ι_far(c)."""
+    ι_far(c); transversal lists the representatives r in order."""
 
     near: str
     far: str
@@ -100,24 +101,26 @@ class _Crossing(NamedTuple):
     push: dict
     pinch: dict
     far_table: tuple
+    transversal: tuple
 
 
 class GraphOfGroups:
     """Immutable graph of finite groups, compiled once at construction.
 
-    The constructor checks every injection and builds, for each of the two
-    traversals of each edge, its coset transversal and a _Crossing record
-    (near and far vertex, the interned reverse traversal, push and pinch
-    tables, the far vertex's multiplication table); products reduce in
-    place through these records.  The tree layer keeps the Whitehead frame
-    of each orbit (its standard vertex, neighbors and stabilizer) in
-    _frames the first time it is asked for, so it is built once per graph
-    of groups.
+    The constructor checks every injection and builds one _Crossing record
+    for each of the two traversals of each edge (near and far vertex, the
+    interned reverse traversal, push and pinch tables, the far vertex's
+    multiplication table, the coset transversal at the near vertex), and
+    for each vertex the spanning-tree traversals from the base to it;
+    products reduce in place through the records.  The tree layer keeps
+    the Whitehead frame of each orbit (its standard vertex, neighbors and
+    stabilizer) in _frames the first time it is asked for, so it is built
+    once per graph of groups.
     """
 
     __slots__ = ("vertices", "edges", "base_vertex", "spanning_tree",
-                 "_push", "_pinch", "_transversal", "_crossing",
-                 "_incident", "_tree_step", "_letter_home", "_frames")
+                 "_crossing", "_incident", "_from_base", "_letter_home",
+                 "_frames")
 
     def __init__(self, vertices: Iterable[tuple[str, FiniteGroup]],
                  edges: Iterable[Edge], base_vertex: str,
@@ -143,8 +146,7 @@ class GraphOfGroups:
                 hom = e.inj[k]
                 if hom.source is not e.group or hom.target is not self.vertices[e.ends[k]]:
                     raise GogError(f"edge {e.id!r} injection {k} connects wrong groups")
-                report = check_hom(hom)
-                if report.status == "invalid" or not hom.is_injective():
+                if check_hom(hom).status == "invalid" or not hom.is_injective():
                     raise GogError(f"edge {e.id!r} injection {k} is not a monomorphism")
             self.edges[e.id] = e
 
@@ -152,9 +154,6 @@ class GraphOfGroups:
         self._validate_graph()
 
         self._incident: dict[str, list[Traversal]] = {v: [] for v in self.vertices}
-        self._push = {}
-        self._pinch = {}
-        self._transversal = {}
         self._crossing: dict[Traversal, _Crossing] = {}
         for eid in sorted(self.edges):
             e = self.edges[eid]
@@ -162,28 +161,22 @@ class GraphOfGroups:
             for d, t in enumerate(pair):
                 self._incident[e.ends[d]].append(t)
                 image = e.inj[d].mapping
-                pinch = self._pinch[t] = dict(zip(image, e.inj[1 - d].mapping))
+                pinch = dict(zip(image, e.inj[1 - d].mapping))
                 reps, decomp = coset_data(self.vertices[e.ends[d]], image)
-                push = self._push[t] = {g: (r, pinch[h])
-                                        for g, (r, h) in decomp.items()}
-                self._transversal[t] = reps
                 self._crossing[t] = _Crossing(
-                    e.ends[d], e.ends[1 - d], pair[1 - d], push, pinch,
-                    self.vertices[e.ends[1 - d]].table)
+                    e.ends[d], e.ends[1 - d], pair[1 - d],
+                    {g: (r, pinch[h]) for g, (r, h) in decomp.items()},
+                    pinch, self.vertices[e.ends[1 - d]].table, reps)
 
-        self._tree_step: dict[str, Optional[Traversal]] = {self.base_vertex: None}
-        frontier = [self.base_vertex]
-        while frontier:
-            v = frontier.pop(0)
+        # The tree is connected (_validate_graph), so this reaches every vertex.
+        self._from_base: dict[str, tuple[Traversal, ...]] = {base_vertex: ()}
+        frontier = [base_vertex]
+        for v in frontier:
             for t in self._incident[v]:
-                if t.edge not in self.spanning_tree:
-                    continue
                 w = self.far(t)
-                if w not in self._tree_step:
-                    self._tree_step[w] = t.reverse()  # step from w toward base
+                if t.edge in self.spanning_tree and w not in self._from_base:
+                    self._from_base[w] = self._from_base[v] + (t,)
                     frontier.append(w)
-        if len(self._tree_step) != len(self.vertices):
-            raise GogError("spanning tree does not reach every vertex")
 
         self._letter_home: dict[str, list[str]] = {}
         for vid in sorted(self.vertices):
@@ -207,9 +200,6 @@ class GraphOfGroups:
 
     # -- local accessors ---------------------------------------------------
 
-    def group_at(self, vertex: str) -> FiniteGroup:
-        return self.vertices[vertex]
-
     def near(self, t: Traversal) -> str:
         return self._crossing[t].near
 
@@ -221,22 +211,16 @@ class GraphOfGroups:
 
     def transversal(self, t: Traversal) -> tuple[int, ...]:
         """Canonical coset representatives at the near end of t."""
-        return self._transversal[t]
+        return self._crossing[t].transversal
 
     def tree_path(self, u: str, w: str) -> tuple[Traversal, ...]:
-        """The geodesic path of spanning-tree traversals from u to w."""
-        up_u, up_w = self._path_to_base(u), self._path_to_base(w)
-        while up_u and up_w and up_u[-1] == up_w[-1]:
-            up_u.pop()
-            up_w.pop()
-        return tuple(up_u) + tuple(t.reverse() for t in reversed(up_w))
-
-    def _path_to_base(self, v: str) -> list[Traversal]:
-        out = []
-        while self._tree_step[v] is not None:
-            out.append(self._tree_step[v])
-            v = self.far(out[-1])
-        return out
+        """Spanning-tree traversals from u up to where the base's paths to
+        u and to w part, then down to w: the tree geodesic."""
+        to_u, to_w = self._from_base[u], self._from_base[w]
+        k = 0
+        while k < min(len(to_u), len(to_w)) and to_u[k] == to_w[k]:
+            k += 1
+        return tuple(t.reverse() for t in reversed(to_u[k:])) + to_w[k:]
 
 
 def _spanning_forest(nodes: Iterable, pairs: Sequence[tuple]
@@ -277,7 +261,7 @@ def _reduce_into(gog: GraphOfGroups, out: list, v: str, acc: int,
     crossing = gog._crossing
     table = gog.vertices[v].table
     for g, t in raw_steps:
-        near, far, rev, push, pinch, far_table = crossing[t]
+        near, far, rev, push, pinch, far_table, _ = crossing[t]
         if near != v:
             raise GogError(f"traversal {t} does not start at {v!r}")
         if not 0 <= g < len(table):
@@ -573,12 +557,7 @@ def nf_to_json(gog: GraphOfGroups, nf: NormalForm) -> dict:
 
 def build_amalgam(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
                   iA: GroupHom, iB: GroupHom) -> GraphOfGroups:
-    """One-edge graph of groups with vertex groups A, B and edge group C."""
-    for hom, tgt, side in ((iA, A, "iA"), (iB, B, "iB")):
-        if hom.source is not C or hom.target is not tgt:
-            raise GogError(f"{side} must map C into the matching vertex group")
-        if check_hom(hom).status == "invalid" or not hom.is_injective():
-            raise GogError(f"{side} is not a monomorphism")
+    """One-edge graph of groups A *_C B (the constructor checks iA, iB)."""
     edge = Edge("e", C, ("vA", "vB"), (iA, iB))
     return GraphOfGroups([("vA", A), ("vB", B)], [edge], "vA", {"e"})
 

@@ -270,7 +270,7 @@ def reduce_by_traversals(gog, start, raw_steps, raw_tail):
         if not 0 <= g < grp.order:
             raise gw.GogError(f"element index {g} out of range at {v!r}")
         acc = grp.mul(acc, g)
-        pinch = gog._pinch[t]
+        pinch = gog._crossing[t].pinch
         if out and out[-1][1] == t.reverse() and acc in pinch:
             far_elt = pinch[acc]
             r_prev, t_prev = out.pop()
@@ -278,7 +278,7 @@ def reduce_by_traversals(gog, start, raw_steps, raw_tail):
             grp = gog.vertices[v]
             acc = grp.mul(r_prev, far_elt)
         else:
-            r, far_elt = gog._push[t][acc]
+            r, far_elt = gog._crossing[t].push[acc]
             out.append((r, t))
             v = ends(t)[1]
             grp = gog.vertices[v]
@@ -615,7 +615,7 @@ def cyclic_reduction_by_products(gog, w):
         if t1 != tn.reverse():
             break
         seam = gog.vertices[cur.start].mul(cur.tail, r1)
-        pinch = gog._pinch[t1]
+        pinch = gog._crossing[t1].pinch
         if seam not in pinch:
             break
         new_anchor = gog.far(t1)

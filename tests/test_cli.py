@@ -12,7 +12,9 @@ import vfree
 import vfree.fingroup as fg
 import vfree.gogwords as gw
 from fixtures import build_A
+from vfree.bstree import standard_frame
 from vfree.cli import (
+    _sample_reduced_forms,
     load_group,
     main,
     report_from_json,
@@ -67,6 +69,18 @@ def test_verify_counterexample_passes():
     assert f.witness["h_z"] == "(e1 e2 e3)"
     e = check_by_id(report, "e")
     assert e.witness["sampled"] == e.witness["no_collapse"] >= 150
+
+
+def test_counterexample_sample_is_seeded_reduced_and_covers_lengths():
+    gog = load_group("counterexample")
+    loops = {v: standard_frame(gog, v).stabilizer for v in gog.vertices}
+    sample = _sample_reduced_forms(gog, loops, 6, 240, 20250814)
+    assert sample == _sample_reduced_forms(gog, loops, 6, 240, 20250814)
+    assert len(set(sample)) == len(sample) == 240
+    for w in sample:
+        assert not gw.is_identity(gog, w) and w.syllable_length() <= 6
+        assert gw.normal_form(gog, w) == w
+    assert {w.syllable_length() for w in sample} == {0, 2, 4, 6}
 
 
 def test_report_json_round_trip():
@@ -383,6 +397,7 @@ def test_walk_input_errors_name_the_field(capsys, tmp_path, monkeypatch,
     ([1, 2], "measure JSON is not an object (got a list)"),
     ({"support": "s t"}, "field 'support' is not a list (got a string)"),
     ({"support": ["s", 3]}, "support[1] is not a string (got an integer)"),
+    ({"support": []}, "measure support must be nonempty"),
 ])
 def test_walk_measure_shape_errors_name_the_field(capsys, tmp_path, measure,
                                                   message):
@@ -448,6 +463,45 @@ def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
     code, out, err = run(capsys, *argv, str(path))
     assert code == 1 and out == ""
     assert message in err
+
+
+MU_PARAMS = {
+    "g": {"generators": 2, "relators": ["x1^4", "x2^6", "x1^2 x2^-3"]},
+    "u": {"generators": 1, "relators": ["y1^6"]},
+    "tests": ["x1^2"], "kill": ["y1^3"]}
+
+
+@pytest.mark.parametrize("which, params, code, message", [
+    ("delta", {"n": 1, "blocks": [["x1^1000000"]]}, 0,
+     "x1^1000000 u1 x2^-1000000 u1^-1 = 1"),
+    ("delta", {"n": 2, "blocks": [["x1^10000000000 x2^-99999999999"]]}, 0,
+     "x4^99999999999 x3^-10000000000"),
+    ("theta", {"orders": [4, 512]}, 0, "y^511 ~= 1"),
+    ("theta", {"orders": [4, 6000]}, 1,
+     "field 'orders' entry 6000 is above the order cap 512"),
+    ("theta", {"orders": [10**12, 6]}, 1,
+     "field 'orders' entry 1000000000000 is above the order cap 512"),
+    ("mu", {**MU_PARAMS, "embedding": ["x1 x2 x1^-1"],
+            "inner": {"kind": "delta", "n": 1, "blocks": [["x1^10000000"]]}},
+     0, "x1 x2^10000000 x1^-1"),
+    ("mu", {**MU_PARAMS, "embedding": ["x1 x2"],
+            "inner": {"kind": "delta", "n": 1, "blocks": [["x1^20000"]]}},
+     0, "x1 x2 " * 20000 + "u1 y1^-20000 u1^-1 = 1"),
+    ("mu", {**MU_PARAMS, "embedding": ["x1 x2"],
+            "inner": {"kind": "delta", "n": 1, "blocks": [["x1^10000000"]]}},
+     1, "power 10000000 of x1 x2 would have 20000000 syllables, above the "
+        "cap of 100000"),
+], ids=["delta-1e6", "delta-1e10", "theta-512", "theta-6000", "theta-1e12",
+        "mu-one-syllable-core", "mu-long-core", "mu-past-the-cap"])
+def test_formula_powers_finish_quickly(capsys, tmp_path, which, params, code,
+                                       message):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    start = time.perf_counter()
+    got, out, err = run(capsys, "emit-formula", which, "--params", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert message in (out if code == 0 else err)
 
 
 def test_exit_codes(capsys):

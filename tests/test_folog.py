@@ -1,10 +1,12 @@
 """Formula ASTs: word algebra, the three emitters, classification, rendering."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vfree.folog as folog
 from vfree.folog import (
     SL2Z_RELATORS,
     And,
@@ -62,6 +64,34 @@ def test_word_algebra():
         word("AND")
     with pytest.raises(FormulaError):
         Word((("x", "2"),))
+
+
+def power_by_copies(w, k):
+    """w^k as the product of |k| copies of w or of its inverse."""
+    return wmul(*[w if k > 0 else winv(w)] * abs(k))
+
+
+syllable = st.tuples(st.sampled_from("xyz"), st.sampled_from([-2, -1, 1, 2, 3]))
+
+
+@settings(max_examples=300)
+@given(core=st.lists(syllable, max_size=6), conj=st.lists(syllable, max_size=3),
+       k=st.integers(-6, 6))
+def test_power_matches_copies_and_the_cap_is_exact(core, conj, k):
+    c = wmul(*(f"{v}^{e}" for v, e in conj))
+    w = wmul(c, wmul(*(f"{v}^{e}" for v, e in core)), winv(c))
+    want = power_by_copies(w, k)
+    assert wpow(w, k) == want
+    # The cap refuses exactly the powers longer than it, one-syllable
+    # cores (whose powers do not grow with k) aside.
+    grows = len(power_by_copies(w, abs(k) + 1).syllables) > len(want.syllables)
+    with mock.patch.object(folog, "MAX_POWER_SYLLABLES",
+                           len(want.syllables) - 1):
+        if grows and k:
+            with pytest.raises(FormulaError, match="above the cap"):
+                wpow(w, k)
+        else:
+            assert wpow(w, k) == want
 
 
 def test_theta_golden_and_counts():

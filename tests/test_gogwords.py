@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 import vfree.bstree as bt
+import vfree.defspace as ds
 import vfree.fingroup as fg
 import vfree.gogwords as gw
 from fixtures import (build_counterexample_gog, build_klein_hnn, build_z2_z3,
@@ -231,7 +232,7 @@ def _is_cyclically_reduced(gog, core):
     if t1 != tn.reverse():
         return True
     seam = gog.vertices[core.start].mul(core.tail, r1)
-    return seam not in gog._pinch[t1]
+    return seam not in gog._crossing[t1].pinch
 
 
 def test_cyclic_reduction_factorization():
@@ -322,7 +323,7 @@ def random_raw_path(gog, rng, start, max_steps):
     for _ in range(rng.randint(0, max_steps)):
         if steps and rng.random() < 0.5:
             t = steps[-1][1].reverse()
-            g = rng.choice(sorted(gog._pinch[t]))
+            g = rng.choice(sorted(gog._crossing[t].pinch))
         else:
             t = rng.choice(gog.incident(v))
             g = rng.randrange(gog.vertices[v].order)
@@ -357,7 +358,7 @@ def test_reducer_matches_traversal_keyed_oracle(name, seed):
         bad, tail = steps, gog.vertices[v].order + rng.randrange(3)
     else:
         g, t = steps[k]
-        elsewhere = [u for u in sorted(gog._pinch)
+        elsewhere = [u for u in sorted(gog._crossing)
                      if gog.near(u) != gog.near(t)]
         if elsewhere and rng.random() < 0.5:
             step = (0, rng.choice(elsewhere))
@@ -593,6 +594,68 @@ def test_build_amalgam_rejects_non_injective_map():
     ok = fg.GroupHom.from_generator_images(z2, z4, {"c": 2})
     with pytest.raises(gw.GogError):
         gw.build_amalgam(z4, z4, z2, squash, ok)
+
+
+def bfs_tree_path(gog, u, w):
+    """Spanning-tree traversals from u to w, by breadth-first search from
+    u over the tree edges' ends."""
+    came_by = {u: None}
+    frontier = [u]
+    for v in frontier:
+        for e in sorted(gog.spanning_tree):
+            ends = gog.edges[e].ends
+            for d in (0, 1):
+                if ends[d] == v and ends[1 - d] not in came_by:
+                    came_by[ends[1 - d]] = gw.Traversal(e, d)
+                    frontier.append(ends[1 - d])
+    path = []
+    while w != u:
+        path.append(came_by[w])
+        w = gog.edges[path[-1].edge].ends[path[-1].dir]
+    return tuple(reversed(path))
+
+
+def rebased(gog):
+    """The same graph of groups with each vertex as base in turn."""
+    return [gw.GraphOfGroups(gog.vertices.items(), gog.edges.values(), v,
+                             gog.spanning_tree) for v in sorted(gog.vertices)]
+
+
+def chain(length):
+    """Z/2 vertices v0 - v1 - ... joined in a line by trivial edge groups."""
+    z2, triv = fg.build_cyclic(2, "s"), fg.build_cyclic(1, "c")
+    vertices = [(f"v{k}", z2) for k in range(length)]
+    inc = fg.GroupHom(triv, z2, (z2.identity,))
+    edges = [gw.Edge(f"e{k}", triv, (f"v{k}", f"v{k + 1}"), (inc, inc))
+             for k in range(length - 1)]
+    return gw.GraphOfGroups(vertices, edges, "v0",
+                            {e.id for e in edges})
+
+
+TREE_GRAPHS = (list(SEAM.values()) + rebased(chain(4))
+               + [g for found in ds.enumerate_reduced(3, 2, 2)
+                  for g in rebased(found)])
+
+
+def test_tree_paths_match_breadth_first_search():
+    prefixed = 0
+    for gog in TREE_GRAPHS:
+        for u in gog.vertices:
+            for w in gog.vertices:
+                assert gog.tree_path(u, w) == bfs_tree_path(gog, u, w)
+                to_u = gog.tree_path(gog.base_vertex, u)
+                to_w = gog.tree_path(gog.base_vertex, w)
+                prefixed += bool(to_u and to_w and to_u[0] == to_w[0]
+                                 and u != w)
+    assert prefixed > 0   # some pairs part below the base
+
+
+def test_transversals_are_the_coset_representatives():
+    for gog in TREE_GRAPHS:
+        for t in gog._crossing:
+            sub = gog.edges[t.edge].inj[t.dir].mapping
+            reps = fg.coset_data(gog.vertices[gog.near(t)], sub)[0]
+            assert gog.transversal(t) == reps
 
 
 def test_graph_validation():
