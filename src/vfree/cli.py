@@ -55,6 +55,7 @@ from .folog import (
 )
 from .genericity import (
     RandomWalkSpec,
+    _step_table,
     _walk,
     experiment_csv,
     fills,
@@ -291,10 +292,11 @@ def _sample_reduced_forms(gog: GraphOfGroups, loops: dict,
     vertex to its stabilizer), then those passed by seeded walks of
     2 * max_syllables letters, 40 * target steps in all."""
     spec = _letter_measure(gog, 1, seed)
+    table = _step_table(spec)
     walked = (NormalForm(gog.base_vertex, tuple(steps), tail)
               for trial in range(20 * target // max_syllables)
               for steps, tail in itertools.islice(
-                  _walk(gog, spec, trial), 2 * max_syllables + 1))
+                  _walk(gog, spec, table, trial), 2 * max_syllables + 1))
     seen: dict = {}
     for nf in itertools.chain(*(loops[v] for v in sorted(gog.vertices)),
                               walked):

@@ -9,6 +9,7 @@ enumeration of reduced splittings up to isomorphism.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -373,66 +374,47 @@ def are_gog_isomorphic(g1: GraphOfGroups, g2: GraphOfGroups) -> bool:
     if sorted(e.group.order for e in g1.edges.values()) != \
             sorted(e.group.order for e in g2.edges.values()):
         return False
+    if not g1.edges:
+        # A connected graph without edges is one vertex.
+        return next(fg.isomorphisms_iter(g1.vertices[v1[0]],
+                                         g2.vertices[v2[0]]), None) is not None
 
-    e1_ids = sorted(g1.edges)
-    # Edges are matched by the unordered pair of mapped endpoints.
-    buckets: dict[tuple, list[str]] = {}
-    for eid in sorted(g2.edges):
-        buckets.setdefault(tuple(sorted(g2.edges[eid].ends)), []).append(eid)
-    isos: dict[tuple[str, str], Sequence[GroupHom]] = {}
+    edges = [g1.edges[eid] for eid in sorted(g1.edges)]
     for perm in itertools.permutations(v2):
         sigma = dict(zip(v1, perm))
         if any(g1.vertices[v].order != g2.vertices[sigma[v]].order
                or quotient_degree(g1, v) != quotient_degree(g2, sigma[v])
                for v in v1):
             continue
-        if any(not buckets.get(tuple(sorted(sigma[x]
-                                            for x in g1.edges[eid].ends)))
-               for eid in e1_ids):
-            continue
-        iso_lists = {}
-        for v in v1:
-            pair = (v, sigma[v])
-            if pair not in isos:
-                a, b = g1.vertices[v], g2.vertices[sigma[v]]
-                isos[pair] = a.automorphisms() if a is b \
-                    else list(fg.isomorphisms_iter(a, b))
-            if not isos[pair]:
-                break
-            iso_lists[v] = isos[pair]
-        if len(iso_lists) != len(v1):
-            continue
-        if _match_edges(g1, g2, sigma, e1_ids, buckets, iso_lists):
+        if _match(g1, g2, sigma, {}, edges, tuple(sorted(g2.edges))):
             return True
     return False
 
 
-def _match_edges(g1, g2, sigma, e1_ids, buckets, iso_lists) -> bool:
-    for alpha_choice in itertools.product(*(iso_lists[v] for v in sorted(iso_lists))):
-        alpha = dict(zip(sorted(iso_lists), alpha_choice))
-
-        def assign(idx: int, pool: dict) -> bool:
-            if idx == len(e1_ids):
+def _match(g1, g2, sigma, alpha, edges, free) -> bool:
+    """Can edges go one to one onto the g2 edges named in free, over sigma
+    and vertex-group isomorphisms extending alpha?  A vertex's isomorphism
+    is chosen when its first edge needs it."""
+    if not edges:
+        return True
+    e1 = edges[0]
+    for v in e1.ends:
+        if v not in alpha:
+            src, tgt = g1.vertices[v], g2.vertices[sigma[v]]
+            isos = src.automorphisms() if src is tgt \
+                else fg.isomorphisms_iter(src, tgt)
+            return any(_match(g1, g2, sigma, {**alpha, v: iso}, edges, free)
+                       for iso in isos)
+    ends = tuple(sigma[x] for x in e1.ends)
+    a = (alpha[e1.ends[0]], alpha[e1.ends[1]])
+    for eid in free:
+        e2 = g2.edges[eid]
+        for flip in (False, True):
+            if ends == (e2.ends[::-1] if flip else e2.ends) \
+                    and _edge_compatible(e1, e2, a, flip) \
+                    and _match(g1, g2, sigma, alpha, edges[1:],
+                               tuple(f for f in free if f != eid)):
                 return True
-            e1 = g1.edges[e1_ids[idx]]
-            key = tuple(sorted(sigma[x] for x in e1.ends))
-            for pick in list(pool[key]):
-                e2 = g2.edges[pick]
-                for flip in (False, True):
-                    ends2 = (e2.ends[1], e2.ends[0]) if flip else e2.ends
-                    if tuple(sigma[x] for x in e1.ends) != ends2:
-                        continue
-                    a = (alpha[e1.ends[0]], alpha[e1.ends[1]])
-                    if _edge_compatible(e1, e2, a, flip):
-                        pool[key].remove(pick)
-                        if assign(idx + 1, pool):
-                            return True
-                        pool[key].append(pick)
-            return False
-
-        pool = {k: list(v) for k, v in buckets.items()}
-        if assign(0, pool):
-            return True
     return False
 
 
@@ -505,6 +487,12 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     Optional vertex_groups / edge_groups pin the group multisets instead
     of drawing them from the small-groups catalog.
 
+    Each edge takes its injections (a, b) from _orbit_reps only.  That is
+    exact: if a' = ad(g)∘a∘β with β in Aut of the edge group, (a', b') is
+    isomorphic to (a, b'∘β⁻¹), earlier in the a-major product order, and
+    conjugating b' is an isomorphism too; so the first candidate of each
+    class, in the stable sort below, is still built.
+
     Candidates are sorted by _canonical_key and each is kept unless it is
     isomorphic to a graph kept before it.  It is compared, through
     are_gog_isomorphic, only with the kept graphs that share its
@@ -525,12 +513,9 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     if edge_groups is not None and len(edge_groups) != q:
         raise GogError("edge_groups must list one group per edge")
 
-    mono_memo: dict[tuple[FiniteGroup, FiniteGroup], list[GroupHom]] = {}
-
-    def monos_into(egrp: FiniteGroup, vgrp: FiniteGroup) -> list[GroupHom]:
-        if (egrp, vgrp) not in mono_memo:
-            mono_memo[egrp, vgrp] = fg.all_monomorphisms(egrp, vgrp)
-        return mono_memo[egrp, vgrp]
+    @functools.cache
+    def monos_into(egrp: FiniteGroup, vgrp: FiniteGroup, end: int):
+        return _orbit_reps(fg.all_monomorphisms(egrp, vgrp), end)
 
     found: list[GraphOfGroups] = []
     for shape in _connected_shapes(p, q):
@@ -543,16 +528,9 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                                              edge_groups):
                 if _has_collapsible_edge(shape, vgroups, egroups):
                     continue
-                mono_pools = []
-                for (i, j), egrp in zip(shape, egroups):
-                    mi = monos_into(egrp, vgroups[i])
-                    mj = monos_into(egrp, vgroups[j])
-                    if not mi or not mj:
-                        mono_pools = None
-                        break
-                    mono_pools.append([(a, b) for a in mi for b in mj])
-                if mono_pools is None:
-                    continue
+                mono_pools = [[(a, b) for a in monos_into(egrp, vgroups[i], 0)
+                               for b in monos_into(egrp, vgroups[j], 1)]
+                              for (i, j), egrp in zip(shape, egroups)]
                 found.extend(_candidate_graph(shape, vgroups, egroups, monos)
                              for monos in itertools.product(*mono_pools))
 
@@ -561,6 +539,17 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     for cand in found:
         classes.add(cand)
     return classes.kept
+
+
+def _orbit_reps(monos: Sequence[GroupHom], end: int) -> list[GroupHom]:
+    """The first of monos with each conjugacy class of images: image
+    subgroups at end 0, image tuples (inner-automorphism orbits) at end 1."""
+    image = frozenset if end == 0 else tuple
+    reps: dict[frozenset, GroupHom] = {}
+    for m in monos:
+        reps.setdefault(frozenset(image(row[y] for y in m.mapping)
+                                  for row in m.target.conjugation_rows()), m)
+    return list(reps.values())
 
 
 def _has_collapsible_edge(shape, vgroups, egroups) -> bool:
@@ -668,7 +657,7 @@ def _expansions(gog: GraphOfGroups):
             allowed = [pair for pair in ends
                        if set(gog.edges[pair[0]].inj[pair[1]].mapping)
                        <= set(sub.elements)]
-            for k in range(len(allowed) + 1):
+            for k in range(1, len(allowed) + 1):
                 for moved in itertools.combinations(allowed, k):
                     move = expansion_move(w, sub.elements, moved)
                     try:

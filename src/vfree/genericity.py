@@ -367,26 +367,31 @@ def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> None:
     for nf in spec.support:
         if nf.start != gog.base_vertex or end_vertex(gog, nf) != gog.base_vertex:
             raise GogError("support elements must be loops at the base vertex")
-    fracs = [Fraction(w) for w in spec.weights]
-    if any(f <= 0 for f in fracs):
+    if any(Fraction(w) <= 0 for w in spec.weights):
         raise GogError("weights must be positive")
-    if sum(fracs) != 1:
-        raise GogError("weights must sum to 1")
+    _step_table(spec)  # raises unless the weights sum to 1
     if spec.trials < 1:
         raise GogError("at least one trial is required")
     _check_generation(gog, spec.support)
 
 
-def _walk(gog: GraphOfGroups, spec: RandomWalkSpec, trial: int):
-    """The elements trial number `trial` reaches after 0, 1, 2, ... steps,
-    each yielded as its normal-form steps and tail.  The steps are one
-    list that every later step extends or cancels in place, so a caller
-    copies what it keeps before it asks for the next element."""
+def _step_table(spec: RandomWalkSpec) -> tuple[int, list[int]]:
+    """(denom, cums): a step draws r in range(denom) and takes the support
+    element at bisect_right(cums, r), so each has its exact weight."""
     fracs = [Fraction(w) for w in spec.weights]
     denom = math.lcm(*(f.denominator for f in fracs))
     cums = list(itertools.accumulate(int(f * denom) for f in fracs))
     if cums[-1] != denom:
         raise GogError("weights must sum to 1")
+    return denom, cums
+
+
+def _walk(gog: GraphOfGroups, spec: RandomWalkSpec, table, trial: int):
+    """The elements trial number `trial` reaches after 0, 1, 2, ... steps
+    drawn by table = _step_table(spec), each yielded as its normal-form
+    steps and tail.  The steps are one list that every later step extends
+    or cancels in place, so a caller copies what it keeps first."""
+    denom, cums = table
     rng = random.Random(splitmix64(spec.seed, trial))
     steps: list = []
     v = gog.base_vertex
@@ -408,7 +413,8 @@ def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
     walks each trial once, to its longest length."""
     if length < 0:
         raise GogError("walk length must be nonnegative")
-    steps, tail = next(itertools.islice(_walk(gog, spec, trial), length, None))
+    steps, tail = next(itertools.islice(
+        _walk(gog, spec, _step_table(spec), trial), length, None))
     return NormalForm(gog.base_vertex, tuple(steps), tail)
 
 
@@ -422,9 +428,10 @@ def run_genericity_experiment(gog: GraphOfGroups, spec: RandomWalkSpec,
     if any(not isinstance(n, int) or n < 0 for n in lengths):
         raise GogError("walk lengths must be nonnegative integers")
     counts = {n: [0, 0] for n in lengths}
+    table = _step_table(spec)
     for t in range(spec.trials):
         for n, (steps, tail) in zip(range(max(lengths, default=-1) + 1),
-                                    _walk(gog, spec, t)):
+                                    _walk(gog, spec, table, t)):
             if n in counts:
                 g = NormalForm(gog.base_vertex, tuple(steps), tail)
                 core = cyclic_reduction(gog, g)[1]

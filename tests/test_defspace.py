@@ -6,6 +6,7 @@ constant along random legal move sequences, and collapse word maps must
 send a word to the identity exactly when the source word was trivial.
 """
 
+import itertools
 import random
 
 import pytest
@@ -402,6 +403,40 @@ def test_nonredundant_expansions_build_each_expansion_once(monkeypatch):
     assert out == [SL2Z]
     assert len(built) > 1
     assert set(built.values()) == {1}
+
+
+def test_expansion_moves_are_every_legal_expansion():
+    # Every (vertex, subgroup, subset of incident ends) that apply_move
+    # accepts, the empty subset included, in expansion_moves' order.
+    for gog in (SL2Z, build_star(), ROSE3, build_counterexample_gog()):
+        want = []
+        for w in sorted(gog.vertices):
+            ends = [(t.edge, t.dir) for t in gog.incident(w)]
+            for sub in fg.all_subgroups(gog.vertices[w]):
+                for k in range(len(ends) + 1):
+                    for moved in itertools.combinations(ends, k):
+                        move = ds.expansion_move(w, sub.elements, moved)
+                        try:
+                            ds.apply_move(gog, move)
+                        except gw.GogError:
+                            continue
+                        want.append(move)
+        assert ds.expansion_moves(gog) == want
+
+
+def test_expansions_build_no_move_without_a_moved_end(monkeypatch):
+    # With no moved end the new vertex is a leaf whose edge has index 1:
+    # such an expansion is never minimal, so it is not built.
+    tried = []
+    apply_expansion = ds._apply_expansion
+
+    def recording(gog, move):
+        tried.append(move)
+        return apply_expansion(gog, move)
+
+    monkeypatch.setattr(ds, "_apply_expansion", recording)
+    ds.expansion_moves(build_counterexample_gog())
+    assert tried and all(move.moved for move in tried)
 
 
 def test_nonredundant_expansions_match_brute_force():

@@ -183,6 +183,45 @@ def test_group_json_order_cap_admits_its_bound():
     assert fg.group_from_json({"kind": "boolean", "k": 9}).order == 512
 
 
+V4 = {"kind": "boolean", "k": 2}
+FLIP = {"kind": "cyclic", "n": 2, "name": "t"}
+D4_ORDERS = [1, 2, 2, 2, 2, 2, 4, 4]
+
+
+@pytest.mark.parametrize("data,orders", [
+    # V4 ⋊ Z/2 swapping the basis vectors, the dihedral group of order 8,
+    # with the action as cycle notation and as a 0/1 matrix.
+    ({"kind": "semidirect", "c": V4, "q": FLIP,
+      "action": {"t": "(e1 e2)"}}, D4_ORDERS),
+    ({"kind": "semidirect", "c": V4, "q": FLIP,
+      "action": {"t": [[0, 1], [1, 0]]}}, D4_ORDERS),
+    # Z/3 ⋊ Z/2 by inversion, as a permutation list: S3.
+    ({"kind": "semidirect", "c": {"kind": "cyclic", "n": 3, "name": "r"},
+      "q": FLIP, "action": {"t": [0, 2, 1]}}, [1, 2, 2, 2, 3, 3]),
+    ({"kind": "direct", "factors": [{"kind": "cyclic", "n": 2, "name": "a"},
+                                    {"kind": "cyclic", "n": 3, "name": "b"}]},
+     [1, 2, 3, 3, 6, 6]),
+    ({"kind": "direct", "factors": [{"kind": "cyclic", "n": 2, "name": x}
+                                    for x in "abc"]}, [1] + [2] * 7),
+    ({"kind": "dicyclic", "n": 3}, [1, 2, 3, 3] + [4] * 6 + [6, 6]),
+], ids=["semidirect-cycles", "semidirect-matrix", "semidirect-list",
+        "direct-2", "direct-3", "dicyclic"])
+def test_group_json_builds_each_kind(data, orders):
+    g = fg.group_from_json(data)
+    assert g.order == len(orders)
+    assert sorted(g.element_orders()) == orders
+    assert fg.group_from_json(fg.group_to_json(g)).table == g.table
+
+
+def test_group_json_cycle_and_matrix_actions_agree():
+    swap = [fg.group_from_json({"kind": "semidirect", "c": V4, "q": FLIP,
+                                "action": {"t": spec}})
+            for spec in ("(e1 e2)", [[0, 1], [1, 0]])]
+    assert swap[0].table == swap[1].table
+    t, e1, e2 = (swap[0].generator(n) for n in ("t", "e1", "e2"))
+    assert swap[0].conj(t, e1) == e2
+
+
 def _accepts(table, gens):
     try:
         fg.FiniteGroup(table, gens)

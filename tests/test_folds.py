@@ -67,8 +67,7 @@ def _orientations(edge):
 
 def fold_count_oracle(basis):
     """Folds needed to carry the subdivided wedge of circles labeled by
-    the given positive words onto the standard rose: repeatedly identify
-    two edges sharing an origin and a label, in either orientation."""
+    the given positive words onto the standard rose."""
     edges = []
     fresh = 1
     for word in basis:
@@ -79,6 +78,13 @@ def fold_count_oracle(basis):
             if tgt:
                 fresh += 1
             edges.append((prev, ch, tgt))
+    return count_folds(edges)
+
+
+def count_folds(edges):
+    """Folds that make a labeled graph, given as (origin, label, target)
+    edges, folded: repeatedly identify two edges sharing an origin and a
+    label, in either orientation."""
     folds = 0
     while True:
         hit = None
@@ -176,6 +182,62 @@ def test_stabilizer_fold_grows_trivial_edge_group_to_order_two():
     assert len(out.edges) == len(one.edges)
     assert out.edges["E"].stab == frozenset(brute_closure(SL2Z, ["a a"]))
     assert out.vertices["w"].stab == frozenset(brute_closure(SL2Z, ["a a"]))
+
+
+def test_pair_fold_merges_away_a_vertex_with_a_loop():
+    # u -x-> w, a y-loop at w (twist x y x^-1 from w's lift x.o) and an
+    # x-loop at u: folding the two x-edges at u merges w into u, and w's
+    # loop is re-twisted at both ends into the y-loop of the rose.
+    base = bt.base_vertex(ROSE)
+    at_x = bt.vertex_from_path(ROSE, nf(ROSE, "x"))
+    m = mk(ROSE, {"u": (base, [""]), "w": (at_x, [""])},
+           {"A": (("u", "w"), "", [""]), "B": (("u", "u"), "x", [""]),
+            "L": (("w", "w"), "x y x^-1", [""])})
+    d = fo.pair_fold("A", 0, "B", 0)
+    assert fo.available_folds(m)["pairs"] == [d]
+    out = fo.fold(m, d)
+    out.validate()
+    assert sorted(out.vertices) == ["u"] and sorted(out.edges) == ["A", "L"]
+    assert out.edges["A"].ends == out.edges["L"].ends == ("u", "u")
+    assert {me.twist for me in out.edges.values()} == \
+        {nf(ROSE, "x"), nf(ROSE, "y")}
+    assert fo.is_terminal(out)
+    # The same labeled graph, 0 -x-> 1, 1 -y-> 1, 0 -x-> 0, needs one
+    # fold in the labeled-graph oracle.
+    assert len(fo.fold_sequence(m, ROSE, 5)) == \
+        count_folds([(0, "x", 1), (1, "y", 1), (0, "x", 0)]) == 1
+
+
+def test_pair_fold_of_two_edges_to_one_far_vertex_grows_it():
+    # Both edges run from v to w and reach the tree edge from the base to
+    # vB's standard vertex, the second through b: folding them adds b to
+    # w's stabilizer.
+    base = bt.base_vertex(SL2Z)
+    vb = bt.standard_vertex(SL2Z, "vB")
+    two = mk(SL2Z, {"v": (base, [""]), "w": (vb, [""])},
+             {"E": (("v", "w"), "", [""]), "E2": (("v", "w"), "b", [""])})
+    d = fo.pair_fold("E", 0, "E2", 0)
+    assert fo.classify_fold(two, d) == "type2"
+    out = fo.fold(two, d)
+    out.validate()
+    assert sorted(out.edges) == ["E"] and sorted(out.vertices) == ["v", "w"]
+    assert out.vertices["w"].stab == frozenset(brute_closure(SL2Z, ["b"]))
+    assert out.vertices["v"].stab == frozenset(brute_closure(SL2Z, []))
+    assert out.edges["E"].stab == frozenset(brute_closure(SL2Z, []))
+
+
+def test_collapse_of_a_twisted_loop_grows_its_vertex():
+    # The loop's twist a fixes the base vertex, so the loop maps to a
+    # point; collapsing it adds a to the order-2 stabilizer.
+    base = bt.base_vertex(SL2Z)
+    m = mk(SL2Z, {"v": (base, Z2A)}, {"L": (("v", "v"), "a", [""])})
+    d = fo.collapse_fold("L")
+    assert fo.available_folds(m)["collapses"] == [d]
+    out = fo.fold(m, d)
+    out.validate()
+    assert out.edges == {}
+    assert out.vertices["v"].stab == frozenset(brute_closure(SL2Z, ["a"]))
+    assert len(out.vertices["v"].stab) == 4
 
 
 def test_fold_error_conditions():
