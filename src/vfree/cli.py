@@ -82,6 +82,10 @@ from .gogwords import (
 
 BUILTIN_GROUPS = ("sl2z", "counterexample", "z2z3")
 
+WALK_STEP_CAP = 10**6
+"""The most work `walk` accepts: --trials × Σ(n + 1) over the --lengths
+entries n, checked before any walk; the + 1 counts a length-0 entry too."""
+
 
 def load_group(spec: str) -> GraphOfGroups:
     """A graph of groups from a builtin name or a JSON file path."""
@@ -625,6 +629,12 @@ def cmd_walk(args) -> int:
         spec = _letter_measure(gog, args.trials, seed)
     lengths = [_integer(part, "--lengths entry")
                for part in args.lengths.split(",") if part]
+    if not lengths:
+        raise GogError("--lengths lists no length")
+    work = args.trials * (sum(lengths) + len(lengths))
+    if work > WALK_STEP_CAP:
+        raise GogError(f"--trials × Σ(--lengths entry + 1) is {work}, above "
+                       f"the walk cap {WALK_STEP_CAP}")
     rows = run_genericity_experiment(gog, spec, lengths)
     if args.format == "json":
         print(_dump([{"n": r.n, "trials": r.trials,
@@ -766,7 +776,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("walk", "random-walk genericity experiment (CSV)", cmd_walk)
     sp.add_argument("--group", default="sl2z")
     sp.add_argument("--measure", help="JSON with support and optional weights")
-    sp.add_argument("--lengths", required=True, help="comma-separated")
+    sp.add_argument("--lengths", required=True,
+                    help="comma-separated; --trials × Σ(length + 1) is "
+                         f"capped at {WALK_STEP_CAP}")
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0,
                     help="overridden by VFREE_SEED if set")

@@ -13,7 +13,11 @@ is the rewriting closure's earlier construction, which tries every rule
 at every position of every word, so it judges the rule-first
 construction on integer-coded words.  The table checks at
 the end are the library's earlier group validation, triple by triple,
-kept to judge the generator-based check that replaced it.  The subgroup lattice by every element is the library's earlier
+kept to judge the generator-based check that replaced it.  The entry-by-
+entry table scans are the library's earlier identity and inverse
+searches, homomorphism check, coset decomposition and permutation
+product table, which look at one table entry at a time, so they judge
+the versions that compare and compose whole rows.  The subgroup lattice by every element is the library's earlier
 all_subgroups, which joins each subgroup with every element outside it.
 The two-pass parser is the library's earlier parse_word: it expands
 letters into items first and turns the items into a raw path word
@@ -466,6 +470,87 @@ def is_group_generated_by(table, gens) -> bool:
         if not new:
             return len(reached) == n
         reached |= new
+
+
+# -- group tables, entry by entry --------------------------------------------
+
+
+def identity_by_scan(table):
+    """The first e with e·x = x = x·e for every x, or None."""
+    n = len(table)
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            return e
+    return None
+
+
+def inverses_by_scan(table, e):
+    """(inverses, None), where inverses[x] is the first y with
+    x·y = e = y·x, or (None, x) for the first x that has no such y."""
+    n = len(table)
+    inv = []
+    for x in range(n):
+        ys = [y for y in range(n) if table[x][y] == e and table[y][x] == e]
+        if not ys:
+            return None, x
+        inv.append(ys[0])
+    return tuple(inv), None
+
+
+def check_hom_by_pairs(h):
+    """check_hom over every pair (x, y) in row-major order, one product
+    at a time."""
+    src, tgt, m = h.source, h.target, h.mapping
+    for x in range(src.order):
+        for y in range(src.order):
+            if m[src.mul(x, y)] != tgt.mul(m[x], m[y]):
+                return fg.HomReport("invalid", (x, y))
+    bijective = len(set(m)) == src.order == tgt.order
+    return fg.HomReport("valid_iso" if bijective else "valid_hom")
+
+
+def coset_data_by_products(group, sub_elements):
+    """coset_data with one group.mul per coset entry and decomposition."""
+    H = sorted(set(sub_elements))
+    seen = {}
+    reps = []
+    for g in range(group.order):
+        if g in seen:
+            continue
+        coset = sorted(group.mul(g, h) for h in H)
+        r = coset[0]
+        reps.append(r)
+        r_inv = group.inv(r)
+        for x in coset:
+            seen[x] = (r, group.mul(r_inv, x))
+    return tuple(reps), seen
+
+
+def permutation_table_by_tuples(perms):
+    """(elements, table) of the group the named permutations generate, in
+    group_from_permutations' order, composing one point at a time; None if
+    the closure passes fg.MAX_GROUP_ORDER elements."""
+    degree = len(next(iter(perms.values())))
+    ident = tuple(range(degree))
+    elts = [ident]
+    pos = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        if len(elts) > fg.MAX_GROUP_ORDER:
+            return None
+        nxt = []
+        for x in frontier:
+            for p in perms.values():
+                for y in (tuple(p[x[i]] for i in range(degree)),
+                          tuple(x[p[i]] for i in range(degree))):
+                    if y not in pos:
+                        pos[y] = len(elts)
+                        elts.append(y)
+                        nxt.append(y)
+        frontier = nxt
+    table = [[pos[tuple(a[b[i]] for i in range(degree))] for b in elts]
+             for a in elts]
+    return elts, table
 
 
 # -- homomorphism search by pairwise closure -----------------------------------

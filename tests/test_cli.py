@@ -14,6 +14,7 @@ import vfree.gogwords as gw
 from fixtures import build_A
 from vfree.bstree import standard_frame
 from vfree.cli import (
+    WALK_STEP_CAP,
     _sample_reduced_forms,
     load_group,
     main,
@@ -407,6 +408,36 @@ def test_walk_measure_shape_errors_name_the_field(capsys, tmp_path, measure,
                          str(path), "--lengths", "4", "--trials", "2")
     assert code == 1 and out == ""
     assert message in err
+
+
+def test_walk_work_is_capped_before_any_walk(capsys):
+    """--trials × Σ(--lengths entry + 1) may reach the cap but not pass
+    it.  1000 length-0 entries over 1000 trials sit at the cap and walk no
+    step; one step past it is refused before any walk, so the last case
+    returns at once instead of walking a million steps."""
+    assert WALK_STEP_CAP == 10**6
+    zeros = ",".join(["0"] * 1000)
+    code, out, err = run(capsys, "walk", "--group", "z2z3", "--lengths",
+                         zeros, "--trials", "1000")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["0,1000,0,0,0.000000"] * 1000
+    for lengths, trials in (("9900", "101"), ("0", "1000001"),
+                            ("1000000", "1")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "walk", "--group", "z2z3", "--lengths",
+                             lengths, "--trials", trials)
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == ""
+        assert "--trials × Σ(--lengths entry + 1) is 1000001, above the " \
+               "walk cap 1000000" in err
+
+
+@pytest.mark.parametrize("lengths", [",", "", ",,"])
+def test_walk_needs_a_length(capsys, lengths):
+    code, out, err = run(capsys, "walk", "--group", "z2z3", "--lengths",
+                         lengths, "--trials", "5")
+    assert code == 1 and out == ""
+    assert "--lengths lists no length" in err
 
 
 def test_emit_formula_command(capsys, tmp_path):

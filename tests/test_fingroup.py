@@ -5,9 +5,12 @@ library code: it composes raw tuples until stable.
 """
 
 import itertools
+import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 from fixtures import build_counterexample_gog, build_z2_z3, relabelled
@@ -183,6 +186,19 @@ def test_group_json_order_cap_admits_its_bound():
     assert fg.group_from_json({"kind": "boolean", "k": 9}).order == 512
 
 
+@pytest.mark.parametrize("group", [fg.build_boolean_vectors(9),
+                                   fg.build_cyclic(512)],
+                         ids=["boolean-9", "cyclic-512"])
+def test_order_cap_tables_build_within_budget(group):
+    """MAX_GROUP_ORDER promises that an order-512 table builds quickly:
+    decoding and validating its table JSON stays under 2 s."""
+    text = json.dumps(fg.group_to_json(group))
+    start = time.perf_counter()
+    built = fg.group_from_json(text)
+    assert time.perf_counter() - start < 2
+    assert built.table == group.table and built.order == fg.MAX_GROUP_ORDER
+
+
 V4 = {"kind": "boolean", "k": 2}
 FLIP = {"kind": "cyclic", "n": 2, "name": "t"}
 D4_ORDERS = [1, 2, 2, 2, 2, 2, 4, 4]
@@ -240,16 +256,21 @@ Z2_LOOP5 = tuple(tuple(5 * (i ^ j) + LOOP5[p][q]
                  for i in range(2) for p in range(5))
 
 
-def _shuffled(table, gens, rng):
-    """The same table with its elements renamed by a seeded permutation."""
+def _renamed(table, gens, perm):
+    """The same table with element i renamed perm[i]."""
     n = len(table)
-    perm = list(range(n))
-    rng.shuffle(perm)
     out = [[0] * n for _ in range(n)]
     for i, row in enumerate(table):
         for j, v in enumerate(row):
             out[perm[i]][perm[j]] = perm[v]
     return out, {k: perm[v] for k, v in gens.items()}
+
+
+def _shuffled(table, gens, rng):
+    """The same table with its elements renamed by a seeded permutation."""
+    perm = list(range(len(table)))
+    rng.shuffle(perm)
+    return _renamed(table, gens, perm)
 
 
 def _oracle_cases():
@@ -318,6 +339,132 @@ def test_random_tables_are_closed_groups():
         p = fg.build_direct_product(g, h)
         assert p.order == g.order * h.order
         assert p.identity == 0
+
+
+# -- row operations against the entry-by-entry oracles ------------------------
+
+_COUNTER = build_counterexample_gog()
+ROW_GROUPS = ds.small_groups(12) + [
+    _COUNTER.vertices["vA"], _COUNTER.vertices["vB"],
+    *(e.group for e in _COUNTER.edges.values())]
+
+
+@st.composite
+def renamed_groups(draw):
+    """A catalog or counterexample group with its elements renamed."""
+    g = draw(st.sampled_from(ROW_GROUPS))
+    return fg.FiniteGroup(*_renamed(g.table, g.generators,
+                                    draw(st.permutations(range(g.order)))))
+
+
+def _validation(table, gens):
+    """(identity, inverses) of FiniteGroup(table, gens), or its error."""
+    try:
+        g = fg.FiniteGroup(table, gens)
+    except fg.GroupError as exc:
+        return str(exc)
+    return g.identity, g.inverses
+
+
+@settings(max_examples=120)
+@given(group=renamed_groups(), data=st.data())
+def test_table_validation_matches_the_entry_scans(group, data):
+    """A renamed group table, possibly with one entry changed, gets the
+    identity and inverses the entry scans find, or the same error; the
+    exhaustive triple oracle judges associativity."""
+    n = group.order
+    table = [list(row) for row in group.table]
+    if n > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[i][j] = (table[i][j] + data.draw(st.integers(1, n - 1))) % n
+    got = _validation(table, group.generators)
+    e = oc.identity_by_scan(table)
+    if e is None:
+        assert got == "no identity element"
+        return
+    inverses, bad = oc.inverses_by_scan(table, e)
+    if inverses is None:
+        assert got == f"element {bad} has no inverse"
+        return
+    if oc.associativity_failure(table, exhaustive_limit=n) is not None:
+        assert isinstance(got, str)
+        if got.startswith("associativity fails at "):
+            a, b, c = map(int, got.removeprefix(
+                "associativity fails at ").strip("()").split(","))
+            assert table[table[a][b]][c] != table[a][table[b][c]]
+        else:
+            assert got == "declared generators do not generate the group"
+        return
+    if oc.is_group_generated_by(table, list(group.generators.values())):
+        assert got == (e, inverses)
+    else:
+        assert got == "declared generators do not generate the group"
+
+
+@settings(max_examples=120)
+@given(src=renamed_groups(), data=st.data())
+def test_check_hom_matches_the_pair_scan(src, data):
+    """Random maps, homomorphisms and near-homomorphisms get the pair
+    scan's status and witness."""
+    kind = data.draw(st.sampled_from(["trivial", "rename", "images", "any"]))
+    if kind == "rename":
+        perm = data.draw(st.permutations(range(src.order)))
+        tgt = fg.FiniteGroup(*_renamed(src.table, src.generators, perm))
+        mapping = list(perm)
+    else:
+        tgt = data.draw(renamed_groups())
+        elements = st.integers(0, tgt.order - 1)
+        if kind == "trivial":
+            mapping = [tgt.identity] * src.order
+        elif kind == "images":
+            mapping = list(fg.GroupHom.from_generator_images(src, tgt, {
+                name: data.draw(elements) for name in src.generators
+            }).mapping)
+        else:
+            mapping = data.draw(st.lists(elements, min_size=src.order,
+                                         max_size=src.order))
+    if tgt.order > 1 and data.draw(st.booleans()):
+        x = data.draw(st.integers(0, src.order - 1))
+        mapping[x] = (mapping[x] + data.draw(
+            st.integers(1, tgt.order - 1))) % tgt.order
+    h = fg.GroupHom(src, tgt, tuple(mapping))
+    assert fg.check_hom(h) == oc.check_hom_by_pairs(h)
+
+
+def test_check_hom_matches_the_pair_scan_on_every_small_map():
+    groups = ds.small_groups(4)
+    for src, tgt in itertools.product(groups, repeat=2):
+        if tgt.order ** src.order <= 256:
+            for m in itertools.product(range(tgt.order), repeat=src.order):
+                h = fg.GroupHom(src, tgt, m)
+                assert fg.check_hom(h) == oc.check_hom_by_pairs(h), h
+
+
+@settings(max_examples=80)
+@given(group=renamed_groups(), data=st.data())
+def test_coset_data_matches_the_product_scan(group, data):
+    gens = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    sub = list(fg.subgroup_closure(group, gens).elements)
+    sub = data.draw(st.permutations(sub)) + data.draw(
+        st.lists(st.sampled_from(sub), max_size=2))
+    reps, dec = fg.coset_data(group, sub)
+    want_reps, want_dec = oc.coset_data_by_products(group, sub)
+    assert (reps, list(dec.items())) == (want_reps, list(want_dec.items()))
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_permutation_group_matches_the_tuple_closure(data):
+    degree = data.draw(st.integers(0, 5))
+    names = data.draw(st.lists(st.sampled_from("pqr"), min_size=1,
+                               max_size=3, unique=True))
+    perms = {name: tuple(data.draw(st.permutations(range(degree))))
+             for name in names}
+    elts, table = oc.permutation_table_by_tuples(perms)
+    g = fg.group_from_permutations(perms)
+    assert g.table == tuple(map(tuple, table))
+    assert g.labels == tuple(map(fg.cycle_notation, elts))
+    assert g.generators == {name: elts.index(p) for name, p in perms.items()}
 
 
 # -- cycle notation and basis permutations -----------------------------------
