@@ -5,6 +5,15 @@ with explicit word transfer, slide moves (implemented literally as an
 expansion followed by a collapse), the quotient degree-sum invariant,
 isomorphism of graphs of groups, a small-groups catalog, and capped
 enumeration of reduced splittings up to isomorphism.
+
+The enumeration keeps the first candidate of each isomorphism class.
+With at most one edge, the class is a dict lookup on a canonical form,
+the least element of the candidate's orbit under the automorphisms of
+its vertex and edge groups.  That orbit is exactly the candidate's
+are_gog_isomorphic class (see _OneEdgeForms), so the dedup is exact, and
+only the kept candidates are built as graphs.  With more edges,
+candidates are built and compared with are_gog_isomorphic inside
+invariant buckets.
 """
 
 from __future__ import annotations
@@ -477,6 +486,17 @@ def _candidate_graph(shape, vgroups, egroups, monos) -> GraphOfGroups:
     return GraphOfGroups(vertices, edges, "v0", tree)
 
 
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    """Refuse a value outside low..high, naming the argument; high is the
+    argument's cap."""
+    if value > high:
+        raise GogError(f"{name} is {value}, capped at {high} "
+                       f"(allowed {low}..{high})")
+    if value < low:
+        raise GogError(f"{name} is {value}, below {low} "
+                       f"(allowed {low}..{high})")
+
+
 def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                       vertex_groups: Optional[Sequence[FiniteGroup]] = None,
                       edge_groups: Optional[Sequence[FiniteGroup]] = None
@@ -491,22 +511,23 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     exact: if a' = ad(g)∘a∘β with β in Aut of the edge group, (a', b') is
     isomorphic to (a, b'∘β⁻¹), earlier in the a-major product order, and
     conjugating b' is an isomorphism too; so the first candidate of each
-    class, in the stable sort below, is still built.
+    class, in the stable sort below, is still listed.
 
-    Candidates are sorted by _canonical_key and each is kept unless it is
-    isomorphic to a graph kept before it.  It is compared, through
-    are_gog_isomorphic, only with the kept graphs that share its
-    _IsoClasses key.  That is exact: isomorphic graphs share the key, so
-    a kept graph outside the bucket could never have matched, and every
-    verdict, hence every kept representative and its place in the list,
-    is the one a comparison with all kept graphs gives.
+    Candidates are listed as raw data, sorted by _candidate_key, and the
+    first of each isomorphism class is kept.  With at most one edge, a
+    candidate's class is read off its canonical form (_OneEdgeForms), a
+    complete invariant of are_gog_isomorphic, so dedup is one dict lookup
+    and only the kept candidates are built.  With more edges each
+    candidate is built and compared, through are_gog_isomorphic, only
+    with the kept graphs that share its _IsoClasses key.  Both are exact:
+    equal forms mean isomorphic graphs and isomorphic graphs share the
+    form and the key, so every kept representative and its place in the
+    list is the one a comparison with all kept graphs gives.
     """
     p, q, r = vertex_count, edge_count, max_order
-    if p < 1 or p > ENUM_VERTEX_CAP or q < 0 or q > ENUM_EDGE_CAP \
-            or r < 1 or r > ENUM_ORDER_CAP:
-        raise GogError(
-            f"enumeration capped at {ENUM_VERTEX_CAP} vertices, "
-            f"{ENUM_EDGE_CAP} edges, order {ENUM_ORDER_CAP}")
+    _check_range("vertex_count", p, 1, ENUM_VERTEX_CAP)
+    _check_range("edge_count", q, 0, ENUM_EDGE_CAP)
+    _check_range("max_order", r, 1, ENUM_ORDER_CAP)
     catalog = small_groups(r) if None in (vertex_groups, edge_groups) else []
     if vertex_groups is not None and len(vertex_groups) != p:
         raise GogError("vertex_groups must list one group per vertex")
@@ -517,7 +538,7 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     def monos_into(egrp: FiniteGroup, vgrp: FiniteGroup, end: int):
         return _orbit_reps(fg.all_monomorphisms(egrp, vgrp), end)
 
-    found: list[GraphOfGroups] = []
+    found = []
     for shape in _connected_shapes(p, q):
         if vertex_groups is None:
             vertex_pools = itertools.product(catalog, repeat=p)
@@ -531,14 +552,33 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                 mono_pools = [[(a, b) for a in monos_into(egrp, vgroups[i], 0)
                                for b in monos_into(egrp, vgroups[j], 1)]
                               for (i, j), egrp in zip(shape, egroups)]
-                found.extend(_candidate_graph(shape, vgroups, egroups, monos)
+                key = _candidate_key(shape, vgroups, egroups)
+                found.extend((key, shape, vgroups, egroups, monos)
                              for monos in itertools.product(*mono_pools))
 
-    found.sort(key=_canonical_key)
+    found.sort(key=lambda cand: cand[0])
+    if q <= 1:
+        forms = _OneEdgeForms()
+        first = {}
+        for cand in found:
+            first.setdefault(forms(*cand[1:]), cand)
+        return [_candidate_graph(*cand[1:]) for cand in first.values()]
     classes = _IsoClasses()
     for cand in found:
-        classes.add(cand)
+        classes.add(_candidate_graph(*cand[1:]))
     return classes.kept
+
+
+def _candidate_key(shape, vgroups, egroups):
+    """Sorted vertex orders, sorted (edge order, sorted end orders) and
+    sorted quotient degrees (a loop counts twice) of a candidate."""
+    verts = sorted(g.order for g in vgroups)
+    edges = sorted((c.order,) + tuple(sorted((vgroups[i].order,
+                                              vgroups[j].order)))
+                   for (i, j), c in zip(shape, egroups))
+    degs = sorted(sum(ends.count(k) for ends in shape)
+                  for k in range(len(vgroups)))
+    return (verts, edges, degs)
 
 
 def _orbit_reps(monos: Sequence[GroupHom], end: int) -> list[GroupHom]:
@@ -560,6 +600,122 @@ def _has_collapsible_edge(shape, vgroups, egroups) -> bool:
     vertex needs a non-loop edge of index 1."""
     return any(i != j and c.order in (vgroups[i].order, vgroups[j].order)
                for (i, j), c in zip(shape, egroups))
+
+
+class _OneEdgeForms:
+    """Canonical forms of candidates with at most one edge, given as
+    (shape, vertex groups, edge groups, injections): two candidates get
+    the same form exactly when are_gog_isomorphic holds between their
+    graphs.  One instance serves one enumeration.
+
+    Groups are read through representatives.  Each group object is sent,
+    through one drawn isomorphism φ, to the first group seen before it
+    that it is isomorphic to (itself if none), and its class id is that
+    representative's place in the list; Iso(X, R_X) is then Aut(R_X)∘φ.
+    So candidates on isomorphic but distinct group objects are compared
+    as tuples over the same representatives.
+
+    are_gog_isomorphic holds for one edge C with injections (a, b) when,
+    after swapping the ends of one graph or not, vertex-group
+    isomorphisms and one edge-group isomorphism γ carry a to a' and b to
+    b' up to a conjugation at each end.
+    - A bridge joins two vertices A and B.  Their isomorphisms are
+      independent and absorb the conjugations, so the class of (a, b) is
+      its orbit under Iso(A, R_A) × Iso(B, R_B) × Iso(R_C, C).  Its least
+      element, as a pair of image tuples, is the least over γ of
+      (k_A(a∘γ), k_B(b∘γ)), where k_X(m) is the least α∘m over
+      α ∈ Iso(X, R_X): for a fixed γ, the two ends minimize apart.
+    - A loop has one vertex A, so one α acts on both ends, and each end
+      has its own conjugation.  Each end is read as its inner class (the
+      least of its conjugate tuples), and the class of (a, b) is its
+      orbit under Iso(A, R_A) × Iso(R_C, C).  Its least element takes the
+      least read of the first end, then the least read of the second end
+      over the (α, γ) reaching the first.
+    In both, the least first end is L, the least α∘a∘γ over all (α, γ):
+    it depends only on the image of a, and each α carrying that image
+    onto the image of L fixes the one γ with α∘a∘γ = L.  Conjugating L
+    is undone by conjugating α, so those (α, γ) reach every value of the
+    second end that any minimizing pair reaches.  Orbits that share an
+    element are equal, so the least element is a complete invariant for
+    one orientation; the form is the class ids and the lesser of the two
+    orientations.  A graph without edges is its vertex group's class.
+    """
+
+    def __init__(self):
+        self._reps: list[FiniteGroup] = []
+        self._classes: dict[FiniteGroup, tuple] = {}
+        self._least: dict[tuple, tuple] = {}
+        self._moves: dict[GroupHom, tuple] = {}
+        self._images: dict[tuple, tuple] = {}
+
+    def _class(self, grp: FiniteGroup) -> tuple:
+        """(class id, R, Iso(grp, R), Iso(R, grp)), isomorphisms as
+        mapping tuples, R the representative of grp."""
+        if grp not in self._classes:
+            for k, rep in enumerate(self._reps):
+                phi = next(fg.isomorphisms_iter(grp, rep), None) \
+                    if rep.order == grp.order else None
+                if phi is not None:
+                    break
+            else:
+                k, rep, phi = len(self._reps), grp, GroupHom.identity(grp)
+                self._reps.append(grp)
+            to_rep = [fg._gather(phi.mapping)(alpha.mapping)
+                      for alpha in rep.automorphisms()]
+            from_rep = [tuple(sorted(range(grp.order), key=m.__getitem__))
+                        for m in to_rep]
+            self._classes[grp] = (k, rep, to_rep, from_rep)
+        return self._classes[grp]
+
+    def _lead(self, m: GroupHom) -> tuple:
+        """(L, the (α, γ) with α∘m∘γ = L), L the least α∘m∘γ over
+        α ∈ Iso(X, R_X) and γ ∈ Iso(R_C, C)."""
+        if m not in self._moves:
+            to_rep = self._class(m.target)[2]
+            key = (m.source, m.target, frozenset(m.mapping))
+            if key not in self._least:
+                gammas = self._class(m.source)[3]
+                self._least[key] = min(
+                    fg._gather(fg._gather(g)(m.mapping))(alpha)
+                    for g in gammas for alpha in to_rep)
+            lead = self._least[key]
+            image, moves = set(lead), []
+            for alpha in to_rep:
+                moved = fg._gather(m.mapping)(alpha)
+                if set(moved) == image:
+                    at = {y: c for c, y in enumerate(moved)}
+                    moves.append((alpha, tuple(at[y] for y in lead)))
+            self._moves[m] = (lead, moves)
+        return self._moves[m]
+
+    def _image_min(self, m: GroupHom, gamma: tuple) -> tuple:
+        """k_X(m∘γ)."""
+        if (m, gamma) not in self._images:
+            get = fg._gather(fg._gather(gamma)(m.mapping))
+            self._images[m, gamma] = min(map(get, self._class(m.target)[2]))
+        return self._images[m, gamma]
+
+    def _oriented(self, first: GroupHom, second: GroupHom, loop: bool):
+        lead, moves = self._lead(first)
+        if not loop:
+            return lead, min(self._image_min(second, g)
+                             for g in {g for _, g in moves})
+        rows = self._class(second.target)[1].conjugation_rows()
+        reads = []
+        for alpha, g in moves:
+            moved = fg._gather(fg._gather(g)(second.mapping))(alpha)
+            reads.append(min(map(fg._gather(moved), rows)))
+        return lead, min(reads)
+
+    def __call__(self, shape, vgroups, egroups, monos) -> tuple:
+        if not shape:
+            return (self._class(vgroups[0])[0],)
+        (i, j), (a, b) = shape[0], monos[0]
+        ka, kb, kc = (self._class(g)[0]
+                      for g in (vgroups[i], vgroups[j], egroups[0]))
+        loop = i == j
+        return (kc, min(((ka, kb), self._oriented(a, b, loop)),
+                        ((kb, ka), self._oriented(b, a, loop))))
 
 
 class _IsoClasses:
@@ -636,14 +792,6 @@ def _edge_group_pools(shape, vgroups, catalog, edge_groups):
     yield from itertools.product(*per_edge)
 
 
-def _canonical_key(gog: GraphOfGroups):
-    verts = sorted(gog.vertices[v].order for v in gog.vertices)
-    edges = sorted((e.group.order,) + tuple(sorted(
-        gog.vertices[x].order for x in e.ends)) for e in gog.edges.values())
-    degs = sorted(quotient_degree(gog, v) for v in gog.vertices)
-    return (verts, edges, degs)
-
-
 # -- bounded expansion search --------------------------------------------------
 
 
@@ -683,8 +831,7 @@ def nonredundant_expansions(gog: GraphOfGroups, depth: int,
     "frontier_all_redundant": bool}; the flag witnesses that continuing
     past the horizon only revisits redundant graphs.
     """
-    if depth < 0 or depth > EXPANSION_DEPTH_CAP:
-        raise GogError(f"expansion depth capped at {EXPANSION_DEPTH_CAP}")
+    _check_range("depth", depth, 0, EXPANSION_DEPTH_CAP)
     if not is_reduced(gog):
         raise GogError("expansion search expects a reduced splitting")
     seen = _IsoClasses()

@@ -141,13 +141,23 @@ def candidates(p, q, r, vertex_groups=None, edge_groups=None):
                         yield shape, vgroups, egroups, cand
 
 
+def canonical_key(gog):
+    """Sorted vertex orders, sorted (edge order, sorted end orders) and
+    sorted quotient degrees, read off a built graph."""
+    verts = sorted(gog.vertices[v].order for v in gog.vertices)
+    edges = sorted((e.group.order,) + tuple(sorted(
+        gog.vertices[x].order for x in e.ends)) for e in gog.edges.values())
+    degs = sorted(ds.quotient_degree(gog, v) for v in gog.vertices)
+    return (verts, edges, degs)
+
+
 def enumerate_reduced(p, q, r, vertex_groups=None, edge_groups=None):
     """Reduced minimal candidates, sorted by the canonical key and kept
     when no earlier kept graph is isomorphic to them."""
     found = [cand for _, _, _, cand
              in candidates(p, q, r, vertex_groups, edge_groups)
              if ds.is_reduced(cand) and ds.is_minimal(cand)]
-    found.sort(key=ds._canonical_key)
+    found.sort(key=canonical_key)
     kept = []
     for cand in found:
         if not any(are_gog_isomorphic(cand, old) for old in kept):

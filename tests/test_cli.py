@@ -302,6 +302,29 @@ def test_defspace_commands(capsys):
     assert "--group" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--vertices", "0"],
+     "vertex_count is 0, below 1 (allowed 1..3)"),
+    (["enumerate", "--vertices", "4"],
+     "vertex_count is 4, capped at 3 (allowed 1..3)"),
+    (["enumerate", "--edges", "-1"], "edge_count is -1, below 0 (allowed 0..3)"),
+    (["enumerate", "--max-order", "0"],
+     "max_order is 0, below 1 (allowed 1..12)"),
+    (["enumerate", "--max-order", "13"],
+     "max_order is 13, capped at 12 (allowed 1..12)"),
+    (["expand", "--group", "sl2z", "--depth", "-1"],
+     "depth is -1, below 0 (allowed 0..3)"),
+    (["expand", "--group", "sl2z", "--depth", "4"],
+     "depth is 4, capped at 3 (allowed 0..3)"),
+], ids=["vertices-0", "vertices-4", "edges-neg", "order-0", "order-13",
+        "depth-neg", "depth-4"])
+def test_defspace_range_errors_name_the_argument(capsys, argv, message):
+    code, out, err = run(capsys, "defspace", *argv)
+    assert code == 1 and out == "" and message in err
+    if "below" in message:
+        assert "capped" not in err
+
+
 def test_fold_command(capsys, tmp_path):
     rose = tmp_path / "rose2.json"
     rose.write_text(json.dumps(gw.gog_to_json(gw.build_rose(["x", "y"]))))
