@@ -7,13 +7,10 @@ isomorphism of graphs of groups, a small-groups catalog, and capped
 enumeration of reduced splittings up to isomorphism.
 
 The enumeration keeps the first candidate of each isomorphism class.
-With at most one edge, the class is a dict lookup on a canonical form,
-the least element of the candidate's orbit under the automorphisms of
-its vertex and edge groups.  That orbit is exactly the candidate's
-are_gog_isomorphic class (see _OneEdgeForms), so the dedup is exact, and
-only the kept candidates are built as graphs.  With more edges,
-candidates are built and compared with are_gog_isomorphic inside
-invariant buckets.
+Its class is a dict lookup on a canonical form, the least sequence of
+edge-end reads over all labelings of the candidate over fixed group
+representatives (see _CanonicalForms).  Equal forms describe one graph,
+so the dedup is exact, and only the kept candidates are built as graphs.
 """
 
 from __future__ import annotations
@@ -438,11 +435,17 @@ def _dihedral(n: int) -> FiniteGroup:
 
 
 def small_groups(max_order: int) -> list[FiniteGroup]:
-    """All groups of order <= max_order (max 12) up to isomorphism."""
+    """All groups of order <= max_order (max 12) up to isomorphism: the
+    first groups of one catalog, built once, so their tables persist."""
     if max_order > ENUM_ORDER_CAP:
         raise GogError(f"small-groups catalog capped at order {ENUM_ORDER_CAP}")
+    return [grp for grp in _catalog() if grp.order <= max_order]
+
+
+@functools.cache
+def _catalog() -> tuple[FiniteGroup, ...]:
     groups: list[FiniteGroup] = []
-    for n in range(1, max_order + 1):
+    for n in range(1, ENUM_ORDER_CAP + 1):
         groups.append(fg.build_cyclic(n))
         if n == 4:
             groups.append(fg.build_boolean_vectors(2))
@@ -466,7 +469,7 @@ def small_groups(max_order: int) -> list[FiniteGroup]:
             groups.append(fg.group_from_permutations(
                 {"p": (1, 2, 0, 3), "q": (1, 0, 3, 2)}))
             groups.append(fg.build_dicyclic(3))
-    return groups
+    return tuple(groups)
 
 
 def _connected_shapes(p: int, q: int):
@@ -513,16 +516,9 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     conjugating b' is an isomorphism too; so the first candidate of each
     class, in the stable sort below, is still listed.
 
-    Candidates are listed as raw data, sorted by _candidate_key, and the
-    first of each isomorphism class is kept.  With at most one edge, a
-    candidate's class is read off its canonical form (_OneEdgeForms), a
-    complete invariant of are_gog_isomorphic, so dedup is one dict lookup
-    and only the kept candidates are built.  With more edges each
-    candidate is built and compared, through are_gog_isomorphic, only
-    with the kept graphs that share its _IsoClasses key.  Both are exact:
-    equal forms mean isomorphic graphs and isomorphic graphs share the
-    form and the key, so every kept representative and its place in the
-    list is the one a comparison with all kept graphs gives.
+    Candidates are listed as raw data and sorted by _candidate_key; the
+    first of each _CanonicalForms form, a complete isomorphism invariant,
+    is kept and built, as a comparison with every kept graph would.
     """
     p, q, r = vertex_count, edge_count, max_order
     _check_range("vertex_count", p, 1, ENUM_VERTEX_CAP)
@@ -557,16 +553,10 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                              for monos in itertools.product(*mono_pools))
 
     found.sort(key=lambda cand: cand[0])
-    if q <= 1:
-        forms = _OneEdgeForms()
-        first = {}
-        for cand in found:
-            first.setdefault(forms(*cand[1:]), cand)
-        return [_candidate_graph(*cand[1:]) for cand in first.values()]
-    classes = _IsoClasses()
+    form, first = _CanonicalForms(), {}
     for cand in found:
-        classes.add(_candidate_graph(*cand[1:]))
-    return classes.kept
+        first.setdefault(form(*cand[1:]), cand)
+    return [_candidate_graph(*cand[1:]) for cand in first.values()]
 
 
 def _candidate_key(shape, vgroups, egroups):
@@ -602,43 +592,28 @@ def _has_collapsible_edge(shape, vgroups, egroups) -> bool:
                for (i, j), c in zip(shape, egroups))
 
 
-class _OneEdgeForms:
-    """Canonical forms of candidates with at most one edge, given as
-    (shape, vertex groups, edge groups, injections): two candidates get
-    the same form exactly when are_gog_isomorphic holds between their
-    graphs.  One instance serves one enumeration.
+class _CanonicalForms:
+    """Canonical forms of candidates, given as (shape, vertex groups, edge
+    groups, injections): two candidates get the same form exactly when
+    are_gog_isomorphic holds between their graphs.  One instance serves
+    one enumeration.
 
-    Groups are read through representatives.  Each group object is sent,
-    through one drawn isomorphism φ, to the first group seen before it
-    that it is isomorphic to (itself if none), and its class id is that
-    representative's place in the list; Iso(X, R_X) is then Aut(R_X)∘φ.
-    So candidates on isomorphic but distinct group objects are compared
-    as tuples over the same representatives.
+    Groups are read through representatives: each group object is sent,
+    by one drawn isomorphism φ, to the first group seen isomorphic to it
+    (itself if none), whose place in that list is its class id; so
+    Iso(X, R_X) = Aut(R_X)∘φ.
 
-    are_gog_isomorphic holds for one edge C with injections (a, b) when,
-    after swapping the ends of one graph or not, vertex-group
-    isomorphisms and one edge-group isomorphism γ carry a to a' and b to
-    b' up to a conjugation at each end.
-    - A bridge joins two vertices A and B.  Their isomorphisms are
-      independent and absorb the conjugations, so the class of (a, b) is
-      its orbit under Iso(A, R_A) × Iso(B, R_B) × Iso(R_C, C).  Its least
-      element, as a pair of image tuples, is the least over γ of
-      (k_A(a∘γ), k_B(b∘γ)), where k_X(m) is the least α∘m over
-      α ∈ Iso(X, R_X): for a fixed γ, the two ends minimize apart.
-    - A loop has one vertex A, so one α acts on both ends, and each end
-      has its own conjugation.  Each end is read as its inner class (the
-      least of its conjugate tuples), and the class of (a, b) is its
-      orbit under Iso(A, R_A) × Iso(R_C, C).  Its least element takes the
-      least read of the first end, then the least read of the second end
-      over the (α, γ) reaching the first.
-    In both, the least first end is L, the least α∘a∘γ over all (α, γ):
-    it depends only on the image of a, and each α carrying that image
-    onto the image of L fixes the one γ with α∘a∘γ = L.  Conjugating L
-    is undone by conjugating α, so those (α, γ) reach every value of the
-    second end that any minimizing pair reaches.  Orbits that share an
-    element are equal, so the least element is a complete invariant for
-    one orientation; the form is the class ids and the lesser of the two
-    orientations.  A graph without edges is its vertex group's class.
+    A labeling orders and orients the edges and picks α_v ∈ Iso(G_v, R_v),
+    γ_e ∈ Iso(R_C, C_e) and a conjugation per end.  It reads both ends of
+    each edge in turn, an end m at v as (v's position, in order of first
+    appearance; v's class id if v is new, else -1; the edge's class id,
+    on its first end only; the conjugated α_v∘m∘γ_e).  The form is the
+    least sequence of reads over all labelings: equal sequences describe
+    one graph over the representatives.  A labeling reaching it reaches
+    the least prefix at every read, so the reads are greedy and keep each
+    partial labeling reaching the least prefix, as what later reads see:
+    positions, each α_v on its unread ends, the images the pending end
+    may read.  A new vertex's α_v absorbs its conjugation.
     """
 
     def __init__(self):
@@ -646,11 +621,12 @@ class _OneEdgeForms:
         self._classes: dict[FiniteGroup, tuple] = {}
         self._least: dict[tuple, tuple] = {}
         self._moves: dict[GroupHom, tuple] = {}
-        self._images: dict[tuple, tuple] = {}
+        self._reads: dict[tuple, tuple] = {}
+        self._shapes: dict[tuple, tuple] = {}
 
     def _class(self, grp: FiniteGroup) -> tuple:
-        """(class id, R, Iso(grp, R), Iso(R, grp)), isomorphisms as
-        mapping tuples, R the representative of grp."""
+        """(class id, Iso(grp, R), Iso(R, grp), Inn(R)) as mapping tuples,
+        Iso(R, grp) keyed to their _gather, R the representative of grp."""
         if grp not in self._classes:
             for k, rep in enumerate(self._reps):
                 phi = next(fg.isomorphisms_iter(grp, rep), None) \
@@ -662,64 +638,138 @@ class _OneEdgeForms:
                 self._reps.append(grp)
             to_rep = [fg._gather(phi.mapping)(alpha.mapping)
                       for alpha in rep.automorphisms()]
-            from_rep = [tuple(sorted(range(grp.order), key=m.__getitem__))
-                        for m in to_rep]
-            self._classes[grp] = (k, rep, to_rep, from_rep)
+            from_rep = {g: fg._gather(g) for g in (
+                tuple(sorted(range(grp.order), key=m.__getitem__))
+                for m in to_rep)}
+            inner = tuple(set(rep.conjugation_rows()))
+            self._classes[grp] = (k, to_rep, from_rep, inner)
         return self._classes[grp]
 
     def _lead(self, m: GroupHom) -> tuple:
-        """(L, the (α, γ) with α∘m∘γ = L), L the least α∘m∘γ over
-        α ∈ Iso(X, R_X) and γ ∈ Iso(R_C, C)."""
+        """(L, the (α, γ's _gather) with α∘m∘γ = L), L the least α∘m∘γ
+        over α ∈ Iso(X, R_X) and γ ∈ Iso(R_C, C)."""
         if m not in self._moves:
-            to_rep = self._class(m.target)[2]
+            to_rep, gammas = self._class(m.target)[1], self._class(m.source)[2]
             key = (m.source, m.target, frozenset(m.mapping))
             if key not in self._least:
-                gammas = self._class(m.source)[3]
                 self._least[key] = min(
-                    fg._gather(fg._gather(g)(m.mapping))(alpha)
-                    for g in gammas for alpha in to_rep)
+                    min(map(fg._gather(gamma(m.mapping)), to_rep))
+                    for gamma in gammas.values())
             lead = self._least[key]
-            image, moves = set(lead), []
+            image, moves, get = set(lead), [], fg._gather(m.mapping)
             for alpha in to_rep:
-                moved = fg._gather(m.mapping)(alpha)
+                moved = get(alpha)
                 if set(moved) == image:
                     at = {y: c for c, y in enumerate(moved)}
-                    moves.append((alpha, tuple(at[y] for y in lead)))
+                    moves.append((alpha, gammas[tuple(at[y] for y in lead)]))
             self._moves[m] = (lead, moves)
         return self._moves[m]
 
-    def _image_min(self, m: GroupHom, gamma: tuple) -> tuple:
-        """k_X(m∘γ)."""
-        if (m, gamma) not in self._images:
-            get = fg._gather(fg._gather(gamma)(m.mapping))
-            self._images[m, gamma] = min(map(get, self._class(m.target)[2]))
-        return self._images[m, gamma]
-
-    def _oriented(self, first: GroupHom, second: GroupHom, loop: bool):
-        lead, moves = self._lead(first)
-        if not loop:
-            return lead, min(self._image_min(second, g)
-                             for g in {g for _, g in moves})
-        rows = self._class(second.target)[1].conjugation_rows()
-        reads = []
+    def _read(self, m: GroupHom, y, xs, near, here) -> tuple:
+        """(least image, [(α∘n for n in near, [(α∘here or None, γ's
+        _gather)] over the γ reaching it with those α)]) of the end m.
+        xs is None on an edge's first end, where γ is free, else the
+        pending m∘γ or α∘m∘γ.  y is α∘m at an old vertex.  At a new one
+        near maps its other ends, here the edge's other end if there."""
+        if near is None:
+            gammas = self._class(m.source)[2].values()
+            moved = [(x, None) for x in xs] if xs is not None else [
+                (gamma(y), gamma) for gamma in gammas]
+            rows = self._class(m.target)[3]
+            reads = [(min(map(fg._gather(x), rows)), g) for x, g in moved]
+            low = min(image for image, _ in reads)
+            return low, [((), [(None, g) for image, g in reads
+                               if image == low and g])]
+        if xs is None:
+            low, moves = self._lead(m)
+        else:
+            to_rep = self._class(m.target)[1]
+            images = [list(map(fg._gather(x), to_rep)) for x in xs]
+            low = min(map(min, images))
+            moves = [(alpha, None) for row in images
+                     for alpha, image in zip(to_rep, row) if image == low]
+        gets = [fg._gather(n) for n in near]
+        own = fg._gather(here) if here else lambda alpha: None
+        groups: dict[tuple, dict] = {}
         for alpha, g in moves:
-            moved = fg._gather(fg._gather(g)(second.mapping))(alpha)
-            reads.append(min(map(fg._gather(moved), rows)))
-        return lead, min(reads)
+            groups.setdefault(tuple([get(alpha) for get in gets]),
+                              {})[own(alpha), g] = None
+        return low, [(vals, [pair for pair in pairs if pair[1]])
+                     for vals, pairs in groups.items()]
 
     def __call__(self, shape, vgroups, egroups, monos) -> tuple:
         if not shape:
             return (self._class(vgroups[0])[0],)
-        (i, j), (a, b) = shape[0], monos[0]
-        ka, kb, kc = (self._class(g)[0]
-                      for g in (vgroups[i], vgroups[j], egroups[0]))
-        loop = i == j
-        return (kc, min(((ka, kb), self._oriented(a, b, loop)),
-                        ((kb, ka), self._oriented(b, a, loop))))
+        if shape not in self._shapes:
+            at = [v for edge in shape for v in edge]
+            self._shapes[shape] = (at, [
+                tuple(u for u, w in enumerate(at) if w == v and u | 1 != t | 1)
+                for t, v in enumerate(at)])
+        at, near = self._shapes[shape]
+        ms = [m for pair in monos for m in pair]
+        kv = [self._class(g)[0] for g in vgroups]
+        kc = [self._class(c)[0] for c in egroups]
+        # (read edges as a bit mask, positions, α_v∘m per unread end at a
+        # positioned vertex, (pending end, the images it may read) or None)
+        states = [(0, (-1,) * len(vgroups), (None,) * len(ms), None)]
+        form, fresh = [], 0
+        while True:
+            best, picks = None, []
+            for state in states:
+                done, pos, _, pending = state
+                for t in (pending[0],) if pending else [
+                        t for t in range(len(ms)) if not done >> (t >> 1) & 1]:
+                    v = at[t]
+                    head = (pos[v], -1) if pos[v] >= 0 else (fresh, kv[v])
+                    if not pending:
+                        head += (kc[t >> 1],)
+                    if best is None or head < best:
+                        best, picks = head, [(state, t)]
+                    elif head == best:
+                        picks.append((state, t))
+            low, wins = None, []
+            for state, t in picks:
+                m, u, y = ms[t], t ^ 1, state[2][t]
+                xs = state[3][1] if state[3] else None
+                new = best[1] >= 0
+                nh = tuple([ms[w].mapping for w in near[t]]) if new else None
+                here = ms[u].mapping if new and at[u] == at[t] else None
+                key = (m.source, m.target, m.mapping, y, xs, nh, here)
+                if key not in self._reads:
+                    self._reads[key] = self._read(m, y, xs, nh, here)
+                image, succ = self._reads[key]
+                if low is None or image < low:
+                    low, wins = image, [(succ, state, t)]
+                elif image == low:
+                    wins.append((succ, state, t))
+            form.append(best + (low,))
+            if len(form) == len(ms):
+                return tuple(form)
+            merged: dict[tuple, set] = {}
+            for succ, (done, pos, seen, pending), t in wins:
+                v, u = at[t], t ^ 1
+                if pos[v] < 0:
+                    pos = pos[:v] + (fresh,) + pos[v + 1:]
+                for vals, pairs in succ:
+                    now = list(seen)
+                    now[t] = None
+                    for w, val in zip(near[t], vals):
+                        now[w] = val
+                    y, now[u] = now[u], None
+                    src = ms[u].mapping if y is None else y
+                    merged.setdefault((done | 1 << (t >> 1), pos, tuple(now),
+                                       None if pending else u), set()).update(
+                        [gamma(src if own is None else own)
+                         for own, gamma in pairs])
+            states = [(done, pos, seen, None if u is None
+                       else (u, frozenset(xs)))
+                      for (done, pos, seen, u), xs in merged.items()]
+            fresh += best[1] >= 0
 
 
 class _IsoClasses:
-    """Graphs of groups kept up to isomorphism, in the order they came.
+    """Graphs of groups kept up to isomorphism, in the order they came;
+    only nonredundant_expansions, with its larger groups, uses it.
 
     A graph is tested with are_gog_isomorphic only against kept graphs
     with the same key.  The key is (sorted vertex-group profiles, sorted

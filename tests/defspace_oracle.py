@@ -7,6 +7,10 @@ invariant buckets, and to read conjugations from cached tables.  Its
 isomorphism test is the element-by-element one, with every vertex-group
 isomorphism listed afresh.  The tests require `defspace` to return the
 same graphs, in the same order, as this module.
+
+`OneEdgeForms` is the canonical form `defspace` once read off one-edge
+candidates, bridge and loop apart; the tests require the forms of every
+shape to split one-edge candidates into the same classes.
 """
 
 import itertools
@@ -185,3 +189,122 @@ def nonredundant_expansions(gog, depth):
                     results.append(new)
         frontier = nxt
     return results, len(seen)
+
+
+class OneEdgeForms:
+    """Canonical forms of candidates with at most one edge, given as
+    (shape, vertex groups, edge groups, injections): two candidates get
+    the same form exactly when are_gog_isomorphic holds between their
+    graphs.  One instance serves one enumeration.  This is the one-edge
+    dedup `defspace.enumerate_reduced` used before its forms covered
+    every shape; it reads bridges and loops case by case.
+
+    Groups are read through representatives.  Each group object is sent,
+    through one drawn isomorphism φ, to the first group seen before it
+    that it is isomorphic to (itself if none), and its class id is that
+    representative's place in the list; Iso(X, R_X) is then Aut(R_X)∘φ.
+    So candidates on isomorphic but distinct group objects are compared
+    as tuples over the same representatives.
+
+    are_gog_isomorphic holds for one edge C with injections (a, b) when,
+    after swapping the ends of one graph or not, vertex-group
+    isomorphisms and one edge-group isomorphism γ carry a to a' and b to
+    b' up to a conjugation at each end.
+    - A bridge joins two vertices A and B.  Their isomorphisms are
+      independent and absorb the conjugations, so the class of (a, b) is
+      its orbit under Iso(A, R_A) × Iso(B, R_B) × Iso(R_C, C).  Its least
+      element, as a pair of image tuples, is the least over γ of
+      (k_A(a∘γ), k_B(b∘γ)), where k_X(m) is the least α∘m over
+      α ∈ Iso(X, R_X): for a fixed γ, the two ends minimize apart.
+    - A loop has one vertex A, so one α acts on both ends, and each end
+      has its own conjugation.  Each end is read as its inner class (the
+      least of its conjugate tuples), and the class of (a, b) is its
+      orbit under Iso(A, R_A) × Iso(R_C, C).  Its least element takes the
+      least read of the first end, then the least read of the second end
+      over the (α, γ) reaching the first.
+    In both, the least first end is L, the least α∘a∘γ over all (α, γ):
+    it depends only on the image of a, and each α carrying that image
+    onto the image of L fixes the one γ with α∘a∘γ = L.  Conjugating L
+    is undone by conjugating α, so those (α, γ) reach every value of the
+    second end that any minimizing pair reaches.  Orbits that share an
+    element are equal, so the least element is a complete invariant for
+    one orientation; the form is the class ids and the lesser of the two
+    orientations.  A graph without edges is its vertex group's class.
+    """
+
+    def __init__(self):
+        self._reps: list[fg.FiniteGroup] = []
+        self._classes: dict[fg.FiniteGroup, tuple] = {}
+        self._least: dict[tuple, tuple] = {}
+        self._moves: dict[fg.GroupHom, tuple] = {}
+        self._images: dict[tuple, tuple] = {}
+
+    def _class(self, grp: fg.FiniteGroup) -> tuple:
+        """(class id, R, Iso(grp, R), Iso(R, grp)), isomorphisms as
+        mapping tuples, R the representative of grp."""
+        if grp not in self._classes:
+            for k, rep in enumerate(self._reps):
+                phi = next(fg.isomorphisms_iter(grp, rep), None) \
+                    if rep.order == grp.order else None
+                if phi is not None:
+                    break
+            else:
+                k, rep = len(self._reps), grp
+                phi = fg.GroupHom.identity(grp)
+                self._reps.append(grp)
+            to_rep = [fg._gather(phi.mapping)(alpha.mapping)
+                      for alpha in rep.automorphisms()]
+            from_rep = [tuple(sorted(range(grp.order), key=m.__getitem__))
+                        for m in to_rep]
+            self._classes[grp] = (k, rep, to_rep, from_rep)
+        return self._classes[grp]
+
+    def _lead(self, m: fg.GroupHom) -> tuple:
+        """(L, the (α, γ) with α∘m∘γ = L), L the least α∘m∘γ over
+        α ∈ Iso(X, R_X) and γ ∈ Iso(R_C, C)."""
+        if m not in self._moves:
+            to_rep = self._class(m.target)[2]
+            key = (m.source, m.target, frozenset(m.mapping))
+            if key not in self._least:
+                gammas = self._class(m.source)[3]
+                self._least[key] = min(
+                    fg._gather(fg._gather(g)(m.mapping))(alpha)
+                    for g in gammas for alpha in to_rep)
+            lead = self._least[key]
+            image, moves = set(lead), []
+            for alpha in to_rep:
+                moved = fg._gather(m.mapping)(alpha)
+                if set(moved) == image:
+                    at = {y: c for c, y in enumerate(moved)}
+                    moves.append((alpha, tuple(at[y] for y in lead)))
+            self._moves[m] = (lead, moves)
+        return self._moves[m]
+
+    def _image_min(self, m: fg.GroupHom, gamma: tuple) -> tuple:
+        """k_X(m∘γ)."""
+        if (m, gamma) not in self._images:
+            get = fg._gather(fg._gather(gamma)(m.mapping))
+            self._images[m, gamma] = min(map(get, self._class(m.target)[2]))
+        return self._images[m, gamma]
+
+    def _oriented(self, first: fg.GroupHom, second: fg.GroupHom, loop: bool):
+        lead, moves = self._lead(first)
+        if not loop:
+            return lead, min(self._image_min(second, g)
+                             for g in {g for _, g in moves})
+        rows = self._class(second.target)[1].conjugation_rows()
+        reads = []
+        for alpha, g in moves:
+            moved = fg._gather(fg._gather(g)(second.mapping))(alpha)
+            reads.append(min(map(fg._gather(moved), rows)))
+        return lead, min(reads)
+
+    def __call__(self, shape, vgroups, egroups, monos) -> tuple:
+        if not shape:
+            return (self._class(vgroups[0])[0],)
+        (i, j), (a, b) = shape[0], monos[0]
+        ka, kb, kc = (self._class(g)[0]
+                      for g in (vgroups[i], vgroups[j], egroups[0]))
+        loop = i == j
+        return (kc, min(((ka, kb), self._oriented(a, b, loop)),
+                        ((kb, ka), self._oriented(b, a, loop))))

@@ -324,6 +324,19 @@ def test_small_groups_catalog():
         ds.small_groups(13)
 
 
+def test_small_groups_catalog_is_built_once():
+    # Each call returns a new list of the same group objects, so the
+    # tables a group caches are computed once per process.
+    first, again = ds.small_groups(12), ds.small_groups(12)
+    assert first is not again
+    assert all(g is h for g, h in zip(first, again, strict=True))
+    prefix = ds.small_groups(6)
+    assert all(g is h for g, h in zip(prefix, first[:len(prefix)],
+                                       strict=True))
+    first.clear()
+    assert ds.small_groups(12) == again
+
+
 def test_enumerate_reduced_examples():
     z4, z6, z2 = (fg.build_cyclic(4, "a"), fg.build_cyclic(6, "b"),
                   fg.build_cyclic(2, "c"))

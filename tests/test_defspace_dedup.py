@@ -1,11 +1,14 @@
-"""The enumeration's shortcuts against the reference enumeration.
+"""The enumeration's and the expansion search's shortcuts against the
+reference in `defspace_oracle`.
 
 `enumerate_reduced` skips candidates with a collapsible edge before
-building them and compares the rest only inside invariant buckets, with
-conjugations read from cached tables.  Each shortcut is meant to be
-exact: the outputs must equal those of `defspace_oracle`, which builds
-every candidate and compares every pair element by element, and the
-invariant key must agree on isomorphic graphs.
+listing them and keeps the first of each canonical form, building only
+those.  `nonredundant_expansions` compares new graphs only inside the
+invariant buckets of `_IsoClasses`, with conjugations read from cached
+tables.  Each shortcut is meant to be exact: the outputs must equal
+those of `defspace_oracle`, which builds every candidate and compares
+every pair element by element, and the invariant key must agree on
+isomorphic graphs.
 """
 
 import itertools
