@@ -86,14 +86,27 @@ WALK_STEP_CAP = 10**6
 """The most work `walk` accepts: --trials × Σ(n + 1) over the --lengths
 entries n, checked before any walk; the + 1 counts a length-0 entry too."""
 
+AXIS_VERTEX_CAP = 2000
+"""The most axis steps `axis` accepts: --periods × the translation
+length, checked before the window is built.  Each printed vertex carries
+its whole coset representative, so the output grows quadratically: on
+sl2z with word "a b", 1,000 periods (2,000 steps) print 10 MB."""
 
-def load_group(spec: str) -> GraphOfGroups:
-    """A graph of groups from a builtin name or a JSON file path."""
+
+def load_group(spec: str, field: str = "--group") -> GraphOfGroups:
+    """A graph of groups from a builtin name or a JSON file path; field
+    names the option that gave spec, for the error when it is neither."""
     if spec in BUILTIN_GROUPS:
         text = (resources.files("vfree") / "data" / f"{spec}.json").read_text()
         return gog_from_json(text)
-    with open(spec) as fh:
-        return gog_from_json(fh.read())
+    try:
+        with open(spec) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GogError(f"{field} {spec!r} is neither a builtin group "
+                       f"({', '.join(BUILTIN_GROUPS)}) nor a readable file "
+                       f"({exc.strerror})") from None
+    return gog_from_json(text)
 
 
 def _load_json(path: str):
@@ -479,7 +492,12 @@ def cmd_classify(args) -> int:
 
 def cmd_axis(args) -> int:
     gog = load_group(args.group)
-    seg = axis_window(gog, parse_word(gog, args.word), args.periods)
+    g = parse_word(gog, args.word)
+    steps = args.periods * classify_element(gog, g).translation_length
+    if steps > AXIS_VERTEX_CAP:
+        raise GogError(f"--periods × translation length is {steps}, above "
+                       f"the axis cap {AXIS_VERTEX_CAP}")
+    seg = axis_window(gog, g, args.periods)
     if args.format == "json":
         print(_dump({"period": seg.period,
                      "vertices": [{"orbit": v.orbit,
@@ -535,7 +553,7 @@ def _list_field(data: dict, key: str, want: type, where: str) -> list:
 
 
 def cmd_fold(args) -> int:
-    gog = load_group(args.target)
+    gog = load_group(args.target, "--target")
     spec = _typed(_load_json(args.source), "an object", "marking JSON")
     kind = spec.get("marking")
     if kind == "identity":
@@ -750,7 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
              cmd_axis)
     sp.add_argument("--group", required=True)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--periods", type=int, default=3)
+    sp.add_argument("--periods", type=int, default=3,
+                    help="--periods × translation length is capped at "
+                         f"{AXIS_VERTEX_CAP}")
 
     sp = add("defspace", "deformation space reports", cmd_defspace)
     sp.add_argument("action", choices=("reduced", "enumerate", "expand"))

@@ -8,9 +8,11 @@ enumeration of reduced splittings up to isomorphism.
 
 The enumeration keeps the first candidate of each isomorphism class.
 Its class is a dict lookup on a canonical form, the least sequence of
-edge-end reads over all labelings of the candidate over fixed group
-representatives (see _CanonicalForms).  Equal forms describe one graph,
-so the dedup is exact, and only the kept candidates are built as graphs.
+edge-end reads over all labelings of the candidate over the catalog
+groups (see _canonical_form).  Equal forms describe one graph, so the
+dedup is exact, and only the kept candidates are built as graphs.  What
+the forms derive from one group, or from the monomorphisms between two,
+is computed once per process and kept on those groups.
 """
 
 from __future__ import annotations
@@ -508,7 +510,9 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     isomorphism of graphs of groups.
 
     Optional vertex_groups / edge_groups pin the group multisets instead
-    of drawing them from the small-groups catalog.
+    of drawing them from the small-groups catalog.  A pinned group may
+    not have order above max_order, so every group has an isomorphic
+    catalog group to be read through.
 
     Each edge takes its injections (a, b) from _orbit_reps only.  That is
     exact: if a' = ad(g)∘a∘β with β in Aut of the edge group, (a', b') is
@@ -517,8 +521,9 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     class, in the stable sort below, is still listed.
 
     Candidates are listed as raw data and sorted by _candidate_key; the
-    first of each _CanonicalForms form, a complete isomorphism invariant,
-    is kept and built, as a comparison with every kept graph would.
+    first of each _canonical_form, a complete isomorphism invariant, is
+    kept and built, as a comparison with every kept graph would.  What
+    both derive from the groups is kept on them (_class, _mono_facts).
     """
     p, q, r = vertex_count, edge_count, max_order
     _check_range("vertex_count", p, 1, ENUM_VERTEX_CAP)
@@ -529,10 +534,12 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
         raise GogError("vertex_groups must list one group per vertex")
     if edge_groups is not None and len(edge_groups) != q:
         raise GogError("edge_groups must list one group per edge")
-
-    @functools.cache
-    def monos_into(egrp: FiniteGroup, vgrp: FiniteGroup, end: int):
-        return _orbit_reps(fg.all_monomorphisms(egrp, vgrp), end)
+    for name, pinned in (("vertex_groups", vertex_groups),
+                         ("edge_groups", edge_groups)):
+        for k, grp in enumerate(pinned or ()):
+            if grp.order > r:
+                raise GogError(f"{name}[{k}] has order {grp.order}, above "
+                               f"max_order {r}")
 
     found = []
     for shape in _connected_shapes(p, q):
@@ -545,17 +552,17 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                                              edge_groups):
                 if _has_collapsible_edge(shape, vgroups, egroups):
                     continue
-                mono_pools = [[(a, b) for a in monos_into(egrp, vgroups[i], 0)
-                               for b in monos_into(egrp, vgroups[j], 1)]
+                mono_pools = [[(a, b) for a in _orbit_reps(egrp, vgroups[i], 0)
+                               for b in _orbit_reps(egrp, vgroups[j], 1)]
                               for (i, j), egrp in zip(shape, egroups)]
                 key = _candidate_key(shape, vgroups, egroups)
                 found.extend((key, shape, vgroups, egroups, monos)
                              for monos in itertools.product(*mono_pools))
 
     found.sort(key=lambda cand: cand[0])
-    form, first = _CanonicalForms(), {}
+    first = {}
     for cand in found:
-        first.setdefault(form(*cand[1:]), cand)
+        first.setdefault(_canonical_form(*cand[1:]), cand)
     return [_candidate_graph(*cand[1:]) for cand in first.values()]
 
 
@@ -571,17 +578,6 @@ def _candidate_key(shape, vgroups, egroups):
     return (verts, edges, degs)
 
 
-def _orbit_reps(monos: Sequence[GroupHom], end: int) -> list[GroupHom]:
-    """The first of monos with each conjugacy class of images: image
-    subgroups at end 0, image tuples (inner-automorphism orbits) at end 1."""
-    image = frozenset if end == 0 else tuple
-    reps: dict[frozenset, GroupHom] = {}
-    for m in monos:
-        reps.setdefault(frozenset(image(row[y] for y in m.mapping)
-                                  for row in m.target.conjugation_rows()), m)
-    return list(reps.values())
-
-
 def _has_collapsible_edge(shape, vgroups, egroups) -> bool:
     """Does every candidate on these groups fail is_reduced?  An edge
     group of the order of an endpoint group has index 1 there whatever
@@ -592,16 +588,150 @@ def _has_collapsible_edge(shape, vgroups, egroups) -> bool:
                for (i, j), c in zip(shape, egroups))
 
 
-class _CanonicalForms:
-    """Canonical forms of candidates, given as (shape, vertex groups, edge
-    groups, injections): two candidates get the same form exactly when
-    are_gog_isomorphic holds between their graphs.  One instance serves
-    one enumeration.
+# -- facts kept on the groups they describe -----------------------------------
+#
+# Each fact below depends only on one group, or on the monomorphisms
+# between two, and is kept in a group's FiniteGroup._facts, so that a
+# caller's groups take theirs with them when they are dropped.
 
-    Groups are read through representatives: each group object is sent,
-    by one drawn isomorphism φ, to the first group seen isomorphic to it
-    (itself if none), whose place in that list is its class id; so
-    Iso(X, R_X) = Aut(R_X)∘φ.
+
+def _class(grp: FiniteGroup) -> tuple:
+    """(class id, Iso(grp, R), Iso(R, grp), Inn(R)) as mapping tuples,
+    Iso(R, grp) keyed to their _gather, for R the catalog group
+    isomorphic to grp (grp itself if it is one) and the class id R's
+    place in the catalog.  The catalog holds every group of order up to
+    ENUM_ORDER_CAP; enumerate_reduced refuses larger groups."""
+    facts = grp._facts
+    if "class" not in facts:
+        catalog = _catalog()
+        if grp in catalog:
+            k, phi = catalog.index(grp), GroupHom.identity(grp)
+        else:
+            k, phi = next((k, phi) for k, rep in enumerate(catalog)
+                          if rep.order == grp.order
+                          for phi in itertools.islice(
+                              fg.isomorphisms_iter(grp, rep), 1))
+        rep = catalog[k]
+        to_rep = [fg._gather(phi.mapping)(alpha.mapping)
+                  for alpha in rep.automorphisms()]
+        from_rep = {g: fg._gather(g) for g in (
+            tuple(sorted(range(grp.order), key=m.__getitem__))
+            for m in to_rep)}
+        inner = tuple(set(rep.conjugation_rows()))
+        facts["class"] = (k, to_rep, from_rep, inner)
+    return facts["class"]
+
+
+class _MonoFacts:
+    """What the enumeration derives from the monomorphisms c → x: the
+    orbit representatives at ends 0 and 1 (None until first asked for),
+    the (lead, moves) of each mapping and the reads of each end state
+    (see _canonical_form)."""
+
+    __slots__ = ("reps", "leads", "reads")
+
+    def __init__(self):
+        self.reps: Optional[tuple[list[GroupHom], list[GroupHom]]] = None
+        self.leads: dict[tuple, tuple] = {}
+        self.reads: dict[tuple, tuple] = {}
+
+
+def _mono_facts(c: FiniteGroup, x: FiniteGroup) -> _MonoFacts:
+    """The facts of the monomorphisms c → x, kept on x, or on c when x is
+    a catalog group, so that a catalog group holds only catalog groups."""
+    facts = (c if _catalog()[_class(x)[0]] is x else x)._facts
+    if (c, x) not in facts:
+        facts[c, x] = _MonoFacts()
+    return facts[c, x]
+
+
+def _orbit_reps(c: FiniteGroup, x: FiniteGroup, end: int) -> list[GroupHom]:
+    """The first monomorphism c → x with each conjugacy class of images:
+    image subgroups at end 0, image tuples (inner-automorphism orbits) at
+    end 1.  Both lists come from one all_monomorphisms search."""
+    facts = _mono_facts(c, x)
+    if facts.reps is None:
+        conj, reps = x.conjugation_rows(), ({}, {})
+        for m in fg.all_monomorphisms(c, x):
+            for image, end_reps in zip((frozenset, tuple), reps):
+                orbit = frozenset(image([row[y] for y in m.mapping])
+                                  for row in conj)
+                end_reps.setdefault(orbit, m)
+        facts.reps = tuple(list(end_reps.values()) for end_reps in reps)
+    return facts.reps[end]
+
+
+def _lead(m: GroupHom) -> tuple:
+    """(L, the (α, γ's _gather) with α∘m∘γ = L), L the least α∘m∘γ over
+    α ∈ Iso(X, R_X) and γ ∈ Iso(R_C, C)."""
+    facts = _mono_facts(m.source, m.target)
+    if m.mapping not in facts.leads:
+        to_rep, gammas = _class(m.target)[1], _class(m.source)[2]
+        lead = min(min(map(fg._gather(gamma(m.mapping)), to_rep))
+                   for gamma in gammas.values())
+        image, moves, get = set(lead), [], fg._gather(m.mapping)
+        for alpha in to_rep:
+            moved = get(alpha)
+            if set(moved) == image:
+                at = {y: c for c, y in enumerate(moved)}
+                moves.append((alpha, gammas[tuple(at[y] for y in lead)]))
+        facts.leads[m.mapping] = (lead, moves)
+    return facts.leads[m.mapping]
+
+
+def _read(m: GroupHom, y, xs, near, here) -> tuple:
+    """(least image, [(α∘n for n in near, [(α∘here or None, γ's
+    _gather)] over the γ reaching it with those α)]) of the end m.
+    xs is None on an edge's first end, where γ is free, else the
+    pending m∘γ or α∘m∘γ.  y is α∘m at an old vertex.  At a new one
+    near maps its other ends, here the edge's other end if there."""
+    if near is None:
+        gammas = _class(m.source)[2].values()
+        moved = [(x, None) for x in xs] if xs is not None else [
+            (gamma(y), gamma) for gamma in gammas]
+        rows = _class(m.target)[3]
+        reads = [(min(map(fg._gather(x), rows)), g) for x, g in moved]
+        low = min(image for image, _ in reads)
+        return low, [((), [(None, g) for image, g in reads
+                           if image == low and g])]
+    if xs is None:
+        low, moves = _lead(m)
+    else:
+        to_rep = _class(m.target)[1]
+        images = [list(map(fg._gather(x), to_rep)) for x in xs]
+        low = min(map(min, images))
+        moves = [(alpha, None) for row in images
+                 for alpha, image in zip(to_rep, row) if image == low]
+    gets = [fg._gather(n) for n in near]
+    own = fg._gather(here) if here else lambda alpha: None
+    groups: dict[tuple, dict] = {}
+    for alpha, g in moves:
+        groups.setdefault(tuple([get(alpha) for get in gets]),
+                          {})[own(alpha), g] = None
+    return low, [(vals, [pair for pair in pairs if pair[1]])
+                 for vals, pairs in groups.items()]
+
+
+@functools.cache
+def _shape_ends(shape) -> tuple:
+    """(the vertex of each end, edge by edge, and for each end the other
+    ends at its vertex outside its own edge) of a shape."""
+    at = [v for edge in shape for v in edge]
+    return at, [tuple(u for u, w in enumerate(at) if w == v and u | 1 != t | 1)
+                for t, v in enumerate(at)]
+
+
+def _canonical_form(shape, vgroups, egroups, monos) -> tuple:
+    """The canonical form of a candidate, given as (shape, vertex groups,
+    edge groups, injections): two candidates get the same form exactly
+    when are_gog_isomorphic holds between their graphs.
+
+    Groups are read through representatives: each group is sent, by one
+    drawn isomorphism φ, to the catalog group R_X isomorphic to it, whose
+    place in the catalog is its class id; so Iso(X, R_X) = Aut(R_X)∘φ.
+    Which φ is drawn does not matter: forms are compared only within one
+    enumeration, and for any fixed choice of representatives equal forms
+    mean isomorphic graphs.
 
     A labeling orders and orients the edges and picks α_v ∈ Iso(G_v, R_v),
     γ_e ∈ Iso(R_C, C_e) and a conjugation per end.  It reads both ends of
@@ -613,158 +743,72 @@ class _CanonicalForms:
     the least prefix at every read, so the reads are greedy and keep each
     partial labeling reaching the least prefix, as what later reads see:
     positions, each α_v on its unread ends, the images the pending end
-    may read.  A new vertex's α_v absorbs its conjugation.
+    may read.  A new vertex's α_v absorbs its conjugation.  Each read is
+    computed once per process and end state, and kept in _mono_facts.
     """
-
-    def __init__(self):
-        self._reps: list[FiniteGroup] = []
-        self._classes: dict[FiniteGroup, tuple] = {}
-        self._least: dict[tuple, tuple] = {}
-        self._moves: dict[GroupHom, tuple] = {}
-        self._reads: dict[tuple, tuple] = {}
-        self._shapes: dict[tuple, tuple] = {}
-
-    def _class(self, grp: FiniteGroup) -> tuple:
-        """(class id, Iso(grp, R), Iso(R, grp), Inn(R)) as mapping tuples,
-        Iso(R, grp) keyed to their _gather, R the representative of grp."""
-        if grp not in self._classes:
-            for k, rep in enumerate(self._reps):
-                phi = next(fg.isomorphisms_iter(grp, rep), None) \
-                    if rep.order == grp.order else None
-                if phi is not None:
-                    break
-            else:
-                k, rep, phi = len(self._reps), grp, GroupHom.identity(grp)
-                self._reps.append(grp)
-            to_rep = [fg._gather(phi.mapping)(alpha.mapping)
-                      for alpha in rep.automorphisms()]
-            from_rep = {g: fg._gather(g) for g in (
-                tuple(sorted(range(grp.order), key=m.__getitem__))
-                for m in to_rep)}
-            inner = tuple(set(rep.conjugation_rows()))
-            self._classes[grp] = (k, to_rep, from_rep, inner)
-        return self._classes[grp]
-
-    def _lead(self, m: GroupHom) -> tuple:
-        """(L, the (α, γ's _gather) with α∘m∘γ = L), L the least α∘m∘γ
-        over α ∈ Iso(X, R_X) and γ ∈ Iso(R_C, C)."""
-        if m not in self._moves:
-            to_rep, gammas = self._class(m.target)[1], self._class(m.source)[2]
-            key = (m.source, m.target, frozenset(m.mapping))
-            if key not in self._least:
-                self._least[key] = min(
-                    min(map(fg._gather(gamma(m.mapping)), to_rep))
-                    for gamma in gammas.values())
-            lead = self._least[key]
-            image, moves, get = set(lead), [], fg._gather(m.mapping)
-            for alpha in to_rep:
-                moved = get(alpha)
-                if set(moved) == image:
-                    at = {y: c for c, y in enumerate(moved)}
-                    moves.append((alpha, gammas[tuple(at[y] for y in lead)]))
-            self._moves[m] = (lead, moves)
-        return self._moves[m]
-
-    def _read(self, m: GroupHom, y, xs, near, here) -> tuple:
-        """(least image, [(α∘n for n in near, [(α∘here or None, γ's
-        _gather)] over the γ reaching it with those α)]) of the end m.
-        xs is None on an edge's first end, where γ is free, else the
-        pending m∘γ or α∘m∘γ.  y is α∘m at an old vertex.  At a new one
-        near maps its other ends, here the edge's other end if there."""
-        if near is None:
-            gammas = self._class(m.source)[2].values()
-            moved = [(x, None) for x in xs] if xs is not None else [
-                (gamma(y), gamma) for gamma in gammas]
-            rows = self._class(m.target)[3]
-            reads = [(min(map(fg._gather(x), rows)), g) for x, g in moved]
-            low = min(image for image, _ in reads)
-            return low, [((), [(None, g) for image, g in reads
-                               if image == low and g])]
-        if xs is None:
-            low, moves = self._lead(m)
-        else:
-            to_rep = self._class(m.target)[1]
-            images = [list(map(fg._gather(x), to_rep)) for x in xs]
-            low = min(map(min, images))
-            moves = [(alpha, None) for row in images
-                     for alpha, image in zip(to_rep, row) if image == low]
-        gets = [fg._gather(n) for n in near]
-        own = fg._gather(here) if here else lambda alpha: None
-        groups: dict[tuple, dict] = {}
-        for alpha, g in moves:
-            groups.setdefault(tuple([get(alpha) for get in gets]),
-                              {})[own(alpha), g] = None
-        return low, [(vals, [pair for pair in pairs if pair[1]])
-                     for vals, pairs in groups.items()]
-
-    def __call__(self, shape, vgroups, egroups, monos) -> tuple:
-        if not shape:
-            return (self._class(vgroups[0])[0],)
-        if shape not in self._shapes:
-            at = [v for edge in shape for v in edge]
-            self._shapes[shape] = (at, [
-                tuple(u for u, w in enumerate(at) if w == v and u | 1 != t | 1)
-                for t, v in enumerate(at)])
-        at, near = self._shapes[shape]
-        ms = [m for pair in monos for m in pair]
-        kv = [self._class(g)[0] for g in vgroups]
-        kc = [self._class(c)[0] for c in egroups]
-        # (read edges as a bit mask, positions, α_v∘m per unread end at a
-        # positioned vertex, (pending end, the images it may read) or None)
-        states = [(0, (-1,) * len(vgroups), (None,) * len(ms), None)]
-        form, fresh = [], 0
-        while True:
-            best, picks = None, []
-            for state in states:
-                done, pos, _, pending = state
-                for t in (pending[0],) if pending else [
-                        t for t in range(len(ms)) if not done >> (t >> 1) & 1]:
-                    v = at[t]
-                    head = (pos[v], -1) if pos[v] >= 0 else (fresh, kv[v])
-                    if not pending:
-                        head += (kc[t >> 1],)
-                    if best is None or head < best:
-                        best, picks = head, [(state, t)]
-                    elif head == best:
-                        picks.append((state, t))
-            low, wins = None, []
-            for state, t in picks:
-                m, u, y = ms[t], t ^ 1, state[2][t]
-                xs = state[3][1] if state[3] else None
-                new = best[1] >= 0
-                nh = tuple([ms[w].mapping for w in near[t]]) if new else None
-                here = ms[u].mapping if new and at[u] == at[t] else None
-                key = (m.source, m.target, m.mapping, y, xs, nh, here)
-                if key not in self._reads:
-                    self._reads[key] = self._read(m, y, xs, nh, here)
-                image, succ = self._reads[key]
-                if low is None or image < low:
-                    low, wins = image, [(succ, state, t)]
-                elif image == low:
-                    wins.append((succ, state, t))
-            form.append(best + (low,))
-            if len(form) == len(ms):
-                return tuple(form)
-            merged: dict[tuple, set] = {}
-            for succ, (done, pos, seen, pending), t in wins:
-                v, u = at[t], t ^ 1
-                if pos[v] < 0:
-                    pos = pos[:v] + (fresh,) + pos[v + 1:]
-                for vals, pairs in succ:
-                    now = list(seen)
-                    now[t] = None
-                    for w, val in zip(near[t], vals):
-                        now[w] = val
-                    y, now[u] = now[u], None
-                    src = ms[u].mapping if y is None else y
-                    merged.setdefault((done | 1 << (t >> 1), pos, tuple(now),
-                                       None if pending else u), set()).update(
-                        [gamma(src if own is None else own)
-                         for own, gamma in pairs])
-            states = [(done, pos, seen, None if u is None
-                       else (u, frozenset(xs)))
-                      for (done, pos, seen, u), xs in merged.items()]
-            fresh += best[1] >= 0
+    if not shape:
+        return (_class(vgroups[0])[0],)
+    at, near = _shape_ends(shape)
+    ms = [m for pair in monos for m in pair]
+    kept = [_mono_facts(m.source, m.target).reads for m in ms]
+    kv = [_class(g)[0] for g in vgroups]
+    kc = [_class(c)[0] for c in egroups]
+    # (read edges as a bit mask, positions, α_v∘m per unread end at a
+    # positioned vertex, (pending end, the images it may read) or None)
+    states = [(0, (-1,) * len(vgroups), (None,) * len(ms), None)]
+    form, fresh = [], 0
+    while True:
+        best, picks = None, []
+        for state in states:
+            done, pos, _, pending = state
+            for t in (pending[0],) if pending else [
+                    t for t in range(len(ms)) if not done >> (t >> 1) & 1]:
+                v = at[t]
+                head = (pos[v], -1) if pos[v] >= 0 else (fresh, kv[v])
+                if not pending:
+                    head += (kc[t >> 1],)
+                if best is None or head < best:
+                    best, picks = head, [(state, t)]
+                elif head == best:
+                    picks.append((state, t))
+        low, wins = None, []
+        for state, t in picks:
+            m, u, y = ms[t], t ^ 1, state[2][t]
+            xs = state[3][1] if state[3] else None
+            new = best[1] >= 0
+            nh = tuple([ms[w].mapping for w in near[t]]) if new else None
+            here = ms[u].mapping if new and at[u] == at[t] else None
+            key = (m.mapping, y, xs, nh, here)
+            if key not in kept[t]:
+                kept[t][key] = _read(m, y, xs, nh, here)
+            image, succ = kept[t][key]
+            if low is None or image < low:
+                low, wins = image, [(succ, state, t)]
+            elif image == low:
+                wins.append((succ, state, t))
+        form.append(best + (low,))
+        if len(form) == len(ms):
+            return tuple(form)
+        merged: dict[tuple, set] = {}
+        for succ, (done, pos, seen, pending), t in wins:
+            v, u = at[t], t ^ 1
+            if pos[v] < 0:
+                pos = pos[:v] + (fresh,) + pos[v + 1:]
+            for vals, pairs in succ:
+                now = list(seen)
+                now[t] = None
+                for w, val in zip(near[t], vals):
+                    now[w] = val
+                y, now[u] = now[u], None
+                src = ms[u].mapping if y is None else y
+                merged.setdefault((done | 1 << (t >> 1), pos, tuple(now),
+                                   None if pending else u), set()).update(
+                    [gamma(src if own is None else own)
+                     for own, gamma in pairs])
+        states = [(done, pos, seen, None if u is None
+                   else (u, frozenset(xs)))
+                  for (done, pos, seen, u), xs in merged.items()]
+        fresh += best[1] >= 0
 
 
 class _IsoClasses:

@@ -52,10 +52,15 @@ class FiniteGroup:
     tuple.index, and Light's test composes two rows with one itemgetter
     call and compares the result as a tuple.  Entries are scanned one by
     one only to name the witness of a failure.
+
+    Derived tables are filled on first use and kept: element orders,
+    Aut(G), conjugation rows, and in _facts what other modules derive
+    from the group (defspace's enumeration facts), so that they go when
+    the group goes.
     """
 
     __slots__ = ("table", "order", "identity", "inverses", "generators",
-                 "labels", "_orders", "_auts", "_conj")
+                 "labels", "_orders", "_auts", "_conj", "_facts")
 
     def __init__(self, table: Sequence[Sequence[int]],
                  generators: dict[str, int],
@@ -78,6 +83,7 @@ class FiniteGroup:
         self._orders: Optional[tuple[int, ...]] = None
         self._auts: Optional[tuple[GroupHom, ...]] = None
         self._conj: Optional[tuple[tuple[int, ...], ...]] = None
+        self._facts: dict = {}
         self._check_group_axioms()
 
     def _find_identity(self) -> int:

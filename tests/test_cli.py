@@ -14,6 +14,7 @@ import vfree.gogwords as gw
 from fixtures import build_A
 from vfree.bstree import standard_frame
 from vfree.cli import (
+    AXIS_VERTEX_CAP,
     WALK_STEP_CAP,
     _sample_reduced_forms,
     load_group,
@@ -455,6 +456,27 @@ def test_walk_work_is_capped_before_any_walk(capsys):
                "walk cap 1000000" in err
 
 
+def test_axis_work_is_capped_before_any_window(capsys, monkeypatch):
+    """--periods × translation length may reach the cap but not pass it;
+    past it the command exits 1 at once, naming --periods."""
+    assert AXIS_VERTEX_CAP == 2000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "axis", "--group", "sl2z", "--word", "a b",
+                         "--periods", "100000000")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert "--periods × translation length is 200000000, above the axis " \
+           "cap 2000" in err
+    monkeypatch.setattr("vfree.cli.AXIS_VERTEX_CAP", 4)
+    code, out, _ = run(capsys, "axis", "--group", "sl2z", "--word", "a b",
+                       "--periods", "2")
+    assert code == 0 and len(out.splitlines()) == 5
+    code, out, err = run(capsys, "axis", "--group", "sl2z", "--word", "a b",
+                         "--periods", "3")
+    assert code == 1 and out == ""
+    assert "--periods × translation length is 6, above the axis cap 4" in err
+
+
 @pytest.mark.parametrize("lengths", [",", "", ",,"])
 def test_walk_needs_a_length(capsys, lengths):
     code, out, err = run(capsys, "walk", "--group", "z2z3", "--lengths",
@@ -556,6 +578,20 @@ def test_formula_powers_finish_quickly(capsys, tmp_path, which, params, code,
     assert time.perf_counter() - start < 1.0
     assert got == code
     assert message in (out if code == 0 else err)
+
+
+@pytest.mark.parametrize("option", ["--group", "--target"])
+def test_unknown_group_names_the_option(capsys, tmp_path, option):
+    source = tmp_path / "marking.json"
+    source.write_text('{"marking": "identity"}')
+    argv = {"--group": ["group", "--group", "nosuch"],
+            "--target": ["fold", "--source", str(source), "--target",
+                         "nosuch"]}[option]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (f"vfree: {option} 'nosuch' is neither a builtin group "
+                   "(sl2z, counterexample, z2z3) nor a readable file (No "
+                   "such file or directory)\n")
 
 
 def test_exit_codes(capsys):

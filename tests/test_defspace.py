@@ -310,7 +310,12 @@ def test_gog_isomorphism_ignores_labels_and_base():
 # -- catalog and enumeration ---------------------------------------------------
 
 def test_small_groups_catalog():
-    groups = ds.small_groups(12)
+    # Canonical forms read every group through the catalog group
+    # isomorphic to it, so the catalog must hold each group of order <= 12
+    # exactly once: 24 pairwise non-isomorphic groups, as many of each
+    # order as there are isomorphism types.
+    groups = ds._catalog()
+    assert len(groups) == 24 and list(groups) == ds.small_groups(12)
     counts = {}
     for g in groups:
         counts[g.order] = counts.get(g.order, 0) + 1
@@ -377,6 +382,14 @@ def test_enumerate_caps():
         ds.enumerate_reduced(2, 1, 13)
     with pytest.raises(gw.GogError, match="one group per"):
         ds.enumerate_reduced(2, 1, 12, vertex_groups=[fg.build_cyclic(2)])
+    z16, z2 = fg.build_cyclic(16), fg.build_cyclic(2)
+    with pytest.raises(gw.GogError, match=r"^vertex_groups\[0\] has order "
+                                          r"16, above max_order 4$"):
+        ds.enumerate_reduced(2, 1, 4, vertex_groups=[z16, z16],
+                             edge_groups=[z2])
+    with pytest.raises(gw.GogError, match=r"^edge_groups\[1\] has order 8, "
+                                          r"above max_order 6$"):
+        ds.enumerate_reduced(2, 2, 6, edge_groups=[z2, fg.build_cyclic(8)])
 
 
 # -- bounded expansion search ---------------------------------------------------

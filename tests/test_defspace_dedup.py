@@ -11,8 +11,10 @@ every pair element by element, and the invariant key must agree on
 isomorphic graphs.
 """
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -52,6 +54,85 @@ def test_pinned_amalgams_match_oracle(amalgam):
             "edge_groups": [fg.build_cyclic(c)]}
     assert as_json(ds.enumerate_reduced(2, 1, 12, **pins)) == \
         as_json(oracle.enumerate_reduced(2, 1, 12, **pins))
+
+
+# -- facts kept on the groups -------------------------------------------------
+
+
+def test_a_repeated_query_searches_no_group_again(monkeypatch):
+    calls = []
+
+    def counted(name, search):
+        def call(*args):
+            calls.append(name)
+            return search(*args)
+        return call
+
+    ds.enumerate_reduced(2, 1, 6)
+    for name in ("all_monomorphisms", "isomorphisms_iter"):
+        monkeypatch.setattr(fg, name, counted(name, getattr(fg, name)))
+    ds.enumerate_reduced(2, 1, 6)
+    assert calls == []
+    fresh = fg.build_cyclic(4)
+    ds.enumerate_reduced(1, 1, 4, vertex_groups=[fresh], edge_groups=[fresh])
+    assert calls
+
+
+def test_outputs_do_not_depend_on_earlier_queries():
+    # The facts of one query stay on its groups for the next, so each
+    # query runs forward, then in reverse, and then on renumbered copies
+    # of the pinned groups, which are read through isomorphisms drawn to
+    # the catalog groups; every run must give the oracle's graphs.  The
+    # last query joins two copies of D3 over Z/2 and Z/3, so renumbered
+    # vertex groups take facts from two edge groups each.
+    rng = random.Random(18)
+    catalog = ds.small_groups(12)
+    queries = [(query, {}) for query in CATALOG_QUERIES]
+    queries += [((2, 1, 12), {"vertex_groups": [catalog[a], catalog[b]],
+                              "edge_groups": [fg.build_cyclic(c)]})
+                for a, b, c in AMALGAMS]
+    queries.append(((2, 2, 6), {"vertex_groups": [catalog[7], catalog[7]],
+                                "edge_groups": [fg.build_cyclic(2),
+                                                fg.build_cyclic(3)]}))
+    want = [as_json(oracle.enumerate_reduced(*query, **pins))
+            for query, pins in queries]
+    for k in [*range(len(queries)), *reversed(range(len(queries)))]:
+        query, pins = queries[k]
+        assert as_json(ds.enumerate_reduced(*query, **pins)) == want[k]
+    for query, pins in queries[len(CATALOG_QUERIES):]:
+        pins = {name: [permuted_group(grp, rng)[0] for grp in groups]
+                for name, groups in pins.items()}
+        assert as_json(ds.enumerate_reduced(*query, **pins)) == \
+            as_json(oracle.enumerate_reduced(*query, **pins))
+
+
+def test_dropped_groups_take_their_facts_with_them():
+    # The facts of a caller's groups live on those groups: 200 queries on
+    # fresh groups, as `verify sl2z` makes, and 200 on a fresh edge group
+    # between catalog groups must leave nothing behind.
+    catalog = ds.small_groups(6)
+
+    def query(vertex_groups):
+        return ds.enumerate_reduced(2, 1, 12, vertex_groups=vertex_groups,
+                                    edge_groups=[fg.build_cyclic(2, "c")])
+
+    def queries():
+        query([fg.build_cyclic(4, "a"), fg.build_cyclic(6, "b")])
+        query([catalog[3], catalog[6]])
+
+    queries()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(200):
+            queries()
+        gc.collect()
+        grown = sum(stat.size_diff for stat in
+                    tracemalloc.take_snapshot().compare_to(before, "filename"))
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 @pytest.mark.parametrize("seed", ["sl2z", "star", "rose3"])

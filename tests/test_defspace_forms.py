@@ -1,8 +1,8 @@
 """Canonical forms of candidates against the reference isomorphism test
 in `defspace_oracle`.
 
-`enumerate_reduced` keeps the first candidate of each `_CanonicalForms`
-form instead of comparing graphs.  That is exact only if the form is a
+`enumerate_reduced` keeps the first candidate of each `_canonical_form`
+instead of comparing graphs.  That is exact only if the form is a
 complete invariant: isomorphic graphs share it and graphs that share it
 are isomorphic.  Both directions are checked here on the candidates the
 oracle builds, reduced or not, with one edge and with several.  On
@@ -60,7 +60,7 @@ def candidates(case):
 
 def raw(gog):
     """A built graph as the (shape, vertex groups, edge groups,
-    injections) that _CanonicalForms reads, edges in id order."""
+    injections) that _canonical_form reads, edges in id order."""
     vids = sorted(gog.vertices)
     edges = [gog.edges[eid] for eid in sorted(gog.edges)]
     shape = tuple(tuple(vids.index(v) for v in e.ends) for e in edges)
@@ -77,9 +77,9 @@ CASES = ONE_EDGE + [(1, 2, 3), (2, 2, 3), (3, 2, 3), (1, 3, 2), (3, 3, 2),
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_isomorphic_copies_share_the_form(case):
     # With new_groups the copy's groups are renumbered new objects, so the
-    # form reads them through the isomorphism drawn to the originals.
+    # form reads them through isomorphisms drawn to the catalog groups.
     rng = random.Random(str(case))
-    forms = ds._CanonicalForms()
+    forms = ds._canonical_form
     graphs = candidates(case)
     for gog in graphs:
         for new_groups in (False, True):
@@ -92,7 +92,7 @@ def test_forms_decide_isomorphism_as_the_oracle_does(case):
     # Every candidate is isomorphic to the first candidate of its form, and
     # the firsts of two forms never are; by transitivity, two candidates
     # share a form exactly when the oracle finds them isomorphic.
-    forms = ds._CanonicalForms()
+    forms = ds._canonical_form
     first = {}
     for gog in candidates(case):
         rep = first.setdefault(forms(*raw(gog)), gog)
@@ -110,7 +110,7 @@ def test_every_gamma_reaching_the_least_read_is_kept():
     # D4 need not realize the automorphism of the edge group between
     # them; the form must follow each.  A sample of the 4,320 candidates.
     rng = random.Random(5)
-    forms, first = ds._CanonicalForms(), {}
+    forms, first = ds._canonical_form, {}
     for gog in rng.sample(candidates("z2-d4-d4"), 150):
         copy = isomorphic_copy(gog, rng, True)
         assert forms(*raw(copy)) == forms(*raw(gog))
@@ -127,7 +127,7 @@ def test_every_gamma_reaching_the_least_read_is_kept():
 def test_one_edge_classes_match_the_bridge_and_loop_forms(case):
     # The old form (a function of the class) and the new one must pair up
     # one to one on every candidate.
-    old, new = oracle.OneEdgeForms(), ds._CanonicalForms()
+    old, new = oracle.OneEdgeForms(), ds._canonical_form
     pairs = {(old(*raw(gog)), new(*raw(gog))) for gog in candidates(case)}
     assert len(pairs) > 1
     assert len({a for a, _ in pairs}) == len(pairs)
