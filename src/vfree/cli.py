@@ -25,6 +25,7 @@ from .bstree import (
     standard_frame,
 )
 from .defspace import (
+    EXPANSION_ORDER_CAP,
     degree_sum,
     enumerate_reduced,
     is_minimal,
@@ -201,7 +202,7 @@ def verify_sl2z(gog: Optional[GraphOfGroups] = None) -> VerificationReport:
         return ok, {"reduced": is_reduced(gog), "classes": len(found)}
 
     def check_no_expansions():
-        out, rep = nonredundant_expansions(gog, 2, with_report=True)
+        out, rep = nonredundant_expansions(gog, 2)
         ok = len(out) == 1 and rep["frontier_all_redundant"]
         return ok, {"new_splittings": len(out) - 1,
                     "explored": rep["explored"],
@@ -536,8 +537,7 @@ def cmd_defspace(args) -> int:
             print(f"{len(found)} isomorphism classes")
         return 0
     gog = load_group(args.group)
-    out = nonredundant_expansions(gog, args.depth)
-    fresh = out[1:]
+    fresh = nonredundant_expansions(gog, args.depth)[0][1:]
     if args.format == "json":
         print(_dump([gog_to_json(g) for g in fresh]))
     else:
@@ -774,7 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("defspace", "deformation space reports", cmd_defspace)
     sp.add_argument("action", choices=("reduced", "enumerate", "expand"))
-    sp.add_argument("--group", help="required for reduced and expand")
+    sp.add_argument("--group", help="required for reduced and expand; "
+                    "expand refuses a vertex group of order above "
+                    f"{EXPANSION_ORDER_CAP}")
     sp.add_argument("--vertices", type=int, default=2)
     sp.add_argument("--edges", type=int, default=1)
     sp.add_argument("--max-order", type=int, default=6)

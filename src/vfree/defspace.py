@@ -13,6 +13,10 @@ groups (see _canonical_form).  Equal forms describe one graph, so the
 dedup is exact, and only the kept candidates are built as graphs.  What
 the forms derive from one group, or from the monomorphisms between two,
 is computed once per process and kept on those groups.
+
+The expansion search keeps each graph it reaches unless are_gog_isomorphic
+holds with one kept before; that test compares an invariant (_iso_key)
+first, so most pairs are told apart without a search.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ ENUM_VERTEX_CAP = 3
 ENUM_EDGE_CAP = 3
 ENUM_ORDER_CAP = 12
 EXPANSION_DEPTH_CAP = 3
+EXPANSION_ORDER_CAP = 64
+"""The largest vertex group the expansion search takes: every subgroup
+of each vertex group is listed, and (Z/2)^7 alone has 29,212.  64 is the
+order of the largest builtin vertex group."""
 
 
 @dataclass(frozen=True)
@@ -368,20 +376,51 @@ def _edge_compatible(e1: Edge, e2: Edge, alphas, flip: bool) -> bool:
     return False
 
 
+def _element_stats(grp: FiniteGroup) -> tuple:
+    """(stat of each element, profile) of grp: an element's stat is its
+    (order, conjugacy-class size), the profile the sorted stats.  Kept in
+    grp._facts."""
+    facts = grp._facts
+    if "stats" not in facts:
+        sizes = [len(set(col)) for col in zip(*grp.conjugation_rows())]
+        stats = tuple(zip(grp.element_orders(), sizes))
+        facts["stats"] = (stats, tuple(sorted(stats)))
+    return facts["stats"]
+
+
+def _iso_key(gog: GraphOfGroups) -> tuple:
+    """(sorted vertex-group profiles, sorted edge keys) of a graph, an
+    isomorphism invariant.
+
+    An edge key is the least, over both orientations, of (profile at one
+    end, profile at the other, sorted pairs of the stats of inj_0(c) and
+    inj_1(c) over the edge group).  An isomorphism carries each edge to
+    one whose injections agree with its own through one edge-group
+    bijection, up to vertex-group isomorphisms and conjugations, and
+    those keep an element's order and class size: isomorphic graphs
+    share the key.  The key fixes the vertex count and orders and the
+    edge count and orders.
+    """
+    edge_keys = []
+    for e in gog.edges.values():
+        (sa, pa), (sb, pb) = (_element_stats(gog.vertices[v])
+                              for v in e.ends)
+        ca = [sa[y] for y in e.inj[0].mapping]
+        cb = [sb[y] for y in e.inj[1].mapping]
+        edge_keys.append(min((pa, pb, tuple(sorted(zip(ca, cb)))),
+                             (pb, pa, tuple(sorted(zip(cb, ca))))))
+    profiles = sorted(_element_stats(g)[1] for g in gog.vertices.values())
+    return tuple(profiles), tuple(sorted(edge_keys))
+
+
 def are_gog_isomorphic(g1: GraphOfGroups, g2: GraphOfGroups) -> bool:
     """Isomorphism of graphs of groups: a graph isomorphism together with
     vertex and edge group isomorphisms commuting with the injections up to
-    conjugation in the target vertex groups."""
+    conjugation in the target vertex groups.  Graphs with different
+    _iso_key are told apart by the key alone."""
+    if _iso_key(g1) != _iso_key(g2):
+        return False
     v1, v2 = sorted(g1.vertices), sorted(g2.vertices)
-    if len(v1) != len(v2) or len(g1.edges) != len(g2.edges):
-        return False
-    orders1 = sorted(g1.vertices[v].order for v in v1)
-    orders2 = sorted(g2.vertices[v].order for v in v2)
-    if orders1 != orders2:
-        return False
-    if sorted(e.group.order for e in g1.edges.values()) != \
-            sorted(e.group.order for e in g2.edges.values()):
-        return False
     if not g1.edges:
         # A connected graph without edges is one vertex.
         return next(fg.isomorphisms_iter(g1.vertices[v1[0]],
@@ -390,7 +429,8 @@ def are_gog_isomorphic(g1: GraphOfGroups, g2: GraphOfGroups) -> bool:
     edges = [g1.edges[eid] for eid in sorted(g1.edges)]
     for perm in itertools.permutations(v2):
         sigma = dict(zip(v1, perm))
-        if any(g1.vertices[v].order != g2.vertices[sigma[v]].order
+        if any(_element_stats(g1.vertices[v])[1]
+               != _element_stats(g2.vertices[sigma[v]])[1]
                or quotient_degree(g1, v) != quotient_degree(g2, sigma[v])
                for v in v1):
             continue
@@ -811,59 +851,6 @@ def _canonical_form(shape, vgroups, egroups, monos) -> tuple:
         fresh += best[1] >= 0
 
 
-class _IsoClasses:
-    """Graphs of groups kept up to isomorphism, in the order they came;
-    only nonredundant_expansions, with its larger groups, uses it.
-
-    A graph is tested with are_gog_isomorphic only against kept graphs
-    with the same key.  The key is (sorted vertex-group profiles, sorted
-    edge keys).  A group's profile is the sorted multiset of (order,
-    conjugacy-class size) over its elements, an element's stat.  An edge
-    key is the least, over both orientations, of (profile at one end,
-    profile at the other, sorted pairs of the stats of inj_0(c) and
-    inj_1(c) over the edge group).  An isomorphism carries each edge to
-    one whose injections agree with its own through one edge-group
-    bijection, up to vertex-group isomorphisms and conjugations, and
-    those keep an element's order and class size: isomorphic graphs
-    share the key.
-    """
-
-    def __init__(self):
-        self.kept: list[GraphOfGroups] = []
-        self._buckets: dict[tuple, list[GraphOfGroups]] = {}
-        self._stats: dict[FiniteGroup, tuple] = {}
-
-    def _group_stats(self, grp: FiniteGroup) -> tuple:
-        """(stat of each element, profile) of grp."""
-        if grp not in self._stats:
-            sizes = [len(set(col)) for col in zip(*grp.conjugation_rows())]
-            stats = tuple(zip(grp.element_orders(), sizes))
-            self._stats[grp] = (stats, tuple(sorted(stats)))
-        return self._stats[grp]
-
-    def key(self, gog: GraphOfGroups) -> tuple:
-        edge_keys = []
-        for e in gog.edges.values():
-            (sa, pa), (sb, pb) = (self._group_stats(gog.vertices[v])
-                                  for v in e.ends)
-            ca = [sa[y] for y in e.inj[0].mapping]
-            cb = [sb[y] for y in e.inj[1].mapping]
-            edge_keys.append(min((pa, pb, tuple(sorted(zip(ca, cb)))),
-                                 (pb, pa, tuple(sorted(zip(cb, ca))))))
-        profiles = sorted(self._group_stats(g)[1]
-                          for g in gog.vertices.values())
-        return tuple(profiles), tuple(sorted(edge_keys))
-
-    def add(self, gog: GraphOfGroups) -> bool:
-        """Keep gog unless it is isomorphic to a kept graph; True if kept."""
-        bucket = self._buckets.setdefault(self.key(gog), [])
-        if any(are_gog_isomorphic(gog, old) for old in bucket):
-            return False
-        bucket.append(gog)
-        self.kept.append(gog)
-        return True
-
-
 def _arrangements(groups: Sequence[FiniteGroup]):
     """Each distinct ordering of pinned groups, telling groups apart by
     identity, in the order of the first permutation giving it."""
@@ -892,7 +879,12 @@ def _edge_group_pools(shape, vgroups, catalog, edge_groups):
 def _expansions(gog: GraphOfGroups):
     """(move, result) for every legal elementary expansion of the graph,
     each result built once; moves that would leave a dangling vertex are
-    skipped."""
+    skipped.  A vertex group above EXPANSION_ORDER_CAP is refused before
+    any subgroup is listed."""
+    for w, grp in sorted(gog.vertices.items()):
+        if grp.order > EXPANSION_ORDER_CAP:
+            raise GogError(f"vertex {w!r} has order {grp.order}, above the "
+                           f"expansion order cap {EXPANSION_ORDER_CAP}")
     for w in sorted(gog.vertices):
         ends = [(t.edge, t.dir) for t in gog.incident(w)]
         for sub in fg.all_subgroups(gog.vertices[w]):
@@ -916,35 +908,33 @@ def expansion_moves(gog: GraphOfGroups) -> list[DeformationMove]:
     return [move for move, _ in _expansions(gog)]
 
 
-def nonredundant_expansions(gog: GraphOfGroups, depth: int,
-                            with_report: bool = False):
-    """The seed graph plus every non-redundant splitting reachable by at
-    most `depth` elementary expansions, up to isomorphism.
+def nonredundant_expansions(gog: GraphOfGroups, depth: int):
+    """(the seed graph plus every non-redundant splitting reachable by at
+    most `depth` elementary expansions, up to isomorphism, a report).
 
-    With with_report=True also returns {"explored": n,
-    "frontier_all_redundant": bool}; the flag witnesses that continuing
-    past the horizon only revisits redundant graphs.
+    Every graph reached is kept unless are_gog_isomorphic holds between
+    it and a graph kept before.  The report is {"explored": the number
+    of graphs kept, "frontier_all_redundant": bool}; the flag witnesses
+    that continuing past the horizon only revisits redundant graphs.
     """
     _check_range("depth", depth, 0, EXPANSION_DEPTH_CAP)
     if not is_reduced(gog):
         raise GogError("expansion search expects a reduced splitting")
-    seen = _IsoClasses()
-    seen.add(gog)
+    seen: list[GraphOfGroups] = [gog]
     results: list[GraphOfGroups] = [gog]
     frontier: list[GraphOfGroups] = [gog]
     for _ in range(depth):
         nxt = []
         for cur in frontier:
             for _, new in _expansions(cur):
-                if not seen.add(new):
+                if any(are_gog_isomorphic(new, old) for old in seen):
                     continue
+                seen.append(new)
                 nxt.append(new)
                 if is_non_redundant(new):
                     results.append(new)
         frontier = nxt
-    if with_report:
-        report = {"explored": len(seen.kept),
-                  "frontier_all_redundant": all(not is_non_redundant(g)
-                                                for g in frontier)}
-        return results, report
-    return results
+    report = {"explored": len(seen),
+              "frontier_all_redundant": all(not is_non_redundant(g)
+                                            for g in frontier)}
+    return results, report

@@ -55,8 +55,8 @@ class FiniteGroup:
 
     Derived tables are filled on first use and kept: element orders,
     Aut(G), conjugation rows, and in _facts what other modules derive
-    from the group (defspace's enumeration facts), so that they go when
-    the group goes.
+    from the group (defspace's enumeration facts and each element's
+    (order, conjugacy-class size)), so that they go when the group goes.
     """
 
     __slots__ = ("table", "order", "identity", "inverses", "generators",

@@ -459,7 +459,8 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
     Spanning-tree crossings are inserted automatically.  A word may cross
     non-tree edges at most MAX_WORD_TRAVERSALS times in all; the count is
     checked before a letter is expanded.  The letters are read into one
-    raw path word, which normal_form reduces in a single pass.
+    raw path word, which is reduced in a single pass; the word ends at
+    the base vertex, and the reduction range-checks every element.
     """
     steps: list[tuple[int, Traversal]] = []
     v = gog.base_vertex
@@ -507,7 +508,7 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
             idx, power = grp.inv(idx), -power
         acc = grp.mul(acc, grp.power(idx, power))
     cross(gog.tree_path(v, gog.base_vertex))
-    return normal_form(gog, NormalForm(gog.base_vertex, tuple(steps), acc))
+    return _reduce_raw(gog, gog.base_vertex, steps, acc)
 
 
 def generator_letters(gog: GraphOfGroups) -> list[tuple[str, NormalForm]]:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import vfree
+import vfree.defspace as ds
 import vfree.fingroup as fg
 import vfree.gogwords as gw
 from fixtures import build_A
@@ -324,6 +325,43 @@ def test_defspace_range_errors_name_the_argument(capsys, argv, message):
     assert code == 1 and out == "" and message in err
     if "below" in message:
         assert "capped" not in err
+
+
+def one_vertex_file(tmp_path, group: dict) -> str:
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": [{"id": "v", "group": group}],
+                                "edges": [], "base": "v", "tree": []}))
+    return str(path)
+
+
+def test_expand_refuses_a_vertex_group_above_the_cap(capsys, tmp_path):
+    # (Z/2)^7 has 29,212 subgroups; the cap refuses it before listing any.
+    path = one_vertex_file(tmp_path, {"kind": "boolean", "k": 7})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "defspace", "expand", "--group", path,
+                         "--depth", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    assert "vertex 'v' has order 128, above the expansion order cap 64" in err
+
+
+@pytest.mark.parametrize("cap, code", [(5, 0), (4, 1)],
+                         ids=["at-cap", "above-cap"])
+def test_expand_order_cap_boundary(capsys, tmp_path, monkeypatch, cap, code):
+    monkeypatch.setattr(ds, "EXPANSION_ORDER_CAP", cap)
+    path = one_vertex_file(tmp_path, {"kind": "cyclic", "n": 5})
+    got, out, err = run(capsys, "defspace", "expand", "--group", path)
+    assert got == code
+    if code:
+        assert "order 5, above the expansion order cap 4" in err
+    else:
+        assert out == "0 non-redundant expansions within depth 2\n"
+
+
+def test_defspace_help_names_the_expansion_cap(capsys):
+    code, out, _ = run(capsys, "defspace", "--help")
+    assert code == 0
+    assert "above 64" in " ".join(out.split())
 
 
 def test_fold_command(capsys, tmp_path):

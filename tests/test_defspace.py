@@ -406,12 +406,12 @@ def _brute_force_depth_one(gog):
 
 
 def test_nonredundant_expansions_depth_zero():
-    out = ds.nonredundant_expansions(SL2Z, 0)
+    out, _ = ds.nonredundant_expansions(SL2Z, 0)
     assert out == [SL2Z]
 
 
 def test_nonredundant_expansions_sl2z_saturates():
-    out, report = ds.nonredundant_expansions(SL2Z, 2, with_report=True)
+    out, report = ds.nonredundant_expansions(SL2Z, 2)
     assert out == [SL2Z]
     assert report["frontier_all_redundant"]
 
@@ -425,7 +425,7 @@ def test_nonredundant_expansions_build_each_expansion_once(monkeypatch):
         return apply_expansion(gog, move)
 
     monkeypatch.setattr(ds, "_apply_expansion", counting)
-    out = ds.nonredundant_expansions(SL2Z, 2)
+    out, _ = ds.nonredundant_expansions(SL2Z, 2)
     assert out == [SL2Z]
     assert len(built) > 1
     assert set(built.values()) == {1}
@@ -468,12 +468,36 @@ def test_expansions_build_no_move_without_a_moved_end(monkeypatch):
 def test_nonredundant_expansions_match_brute_force():
     for gog in (build_star(), ROSE3):
         oracle = _brute_force_depth_one(gog)
-        got = ds.nonredundant_expansions(gog, 1)
+        got, _ = ds.nonredundant_expansions(gog, 1)
         assert got[0] is gog
         rest = got[1:]
         assert len(rest) == len(oracle)
         for g in oracle:
             assert any(ds.are_gog_isomorphic(g, h) for h in rest)
+
+
+@pytest.mark.parametrize("cap, refused", [(5, False), (4, True)],
+                         ids=["at-cap", "above-cap"])
+def test_expansions_refuse_vertex_groups_above_the_order_cap(
+        monkeypatch, cap, refused):
+    # Z/5 alone has nothing to expand, so only the cap decides.
+    monkeypatch.setattr(ds, "EXPANSION_ORDER_CAP", cap)
+    point = GraphOfGroups([("v", fg.build_cyclic(5))], [], "v", [])
+    if refused:
+        with pytest.raises(gw.GogError, match="vertex 'v' has order 5, "
+                           "above the expansion order cap 4"):
+            ds.nonredundant_expansions(point, 1)
+    else:
+        assert ds.nonredundant_expansions(point, 1)[0] == [point]
+
+
+def test_expansions_refuse_before_listing_subgroups(monkeypatch):
+    listed = []
+    monkeypatch.setattr(fg, "all_subgroups", listed.append)
+    monkeypatch.setattr(ds, "EXPANSION_ORDER_CAP", 48)
+    with pytest.raises(gw.GogError, match="vertex 'vA' has order 64"):
+        ds.expansion_moves(build_counterexample_gog())
+    assert listed == []
 
 
 def test_nonredundant_expansions_requires_reduced():

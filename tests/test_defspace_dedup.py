@@ -3,12 +3,13 @@ reference in `defspace_oracle`.
 
 `enumerate_reduced` skips candidates with a collapsible edge before
 listing them and keeps the first of each canonical form, building only
-those.  `nonredundant_expansions` compares new graphs only inside the
-invariant buckets of `_IsoClasses`, with conjugations read from cached
-tables.  Each shortcut is meant to be exact: the outputs must equal
-those of `defspace_oracle`, which builds every candidate and compares
-every pair element by element, and the invariant key must agree on
-isomorphic graphs.
+those.  `nonredundant_expansions` compares each new graph with every kept
+one through `are_gog_isomorphic`, which tells graphs with different
+invariant keys (`_iso_key`) apart without a search and reads
+conjugations from cached tables.  Each shortcut is meant to be exact:
+the outputs must equal those of `defspace_oracle`, which builds every
+candidate and compares every pair element by element, and the invariant
+key must agree on isomorphic graphs.
 """
 
 import gc
@@ -22,6 +23,7 @@ import defspace_oracle as oracle
 import vfree.defspace as ds
 import vfree.fingroup as fg
 import vfree.gogwords as gw
+from fixtures import build_counterexample_gog
 from test_defspace import ROSE3, SL2Z, build_star
 from vfree.fingroup import FiniteGroup, GroupHom
 from vfree.gogwords import Edge, GraphOfGroups
@@ -138,7 +140,7 @@ def test_dropped_groups_take_their_facts_with_them():
 @pytest.mark.parametrize("seed", ["sl2z", "star", "rose3"])
 def test_nonredundant_expansions_match_oracle(seed):
     gog = {"sl2z": SL2Z, "star": build_star(), "rose3": ROSE3}[seed]
-    got, report = ds.nonredundant_expansions(gog, 2, with_report=True)
+    got, report = ds.nonredundant_expansions(gog, 2)
     want, explored = oracle.nonredundant_expansions(gog, 2)
     assert as_json(got) == as_json(want)
     assert report["explored"] == explored
@@ -214,24 +216,43 @@ def isomorphic_copy(gog: GraphOfGroups, rng, new_groups: bool
 @pytest.mark.parametrize("query", [(2, 1, 6), (1, 2, 3), (3, 2, 2)], ids=str)
 def test_invariant_key_agrees_on_isomorphic_copies(query):
     rng = random.Random(sum(query))
-    classes = ds._IsoClasses()
     for _, _, _, gog in oracle.candidates(*query):
         for new_groups in (False, True):
             copy = isomorphic_copy(gog, rng, new_groups)
-            assert classes.key(copy) == classes.key(gog)
+            assert ds._iso_key(copy) == ds._iso_key(gog)
             assert ds.are_gog_isomorphic(gog, copy)
             assert ds.are_gog_isomorphic(copy, gog)
 
 
 def test_different_keys_are_never_isomorphic():
     graphs = [gog for _, _, _, gog in oracle.candidates(2, 1, 5)]
-    classes = ds._IsoClasses()
-    keys = [classes.key(g) for g in graphs]
+    keys = [ds._iso_key(g) for g in graphs]
     pairs = [(i, j) for i, j in itertools.combinations(range(len(graphs)), 2)
              if keys[i] != keys[j]]
     assert pairs
     for i, j in pairs:
         assert not oracle.are_gog_isomorphic(graphs[i], graphs[j])
+
+
+def test_different_keys_are_told_apart_without_a_search(monkeypatch):
+    graphs = [gog for _, _, _, gog in oracle.candidates(2, 1, 5)]
+    pairs = [(g, h) for g, h in itertools.combinations(graphs, 2)
+             if ds._iso_key(g) != ds._iso_key(h)]
+    searches = []
+    monkeypatch.setattr(ds, "_match", lambda *args: searches.append(args))
+    assert pairs
+    for g, h in pairs:
+        assert not ds.are_gog_isomorphic(g, h)
+    assert searches == []
+
+
+def test_counterexample_expansions_are_pinned():
+    # Depth 1 from the counterexample keeps 5 graphs up to isomorphism,
+    # none of them non-redundant: the output is the seed alone.
+    gog = build_counterexample_gog()
+    got, report = ds.nonredundant_expansions(gog, 1)
+    assert as_json(got) == [gw.gog_to_json(gog)]
+    assert report == {"explored": 5, "frontier_all_redundant": True}
 
 
 @pytest.mark.parametrize("query", [(2, 1, 6), (3, 2, 2)], ids=str)
@@ -261,6 +282,5 @@ def test_invariant_key_sees_conjugacy_class_sizes():
     graphs = [gw.build_amalgam(z4, d4, z2, into_z4,
                                GroupHom(z2, d4, (d4.identity, x)))
               for x in (central, reflection)]
-    classes = ds._IsoClasses()
-    assert classes.key(graphs[0]) != classes.key(graphs[1])
+    assert ds._iso_key(graphs[0]) != ds._iso_key(graphs[1])
     assert not oracle.are_gog_isomorphic(*graphs)
