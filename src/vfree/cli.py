@@ -56,8 +56,8 @@ from .folog import (
 )
 from .genericity import (
     RandomWalkSpec,
-    _step_table,
     _walk,
+    _walk_plan,
     experiment_csv,
     fills,
     run_genericity_experiment,
@@ -309,12 +309,11 @@ def _sample_reduced_forms(gog: GraphOfGroups, loops: dict,
     at most max_syllables among the vertex-group elements (loops maps each
     vertex to its stabilizer), then those passed by seeded walks of
     2 * max_syllables letters, 40 * target steps in all."""
-    spec = _letter_measure(gog, 1, seed)
-    table = _step_table(spec)
+    plan = _walk_plan(gog, _letter_measure(gog, 1, seed))
     walked = (NormalForm(gog.base_vertex, tuple(steps), tail)
               for trial in range(20 * target // max_syllables)
-              for steps, tail in itertools.islice(
-                  _walk(gog, spec, table, trial), 2 * max_syllables + 1))
+              for _, steps, tail in _walk(gog, plan, trial,
+                                          range(2 * max_syllables + 1)))
     seen: dict = {}
     for nf in itertools.chain(*(loops[v] for v in sorted(gog.vertices)),
                               walked):

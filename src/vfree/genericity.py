@@ -7,8 +7,11 @@ traversal) pairs at a vertex of one orbit.  Placing each turn at the
 standard vertex of its orbit and saturating under the stabilizer there
 yields the exact Whitehead graph at each quotient vertex; complete graphs
 at every vertex certify that the element is one-ended relative to
-splittings over finite subgroups.  Seeded random walks estimate how
-common that certificate is among words of a given length.
+splittings over finite subgroups.  Saturation skips turns already in the
+graph and stops as soon as the graph is complete.  Seeded random walks
+estimate how common that certificate is among words of a given length;
+a walk draws one pick per step and reduces the picks between two
+requested lengths onto its normal form in one pass.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .gogwords import (
     NormalForm,
     _reduce_into,
     cyclic_reduction,
-    end_vertex,
     generator_letters,
     identity_nf,
     parse_word,
@@ -92,49 +94,51 @@ def _hyperbolic_core(gog: GraphOfGroups, g_nf: NormalForm) -> NormalForm:
     return core
 
 
-def _core_turns(gog: GraphOfGroups, core: NormalForm) -> list:
-    """One period of axis turns, read off a cyclically reduced core, as
-    (orbit, entering, leaving) triples whose directions are (element,
-    traversal) pairs at a vertex of that orbit.
+def _core_turns(gog: GraphOfGroups, core: NormalForm, orbit: str):
+    """The axis turns at one orbit in one period, read lazily off a
+    cyclically reduced core, as (entering, leaving) pairs of directions:
+    (element, traversal) pairs at a vertex of that orbit.
 
     Syllable i = (r_i, t_i) turns at near(t_i): the axis enters along
     (identity, t_{i-1} reversed) and leaves along (r_i, t_i).  The core's
     tail sits between its last syllable and its first, so the entering
     element of turn 0 is tail⁻¹.  Every turn of the axis of every
     conjugate is a translate of one of these."""
-    turns = []
     for i, (r, t) in enumerate(core.steps):
-        at = gog.near(t)
-        back = (gog.vertices[at].inv(core.tail) if i == 0
-                else gog.vertices[at].identity)
-        turns.append((at, (back, core.steps[i - 1][1].reverse()), (r, t)))
-    return turns
+        if gog.near(t) == orbit:
+            grp = gog.vertices[orbit]
+            back = grp.inv(core.tail) if i == 0 else grp.identity
+            yield (back, core.steps[i - 1][1].reverse()), (r, t)
 
 
-def _graph_at(gog: GraphOfGroups, orbit: str, turns: list) -> WhiteheadGraph:
+def _graph_at(gog: GraphOfGroups, core: NormalForm,
+              orbit: str) -> WhiteheadGraph:
     """The Whitehead graph at one orbit: each turn there is placed at the
-    standard vertex and saturated by its stabilizer.  It stops once the
-    graph is complete, since a complete graph gains no more edges."""
+    standard vertex and saturated by its stabilizer.
+
+    The edge set is always a union of stabilizer orbits of pairs, so a
+    turn whose pair is already an edge adds nothing and is skipped.  The
+    graph is returned as soon as it holds every pair, checked after each
+    stabilizer image, and the remaining turns are never read."""
     std, nodes, sat = standard_frame(gog, orbit)
     complete_count = math.comb(len(nodes), 2)
-    edges = set()
-    for at, back, out in turns:
-        if at != orbit:
-            continue
+    edges: set = set()
+    for back, out in _core_turns(gog, core, orbit):
         p0 = neighbor(gog, std, *back)
         n0 = neighbor(gog, std, *out)
+        if frozenset((p0, n0)) in edges:
+            continue
         for s in sat:
             edges.add(frozenset((translate(gog, s, p0), translate(gog, s, n0))))
-        if len(edges) == complete_count:
-            break
+            if len(edges) == complete_count:
+                return WhiteheadGraph(std, nodes, frozenset(edges))
     return WhiteheadGraph(std, nodes, frozenset(edges))
 
 
 def _graphs(gog: GraphOfGroups, core: NormalForm):
     """The Whitehead graphs of a hyperbolic core, one per orbit in sorted
     order, each computed when it is consumed."""
-    turns = _core_turns(gog, core)
-    return (_graph_at(gog, orbit, turns) for orbit in sorted(gog.vertices))
+    return (_graph_at(gog, core, orbit) for orbit in sorted(gog.vertices))
 
 
 def whitehead_graph(gog: GraphOfGroups, g: NormalForm,
@@ -144,8 +148,7 @@ def whitehead_graph(gog: GraphOfGroups, g: NormalForm,
     must be a normal form from this library."""
     if orbit_vertex not in gog.vertices:
         raise GogError(f"unknown vertex {orbit_vertex!r}")
-    core = _hyperbolic_core(gog, g)
-    return _graph_at(gog, orbit_vertex, _core_turns(gog, core))
+    return _graph_at(gog, _hyperbolic_core(gog, g), orbit_vertex)
 
 
 # -- filling and one-endedness ------------------------------------------------
@@ -364,9 +367,7 @@ def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> None:
         raise GogError("measure support must be nonempty")
     if len(spec.weights) != len(spec.support):
         raise GogError("one weight per support element is required")
-    for nf in spec.support:
-        if nf.start != gog.base_vertex or end_vertex(gog, nf) != gog.base_vertex:
-            raise GogError("support elements must be loops at the base vertex")
+    _pick_records(gog, spec.support)  # raises unless every pick is a loop
     if any(Fraction(w) <= 0 for w in spec.weights):
         raise GogError("weights must be positive")
     _step_table(spec)  # raises unless the weights sum to 1
@@ -386,22 +387,78 @@ def _step_table(spec: RandomWalkSpec) -> tuple[int, list[int]]:
     return denom, cums
 
 
-def _walk(gog: GraphOfGroups, spec: RandomWalkSpec, table, trial: int):
-    """The elements trial number `trial` reaches after 0, 1, 2, ... steps
-    drawn by table = _step_table(spec), each yielded as its normal-form
-    steps and tail.  The steps are one list that every later step extends
-    or cancels in place, so a caller copies what it keeps first."""
-    denom, cums = table
-    rng = random.Random(splitmix64(spec.seed, trial))
+def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
+    """One record per support element, read off its normal form: (first,
+    rest, tail) with first its first step, or None when it has no steps.
+
+    Each element is reduced once here, which checks every element index
+    and traversal it names; one that is not a loop at the base vertex is
+    refused."""
+    base = gog.base_vertex
+    identity = gog.vertices[base].identity
+    records = []
+    for pick in support:
+        steps: list = []
+        if pick.start != base:
+            raise GogError("support elements must be loops at the base vertex")
+        end, tail = _reduce_into(gog, steps, base, identity, pick.steps,
+                                 pick.tail)
+        if end != base:
+            raise GogError("support elements must be loops at the base vertex")
+        records.append((steps[0] if steps else None, steps[1:], tail))
+    return records
+
+
+def _walk_lengths(lengths: Sequence[int]) -> list[int]:
+    """The distinct requested walk lengths in increasing order."""
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 0
+           for n in lengths):
+        raise GogError("walk lengths must be nonnegative integers")
+    return sorted(set(lengths))
+
+
+def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
+    """(seed, denom, cums, records): what _walk needs of a spec, checked
+    and built once for all of its trials."""
+    return (spec.seed, *_step_table(spec), _pick_records(gog, spec.support))
+
+
+def _walk(gog: GraphOfGroups, plan: tuple, trial: int,
+          lengths: Sequence[int]):
+    """The elements trial number `trial` reaches at each of the lengths,
+    which must be distinct and increasing, yielded as (n, steps, tail) with
+    steps and tail its normal form; plan = _walk_plan(gog, spec).
+
+    Each step draws one rng.randrange(denom) and takes the support element
+    it selects (see _step_table).  The picks between two requested lengths
+    are joined into one raw path word, each pick's tail folded into the
+    first element of the next through the base vertex group's table, and
+    that word is reduced onto the walk's steps with one _reduce_into call.
+    The steps are one list that every later segment extends or cancels in
+    place, so a caller copies what it keeps first."""
+    seed, denom, cums, records = plan
+    draw = random.Random(splitmix64(seed, trial)).randrange
+    bisect_right = bisect.bisect_right
+    base = gog.base_vertex
+    identity = gog.vertices[base].identity
+    table = gog.vertices[base].table
     steps: list = []
-    v = gog.base_vertex
-    tail = gog.vertices[v].identity
-    while True:
-        yield steps, tail
-        pick = spec.support[bisect.bisect_right(cums, rng.randrange(denom))]
-        if pick.start != v:
-            raise GogError("paths are not composable")
-        v, tail = _reduce_into(gog, steps, v, tail, pick.steps, pick.tail)
+    tail = identity
+    done = 0
+    for n in lengths:
+        raw: list = []
+        carry = identity
+        for _ in range(n - done):
+            first, rest, last = records[bisect_right(cums, draw(denom))]
+            if first is None:
+                carry = table[carry][last]
+            else:
+                raw.append((table[carry][first[0]], first[1]))
+                raw += rest
+                carry = last
+        tail = _reduce_into(gog, steps, base, tail, raw, carry)[1]
+        done = n
+        yield n, steps, tail
 
 
 def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
@@ -410,11 +467,11 @@ def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
 
     Steps multiply on the right; the walk of a shorter length is a prefix
     of the walk of a longer one at the same trial index, so an experiment
-    walks each trial once, to its longest length."""
-    if length < 0:
-        raise GogError("walk length must be nonnegative")
-    steps, tail = next(itertools.islice(
-        _walk(gog, spec, _step_table(spec), trial), length, None))
+    walks each trial once, to its longest length.  The spec is checked
+    only as far as the walk needs: every support element must be a loop
+    at the base vertex, and the weights must sum to 1."""
+    (_, steps, tail), = _walk(gog, _walk_plan(gog, spec), trial,
+                              _walk_lengths((length,)))
     return NormalForm(gog.base_vertex, tuple(steps), tail)
 
 
@@ -422,23 +479,19 @@ def run_genericity_experiment(gog: GraphOfGroups, spec: RandomWalkSpec,
                               lengths: Sequence[int]) -> tuple:
     """Hyperbolicity and filling counts over seeded independent walks, one
     row per requested length, in the requested order (a length may repeat).
-    Each trial is walked once, to the longest length, and its element is
-    classified as the walk passes each requested length."""
+    Each trial is walked once, to the longest length, with one reduction
+    per distinct length, and its element is classified at each."""
     validate_walk_spec(gog, spec)
-    if any(not isinstance(n, int) or n < 0 for n in lengths):
-        raise GogError("walk lengths must be nonnegative integers")
-    counts = {n: [0, 0] for n in lengths}
-    table = _step_table(spec)
+    wanted = _walk_lengths(lengths)
+    counts = {n: [0, 0] for n in wanted}
+    plan = _walk_plan(gog, spec)
     for t in range(spec.trials):
-        for n, (steps, tail) in zip(range(max(lengths, default=-1) + 1),
-                                    _walk(gog, spec, table, t)):
-            if n in counts:
-                g = NormalForm(gog.base_vertex, tuple(steps), tail)
-                core = cyclic_reduction(gog, g)[1]
-                if core.steps:
-                    counts[n][0] += 1
-                    counts[n][1] += all(w.is_complete
-                                        for w in _graphs(gog, core))
+        for n, steps, tail in _walk(gog, plan, t, wanted):
+            g = NormalForm(gog.base_vertex, tuple(steps), tail)
+            core = cyclic_reduction(gog, g)[1]
+            if core.steps:
+                counts[n][0] += 1
+                counts[n][1] += all(w.is_complete for w in _graphs(gog, core))
     return tuple(ExperimentRow(n, spec.trials, *counts[n]) for n in lengths)
 
 

@@ -11,6 +11,7 @@ run.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,6 +29,10 @@ SL2Z = gw.build_sl2z()
 FREE46 = gw.build_free_product(fg.build_cyclic(4, "a"), fg.build_cyclic(6, "b"))
 SEAM = seam_presentations()
 WALKED = {"sl2z": SL2Z, "z2z3": build_z2_z3(), "free46": FREE46}
+# Walks are also checked where the identity is not index 0 and where an
+# edge is a loop, so the walk's carry must start at the real identity.
+ORACLE_WALKED = {**WALKED, **{name: SEAM[name] for name in (
+    "sl2z-relabelled", "z2z3-relabelled", "rose", "klein-hnn")}}
 
 # First filling elements found by the exhaustive alternating-word search.
 FILLING_SL2Z = "a b"
@@ -228,6 +233,36 @@ def test_whitehead_matches_pullback_oracle(name):
                 assert (single.nodes, single.edges) == (x.nodes, x.edges)
 
 
+def count_translates(monkeypatch):
+    calls = []
+    real = gen.translate
+    monkeypatch.setattr(gen, "translate",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_saturation_stops_once_nothing_is_missing(monkeypatch):
+    # At vA of SL2(Z) there are two directions, so the first stabilizer
+    # image of the one turn already completes the graph: one pair of
+    # translates, where saturating the whole Z/4 would make four.
+    calls = count_translates(monkeypatch)
+    assert gen.whitehead_graph(SL2Z, nf(SL2Z, "a b"), "vA").is_complete
+    assert len(calls) == 2
+
+
+def test_saturation_skips_turns_already_in_the_graph(monkeypatch):
+    # x z x z x z crosses the turns of x z three times; the later two are
+    # edges of the graph by then, so only the first is saturated, by all
+    # 64 elements of the group at vA (the graph stays incomplete).
+    gog = SEAM["counterexample"]
+    calls = count_translates(monkeypatch)
+    once = gen.whitehead_graph(gog, nf(gog, "x z"), "vA")
+    counted = len(calls)
+    thrice = gen.whitehead_graph(gog, nf(gog, "x z x z x z"), "vA")
+    assert counted == len(calls) - counted == 2 * 64
+    assert (once.edges, once.is_complete) == (thrice.edges, False)
+
+
 @pytest.mark.parametrize("name", sorted(SEAM))
 def test_whitehead_frames_built_once_match_pullback_oracle(name):
     # The frame of each orbit is built the first time a graph needs it and
@@ -379,6 +414,25 @@ def test_walk_rejects_bad_lengths():
         gen.sample_walk(SL2Z, spec, -2, 0)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
+def test_walk_lengths_must_be_integers(bad):
+    spec = gen.uniform_spec(SL2Z, ["a", "a^-1", "b", "b^-1"], 2, 3)
+    message = "walk lengths must be nonnegative integers"
+    with pytest.raises(gw.GogError, match=message):
+        gen.run_genericity_experiment(SL2Z, spec, [bad, 2])
+    with pytest.raises(gw.GogError, match=message):
+        gen.sample_walk(SL2Z, spec, bad, 0)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2])
+def test_sample_walk_refuses_a_support_that_is_not_a_loop(length):
+    # One step from vA to vB, which is not a loop at the base vertex vA.
+    path = gw.NormalForm("vA", ((0, gw.Traversal("e", 0)),), 0)
+    spec = gen.RandomWalkSpec((path,), (1,), 1, 0)
+    with pytest.raises(gw.GogError, match="loops at the base vertex"):
+        gen.sample_walk(SL2Z, spec, length, 0)
+
+
 def letter_spec(gog, trials, seed):
     """Uniform measure on every generator letter and its inverse."""
     return gen.uniform_spec(gog, [name + sfx for name, _ in
@@ -386,19 +440,48 @@ def letter_spec(gog, trials, seed):
                                   for sfx in ("", "^-1")], trials, seed)
 
 
-@pytest.mark.parametrize("name", sorted(WALKED))
+@pytest.mark.parametrize("name", sorted(ORACLE_WALKED))
 @settings(max_examples=15)
 @given(lengths=st.lists(st.integers(0, 64), max_size=5),
        trials=st.integers(1, 4), seed=st.integers(0, 2**64 - 1))
 @example(lengths=[0, 32, 8, 32, 64], trials=4, seed=7)
 def test_experiment_matches_rewalking_oracle(name, lengths, trials, seed):
-    gog = WALKED[name]
+    gog = ORACLE_WALKED[name]
     spec = letter_spec(gog, trials, seed)
     rows = gen.run_genericity_experiment(gog, spec, lengths)
     assert [(r.n, r.trials, r.hyperbolic_count, r.filling_count)
             for r in rows] == oc.experiment_by_rewalking(gog, spec, lengths)
     assert [gen.sample_walk(gog, spec, n, 0) for n in lengths] == [
         oc.walk_from_identity(gog, spec, n, 0) for n in lengths]
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1),
+       lengths=st.lists(st.integers(0, 24), min_size=1, max_size=4))
+def test_walk_matches_oracle_on_mixed_supports(name, seed, lengths):
+    # Supports that mix step-free picks (vertex-group elements, among them
+    # possibly the identity), multi-syllable words and rational weights
+    # that are not uniform: every length of one walk, and sample_walk at
+    # each, equal the oracle's walk from the identity.
+    gog = SEAM[name]
+    rng = random.Random(seed)
+    group = gog.vertices[gog.base_vertex]
+    support = [gw.NormalForm(gog.base_vertex, (), rng.randrange(group.order))
+               for _ in range(rng.randint(1, 2))]
+    support += [gw.parse_word(gog, random_letter_word(gog, rng, 8))
+                for _ in range(rng.randint(1, 3))]
+    shares = [rng.randint(1, 5) for _ in support]
+    weights = tuple(Fraction(k, sum(shares)) for k in shares)
+    spec = gen.RandomWalkSpec(tuple(support), weights, 1, rng.getrandbits(64))
+    trial = rng.randrange(3)
+    want = {n: oc.walk_from_identity(gog, spec, n, trial) for n in lengths}
+    walked = gen._walk(gog, gen._walk_plan(gog, spec), trial,
+                       sorted(set(lengths)))
+    assert {n: gw.NormalForm(gog.base_vertex, tuple(steps), tail)
+            for n, steps, tail in walked} == want
+    assert all(gen.sample_walk(gog, spec, n, trial) == want[n]
+               for n in lengths)
 
 
 def test_experiment_walks_each_trial_once(monkeypatch):
