@@ -28,10 +28,12 @@ from .gogwords import (
 )
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     """A tree vertex g·(lift of orbit vertex), with g the canonical
-    minimal coset representative."""
+    minimal coset representative.
+
+    A named tuple, like NormalForm: it hashes as the plain tuple
+    (orbit, coset_rep), compares equal to it and is ordered like it."""
 
     orbit: str
     coset_rep: NormalForm

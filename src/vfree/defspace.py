@@ -665,13 +665,14 @@ def _class(grp: FiniteGroup) -> tuple:
 class _MonoFacts:
     """What the enumeration derives from the monomorphisms c → x: the
     orbit representatives at ends 0 and 1 (None until first asked for),
-    the (lead, moves) of each mapping and the reads of each end state
-    (see _canonical_form)."""
+    the least lead of each image subgroup, the (lead, moves) of each
+    mapping and the reads of each end state (see _canonical_form)."""
 
-    __slots__ = ("reps", "leads", "reads")
+    __slots__ = ("reps", "least", "leads", "reads")
 
     def __init__(self):
         self.reps: Optional[tuple[list[GroupHom], list[GroupHom]]] = None
+        self.least: dict[frozenset, tuple] = {}
         self.leads: dict[tuple, tuple] = {}
         self.reads: dict[tuple, tuple] = {}
 
@@ -703,12 +704,21 @@ def _orbit_reps(c: FiniteGroup, x: FiniteGroup, end: int) -> list[GroupHom]:
 
 def _lead(m: GroupHom) -> tuple:
     """(L, the (α, γ's _gather) with α∘m∘γ = L), L the least α∘m∘γ over
-    α ∈ Iso(X, R_X) and γ ∈ Iso(R_C, C)."""
+    α ∈ Iso(X, R_X) and γ ∈ Iso(R_C, C).
+
+    L depends only on m's image: a mapping m' with the same image is m∘β
+    for some β ∈ Aut(C), and β∘γ runs over Iso(R_C, C) as γ does.  So L
+    is kept per image subgroup, and only the moves are found per
+    mapping."""
     facts = _mono_facts(m.source, m.target)
     if m.mapping not in facts.leads:
         to_rep, gammas = _class(m.target)[1], _class(m.source)[2]
-        lead = min(min(map(fg._gather(gamma(m.mapping)), to_rep))
-                   for gamma in gammas.values())
+        key = frozenset(m.mapping)
+        if key not in facts.least:
+            facts.least[key] = min(
+                min(map(fg._gather(gamma(m.mapping)), to_rep))
+                for gamma in gammas.values())
+        lead = facts.least[key]
         image, moves, get = set(lead), [], fg._gather(m.mapping)
         for alpha in to_rep:
             moved = get(alpha)

@@ -11,7 +11,9 @@ splittings over finite subgroups.  Saturation skips turns already in the
 graph and stops as soon as the graph is complete.  Seeded random walks
 estimate how common that certificate is among words of a given length;
 a walk draws one pick per step and reduces the picks between two
-requested lengths onto its normal form in one pass.
+requested lengths onto its normal form in one pass.  A pick is drawn
+with the getrandbits loop that random.Random.randrange runs, without
+randrange's Python frames, so the walks are those of randrange.
 """
 
 from __future__ import annotations
@@ -320,9 +322,10 @@ class ExperimentRow:
 def splitmix64(seed: int, index: int) -> int:
     """The index-th output of a splitmix64 stream started at seed.
 
-    Trial t of a walk draws from random.Random(splitmix64(master, t)), so
-    trials are reproducible independently of execution order and of the
-    total trial count."""
+    Trial t of a walk draws its picks from the getrandbits stream of
+    random.Random(splitmix64(master, t)) (see _walk), so trials are
+    reproducible independently of execution order and of the total trial
+    count."""
     x = (seed + (index + 1) * 0x9E3779B97F4A7C15) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -429,15 +432,19 @@ def _walk(gog: GraphOfGroups, plan: tuple, trial: int,
     which must be distinct and increasing, yielded as (n, steps, tail) with
     steps and tail its normal form; plan = _walk_plan(gog, spec).
 
-    Each step draws one rng.randrange(denom) and takes the support element
-    it selects (see _step_table).  The picks between two requested lengths
-    are joined into one raw path word, each pick's tail folded into the
-    first element of the next through the base vertex group's table, and
-    that word is reduced onto the walk's steps with one _reduce_into call.
+    Each step draws r = getrandbits(k), k = denom.bit_length(), again
+    while r >= denom, and takes the support element r selects (see
+    _step_table).  That is the loop random.Random.randrange(denom) runs,
+    so the stream and every walk are those of randrange.  The picks
+    between two requested lengths are joined into one raw path word,
+    each pick's tail folded into the first element of the next through
+    the base vertex group's table, and that word is reduced onto the
+    walk's steps with one _reduce_into call.
     The steps are one list that every later segment extends or cancels in
     place, so a caller copies what it keeps first."""
     seed, denom, cums, records = plan
-    draw = random.Random(splitmix64(seed, trial)).randrange
+    bits = random.Random(splitmix64(seed, trial)).getrandbits
+    k = denom.bit_length()
     bisect_right = bisect.bisect_right
     base = gog.base_vertex
     identity = gog.vertices[base].identity
@@ -449,7 +456,10 @@ def _walk(gog: GraphOfGroups, plan: tuple, trial: int,
         raw: list = []
         carry = identity
         for _ in range(n - done):
-            first, rest, last = records[bisect_right(cums, draw(denom))]
+            r = bits(k)
+            while r >= denom:
+                r = bits(k)
+            first, rest, last = records[bisect_right(cums, r)]
             if first is None:
                 carry = table[carry][last]
             else:

@@ -19,6 +19,12 @@ Every other function takes normal forms from this library as given and
 never reduces them again; a product reduces only the seam and the right
 operand.
 
+The value types are named tuples: a Traversal is (edge, dir) and a
+NormalForm is (start, steps, tail), so building, hashing and comparing
+them runs in C.  Each hashes as the plain tuple of its fields, compares
+equal to that tuple and is ordered like it; normal_form still refuses a
+plain tuple, which is not a NormalForm.
+
 Each GraphOfGroups is compiled once, at construction.  Every traversal
 gets one record holding its near and far vertices, its reverse
 traversal, its push and pinch tables, the far vertex's multiplication
@@ -72,10 +78,12 @@ class Edge:
     inj: tuple[GroupHom, GroupHom]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Canonical path word: start vertex, (representative, traversal) steps,
-    and one trailing free element in the group at the end vertex."""
+    and one trailing free element in the group at the end vertex.
+
+    A named tuple: it hashes as the plain tuple (start, steps, tail),
+    compares equal to it and is ordered like it."""
 
     start: str
     steps: tuple[tuple[int, Traversal], ...]

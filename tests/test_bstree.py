@@ -67,6 +67,16 @@ def test_stabilizer_entries_are_generator_letters(name):
             assert stab[idx] == nf(gog, letter)
 
 
+def test_tree_vertex_is_a_named_tuple_of_its_fields():
+    v = bt.neighbors(SL2Z, BASE)[1]
+    plain = (v.orbit, v.coset_rep)
+    assert hash(v) == hash(plain)
+    assert v == plain and tuple(v) == plain
+    assert repr(v) == ("TreeVertex(orbit='vB', coset_rep=NormalForm("
+                       "start='vA', steps=((1, Traversal(edge='e', dir=0)),),"
+                       " tail=0))")
+
+
 def test_neighbor_counts_match_edge_indices():
     # [Z/4 : Z/2] = 2 around the Z/4 vertex, [Z/6 : Z/2] = 3 around Z/6.
     nbrs_a = bt.neighbors(SL2Z, BASE)

@@ -487,15 +487,42 @@ def test_walk_matches_oracle_on_mixed_supports(name, seed, lengths):
 def test_experiment_walks_each_trial_once(monkeypatch):
     # One draw per walk step: the walk reads each pick onto its steps in
     # place, so its draws, not its products, count the steps it takes.
+    # A draw is the getrandbits loop of randrange(denom), so the walk
+    # makes the getrandbits calls of three fresh generators that each make
+    # 128 randrange(denom) draws.
     spec = letter_spec(SL2Z, 3, 5)
     gen.validate_walk_spec(SL2Z, spec)
+    denom = gen._step_table(spec)[0]
     monkeypatch.setattr(gen, "_check_generation", lambda gog, support: None)
     calls = []
-    real = random.Random.randrange
-    monkeypatch.setattr(random.Random, "randrange",
-                        lambda *args: calls.append(args) or real(*args))
+    real = random.Random.getrandbits
+    monkeypatch.setattr(random.Random, "getrandbits",
+                        lambda *args: calls.append(args[1:]) or real(*args))
     gen.run_genericity_experiment(SL2Z, spec, [8, 32, 128])
-    assert len(calls) == 3 * 128
+    walked = len(calls)
+    for t in range(3):
+        rng = random.Random(gen.splitmix64(spec.seed, t))
+        for _ in range(128):
+            rng.randrange(denom)
+    assert walked == len(calls) - walked
+
+
+@pytest.mark.parametrize("shares", [(1,), (1, 2), (1, 1, 2), (1, 2, 3),
+                                    (1, 2, 4, 5), (1, 7918)],
+                         ids=lambda shares: f"denom{sum(shares)}")
+def test_walk_draws_the_randrange_stream(shares):
+    # The denominators 1, 3, 4, 6, 12 and 7919: one that needs no choice,
+    # powers of two and not, and a large prime, where most getrandbits
+    # values are redrawn.  Every length equals the oracle's randrange walk.
+    letters = [gw.parse_word(SL2Z, w) for w in ("a", "b", "a^-1", "b^-1")]
+    support = tuple(letters[k % 4] for k in range(len(shares)))
+    weights = tuple(Fraction(k, sum(shares)) for k in shares)
+    spec = gen.RandomWalkSpec(support, weights, 1, 11)
+    assert gen._step_table(spec)[0] == sum(shares)
+    for trial in range(3):
+        for n in (0, 1, 5, 40):
+            assert gen.sample_walk(SL2Z, spec, n, trial) == \
+                oc.walk_from_identity(SL2Z, spec, n, trial)
 
 
 def no_products(*args):

@@ -587,6 +587,26 @@ def test_unknown_start_vertex_is_named(start):
     assert str(exc.value) == message
 
 
+def test_normal_form_is_a_named_tuple_of_its_fields():
+    # Hash and repr are those of the frozen dataclass it replaced, so set
+    # and dict orders and every printed form stay as they were.
+    word = nf(SL2Z, "a b")
+    plain = (word.start, word.steps, word.tail)
+    assert hash(word) == hash(plain)
+    assert word == plain and tuple(word) == plain
+    assert repr(word) == ("NormalForm(start='vA', steps=((1, Traversal("
+                          "edge='e', dir=0)), (1, Traversal(edge='e', "
+                          "dir=1))), tail=0)")
+    assert gw.identity_nf(SL2Z) < word
+
+
+def test_a_plain_tuple_is_not_a_word():
+    with pytest.raises(gw.GogError, match=r"not a word: \('vA', \(\), 0\)"):
+        gw.normal_form(SL2Z, ("vA", (), 0))
+    with pytest.raises(gw.GogError, match="unknown start vertex"):
+        gw.path_normal_form(SL2Z, ("vA", (), 0), [], 0)
+
+
 def test_build_amalgam_rejects_non_injective_map():
     z2 = fg.build_cyclic(2, "c")
     z4 = fg.build_cyclic(4, "a")
