@@ -8,11 +8,13 @@ nothing global is ever materialized except small breadth-first balls used
 by callers that explicitly ask for them, and the frame of each orbit's
 standard vertex (its neighbors and stabilizer), which is built once per
 graph of groups and kept on it.
+
+Tree vertices, axis segments and classifications are named tuples: each
+hashes as the plain tuple of its fields and compares equal to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .gogwords import (
@@ -39,15 +41,13 @@ class TreeVertex(NamedTuple):
     coset_rep: NormalForm
 
 
-@dataclass(frozen=True)
-class AxisSegment:
+class AxisSegment(NamedTuple):
     element: NormalForm
     vertices: tuple[TreeVertex, ...]
     period: int
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # "elliptic" or "hyperbolic"
     fixed_vertex: Optional[TreeVertex]
     translation_length: int

@@ -3,7 +3,8 @@
 The subcommands are thin wrappers over the library: every pass/fail
 decision made here is re-derivable by calling the module operations
 directly. Reports, CSV tables, and fixture dumps are deterministic and
-byte-stable for fixed inputs and seeds.
+byte-stable for fixed inputs and seeds. Checks and reports are named
+tuples, equal to the plain tuples of their fields.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bstree import (
     axis_window,
@@ -98,21 +97,25 @@ def load_group(spec: str, field: str = "--group") -> GraphOfGroups:
     """A graph of groups from a builtin name or a JSON file path; field
     names the option that gave spec, for the error when it is neither."""
     if spec in BUILTIN_GROUPS:
-        text = (resources.files("vfree") / "data" / f"{spec}.json").read_text()
-        return gog_from_json(text)
+        spec = os.path.join(os.path.dirname(__file__), "data", f"{spec}.json")
+    return gog_from_json(_load_json(
+        spec, field, f"neither a builtin group ({', '.join(BUILTIN_GROUPS)}) "
+        "nor a readable file"))
+
+
+def _load_json(path: str, field: str,
+               unreadable: str = "not a readable file"):
+    """The JSON value in the file at path.  An unreadable file or malformed
+    JSON raises GogError naming the option field that gave the path;
+    unreadable says what the path then is."""
     try:
-        with open(spec) as fh:
-            text = fh.read()
+        with open(path) as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise GogError(f"{field} {spec!r} is neither a builtin group "
-                       f"({', '.join(BUILTIN_GROUPS)}) nor a readable file "
-                       f"({exc.strerror})") from None
-    return gog_from_json(text)
-
-
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+        raise GogError(f"{field} {path!r} is {unreadable} ({exc.strerror})"
+                       ) from None
+    except (ValueError, RecursionError) as exc:  # bad text, deep nesting
+        raise GogError(f"{field} {path!r} is not valid JSON ({exc})") from None
 
 
 def _dump(obj) -> str:
@@ -126,16 +129,14 @@ def _vertex_str(gog: GraphOfGroups, v) -> str:
 # -- verification reports ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     check_id: str
     description: str
     status: str
     witness: dict
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     case_name: str
     checks: tuple
 
@@ -145,7 +146,7 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {"case_name": self.case_name, "overall": self.overall,
-                "checks": [asdict(c) for c in self.checks]}
+                "checks": [c._asdict() for c in self.checks]}
 
 
 def report_from_json(data: dict) -> VerificationReport:
@@ -553,7 +554,8 @@ def _list_field(data: dict, key: str, want: type, where: str) -> list:
 
 def cmd_fold(args) -> int:
     gog = load_group(args.target, "--target")
-    spec = _typed(_load_json(args.source), "an object", "marking JSON")
+    spec = _typed(_load_json(args.source, "--source"), "an object",
+                  "marking JSON")
     kind = spec.get("marking")
     if kind == "identity":
         marked = identity_marking(gog)
@@ -634,12 +636,13 @@ def cmd_walk(args) -> int:
     gog = load_group(args.group)
     seed = _integer(os.environ.get("VFREE_SEED", args.seed), "VFREE_SEED")
     if args.measure is not None:
-        data = _typed(_load_json(args.measure), "an object", "measure JSON")
+        data = _typed(_load_json(args.measure, "--measure"), "an object",
+                      "measure JSON")
         words = [_typed(w, "a string", f"support[{i}]")
                  for i, w in enumerate(_field(data, "support", "a list"))]
         spec = uniform_spec(gog, words, args.trials, seed)
         if "weights" in data:
-            spec = replace(spec, weights=tuple(
+            spec = spec._replace(weights=tuple(
                 _weight(w, i) for i, w in
                 enumerate(_field(data, "weights", "a list"))))
     else:
@@ -691,7 +694,7 @@ def _presentation(params: dict, key: str) -> tuple:
 
 
 def cmd_emit_formula(args) -> int:
-    params = _typed(_load_json(args.params) if args.params else {},
+    params = _typed(_load_json(args.params, "--params") if args.params else {},
                     "an object", "parameter JSON")
     if args.which == "theta":
         given = {"relators": SL2Z_RELATORS, "words": ["x"],

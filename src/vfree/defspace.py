@@ -16,15 +16,15 @@ is computed once per process and kept on those groups.
 
 The expansion search keeps each graph it reaches unless are_gog_isomorphic
 holds with one kept before; that test compares an invariant (_iso_key)
-first, so most pairs are told apart without a search.
+first, so most pairs are told apart without a search.  Moves and degree
+sums are named tuples, equal to the plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import fingroup as fg
 from .fingroup import FiniteGroup, GroupHom
@@ -41,8 +41,7 @@ of each vertex group is listed, and (Z/2)^7 alone has 29,212.  64 is the
 order of the largest builtin vertex group."""
 
 
-@dataclass(frozen=True)
-class DeformationMove:
+class DeformationMove(NamedTuple):
     """A collapse, expansion, or slide, with every choice named explicitly.
 
     collapse: `edge` (a spanning-tree edge whose group fills one endpoint).
@@ -84,8 +83,7 @@ def slide_move(edge: str, over: str, end: Optional[int] = None,
                            over_end=over_end)
 
 
-@dataclass(frozen=True)
-class DegreeSum:
+class DegreeSum(NamedTuple):
     """Sum of (degree - 2) over the quotient graph; constant under
     elementary deformations."""
 

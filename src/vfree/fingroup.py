@@ -5,16 +5,18 @@ places the identity at index 0; tables loaded from external data may put it
 anywhere (validation locates it). Composition is rightmost-first everywhere:
 (f∘g)(x) = f(g(x)), and the conjugation action is ad(g)(x) = g·x·g⁻¹, so
 ad(gh) = ad(g)∘ad(h).
+
+Subgroups, homomorphisms and their reports are named tuples: each hashes
+as the plain tuple of its fields and compares equal to it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class GroupError(ValueError):
@@ -219,8 +221,7 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, gens=[{gens}])"
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A subgroup recorded as a sorted tuple of element indices."""
 
     group: FiniteGroup
@@ -250,8 +251,7 @@ class Subgroup:
         return sub, {k: e for k, e in enumerate(elts)}
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     """A map between finite groups, recorded on every element."""
 
     source: FiniteGroup
@@ -301,8 +301,7 @@ class GroupHom:
         return GroupHom(source, target, tuple(mapping))
 
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(NamedTuple):
     """Outcome of check_hom: status is valid_iso, valid_hom, or invalid."""
 
     status: str

@@ -11,12 +11,13 @@ images, growing stabilizers by closure, and drive the presentation toward
 the ambient quotient itself. A finite stabilizer fixes a vertex of the
 ambient tree, a marked vertex's image or an edge's near image, so its
 closures and subgroup checks run in that vertex group's table.
+Marked vertices and edges and fold directives are named tuples, equal
+to the plain tuples of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .bstree import (
     TreeVertex,
@@ -83,21 +84,18 @@ def _closure(gog: GraphOfGroups, at: TreeVertex, elements) -> frozenset:
     return frozenset(table[x] for x in sub.elements)
 
 
-@dataclass(frozen=True)
-class MarkedVertex:
+class MarkedVertex(NamedTuple):
     image: TreeVertex
     stab: frozenset
 
 
-@dataclass(frozen=True)
-class MarkedEdge:
+class MarkedEdge(NamedTuple):
     ends: tuple[str, str]
     twist: NormalForm
     stab: frozenset
 
 
-@dataclass(frozen=True)
-class FoldDirective:
+class FoldDirective(NamedTuple):
     """One fold step: pair (identify two edge ends with equal images),
     stabilizer (identify an edge with its translates under part of the
     near vertex stabilizer), or collapse (remove an edge mapping to a
@@ -533,8 +531,8 @@ def fold_sequence(source: MarkedTree, target: GraphOfGroups,
             raise GogError("map not foldable: no legal fold and the target "
                            "is not reached; " + _diagnostic(cur))
         cur = fold(cur, picks[0])
-        steps.append((replace(picks[0],
-                              classification=_FOLD_CLASS[picks[0].kind]), cur))
+        steps.append((picks[0]._replace(
+            classification=_FOLD_CLASS[picks[0].kind]), cur))
     if is_terminal(cur):
         return steps
     raise GogError(f"max_steps {max_steps} exceeded before reaching the "

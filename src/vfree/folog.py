@@ -8,13 +8,15 @@ existential conjugacy system, and a forall-exists implication), a
 quantifier-shape classifier, and an ASCII renderer whose output parses
 back to an equal AST.  No satisfaction checking is attempted: over the
 infinite groups of interest that problem is out of scope by design.
+
+Words, AST nodes and formulas are named tuples that hash as the tuple of
+their fields but equal only a value of their own type: Eq(w) != Neq(w).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class FormulaError(ValueError):
@@ -48,15 +50,32 @@ def _reduce_syllables(sylls: Iterable) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
-    """Freely reduced product of variable powers, the identity if empty."""
+def _same_node(a, b) -> bool:
+    return type(a) is type(b) and tuple.__eq__(a, b)
 
+
+def _other_node(a, b) -> bool:
+    return not _same_node(a, b)
+
+
+class _WordFields(NamedTuple):
     syllables: tuple
 
-    def __post_init__(self):
-        if self.syllables != _reduce_syllables(self.syllables):
-            raise FormulaError(f"word is not freely reduced: {self.syllables!r}")
+
+class Word(_WordFields):
+    """Freely reduced product of variable powers, the identity if empty."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
+
+    def __new__(cls, syllables: tuple):
+        if syllables != _reduce_syllables(syllables):
+            raise FormulaError(f"word is not freely reduced: {syllables!r}")
+        return super().__new__(cls, syllables)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make
+        return cls(*iterable)
 
     def __str__(self) -> str:
         if not self.syllables:
@@ -140,42 +159,42 @@ def word_variables(w: WordArg) -> set:
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(NamedTuple):
     word: Word
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Neq:
+class Neq(NamedTuple):
     word: Word
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     parts: tuple
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     parts: tuple
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     antecedent: object
     consequent: object
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(NamedTuple):
     variables: tuple
     body: object
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(NamedTuple):
     variables: tuple
     body: object
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
 
 def conj(parts: Sequence) -> object:
@@ -201,20 +220,29 @@ def neq(lhs: WordArg, rhs: WordArg = "1") -> Neq:
     return Neq(wmul(lhs, winv(rhs)))
 
 
-@dataclass(frozen=True)
-class Formula:
+class _FormulaFields(NamedTuple):
+    free_variables: tuple
+    body: object
+
+
+class Formula(_FormulaFields):
     """A body AST plus the declared ordered list of free variables.
 
     The declaration may include variables that happen not to occur; every
     occurrence in the body must be either quantified or declared."""
 
-    free_variables: tuple
-    body: object
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_node, _other_node, tuple.__hash__
 
-    def __post_init__(self):
-        if len(set(self.free_variables)) != len(self.free_variables):
+    def __new__(cls, free_variables: tuple, body: object):
+        if len(set(free_variables)) != len(free_variables):
             raise FormulaError("free variables must be distinct")
-        _validate(self.body, set(self.free_variables), set(self.free_variables))
+        _validate(body, set(free_variables), set(free_variables))
+        return super().__new__(cls, free_variables, body)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make
+        return cls(*iterable)
 
 
 def _validate(node, in_scope: set, reserved: set) -> None:

@@ -14,6 +14,9 @@ a walk draws one pick per step and reduces the picks between two
 requested lengths onto its normal form in one pass.  A pick is drawn
 with the getrandbits loop that random.Random.randrange runs, without
 randrange's Python frames, so the walks are those of randrange.
+
+Every value type is a named tuple that hashes as the plain tuple of its
+fields and compares equal to it; a FillingReport is true when it fills.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .bstree import (
     TreeVertex,
@@ -60,8 +62,7 @@ def _vertex_key(v: TreeVertex):
 # -- Whitehead graphs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WhiteheadGraph:
+class WhiteheadGraph(NamedTuple):
     """Turn graph of a hyperbolic element at one orbit vertex.
 
     Nodes are the tree vertices adjacent to the standard representative
@@ -156,8 +157,7 @@ def whitehead_graph(gog: GraphOfGroups, g: NormalForm,
 # -- filling and one-endedness ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FillingReport:
+class FillingReport(NamedTuple):
     """Per-vertex completeness of the Whitehead graphs of one element."""
 
     element: NormalForm
@@ -171,8 +171,7 @@ class FillingReport:
         return self.fills
 
 
-@dataclass(frozen=True)
-class OneEndedCertificate:
+class OneEndedCertificate(NamedTuple):
     status: str  # "certified_one_ended" or "inconclusive"
     report: FillingReport
 
@@ -206,8 +205,7 @@ def one_ended_certificate(gog: GraphOfGroups, g: NormalForm
 # -- p-matches between axes ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Outcome of a bounded search for overlapping axis translates.
 
     status is "match" or "none-within-radius": the search only inspects
@@ -292,8 +290,7 @@ def p_match(gog: GraphOfGroups, g: NormalForm, h: NormalForm, p: int,
 # -- random walks -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomWalkSpec:
+class RandomWalkSpec(NamedTuple):
     """A finitely supported measure with exact rational weights, plus the
     trial count and master seed of an experiment."""
 
@@ -303,8 +300,7 @@ class RandomWalkSpec:
     seed: int
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     n: int
     trials: int
     hyperbolic_count: int

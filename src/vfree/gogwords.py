@@ -19,11 +19,12 @@ Every other function takes normal forms from this library as given and
 never reduces them again; a product reduces only the seam and the right
 operand.
 
-The value types are named tuples: a Traversal is (edge, dir) and a
-NormalForm is (start, steps, tail), so building, hashing and comparing
-them runs in C.  Each hashes as the plain tuple of its fields, compares
-equal to that tuple and is ordered like it; normal_form still refuses a
-plain tuple, which is not a NormalForm.
+The value types are named tuples: a Traversal is (edge, dir), a
+NormalForm is (start, steps, tail) and an Edge is (id, group, ends,
+inj), so building, hashing and comparing them runs in C.  Each hashes as
+the plain tuple of its fields, compares equal to that tuple and is
+ordered like it; normal_form still refuses a plain tuple, which is not a
+NormalForm.
 
 Each GraphOfGroups is compiled once, at construction.  Every traversal
 gets one record holding its near and far vertices, its reverse
@@ -38,7 +39,6 @@ it and allocate nothing per step beyond the steps they keep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .fingroup import (
@@ -70,8 +70,7 @@ class Traversal(NamedTuple):
         return Traversal(self.edge, 1 - self.dir)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     group: FiniteGroup
     ends: tuple[str, str]

@@ -632,6 +632,49 @@ def test_unknown_group_names_the_option(capsys, tmp_path, option):
                    "such file or directory)\n")
 
 
+def file_option_argv(option: str, path: str, marking: str) -> list:
+    """A command that reads path through option, its other files valid."""
+    return {"--group": ["group", "--group", path],
+            "--source": ["fold", "--source", path, "--target", "sl2z"],
+            "--target": ["fold", "--source", marking, "--target", path],
+            "--measure": ["walk", "--measure", path, "--lengths", "4"],
+            "--params": ["emit-formula", "theta", "--params", path]}[option]
+
+
+@pytest.mark.parametrize("option", ["--group", "--source", "--target",
+                                    "--measure", "--params"])
+def test_malformed_json_names_the_option(capsys, tmp_path, option):
+    marking = tmp_path / "marking.json"
+    marking.write_text('{"marking": "identity"}')
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\n")
+    code, out, err = run(capsys, *file_option_argv(option, str(bad),
+                                                   str(marking)))
+    assert code == 1 and out == ""
+    assert err == (f"vfree: {option} {str(bad)!r} is not valid JSON "
+                   "(Expecting property name enclosed in double quotes: "
+                   "line 2 column 1 (char 2))\n")
+
+
+@pytest.mark.parametrize("option", ["--source", "--measure", "--params"])
+def test_missing_file_names_the_option(capsys, tmp_path, option):
+    missing = str(tmp_path / "x.json")
+    code, out, err = run(capsys, *file_option_argv(option, missing, ""))
+    assert code == 1 and out == ""
+    assert err == (f"vfree: {option} {missing!r} is not a readable file "
+                   "(No such file or directory)\n")
+
+
+def test_too_deeply_nested_json_exits_cleanly(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, "emit-formula", "theta", "--params",
+                         str(deep))
+    assert code == 1 and out == ""
+    assert err.startswith(f"vfree: --params {str(deep)!r} is not valid JSON "
+                          "(maximum recursion depth exceeded")
+
+
 def test_exit_codes(capsys):
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2

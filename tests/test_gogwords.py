@@ -588,8 +588,9 @@ def test_unknown_start_vertex_is_named(start):
 
 
 def test_normal_form_is_a_named_tuple_of_its_fields():
-    # Hash and repr are those of the frozen dataclass it replaced, so set
-    # and dict orders and every printed form stay as they were.
+    # It hashes as the tuple of its fields and prints as
+    # NormalForm(field=value, ...), so set and dict orders and every printed
+    # form follow from its fields alone.
     word = nf(SL2Z, "a b")
     plain = (word.start, word.steps, word.tail)
     assert hash(word) == hash(plain)

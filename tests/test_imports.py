@@ -120,3 +120,24 @@ def test_cli_imports_only_the_standard_library():
     assert "vfree" in added
     assert [name for name in added if name != "vfree"
             and name not in sys.stdlib_module_names] == []
+
+
+def test_cli_start_up_loads_no_heavy_standard_modules():
+    """Importing vfree.cli builds no class through dataclasses (which pulls
+    in inspect), and loading a builtin group does not go through
+    importlib.resources (which pulls in pathlib, tempfile and zipfile).
+    The interpreter runs with -S, so no site .pth hook has loaded any of
+    them first."""
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import vfree.cli\n"
+            "vfree.cli.load_group('sl2z')\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(vfree.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    added = set(json.loads(proc.stdout))
+    assert "vfree.cli" in added
+    assert added & {"dataclasses", "inspect", "importlib.resources",
+                    "pathlib", "tempfile", "zipfile"} == set()
