@@ -558,10 +558,14 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     conjugating b' is an isomorphism too; so the first candidate of each
     class, in the stable sort below, is still listed.
 
-    Candidates are listed as raw data and sorted by _candidate_key; the
-    first of each _canonical_form, a complete isomorphism invariant, is
-    kept and built, as a comparison with every kept graph would.  What
-    both derive from the groups is kept on them (_class, _mono_facts).
+    Candidates are listed as raw data and sorted by _candidate_key, which
+    is computed only for group choices that give at least one candidate;
+    the first of each _canonical_form, a complete isomorphism invariant,
+    is kept and built, as a comparison with every kept graph would.  What
+    both derive from the groups is kept on them (_class, _mono_facts), and
+    so is what building a kept graph derives from them (its coset tables
+    and checked injections, see GraphOfGroups): a repeated query lists,
+    reads and builds without searching or checking any group again.
     """
     p, q, r = vertex_count, edge_count, max_order
     _check_range("vertex_count", p, 1, ENUM_VERTEX_CAP)
@@ -593,6 +597,8 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                 mono_pools = [[(a, b) for a in _orbit_reps(egrp, vgroups[i], 0)
                                for b in _orbit_reps(egrp, vgroups[j], 1)]
                               for (i, j), egrp in zip(shape, egroups)]
+                if not all(mono_pools):
+                    continue
                 key = _candidate_key(shape, vgroups, egroups)
                 found.extend((key, shape, vgroups, egroups, monos)
                              for monos in itertools.product(*mono_pools))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -55,14 +56,20 @@ class FiniteGroup:
     call and compares the result as a tuple.  Entries are scanned one by
     one only to name the witness of a failure.
 
-    Derived tables are filled on first use and kept: element orders,
-    Aut(G), conjugation rows, and in _facts what other modules derive
-    from the group (defspace's enumeration facts and each element's
-    (order, conjugacy-class size)), so that they go when the group goes.
+    Derived tables are filled on first use and kept, so that they go
+    when the group goes: element orders, Aut(G) and conjugation rows;
+    in _cosets, the coset_data of each subgroup that an edge group of a
+    graph of groups maps onto, keyed by the frozenset of its elements;
+    in _injections, the mappings from another group that were checked
+    to be injective homomorphisms into this one, weakly keyed by that
+    group, so that neither group keeps the other alive; and in _facts
+    what other modules derive from the group (defspace's enumeration
+    facts and each element's (order, conjugacy-class size)).
     """
 
     __slots__ = ("table", "order", "identity", "inverses", "generators",
-                 "labels", "_orders", "_auts", "_conj", "_facts")
+                 "labels", "_orders", "_auts", "_conj", "_cosets",
+                 "_injections", "_facts", "__weakref__")
 
     def __init__(self, table: Sequence[Sequence[int]],
                  generators: dict[str, int],
@@ -85,6 +92,9 @@ class FiniteGroup:
         self._orders: Optional[tuple[int, ...]] = None
         self._auts: Optional[tuple[GroupHom, ...]] = None
         self._conj: Optional[tuple[tuple[int, ...], ...]] = None
+        self._cosets: dict[frozenset, tuple] = {}
+        self._injections: weakref.WeakKeyDictionary = \
+            weakref.WeakKeyDictionary()
         self._facts: dict = {}
         self._check_group_axioms()
 

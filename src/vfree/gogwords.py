@@ -34,6 +34,15 @@ its one path of spanning-tree traversals from the base.  One reducer
 reads the records: it extends a list of normal-form steps in place, one
 record lookup per raw step, so products, inverses and random walks share
 it and allocate nothing per step beyond the steps they keep.
+
+What compiling derives from the groups alone is kept on the groups and
+read back by every later graph built on them: a vertex group keeps the
+coset transversal and decomposition of each edge image, and the
+injections from each edge group already checked to be monomorphisms
+into it.  So the enumeration, which builds its kept graphs again on
+every query over the same catalog groups, computes neither twice.  The
+spanning-tree path between two vertices is found when first asked for
+and kept on the graph.
 """
 
 from __future__ import annotations
@@ -119,15 +128,19 @@ class GraphOfGroups:
     interned reverse traversal, push and pinch tables, the far vertex's
     multiplication table, the coset transversal at the near vertex), and
     for each vertex the spanning-tree traversals from the base to it;
-    products reduce in place through the records.  The tree layer keeps
-    the Whitehead frame of each orbit (its standard vertex, neighbors and
-    stabilizer) in _frames the first time it is asked for, so it is built
-    once per graph of groups.
+    products reduce in place through the records.  It reads from the
+    vertex groups what they keep (see FiniteGroup): an injection already
+    checked into its group is not checked again, and the coset
+    transversal and decomposition of an edge image are computed once per
+    group and image subgroup.  Filled on first use and kept on the graph:
+    the spanning-tree path between each pair of vertices in _paths, and,
+    for the tree layer, the Whitehead frame of each orbit (its standard
+    vertex, neighbors and stabilizer) in _frames.
     """
 
     __slots__ = ("vertices", "edges", "base_vertex", "spanning_tree",
                  "_crossing", "_incident", "_from_base", "_letter_home",
-                 "_frames")
+                 "_paths", "_frames")
 
     def __init__(self, vertices: Iterable[tuple[str, FiniteGroup]],
                  edges: Iterable[Edge], base_vertex: str,
@@ -153,7 +166,7 @@ class GraphOfGroups:
                 hom = e.inj[k]
                 if hom.source is not e.group or hom.target is not self.vertices[e.ends[k]]:
                     raise GogError(f"edge {e.id!r} injection {k} connects wrong groups")
-                if check_hom(hom).status == "invalid" or not hom.is_injective():
+                if not _is_monomorphism(hom):
                     raise GogError(f"edge {e.id!r} injection {k} is not a monomorphism")
             self.edges[e.id] = e
 
@@ -169,7 +182,7 @@ class GraphOfGroups:
                 self._incident[e.ends[d]].append(t)
                 image = e.inj[d].mapping
                 pinch = dict(zip(image, e.inj[1 - d].mapping))
-                reps, decomp = coset_data(self.vertices[e.ends[d]], image)
+                reps, decomp = _cosets(self.vertices[e.ends[d]], image)
                 self._crossing[t] = _Crossing(
                     e.ends[d], e.ends[1 - d], pair[1 - d],
                     {g: (r, pinch[h]) for g, (r, h) in decomp.items()},
@@ -189,6 +202,7 @@ class GraphOfGroups:
         for vid in sorted(self.vertices):
             for name in self.vertices[vid].generators:
                 self._letter_home.setdefault(name, []).append(vid)
+        self._paths: dict[tuple[str, str], tuple[Traversal, ...]] = {}
         self._frames: dict = {}
 
     def _validate_graph(self) -> None:
@@ -221,13 +235,40 @@ class GraphOfGroups:
         return self._crossing[t].transversal
 
     def tree_path(self, u: str, w: str) -> tuple[Traversal, ...]:
-        """Spanning-tree traversals from u up to where the base's paths to
-        u and to w part, then down to w: the tree geodesic."""
-        to_u, to_w = self._from_base[u], self._from_base[w]
-        k = 0
-        while k < min(len(to_u), len(to_w)) and to_u[k] == to_w[k]:
-            k += 1
-        return tuple(t.reverse() for t in reversed(to_u[k:])) + to_w[k:]
+        """The spanning-tree geodesic from u to w, kept per pair on first
+        use: the base's path to u run backwards, then its path to w, with
+        each traversal that undoes the one before it cancelled."""
+        path = self._paths.get((u, w))
+        if path is None:
+            out = [t.reverse() for t in reversed(self._from_base[u])]
+            for t in self._from_base[w]:
+                if out and out[-1] == t.reverse():
+                    out.pop()
+                else:
+                    out.append(t)
+            path = self._paths[u, w] = tuple(out)
+        return path
+
+
+def _is_monomorphism(hom: GroupHom) -> bool:
+    """Whether hom is an injective homomorphism.  Each mapping found to
+    be one is kept on the target group, weakly keyed by the source (see
+    FiniteGroup), so each mapping is checked once per pair of groups."""
+    checked = hom.target._injections.setdefault(hom.source, set())
+    if hom.mapping not in checked:
+        if check_hom(hom).status == "invalid" or not hom.is_injective():
+            return False
+        checked.add(hom.mapping)
+    return True
+
+
+def _cosets(grp: FiniteGroup, image: Sequence[int]) -> tuple:
+    """coset_data(grp, image), computed once per image subgroup and kept
+    on grp."""
+    key = frozenset(image)
+    if key not in grp._cosets:
+        grp._cosets[key] = coset_data(grp, image)
+    return grp._cosets[key]
 
 
 def _spanning_forest(nodes: Iterable, pairs: Sequence[tuple]

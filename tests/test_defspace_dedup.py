@@ -80,6 +80,30 @@ def test_a_repeated_query_searches_no_group_again(monkeypatch):
     assert calls
 
 
+def test_a_repeated_query_builds_its_graphs_from_kept_tables(monkeypatch):
+    # A kept graph reads its coset tables and checked injections from its
+    # groups.  With the catalog groups' tables emptied, (2, 1, 7) computes
+    # each coset table and checks each injection once; an identical
+    # second query computes and checks none.
+    for grp in ds.small_groups(7):
+        grp._cosets.clear()
+        grp._injections.clear()
+    cosets, checks = [], []
+    coset_data, check_hom = gw.coset_data, gw.check_hom
+    monkeypatch.setattr(gw, "coset_data", lambda grp, image: cosets.append(
+        (grp, frozenset(image))) or coset_data(grp, image))
+    monkeypatch.setattr(gw, "check_hom",
+                        lambda hom: checks.append(hom) or check_hom(hom))
+    ds.enumerate_reduced(2, 1, 7)
+    assert cosets and checks
+    assert len(set(cosets)) == len(cosets)
+    assert len(set(checks)) == len(checks)
+    cosets.clear()
+    checks.clear()
+    ds.enumerate_reduced(2, 1, 7)
+    assert cosets == [] and checks == []
+
+
 def test_outputs_do_not_depend_on_earlier_queries():
     # The facts of one query stay on its groups for the next, so each
     # query runs forward, then in reverse, and then on renumbered copies
@@ -109,18 +133,32 @@ def test_outputs_do_not_depend_on_earlier_queries():
 
 
 def test_dropped_groups_take_their_facts_with_them():
-    # The facts of a caller's groups live on those groups: 200 queries on
-    # fresh groups, as `verify sl2z` makes, and 200 on a fresh edge group
-    # between catalog groups must leave nothing behind.
-    catalog = ds.small_groups(6)
+    # The facts of a caller's groups, coset tables and checked injections
+    # among them, live on those groups, so 200 rounds of queries on fresh
+    # groups must leave nothing behind.  Each round pins fresh vertex
+    # groups over a fresh edge group, as `verify sl2z` does; catalog
+    # vertex groups over a fresh edge group; fresh vertex groups over
+    # catalog edge groups; and a loop at the catalog's D6 over a copy of
+    # D3 renumbered anew each round, which facts keyed by the contents of
+    # its table would pile up.
+    catalog = ds.small_groups(12)
+    rng = random.Random(23)
+
+    def fresh_vertex_groups():
+        return [fg.build_cyclic(4, "a"), fg.build_cyclic(6, "b")]
 
     def query(vertex_groups):
         return ds.enumerate_reduced(2, 1, 12, vertex_groups=vertex_groups,
                                     edge_groups=[fg.build_cyclic(2, "c")])
 
     def queries():
-        query([fg.build_cyclic(4, "a"), fg.build_cyclic(6, "b")])
+        query(fresh_vertex_groups())
         query([catalog[3], catalog[6]])
+        assert ds.enumerate_reduced(2, 1, 6,
+                                    vertex_groups=fresh_vertex_groups())
+        loop_group = permuted_group(catalog[7], rng)[0]
+        assert ds.enumerate_reduced(1, 1, 12, vertex_groups=[catalog[21]],
+                                    edge_groups=[loop_group])
 
     queries()
     gc.collect()

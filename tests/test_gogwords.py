@@ -617,6 +617,54 @@ def test_build_amalgam_rejects_non_injective_map():
         gw.build_amalgam(z4, z4, z2, squash, ok)
 
 
+def relabelled_z4():
+    """Z/4 with elements 1, a, a^3, a^2 at indices 0..3, so index 2 has
+    order 4, where build_cyclic(4) puts a^2."""
+    pos = (0, 1, 3, 2)
+    table = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            table[pos[i]][pos[j]] = pos[(i + j) % 4]
+    return fg.FiniteGroup(table, {"a": 1})
+
+
+def test_kept_injection_checks_still_refuse_bad_injections():
+    # A valid graph on Z/4 *_{Z/2} Z/4 keeps its two injections as
+    # checked; a later bad injection between the same groups must still
+    # be refused, and named.
+    z2, z4a, z4b = (fg.build_cyclic(2, "c"), fg.build_cyclic(4, "a"),
+                    fg.build_cyclic(4, "b"))
+    half = (fg.GroupHom(z2, z4a, (0, 2)), fg.GroupHom(z2, z4b, (0, 2)))
+    gw.GraphOfGroups([("vA", z4a), ("vB", z4b)],
+                     [gw.Edge("e", z2, ("vA", "vB"), half)], "vA", {"e"})
+    not_a_hom = fg.GroupHom(z2, z4b, (0, 1))
+    not_injective = fg.GroupHom(z2, z4b, (0, 0))
+    for bad in (not_a_hom, not_injective):
+        edge = gw.Edge("f", z2, ("vA", "vB"), (half[0], bad))
+        with pytest.raises(gw.GogError,
+                           match="edge 'f' injection 1 is not a monomorphism"):
+            gw.GraphOfGroups([("vA", z4a), ("vB", z4b)], [edge], "vA", {"f"})
+
+
+def test_an_injection_is_checked_again_on_other_groups():
+    # (0, 2) is an injection of build_cyclic(2) into build_cyclic(4), and
+    # was checked as one; the same mapping into another Z/4, or from
+    # another Z/2, of equal orders is not a homomorphism there.
+    z2, z4 = fg.build_cyclic(2, "c"), fg.build_cyclic(4, "a")
+    gw.build_amalgam(z4, z4, z2, fg.GroupHom(z2, z4, (0, 2)),
+                     fg.GroupHom(z2, z4, (0, 2)))
+    other_z4 = relabelled_z4()
+    other_z2 = fg.FiniteGroup([[1, 0], [0, 1]], {"c": 0})   # identity 1
+    assert other_z2.identity == 1
+    for src, tgt in ((z2, other_z4), (other_z2, z4)):
+        good = fg.GroupHom(src, z4, tuple(0 if x == src.identity else 2
+                                          for x in range(2)))
+        bad = fg.GroupHom(src, tgt, (0, 2))
+        with pytest.raises(gw.GogError,
+                           match="edge 'e' injection 1 is not a monomorphism"):
+            gw.build_amalgam(z4, tgt, src, good, bad)
+
+
 def bfs_tree_path(gog, u, w):
     """Spanning-tree traversals from u to w, by breadth-first search from
     u over the tree edges' ends."""
@@ -669,6 +717,38 @@ def test_tree_paths_match_breadth_first_search():
                 prefixed += bool(to_u and to_w and to_u[0] == to_w[0]
                                  and u != w)
     assert prefixed > 0   # some pairs part below the base
+
+
+def prefix_scan_tree_path(gog, u, w):
+    """Spanning-tree traversals from u up to where the base's paths to u
+    and to w part, then down to w, found by scanning their common
+    prefix."""
+    to_u, to_w = gog._from_base[u], gog._from_base[w]
+    k = 0
+    while k < min(len(to_u), len(to_w)) and to_u[k] == to_w[k]:
+        k += 1
+    return tuple(t.reverse() for t in reversed(to_u[k:])) + to_w[k:]
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+def test_kept_tree_paths_match_the_prefix_scan(name):
+    for gog in rebased(SEAM[name]):
+        assert gog._paths == {}   # nothing is computed at construction
+        pairs = [(u, w) for u in gog.vertices for w in gog.vertices]
+        for u, w in pairs:
+            assert gog.tree_path(u, w) == prefix_scan_tree_path(gog, u, w)
+        assert sorted(gog._paths) == sorted(pairs)
+
+
+def test_parse_word_reads_the_kept_paths():
+    # Once the paths a word crosses are kept, parsing it again computes
+    # none: it needs no path from the base.
+    for gog in rebased(SEAM["counterexample"]):
+        text = "x e1 z^-1 y e3 z x^-1"
+        want = gw.parse_word(gog, text)
+        assert gog._paths
+        gog._from_base = None
+        assert gw.parse_word(gog, text) == want
 
 
 def test_transversals_are_the_coset_representatives():
