@@ -24,6 +24,10 @@ from .bstree import (
     standard_frame,
 )
 from .defspace import (
+    ENUM_EDGE_CAP,
+    ENUM_MULTI_EDGE_ORDER_CAP,
+    ENUM_ORDER_CAP,
+    ENUM_VERTEX_CAP,
     EXPANSION_ORDER_CAP,
     degree_sum,
     enumerate_reduced,
@@ -779,9 +783,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", help="required for reduced and expand; "
                     "expand refuses a vertex group of order above "
                     f"{EXPANSION_ORDER_CAP}")
-    sp.add_argument("--vertices", type=int, default=2)
-    sp.add_argument("--edges", type=int, default=1)
-    sp.add_argument("--max-order", type=int, default=6)
+    sp.add_argument("--vertices", type=int, default=2,
+                    help=f"enumerate: 1..{ENUM_VERTEX_CAP}")
+    sp.add_argument("--edges", type=int, default=1,
+                    help=f"enumerate: 0..{ENUM_EDGE_CAP}")
+    sp.add_argument("--max-order", type=int, default=6,
+                    help="enumerate: 1.."
+                         f"{ENUM_ORDER_CAP}, and at most "
+                         f"{ENUM_MULTI_EDGE_ORDER_CAP} with two edges or "
+                         "more")
     sp.add_argument("--depth", type=int, default=2)
 
     sp = add("fold", "fold a marked tree onto a presentation", cmd_fold)

@@ -7,12 +7,14 @@ isomorphism of graphs of groups, a small-groups catalog, and capped
 enumeration of reduced splittings up to isomorphism.
 
 The enumeration keeps the first candidate of each isomorphism class.
-Its class is a dict lookup on a canonical form, the least sequence of
-edge-end reads over all labelings of the candidate over the catalog
-groups (see _canonical_form).  Equal forms describe one graph, so the
-dedup is exact, and only the kept candidates are built as graphs.  What
-the forms derive from one group, or from the monomorphisms between two,
-is computed once per process and kept on those groups.
+It visits each choice of shape and groups once up to relabeling, and
+inside one choice a candidate's class is a dict lookup on a canonical
+form, the least sequence of edge-end reads over all labelings of the
+candidate over the catalog groups (see _canonical_form).  Equal forms
+describe one graph, so the dedup is exact, and only the kept candidates
+are built as graphs.  What the forms derive from one group, or from the
+monomorphisms between two, is computed once per process and kept on
+those groups.
 
 The expansion search keeps each graph it reaches unless are_gog_isomorphic
 holds with one kept before; that test compares an invariant (_iso_key)
@@ -34,6 +36,10 @@ from .gogwords import (Edge, GogError, GraphOfGroups, Traversal,
 ENUM_VERTEX_CAP = 3
 ENUM_EDGE_CAP = 3
 ENUM_ORDER_CAP = 12
+ENUM_MULTI_EDGE_ORDER_CAP = 7
+"""The largest max_order enumerate_reduced takes with two edges or more:
+(3,3,7) takes about 11 s, while (1,2,8) ran out of 3 GB of address space
+and (2,2,8) ran past 150 s (see FORMATS.md)."""
 EXPANSION_DEPTH_CAP = 3
 EXPANSION_ORDER_CAP = 64
 """The largest vertex group the expansion search takes: every subgroup
@@ -525,15 +531,15 @@ def _candidate_graph(shape, vgroups, egroups, monos) -> GraphOfGroups:
     edges = [Edge(f"e{k}", egrp, (f"v{i}", f"v{j}"), (mi, mj))
              for k, ((i, j), egrp, (mi, mj))
              in enumerate(zip(shape, egroups, monos))]
-    tree = [f"e{k}" for k in _spanning_forest(range(len(vgroups)), shape)[0]]
-    return GraphOfGroups(vertices, edges, "v0", tree)
+    return GraphOfGroups(vertices, edges, "v0", _shape_tree(shape))
 
 
-def _check_range(name: str, value: int, low: int, high: int) -> None:
+def _check_range(name: str, value: int, low: int, high: int,
+                 where: str = "") -> None:
     """Refuse a value outside low..high, naming the argument; high is the
-    argument's cap."""
+    argument's cap, and where, if given, says when that cap holds."""
     if value > high:
-        raise GogError(f"{name} is {value}, capped at {high} "
+        raise GogError(f"{name} is {value}, capped at {high}{where} "
                        f"(allowed {low}..{high})")
     if value < low:
         raise GogError(f"{name} is {value}, below {low} "
@@ -550,27 +556,42 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     Optional vertex_groups / edge_groups pin the group multisets instead
     of drawing them from the small-groups catalog.  A pinned group may
     not have order above max_order, so every group has an isomorphic
-    catalog group to be read through.
+    catalog group to be read through.  With two edges or more, max_order
+    may not exceed ENUM_MULTI_EDGE_ORDER_CAP.
+
+    The output is the first candidate of each class in the stable sort
+    of all candidates by _candidate_key, in listing order: shape, vertex
+    groups, edge groups, then injections.
 
     Each edge takes its injections (a, b) from _orbit_reps only.  That is
     exact: if a' = ad(g)∘a∘β with β in Aut of the edge group, (a', b') is
     isomorphic to (a, b'∘β⁻¹), earlier in the a-major product order, and
-    conjugating b' is an isomorphism too; so the first candidate of each
-    class, in the stable sort below, is still listed.
+    conjugating b' is an isomorphism too; so a group choice (shape,
+    vertex groups, edge groups) lists, at or before its first candidate
+    of each class, a candidate of that class.
 
-    Candidates are listed as raw data and sorted by _candidate_key, which
-    is computed only for group choices that give at least one candidate;
-    the first of each _canonical_form, a complete isomorphism invariant,
-    is kept and built, as a comparison with every kept graph would.  What
-    both derive from the groups is kept on them (_class, _mono_facts), and
-    so is what building a kept graph derives from them (its coset tables
-    and checked injections, see GraphOfGroups): a repeated query lists,
-    reads and builds without searching or checking any group again.
+    Each group choice is visited once up to relabeling its vertices (see
+    _choice_signature).  A relabeled choice realizes the same classes,
+    and has the same _candidate_key, so the first candidate of each class
+    lies in the first choice of its orbit, the visited one; a later
+    orbit-mate loses nothing.  The signature is an isomorphism invariant
+    of the graphs a choice lists, so candidates of two visited choices
+    are never isomorphic, and _canonical_form, a complete invariant, is
+    compared only inside one choice, keeping the first candidate of each
+    form; a choice with one candidate reads no form.  What the signature
+    and the forms derive from the groups is kept on them (_class,
+    _mono_facts), and so is what building a kept graph derives from them
+    (its coset tables and checked injections, see GraphOfGroups): a
+    repeated query lists, reads and builds without searching or checking
+    any group again.
     """
     p, q, r = vertex_count, edge_count, max_order
     _check_range("vertex_count", p, 1, ENUM_VERTEX_CAP)
     _check_range("edge_count", q, 0, ENUM_EDGE_CAP)
     _check_range("max_order", r, 1, ENUM_ORDER_CAP)
+    if q >= 2:
+        _check_range("max_order", r, 1, ENUM_MULTI_EDGE_ORDER_CAP,
+                     f" with edge_count {q}")
     catalog = small_groups(r) if None in (vertex_groups, edge_groups) else []
     if vertex_groups is not None and len(vertex_groups) != p:
         raise GogError("vertex_groups must list one group per vertex")
@@ -583,7 +604,7 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                 raise GogError(f"{name}[{k}] has order {grp.order}, above "
                                f"max_order {r}")
 
-    found = []
+    found, seen = [], set()
     for shape in _connected_shapes(p, q):
         if vertex_groups is None:
             vertex_pools = itertools.product(catalog, repeat=p)
@@ -594,20 +615,27 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                                              edge_groups):
                 if _has_collapsible_edge(shape, vgroups, egroups):
                     continue
+                signature = _choice_signature(shape, vgroups, egroups)
+                if signature in seen:
+                    continue
+                seen.add(signature)
                 mono_pools = [[(a, b) for a in _orbit_reps(egrp, vgroups[i], 0)
                                for b in _orbit_reps(egrp, vgroups[j], 1)]
                               for (i, j), egrp in zip(shape, egroups)]
                 if not all(mono_pools):
                     continue
                 key = _candidate_key(shape, vgroups, egroups)
-                found.extend((key, shape, vgroups, egroups, monos)
-                             for monos in itertools.product(*mono_pools))
+                choice = (shape, vgroups, egroups)
+                monos = list(itertools.product(*mono_pools))
+                if len(monos) > 1:
+                    firsts = {}
+                    for m in monos:
+                        firsts.setdefault(_canonical_form(*choice, m), m)
+                    monos = firsts.values()
+                found.extend((key, choice + (m,)) for m in monos)
 
     found.sort(key=lambda cand: cand[0])
-    first = {}
-    for cand in found:
-        first.setdefault(_canonical_form(*cand[1:]), cand)
-    return [_candidate_graph(*cand[1:]) for cand in first.values()]
+    return [_candidate_graph(*cand) for _, cand in found]
 
 
 def _candidate_key(shape, vgroups, egroups):
@@ -773,6 +801,36 @@ def _shape_ends(shape) -> tuple:
     at = [v for edge in shape for v in edge]
     return at, [tuple(u for u, w in enumerate(at) if w == v and u | 1 != t | 1)
                 for t, v in enumerate(at)]
+
+
+@functools.cache
+def _shape_tree(shape) -> tuple:
+    """The edge ids of a connected shape's spanning tree, first come
+    first kept."""
+    nodes = {v for edge in shape for v in edge}
+    return tuple(f"e{k}" for k in _spanning_forest(nodes, shape)[0])
+
+
+@functools.cache
+def _shape_relabelings(shape) -> tuple:
+    """(the relabeled (min, max) ends of each edge, the old vertex at each
+    new label) for every relabeling of a shape's vertices."""
+    p = 1 + max((v for edge in shape for v in edge), default=0)
+    return tuple((tuple(tuple(sorted((new[i], new[j]))) for i, j in shape),
+                  tuple(sorted(range(p), key=new.__getitem__)))
+                 for new in itertools.permutations(range(p)))
+
+
+def _choice_signature(shape, vgroups, egroups) -> tuple:
+    """The least, over the relabelings of the shape's vertices, of (the
+    sorted pairs of relabeled ends and edge class id, the vertex class
+    ids by new label).  Two group choices get one signature exactly when
+    a relabeling carries one onto the other up to isomorphism of each
+    group, so it is an isomorphism invariant of the graphs they list."""
+    kv = [_class(g)[0] for g in vgroups]
+    kc = [_class(c)[0] for c in egroups]
+    return min((tuple(sorted(zip(ends, kc))), tuple([kv[v] for v in old]))
+               for ends, old in _shape_relabelings(shape))
 
 
 def _canonical_form(shape, vgroups, egroups, monos) -> tuple:

@@ -8,6 +8,11 @@ isomorphism test is the element-by-element one, with every vertex-group
 isomorphism listed afresh.  The tests require `defspace` to return the
 same graphs, in the same order, as this module.
 
+`first_of_each_form` is the selection `defspace` made before it visited
+each group choice once up to relabeling: it lists every choice, sorts
+all their candidates and keeps the first of each canonical form.  The
+tests require `defspace` to keep the same graphs, in the same order.
+
 `OneEdgeForms` is the canonical form `defspace` once read off one-edge
 candidates, bridge and loop apart; the tests require the forms of every
 shape to split one-edge candidates into the same classes.
@@ -167,6 +172,37 @@ def enumerate_reduced(p, q, r, vertex_groups=None, edge_groups=None):
         if not any(are_gog_isomorphic(cand, old) for old in kept):
             kept.append(cand)
     return kept
+
+
+def first_of_each_form(p, q, r, vertex_groups=None, edge_groups=None):
+    """The candidates of every group choice without a collapsible edge,
+    stable-sorted by `_candidate_key`, keeping the first of each
+    `_canonical_form` across all choices."""
+    catalog = ds.small_groups(r) if None in (vertex_groups, edge_groups) \
+        else []
+    found = []
+    for shape in ds._connected_shapes(p, q):
+        if vertex_groups is None:
+            vertex_pools = itertools.product(catalog, repeat=p)
+        else:
+            vertex_pools = ds._arrangements(vertex_groups)
+        for vgroups in vertex_pools:
+            for egroups in ds._edge_group_pools(shape, vgroups, catalog,
+                                                edge_groups):
+                if ds._has_collapsible_edge(shape, vgroups, egroups):
+                    continue
+                mono_pools = [
+                    [(a, b) for a in ds._orbit_reps(egrp, vgroups[i], 0)
+                     for b in ds._orbit_reps(egrp, vgroups[j], 1)]
+                    for (i, j), egrp in zip(shape, egroups)]
+                key = ds._candidate_key(shape, vgroups, egroups)
+                found.extend((key, shape, vgroups, egroups, monos)
+                             for monos in itertools.product(*mono_pools))
+    found.sort(key=lambda cand: cand[0])
+    first = {}
+    for cand in found:
+        first.setdefault(ds._canonical_form(*cand[1:]), cand)
+    return [ds._candidate_graph(*cand[1:]) for cand in first.values()]
 
 
 def nonredundant_expansions(gog, depth):

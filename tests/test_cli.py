@@ -327,6 +327,21 @@ def test_defspace_range_errors_name_the_argument(capsys, argv, message):
         assert "capped" not in err
 
 
+def test_multi_edge_enumeration_is_capped_at_order_7(capsys):
+    # (1, 2, 8) ran past 150 s; the cap refuses it before listing any
+    # candidate, and (1, 2, 7) still answers.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "defspace", "enumerate", "--vertices", "1",
+                         "--edges", "2", "--max-order", "8")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "max_order is 8, capped at 7 with edge_count 2 (allowed 1..7)" \
+        in err
+    code, out, _ = run(capsys, "defspace", "enumerate", "--vertices", "1",
+                       "--edges", "2", "--max-order", "7")
+    assert code == 0 and out.strip() == "103 isomorphism classes"
+
+
 def one_vertex_file(tmp_path, group: dict) -> str:
     path = tmp_path / "point.json"
     path.write_text(json.dumps({"vertices": [{"id": "v", "group": group}],

@@ -380,6 +380,13 @@ def test_enumerate_caps():
         ds.enumerate_reduced(4, 1, 12)
     with pytest.raises(gw.GogError, match="capped"):
         ds.enumerate_reduced(2, 1, 13)
+    with pytest.raises(gw.GogError, match=r"^max_order is 8, capped at 7 "
+                                          r"with edge_count 2 "
+                                          r"\(allowed 1\.\.7\)$"):
+        ds.enumerate_reduced(1, 2, 8)
+    with pytest.raises(gw.GogError, match="capped at 7 with edge_count 3"):
+        ds.enumerate_reduced(3, 3, 12, vertex_groups=[fg.build_cyclic(2)] * 3,
+                             edge_groups=[fg.build_cyclic(1)] * 3)
     with pytest.raises(gw.GogError, match="one group per"):
         ds.enumerate_reduced(2, 1, 12, vertex_groups=[fg.build_cyclic(2)])
     z16, z2 = fg.build_cyclic(16), fg.build_cyclic(2)

@@ -74,14 +74,19 @@ def test_distinct_vertex_group_objects_match_oracle(vertex_group):
 # were computed by the pairwise dedup that multi-edge shapes kept until
 # canonical forms covered every shape, in 12-21 s and 1.3 s on the same
 # VM; now they take about 0.9 and 0.2 s, and (1,2,4), (2,2,4) and (3,2,6)
-# about 0.05, 0.08 and 0.4 s.
+# about 0.05, 0.08 and 0.4 s.  The three-edge digests were computed by
+# the enumeration that read a form for every candidate of every group
+# choice, in 5.3 and 2.1 s in a fresh process on the same VM; visiting
+# each choice once up to relabeling takes about 1.1 and 1.0 s.
 FRONTIER = [((1, 2, 4), 47, "1ad4172b2557360d", 2.0),
             ((2, 2, 4), 105, "e7cc488f51e2f3e8", 2.0),
             ((3, 2, 6), 408, "05cc84fcb58db3aa", 5.0),
             ((2, 1, 8), 179, "c533103325badac9", 2.0),
             ((2, 1, 12), 573, "1d75efcbdc3e6cfc", 2.0),
             ((1, 3, 4), 137, "11b4a3f0c78975d0", 5.0),
-            ((2, 2, 6), 378, "787c0e82c7c28af4", 2.0)]
+            ((2, 2, 6), 378, "787c0e82c7c28af4", 2.0),
+            ((3, 3, 4), 1030, "f30db15567182b99", 4.0),
+            ((2, 3, 4), 699, "e3c7a0a366509df0", 4.0)]
 
 
 @pytest.mark.parametrize("query,classes,digest,budget", FRONTIER,
