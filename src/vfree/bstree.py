@@ -22,6 +22,7 @@ from .gogwords import (
     GraphOfGroups,
     NormalForm,
     Traversal,
+    _product,
     end_vertex,
     cyclic_reduction,
     path_invert,
@@ -109,25 +110,31 @@ def standard_frame(gog: GraphOfGroups, orbit: str) -> Frame:
     return frame
 
 
+def _product_vertex(gog: GraphOfGroups, p: NormalForm,
+                    q: NormalForm) -> TreeVertex:
+    """The tree vertex reached by the path p * q, at the end vertex its
+    reduction returns (the trailing element is dropped)."""
+    end, steps, _ = _product(gog, p, q)
+    return TreeVertex(end, NormalForm(p.start, tuple(steps),
+                                      gog.vertices[end].identity))
+
+
 def translate(gog: GraphOfGroups, g: NormalForm, v: TreeVertex) -> TreeVertex:
     """The action of a group element on a tree vertex.  g must be a normal
     form from this library; it is not reduced again."""
-    return vertex_from_path(gog, path_multiply(gog, g, v.coset_rep))
+    return _product_vertex(gog, g, v.coset_rep)
 
 
-def _step(gog: GraphOfGroups, p: NormalForm, r: int,
-          t: Traversal) -> NormalForm:
-    """The path p followed by the element r at its end and the traversal t,
-    as a seam product."""
-    q = NormalForm(gog.near(t), ((r, t),), gog.vertices[gog.far(t)].identity)
-    return path_multiply(gog, p, q)
+def _step(gog: GraphOfGroups, r: int, t: Traversal) -> NormalForm:
+    """The one-step path r·t from near(t) to far(t)."""
+    return NormalForm(gog.near(t), ((r, t),), gog.vertices[gog.far(t)].identity)
 
 
 def neighbor(gog: GraphOfGroups, v: TreeVertex, r: int,
              t: Traversal) -> TreeVertex:
     """The neighbor of v across r·t: r is an element of the group at
     v.orbit and t a traversal starting there."""
-    return vertex_from_path(gog, _step(gog, v.coset_rep, r, t))
+    return _product_vertex(gog, v.coset_rep, _step(gog, r, t))
 
 
 def neighbors(gog: GraphOfGroups, v: TreeVertex) -> list[TreeVertex]:
@@ -178,7 +185,7 @@ def axis_window(gog: GraphOfGroups, g: NormalForm, periods: int,
     path = anchor.coset_rep
     for _ in range(periods):
         for r, t in stretch.steps:
-            path = _step(gog, path, r, t)
+            path = path_multiply(gog, path, _step(gog, r, t))
             verts.append(vertex_from_path(gog, path))
         path = path_multiply(gog, path,
                              NormalForm(anchor.orbit, (), stretch.tail))

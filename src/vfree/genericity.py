@@ -9,11 +9,15 @@ yields the exact Whitehead graph at each quotient vertex; complete graphs
 at every vertex certify that the element is one-ended relative to
 splittings over finite subgroups.  Saturation skips turns already in the
 graph and stops as soon as the graph is complete.  Seeded random walks
-estimate how common that certificate is among words of a given length;
-a walk draws one pick per step and reduces the picks between two
-requested lengths onto its normal form in one pass.  A pick is drawn
-with the getrandbits loop that random.Random.randrange runs, without
-randrange's Python frames, so the walks are those of randrange.
+estimate how common that certificate is among words of a given length.
+A walk multiplies its normal form on the right by one pick per step.
+Each pick is compiled once per graph of groups: from its first syllable
+that does not cancel, the rest of the pick is pushed as one tuple, kept
+per entering element, so a step costs one test per syllable it cancels
+and one push.  The picks are drawn from the words
+random.Random.randrange reads, without its Python frames: when the
+weights' common denominator is at most 255, as the top bytes of the
+words of batched getrandbits calls, so the walks are those of randrange.
 
 Every value type is a named tuple that hashes as the plain tuple of its
 fields and compares equal to it; a FillingReport is true when it fills.
@@ -367,9 +371,7 @@ def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> None:
     if len(spec.weights) != len(spec.support):
         raise GogError("one weight per support element is required")
     _pick_records(gog, spec.support)  # raises unless every pick is a loop
-    if any(Fraction(w) <= 0 for w in spec.weights):
-        raise GogError("weights must be positive")
-    _step_table(spec)  # raises unless the weights sum to 1
+    _step_table(spec)  # raises unless the weights are positive, sum 1
     if spec.trials < 1:
         raise GogError("at least one trial is required")
     _check_generation(gog, spec.support)
@@ -379,6 +381,8 @@ def _step_table(spec: RandomWalkSpec) -> tuple[int, list[int]]:
     """(denom, cums): a step draws r in range(denom) and takes the support
     element at bisect_right(cums, r), so each has its exact weight."""
     fracs = [Fraction(w) for w in spec.weights]
+    if any(f <= 0 for f in fracs):
+        raise GogError("weights must be positive")
     denom = math.lcm(*(f.denominator for f in fracs))
     cums = list(itertools.accumulate(int(f * denom) for f in fracs))
     if cums[-1] != denom:
@@ -386,13 +390,62 @@ def _step_table(spec: RandomWalkSpec) -> tuple[int, list[int]]:
     return denom, cums
 
 
-def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
-    """One record per support element, read off its normal form: (first,
-    rest, tail) with first its first step, or None when it has no steps.
+def _byte_tables(denom: int, cums: list[int]) -> tuple[bytes, bytes]:
+    """(pick_of_byte, rejected) for denom <= 255, as bytes.translate
+    tables over the top bytes of Mersenne Twister words.
 
-    Each element is reduced once here, which checks every element index
-    and traversal it names; one that is not a loop at the base vertex is
-    refused."""
+    getrandbits(k) with k = denom.bit_length() <= 8 is the top byte of one
+    word shifted right by 8 - k, so the bytes of one run of r values, from
+    one cumulative weight to the next, pick the same support element,
+    and the bytes with r >= denom are the draws randrange rejects."""
+    shift = 8 - denom.bit_length()
+    runs = b"".join(bytes((i,)) * ((hi - lo) << shift)
+                    for i, (lo, hi) in enumerate(zip((0, *cums), cums)))
+    return runs.ljust(256, b"\0"), bytes(range(denom << shift, 256))
+
+
+def _draws(bits, denom: int, cums: list[int], tables, count: int):
+    """The support indices of the next count draws of randrange(denom)
+    from the getrandbits function bits, reading exactly its words.
+
+    With tables = _byte_tables(denom, cums), the m draws still missing
+    are read from the top bytes of one getrandbits(32 * m) call, whose
+    words are m words of the stream in order; the call is repeated for
+    the draws its rejected words left missing, so no call reads past the
+    word of the last draw.  Otherwise each draw is the getrandbits loop
+    of randrange(denom): r = bits(k), k = denom.bit_length(), again while
+    r >= denom."""
+    if tables:
+        out = bytearray()
+        while len(out) < count:
+            m = count - len(out)
+            out += bits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
+                *tables)
+        return out
+    k = denom.bit_length()
+    bisect_right = bisect.bisect_right
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= denom:
+            r = bits(k)
+        out.append(bisect_right(cums, r))
+    return out
+
+
+def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
+    """One compiled pick per support element: (positions, last), kept on
+    the graph in _picks under the element's reduced (steps, tail).
+
+    Each element is reduced here, which checks every element index and
+    traversal it names; one that is not a loop at the base vertex is
+    refused.  Position j of a reduced pick with steps (r_j, t_j) and tail
+    last is (r_j, near table, reverse of t_j, pinch table, far table,
+    pushed, rest): pushed maps the element the walk enters position j
+    with to the (steps, tail) that positions j onward reduce to when
+    position j does not cancel, filled on first use from rest = (near
+    vertex, steps, j, last) (see _rest_of_pick).  A reduced pick cannot cancel inside itself, so once
+    one position stays, the rest of the pick stays too."""
     base = gog.base_vertex
     identity = gog.vertices[base].identity
     records = []
@@ -400,12 +453,32 @@ def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
         steps: list = []
         if pick.start != base:
             raise GogError("support elements must be loops at the base vertex")
-        end, tail = _reduce_into(gog, steps, base, identity, pick.steps,
+        end, last = _reduce_into(gog, steps, base, identity, pick.steps,
                                  pick.tail)
         if end != base:
             raise GogError("support elements must be loops at the base vertex")
-        records.append((steps[0] if steps else None, steps[1:], tail))
+        key = (tuple(steps), last)
+        compiled = gog._picks.get(key)
+        if compiled is None:
+            positions = []
+            for j, (r, t) in enumerate(key[0]):
+                c = gog._crossing[t]
+                positions.append((r, gog.vertices[c.near].table, c.rev,
+                                  c.pinch, c.far_table, {},
+                                  (c.near, key[0], j, last)))
+            compiled = gog._picks[key] = (tuple(positions), last)
+        records.append(compiled)
     return records
+
+
+def _rest_of_pick(gog: GraphOfGroups, entering: int, near: str,
+                  steps: tuple, j: int, last: int) -> tuple[tuple, int]:
+    """(steps, tail) of the path word entering · steps[j:] · last from
+    near, in normal form: what a pick pushes from a position j that
+    stays."""
+    out: list = []
+    tail = _reduce_into(gog, out, near, entering, steps[j:], last)[1]
+    return tuple(out), tail
 
 
 def _walk_lengths(lengths: Sequence[int]) -> list[int]:
@@ -417,9 +490,12 @@ def _walk_lengths(lengths: Sequence[int]) -> list[int]:
 
 
 def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
-    """(seed, denom, cums, records): what _walk needs of a spec, checked
-    and built once for all of its trials."""
-    return (spec.seed, *_step_table(spec), _pick_records(gog, spec.support))
+    """(seed, denom, cums, tables, picks): what _walk needs of a spec,
+    checked and built once for all of its trials; tables is
+    _byte_tables(denom, cums), or None when denom > 255."""
+    denom, cums = _step_table(spec)
+    tables = _byte_tables(denom, cums) if denom <= 255 else None
+    return (spec.seed, denom, cums, tables, _pick_records(gog, spec.support))
 
 
 def _walk(gog: GraphOfGroups, plan: tuple, trial: int,
@@ -428,41 +504,39 @@ def _walk(gog: GraphOfGroups, plan: tuple, trial: int,
     which must be distinct and increasing, yielded as (n, steps, tail) with
     steps and tail its normal form; plan = _walk_plan(gog, spec).
 
-    Each step draws r = getrandbits(k), k = denom.bit_length(), again
-    while r >= denom, and takes the support element r selects (see
-    _step_table).  That is the loop random.Random.randrange(denom) runs,
-    so the stream and every walk are those of randrange.  The picks
-    between two requested lengths are joined into one raw path word,
-    each pick's tail folded into the first element of the next through
-    the base vertex group's table, and that word is reduced onto the
-    walk's steps with one _reduce_into call.
-    The steps are one list that every later segment extends or cancels in
-    place, so a caller copies what it keeps first."""
-    seed, denom, cums, records = plan
+    Each step takes the support element that r = randrange(denom) selects
+    (see _step_table).  The walk reads all of its draws before its first
+    step, with _draws, so the stream and every walk are those of
+    randrange.  Each pick is multiplied onto the walk's steps through its
+    compiled positions (see _pick_records): a position that cancels into
+    the last step pops it, and the first that does not pushes the rest of
+    the pick.  The steps are one list that every pick extends or cancels
+    in place, so a caller copies what it keeps first."""
+    seed, denom, cums, tables, picks = plan
     bits = random.Random(splitmix64(seed, trial)).getrandbits
-    k = denom.bit_length()
-    bisect_right = bisect.bisect_right
-    base = gog.base_vertex
-    identity = gog.vertices[base].identity
-    table = gog.vertices[base].table
+    drawn = _draws(bits, denom, cums, tables, lengths[-1] if lengths else 0)
+    base_table = gog.vertices[gog.base_vertex].table
     steps: list = []
-    tail = identity
+    pop = steps.pop
+    tail = gog.vertices[gog.base_vertex].identity
     done = 0
     for n in lengths:
-        raw: list = []
-        carry = identity
-        for _ in range(n - done):
-            r = bits(k)
-            while r >= denom:
-                r = bits(k)
-            first, rest, last = records[bisect_right(cums, r)]
-            if first is None:
-                carry = table[carry][last]
+        for i in drawn[done:n]:
+            positions, last = picks[i]
+            for r, table, rev, pinch, far_table, pushed, rest in positions:
+                acc = table[tail][r]
+                if steps and steps[-1][1] == rev and acc in pinch:
+                    tail = far_table[pop()[0]][pinch[acc]]
+                    continue
+                try:
+                    more, tail = pushed[tail]
+                except KeyError:
+                    hit = pushed[tail] = _rest_of_pick(gog, tail, *rest)
+                    more, tail = hit
+                steps += more
+                break
             else:
-                raw.append((table[carry][first[0]], first[1]))
-                raw += rest
-                carry = last
-        tail = _reduce_into(gog, steps, base, tail, raw, carry)[1]
+                tail = base_table[tail][last]
         done = n
         yield n, steps, tail
 
@@ -475,7 +549,7 @@ def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
     of the walk of a longer one at the same trial index, so an experiment
     walks each trial once, to its longest length.  The spec is checked
     only as far as the walk needs: every support element must be a loop
-    at the base vertex, and the weights must sum to 1."""
+    at the base vertex, and the weights must be positive and sum to 1."""
     (_, steps, tail), = _walk(gog, _walk_plan(gog, spec), trial,
                               _walk_lengths((length,)))
     return NormalForm(gog.base_vertex, tuple(steps), tail)

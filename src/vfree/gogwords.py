@@ -32,8 +32,11 @@ traversal, its push and pinch tables, the far vertex's multiplication
 table and its coset transversal at the near vertex; every vertex keeps
 its one path of spanning-tree traversals from the base.  One reducer
 reads the records: it extends a list of normal-form steps in place, one
-record lookup per raw step, so products, inverses and random walks share
-it and allocate nothing per step beyond the steps they keep.
+record lookup per raw step, so products and inverses share it and
+allocate nothing per step beyond the steps they keep.  Random walks
+reduce each pick through it once, when the pick is compiled, and after
+that read the pick's compiled positions, kept on the graph (see
+genericity._walk).
 
 What compiling derives from the groups alone is kept on the groups and
 read back by every later graph built on them: a vertex group keeps the
@@ -133,14 +136,15 @@ class GraphOfGroups:
     checked into its group is not checked again, and the coset
     transversal and decomposition of an edge image are computed once per
     group and image subgroup.  Filled on first use and kept on the graph:
-    the spanning-tree path between each pair of vertices in _paths, and,
-    for the tree layer, the Whitehead frame of each orbit (its standard
-    vertex, neighbors and stabilizer) in _frames.
+    the spanning-tree path between each pair of vertices in _paths, for
+    the tree layer the Whitehead frame of each orbit (its standard
+    vertex, neighbors and stabilizer) in _frames, and for random walks
+    the compiled positions of each reduced pick in _picks.
     """
 
     __slots__ = ("vertices", "edges", "base_vertex", "spanning_tree",
                  "_crossing", "_incident", "_from_base", "_letter_home",
-                 "_paths", "_frames")
+                 "_paths", "_frames", "_picks")
 
     def __init__(self, vertices: Iterable[tuple[str, FiniteGroup]],
                  edges: Iterable[Edge], base_vertex: str,
@@ -204,6 +208,7 @@ class GraphOfGroups:
                 self._letter_home.setdefault(name, []).append(vid)
         self._paths: dict[tuple[str, str], tuple[Traversal, ...]] = {}
         self._frames: dict = {}
+        self._picks: dict = {}
 
     def _validate_graph(self) -> None:
         if len(self.spanning_tree) != len(self.vertices) - 1:
@@ -418,12 +423,20 @@ def path_multiply(gog: GraphOfGroups, p: NormalForm, q: NormalForm,
     again.  Only the seam and q are reduced: p's steps are kept as they
     stand except where q cancels into them.  q may be any path word.
     """
+    _, steps, tail = _product(gog, p, q)
+    out = NormalForm(p.start, tuple(steps), tail)
+    return path_multiply(gog, out, *rest) if rest else out
+
+
+def _product(gog: GraphOfGroups, p: NormalForm,
+             q: NormalForm) -> tuple[str, list, int]:
+    """(end vertex, steps, tail) of the product p * q, as path_multiply
+    forms it: p's steps are kept, and only the seam and q are reduced."""
     if end_vertex(gog, p) != q.start:
         raise GogError("paths are not composable")
     steps = list(p.steps)
-    tail = _reduce_into(gog, steps, q.start, p.tail, q.steps, q.tail)[1]
-    out = NormalForm(p.start, tuple(steps), tail)
-    return path_multiply(gog, out, *rest) if rest else out
+    end, tail = _reduce_into(gog, steps, q.start, p.tail, q.steps, q.tail)
+    return end, steps, tail
 
 
 def path_invert(gog: GraphOfGroups, p: NormalForm) -> NormalForm:

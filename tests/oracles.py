@@ -33,7 +33,11 @@ rebuilds the conjugator with one product per peeled syllable, so it judges
 the loop that only moves an index.  The experiment by re-walking is the
 library's earlier random-walk experiment: it walks every trial again from
 the identity for each requested length, so it judges the experiment that
-walks each trial once.
+walks each trial once.  The walk by segments is the library's earlier
+walk loop: it draws with randrange, joins the picks between two lengths
+into one raw path word and reduces that word onto the walk with one
+_reduce_into call, so it judges the walk that reads batched draws and
+pushes compiled picks.
 """
 
 from __future__ import annotations
@@ -727,6 +731,38 @@ def walk_from_identity(gog, spec, length, trial):
         pick = spec.support[bisect.bisect_right(cums, rng.randrange(denom))]
         cur = gw.path_multiply(gog, cur, pick)
     return cur
+
+
+def walk_by_segments(gog, spec, trial, lengths):
+    """(n, element) for each of the distinct increasing lengths, as trial
+    number `trial` reaches them.  The picks between two lengths are joined
+    into one raw path word, each pick's tail folded into the first element
+    of the next through the base vertex group's table, and that word is
+    reduced onto the walk's steps with one _reduce_into call."""
+    fracs = [Fraction(w) for w in spec.weights]
+    denom = math.lcm(*(f.denominator for f in fracs))
+    cums = list(itertools.accumulate(int(f * denom) for f in fracs))
+    picks = [gw.normal_form(gog, pick) for pick in spec.support]
+    rng = random.Random(gen.splitmix64(spec.seed, trial))
+    base = gog.base_vertex
+    identity = gog.vertices[base].identity
+    table = gog.vertices[base].table
+    steps, tail, done, out = [], identity, 0, []
+    for n in lengths:
+        raw, carry = [], identity
+        for _ in range(n - done):
+            pick = picks[bisect.bisect_right(cums, rng.randrange(denom))]
+            if pick.steps:
+                (r, t), rest = pick.steps[0], pick.steps[1:]
+                raw.append((table[carry][r], t))
+                raw += rest
+                carry = pick.tail
+            else:
+                carry = table[carry][pick.tail]
+        tail = gw._reduce_into(gog, steps, base, tail, raw, carry)[1]
+        done = n
+        out.append((n, gw.NormalForm(base, tuple(steps), tail)))
+    return out
 
 
 def experiment_by_rewalking(gog, spec, lengths):

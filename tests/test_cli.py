@@ -509,6 +509,31 @@ def test_walk_work_is_capped_before_any_walk(capsys):
                "walk cap 1000000" in err
 
 
+@pytest.mark.parametrize("group, budget", [("sl2z", 1.5),
+                                           ("counterexample", 3.5)])
+def test_largest_accepted_walk_in_budget(group, budget):
+    """--lengths 1000 --trials 999 sits at the walk cap.  It runs in a
+    fresh interpreter, so no earlier test has compiled the picks on a
+    graph, and only the call is timed.  On a 2-vCPU x86-64 VM it took
+    0.31-0.56 s on sl2z and 0.80-1.45 s on counterexample."""
+    code = ("import contextlib, io, sys, time\n"
+            "from vfree.cli import main\n"
+            "out = io.StringIO()\n"
+            "start = time.perf_counter()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = main(['walk', '--group', {group!r}, '--lengths',\n"
+            "                 '1000', '--trials', '999'])\n"
+            "elapsed = time.perf_counter() - start\n"
+            "print(code, out.getvalue().splitlines()[1], elapsed)\n")
+    src = os.path.dirname(os.path.dirname(vfree.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    code, row, elapsed = proc.stdout.split()
+    assert code == "0" and row == "1000,999,999,999,1.000000"
+    assert float(elapsed) < budget
+
+
 def test_axis_work_is_capped_before_any_window(capsys, monkeypatch):
     """--periods × translation length may reach the cap but not pass it;
     past it the command exits 1 at once, naming --periods."""

@@ -8,6 +8,7 @@ exhaustive bounded search; walk statistics are frozen from a seeded pilot
 run.
 """
 
+import bisect
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ import vfree.fingroup as fg
 import vfree.genericity as gen
 import vfree.gogwords as gw
 import whitehead_oracle as who
+from vfree.cli import BUILTIN_GROUPS, load_group
 from fixtures import (build_z2_z3, random_letter_word, random_words,
                       seam_presentations)
 
@@ -424,6 +426,15 @@ def test_walk_lengths_must_be_integers(bad):
         gen.sample_walk(SL2Z, spec, bad, 0)
 
 
+@pytest.mark.parametrize("weights", [(2, -1), (1, 0)])
+def test_sample_walk_refuses_weights_that_are_not_positive(weights):
+    # A draw reads each weight as a run of byte values, so a weight of 0
+    # or below is refused, as validate_walk_spec refuses it.
+    letters = tuple(gw.parse_word(SL2Z, w) for w in ("a", "b"))
+    with pytest.raises(gw.GogError, match="weights must be positive"):
+        gen.sample_walk(SL2Z, gen.RandomWalkSpec(letters, weights, 1, 0), 4, 0)
+
+
 @pytest.mark.parametrize("length", [0, 1, 2])
 def test_sample_walk_refuses_a_support_that_is_not_a_loop(length):
     # One step from vA to vB, which is not a loop at the base vertex vA.
@@ -487,9 +498,10 @@ def test_walk_matches_oracle_on_mixed_supports(name, seed, lengths):
 def test_experiment_walks_each_trial_once(monkeypatch):
     # One draw per walk step: the walk reads each pick onto its steps in
     # place, so its draws, not its products, count the steps it takes.
-    # A draw is the getrandbits loop of randrange(denom), so the walk
-    # makes the getrandbits calls of three fresh generators that each make
-    # 128 randrange(denom) draws.
+    # A draw reads the words randrange(denom) reads, some of them through
+    # one batched getrandbits call, so the walk reads as many 32-bit words
+    # (ceil(k / 32) for getrandbits(k)) as three fresh generators that
+    # each make 128 randrange(denom) draws.
     spec = letter_spec(SL2Z, 3, 5)
     gen.validate_walk_spec(SL2Z, spec)
     denom = gen._step_table(spec)[0]
@@ -499,12 +511,17 @@ def test_experiment_walks_each_trial_once(monkeypatch):
     monkeypatch.setattr(random.Random, "getrandbits",
                         lambda *args: calls.append(args[1:]) or real(*args))
     gen.run_genericity_experiment(SL2Z, spec, [8, 32, 128])
-    walked = len(calls)
+    walked = list(calls)
+    calls.clear()
     for t in range(3):
         rng = random.Random(gen.splitmix64(spec.seed, t))
         for _ in range(128):
             rng.randrange(denom)
-    assert walked == len(calls) - walked
+
+    def words(made):
+        return sum(-(-k // 32) for k, in made)
+
+    assert words(walked) == words(calls)
 
 
 @pytest.mark.parametrize("shares", [(1,), (1, 2), (1, 1, 2), (1, 2, 3),
@@ -523,6 +540,55 @@ def test_walk_draws_the_randrange_stream(shares):
         for n in (0, 1, 5, 40):
             assert gen.sample_walk(SL2Z, spec, n, trial) == \
                 oc.walk_from_identity(SL2Z, spec, n, trial)
+
+
+@pytest.mark.parametrize("denom", [1, 255, 256, 7919])
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(BUILTIN_GROUPS), seed=st.integers(0, 2**32 - 1),
+       lengths=st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_walk_kernel_matches_both_oracles(denom, name, seed, lengths):
+    # The denominators sit on both sides of the byte tables' bound of 255.
+    # Past denominator 1 the support holds a multi-syllable word and its
+    # inverse, so every position of a pick pops.  The spec is walked on a
+    # fresh graph and on one whose compiled picks another support filled
+    # first; both equal the segment walk and the walk by products, and the
+    # draws read exactly the words of randrange(denom).
+    rng = random.Random(seed)
+    fresh, used = load_group(name), load_group(name)
+    word = gw.parse_word(fresh, "")
+    while len(word.steps) < 2:
+        word = gw.parse_word(fresh, random_letter_word(fresh, rng, 8))
+    support, shares = [word], [1]
+    if denom > 1:
+        support.append(gw.path_invert(fresh, word))
+        support += [gw.parse_word(fresh, random_letter_word(fresh, rng, 4))
+                    for _ in range(rng.randint(0, 3))]
+        cuts = sorted(rng.sample(range(1, denom - 1), len(support) - 2))
+        shares += [hi - lo for lo, hi in zip([0, *cuts], [*cuts, denom - 1])]
+    rng.shuffle(shares)
+    spec = gen.RandomWalkSpec(tuple(support),
+                              tuple(Fraction(k, denom) for k in shares), 1,
+                              rng.getrandbits(64))
+    wanted = sorted(set(lengths))
+    trial = rng.randrange(3)
+    want = oc.walk_by_segments(fresh, spec, trial, wanted)
+    assert want == [(n, oc.walk_from_identity(fresh, spec, n, trial))
+                    for n in wanted]
+    other = letter_spec(used, 1, seed)
+    for _ in gen._walk(used, gen._walk_plan(used, other), 0, [40]):
+        pass
+    for gog in (fresh, used):
+        plan = gen._walk_plan(gog, spec)
+        assert [(n, gw.NormalForm(gog.base_vertex, tuple(steps), tail))
+                for n, steps, tail in gen._walk(gog, plan, trial,
+                                                wanted)] == want
+    _, step_denom, cums, tables, _ = plan
+    assert step_denom == denom and (tables is None) == (denom > 255)
+    bits, rand = random.Random(seed), random.Random(seed)
+    drawn = gen._draws(bits.getrandbits, denom, cums, tables, wanted[-1])
+    assert list(drawn) == [bisect.bisect_right(cums, rand.randrange(denom))
+                           for _ in range(wanted[-1])]
+    assert bits.getstate() == rand.getstate()
 
 
 def no_products(*args):
