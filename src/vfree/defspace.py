@@ -518,14 +518,6 @@ def _catalog() -> tuple[FiniteGroup, ...]:
     return tuple(groups)
 
 
-def _connected_shapes(p: int, q: int):
-    """Connected multigraph shapes: multisets of endpoint pairs (i, j)."""
-    slots = [(i, j) for i in range(p) for j in range(i, p)]
-    for combo in itertools.combinations_with_replacement(slots, q):
-        if _spanning_forest(range(p), combo)[1] == 1:
-            yield combo
-
-
 def _candidate_graph(shape, vgroups, egroups, monos) -> GraphOfGroups:
     vertices = [(f"v{k}", grp) for k, grp in enumerate(vgroups)]
     edges = [Edge(f"e{k}", egrp, (f"v{i}", f"v{j}"), (mi, mj))
@@ -570,20 +562,33 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     vertex groups, edge groups) lists, at or before its first candidate
     of each class, a candidate of that class.
 
-    Each group choice is visited once up to relabeling its vertices (see
-    _choice_signature).  A relabeled choice realizes the same classes,
-    and has the same _candidate_key, so the first candidate of each class
-    lies in the first choice of its orbit, the visited one; a later
-    orbit-mate loses nothing.  The signature is an isomorphism invariant
-    of the graphs a choice lists, so candidates of two visited choices
-    are never isomorphic, and _canonical_form, a complete invariant, is
-    compared only inside one choice, keeping the first candidate of each
-    form; a choice with one candidate reads no form.  What the signature
-    and the forms derive from the groups is kept on them (_class,
-    _mono_facts), and so is what building a kept graph derives from them
-    (its coset tables and checked injections, see GraphOfGroups): a
-    repeated query lists, reads and builds without searching or checking
-    any group again.
+    Group choices are visited once each up to relabeling their vertices
+    (_group_choices).  That is exact: a relabeled choice realizes the
+    same classes with the same _candidate_key, so the first candidate of
+    each class lies in the first choice of its orbit, the visited one.
+    - Only canonical shapes are walked (_canonical_shapes), the least
+      relabeling of each connected shape.  Listing order reaches it
+      before the other shapes of its class, and a choice on one of those
+      relabels onto a choice on it, listed earlier.
+    - An edge takes only groups of order below both of its ends, a
+      loop's up to its vertex's, drawn from the catalog or pinned alike.
+      A non-loop edge group of an end's order has index 1 there whatever
+      the injections, so the edge is collapsible.  When no edge is,
+      every candidate is reduced, and minimal too: a dangling vertex
+      needs a non-loop edge of index 1.
+    - A relabeling carrying one choice on a shape onto another on the
+      same shape maps the shape onto itself.  So inside one shape the
+      orbits are those of its automorphisms, and a choice is visited
+      when its _choice_signature, the least image over them, is new.
+
+    Classes of two visited choices differ, so _canonical_form, a
+    complete invariant, is compared only inside one choice, keeping the
+    first candidate of each form; a choice with one candidate reads no
+    form.  What the signature and the forms derive from the groups is
+    kept on them (_class, _mono_facts), and so is what building a kept
+    graph derives from them (its coset tables and checked injections,
+    see GraphOfGroups): a repeated query lists, reads and builds without
+    searching or checking any group again.
     """
     p, q, r = vertex_count, edge_count, max_order
     _check_range("vertex_count", p, 1, ENUM_VERTEX_CAP)
@@ -604,35 +609,22 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
                 raise GogError(f"{name}[{k}] has order {grp.order}, above "
                                f"max_order {r}")
 
-    found, seen = [], set()
-    for shape in _connected_shapes(p, q):
-        if vertex_groups is None:
-            vertex_pools = itertools.product(catalog, repeat=p)
-        else:
-            vertex_pools = _arrangements(vertex_groups)
-        for vgroups in vertex_pools:
-            for egroups in _edge_group_pools(shape, vgroups, catalog,
-                                             edge_groups):
-                if _has_collapsible_edge(shape, vgroups, egroups):
-                    continue
-                signature = _choice_signature(shape, vgroups, egroups)
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                mono_pools = [[(a, b) for a in _orbit_reps(egrp, vgroups[i], 0)
-                               for b in _orbit_reps(egrp, vgroups[j], 1)]
-                              for (i, j), egrp in zip(shape, egroups)]
-                if not all(mono_pools):
-                    continue
-                key = _candidate_key(shape, vgroups, egroups)
-                choice = (shape, vgroups, egroups)
-                monos = list(itertools.product(*mono_pools))
-                if len(monos) > 1:
-                    firsts = {}
-                    for m in monos:
-                        firsts.setdefault(_canonical_form(*choice, m), m)
-                    monos = firsts.values()
-                found.extend((key, choice + (m,)) for m in monos)
+    found = []
+    for choice in _group_choices(p, q, catalog, vertex_groups, edge_groups):
+        shape, vgroups, egroups = choice
+        mono_pools = [[(a, b) for a in _orbit_reps(egrp, vgroups[i], 0)
+                       for b in _orbit_reps(egrp, vgroups[j], 1)]
+                      for (i, j), egrp in zip(shape, egroups)]
+        if not all(mono_pools):
+            continue
+        key = _candidate_key(shape, vgroups, egroups)
+        monos = list(itertools.product(*mono_pools))
+        if len(monos) > 1:
+            firsts = {}
+            for m in monos:
+                firsts.setdefault(_canonical_form(*choice, m), m)
+            monos = firsts.values()
+        found.extend((key, choice + (m,)) for m in monos)
 
     found.sort(key=lambda cand: cand[0])
     return [_candidate_graph(*cand) for _, cand in found]
@@ -650,14 +642,34 @@ def _candidate_key(shape, vgroups, egroups):
     return (verts, edges, degs)
 
 
-def _has_collapsible_edge(shape, vgroups, egroups) -> bool:
-    """Does every candidate on these groups fail is_reduced?  An edge
-    group of the order of an endpoint group has index 1 there whatever
-    the injections, and a non-loop edge of index 1 is collapsible.  When
-    no edge is, every candidate is reduced, and minimal too: a dangling
-    vertex needs a non-loop edge of index 1."""
-    return any(i != j and c.order in (vgroups[i].order, vgroups[j].order)
-               for (i, j), c in zip(shape, egroups))
+def _group_choices(p, q, catalog, vertex_groups, edge_groups):
+    """Each group choice (shape, vertex groups, edge groups) with no
+    collapsible edge, once up to relabeling its vertices, in listing
+    order: canonical shape, vertex groups, edge groups.  Each edge
+    group's order stays below its cap, the lesser order of its ends,
+    plus one on a loop."""
+    seen = set()
+    for shape, automorphisms in _canonical_shapes(p, q):
+        if vertex_groups is None:
+            vertex_pools = itertools.product(catalog, repeat=p)
+        else:
+            vertex_pools = _arrangements(vertex_groups)
+        for vgroups in vertex_pools:
+            caps = [min(vgroups[i].order, vgroups[j].order) + (i == j)
+                    for i, j in shape]
+            if edge_groups is None:
+                edge_pools = itertools.product(
+                    *[[c for c in catalog if c.order < cap] for cap in caps])
+            else:
+                edge_pools = (egroups for egroups in _arrangements(edge_groups)
+                              if all(c.order < cap
+                                     for c, cap in zip(egroups, caps)))
+            for egroups in edge_pools:
+                signature = _choice_signature(automorphisms, vgroups,
+                                              egroups)
+                if signature not in seen:
+                    seen.add(signature)
+                    yield shape, vgroups, egroups
 
 
 # -- facts kept on the groups they describe -----------------------------------
@@ -812,25 +824,40 @@ def _shape_tree(shape) -> tuple:
 
 
 @functools.cache
-def _shape_relabelings(shape) -> tuple:
-    """(the relabeled (min, max) ends of each edge, the old vertex at each
-    new label) for every relabeling of a shape's vertices."""
-    p = 1 + max((v for edge in shape for v in edge), default=0)
-    return tuple((tuple(tuple(sorted((new[i], new[j]))) for i, j in shape),
-                  tuple(sorted(range(p), key=new.__getitem__)))
-                 for new in itertools.permutations(range(p)))
+def _canonical_shapes(p: int, q: int) -> tuple:
+    """(shape, automorphisms) for the connected multigraph shapes with p
+    vertices and q edges, one per isomorphism class: the least of its
+    relabelings, as a sorted tuple of endpoint pairs (i, j) with i <= j.
+    They come in listing order, the order of combinations of the sorted
+    pairs, which reaches each class at its least shape first.  An
+    automorphism, a relabeling mapping the shape onto itself, is given
+    as (the relabeled (min, max) ends of each edge, edge by edge, the old
+    vertex at each new label)."""
+    slots = [(i, j) for i in range(p) for j in range(i, p)]
+    found = []
+    for shape in itertools.combinations_with_replacement(slots, q):
+        if _spanning_forest(range(p), shape)[1] != 1:
+            continue
+        relabeled = [(tuple([tuple(sorted((new[i], new[j])))
+                             for i, j in shape]), new)
+                     for new in itertools.permutations(range(p))]
+        if all(shape <= tuple(sorted(ends)) for ends, _ in relabeled):
+            found.append((shape, tuple(
+                (ends, tuple(sorted(range(p), key=new.__getitem__)))
+                for ends, new in relabeled if tuple(sorted(ends)) == shape)))
+    return tuple(found)
 
 
-def _choice_signature(shape, vgroups, egroups) -> tuple:
-    """The least, over the relabelings of the shape's vertices, of (the
-    sorted pairs of relabeled ends and edge class id, the vertex class
-    ids by new label).  Two group choices get one signature exactly when
-    a relabeling carries one onto the other up to isomorphism of each
-    group, so it is an isomorphism invariant of the graphs they list."""
+def _choice_signature(automorphisms, vgroups, egroups) -> tuple:
+    """The least, over the automorphisms of a shape (see
+    _canonical_shapes), of (the sorted pairs of relabeled ends and edge
+    class id, the vertex class ids by new label).  Two group choices on
+    one shape get one signature exactly when an automorphism of the
+    shape carries one onto the other up to isomorphism of each group."""
     kv = [_class(g)[0] for g in vgroups]
     kc = [_class(c)[0] for c in egroups]
     return min((tuple(sorted(zip(ends, kc))), tuple([kv[v] for v in old]))
-               for ends, old in _shape_relabelings(shape))
+               for ends, old in automorphisms)
 
 
 def _canonical_form(shape, vgroups, egroups, monos) -> tuple:
@@ -932,17 +959,6 @@ def _arrangements(groups: Sequence[FiniteGroup]):
         if key not in seen:
             seen.add(key)
             yield [groups[k] for k in perm]
-
-
-def _edge_group_pools(shape, vgroups, catalog, edge_groups):
-    if edge_groups is not None:
-        yield from _arrangements(edge_groups)
-        return
-    per_edge = []
-    for i, j in shape:
-        cap = min(vgroups[i].order, vgroups[j].order)
-        per_edge.append([c for c in catalog if c.order <= cap])
-    yield from itertools.product(*per_edge)
 
 
 # -- bounded expansion search --------------------------------------------------

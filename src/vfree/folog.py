@@ -16,7 +16,7 @@ their fields but equal only a value of their own type: Eq(w) != Neq(w).
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, TypeAlias
 
 
 class FormulaError(ValueError):
@@ -83,7 +83,10 @@ class Word(_WordFields):
         return " ".join(v if e == 1 else f"{v}^{e}" for v, e in self.syllables)
 
 
-WordArg = Union[str, Word]
+# A string, so that no typing alias is built at import: typing caches
+# the arguments of each subscript, which would keep this module's
+# classes alive after the module is dropped.
+WordArg: TypeAlias = "str | Word"
 
 
 def _exponent(text: str, token: str) -> int:

@@ -13,15 +13,23 @@ each group choice once up to relabeling: it lists every choice, sorts
 all their candidates and keeps the first of each canonical form.  The
 tests require `defspace` to keep the same graphs, in the same order.
 
+`group_choices` is the listing of group choices `defspace` used before
+it walked canonical shapes only: every connected shape, every edge group
+up to the order of both ends, a pre-filter dropping collapsible choices,
+then a signature over all vertex relabelings.  The tests require
+`defspace` to visit the same choices, in the same order.
+
 `OneEdgeForms` is the canonical form `defspace` once read off one-edge
 candidates, bridge and loop apart; the tests require the forms of every
 shape to split one-edge candidates into the same classes.
 """
 
+import functools
 import itertools
 
 import vfree.defspace as ds
 import vfree.fingroup as fg
+import vfree.gogwords as gw
 from vfree.gogwords import GogError
 
 
@@ -122,11 +130,85 @@ def _match_edges(g1, g2, sigma, e1_ids, buckets, iso_lists):
     return False
 
 
+def connected_shapes(p, q):
+    """Connected multigraph shapes: multisets of endpoint pairs (i, j)."""
+    slots = [(i, j) for i in range(p) for j in range(i, p)]
+    for combo in itertools.combinations_with_replacement(slots, q):
+        if gw._spanning_forest(range(p), combo)[1] == 1:
+            yield combo
+
+
+def edge_group_pools(shape, vgroups, catalog, edge_groups):
+    """Every arrangement of the pinned edge groups, or every catalog edge
+    group up to the order of both ends of its edge."""
+    if edge_groups is not None:
+        yield from ds._arrangements(edge_groups)
+        return
+    per_edge = []
+    for i, j in shape:
+        cap = min(vgroups[i].order, vgroups[j].order)
+        per_edge.append([c for c in catalog if c.order <= cap])
+    yield from itertools.product(*per_edge)
+
+
+def has_collapsible_edge(shape, vgroups, egroups):
+    """Does every candidate on these groups fail is_reduced?  An edge
+    group of the order of an endpoint group has index 1 there whatever
+    the injections, and a non-loop edge of index 1 is collapsible.  When
+    no edge is, every candidate is reduced, and minimal too: a dangling
+    vertex needs a non-loop edge of index 1."""
+    return any(i != j and c.order in (vgroups[i].order, vgroups[j].order)
+               for (i, j), c in zip(shape, egroups))
+
+
+@functools.cache
+def relabelings(shape):
+    """(the relabeled (min, max) ends of each edge, the old vertex at each
+    new label) for every relabeling of a shape's vertices."""
+    p = 1 + max((v for edge in shape for v in edge), default=0)
+    return tuple((tuple(tuple(sorted((new[i], new[j]))) for i, j in shape),
+                  tuple(sorted(range(p), key=new.__getitem__)))
+                 for new in itertools.permutations(range(p)))
+
+
+def relabeling_signature(shape, vgroups, egroups):
+    """The least, over every relabeling of the shape's vertices, of (the
+    sorted pairs of relabeled ends and edge class id, the vertex class
+    ids by new label)."""
+    kv = [ds._class(g)[0] for g in vgroups]
+    kc = [ds._class(c)[0] for c in egroups]
+    return min((tuple(sorted(zip(ends, kc))), tuple(kv[v] for v in old))
+               for ends, old in relabelings(shape))
+
+
+def group_choices(p, q, r, vertex_groups=None, edge_groups=None):
+    """(shape, vertex groups, edge groups) of each group choice listed on
+    every connected shape, without a collapsible edge, and first of its
+    relabeling signature."""
+    catalog = ds.small_groups(r) if None in (vertex_groups, edge_groups) \
+        else []
+    seen = set()
+    for shape in connected_shapes(p, q):
+        if vertex_groups is None:
+            vertex_pools = itertools.product(catalog, repeat=p)
+        else:
+            vertex_pools = ds._arrangements(vertex_groups)
+        for vgroups in vertex_pools:
+            for egroups in edge_group_pools(shape, vgroups, catalog,
+                                            edge_groups):
+                if has_collapsible_edge(shape, vgroups, egroups):
+                    continue
+                signature = relabeling_signature(shape, vgroups, egroups)
+                if signature not in seen:
+                    seen.add(signature)
+                    yield shape, vgroups, egroups
+
+
 def candidates(p, q, r, vertex_groups=None, edge_groups=None):
     """Every buildable candidate of the enumeration, reduced or not, as
     (shape, vertex groups, edge groups, graph of groups)."""
     catalog = ds.small_groups(r)
-    for shape in ds._connected_shapes(p, q):
+    for shape in connected_shapes(p, q):
         if vertex_groups is None:
             vertex_pools = itertools.product(catalog, repeat=p)
         else:
@@ -137,8 +219,8 @@ def candidates(p, q, r, vertex_groups=None, edge_groups=None):
                            for old in vertex_pools):
                     vertex_pools.append(pool)
         for vgroups in vertex_pools:
-            for egroups in ds._edge_group_pools(shape, vgroups, catalog,
-                                                edge_groups):
+            for egroups in edge_group_pools(shape, vgroups, catalog,
+                                            edge_groups):
                 mono_pools = []
                 for (i, j), egrp in zip(shape, egroups):
                     mi = fg.all_monomorphisms(egrp, vgroups[i])
@@ -181,15 +263,15 @@ def first_of_each_form(p, q, r, vertex_groups=None, edge_groups=None):
     catalog = ds.small_groups(r) if None in (vertex_groups, edge_groups) \
         else []
     found = []
-    for shape in ds._connected_shapes(p, q):
+    for shape in connected_shapes(p, q):
         if vertex_groups is None:
             vertex_pools = itertools.product(catalog, repeat=p)
         else:
             vertex_pools = ds._arrangements(vertex_groups)
         for vgroups in vertex_pools:
-            for egroups in ds._edge_group_pools(shape, vgroups, catalog,
-                                                edge_groups):
-                if ds._has_collapsible_edge(shape, vgroups, egroups):
+            for egroups in edge_group_pools(shape, vgroups, catalog,
+                                            edge_groups):
+                if has_collapsible_edge(shape, vgroups, egroups):
                     continue
                 mono_pools = [
                     [(a, b) for a in ds._orbit_reps(egrp, vgroups[i], 0)

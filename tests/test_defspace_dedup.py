@@ -297,7 +297,7 @@ def test_counterexample_expansions_are_pinned():
 def test_collapsible_precheck_skips_exactly_the_unreduced(query):
     skipped = kept = 0
     for shape, vgroups, egroups, gog in oracle.candidates(*query):
-        skip = ds._has_collapsible_edge(shape, vgroups, egroups)
+        skip = oracle.has_collapsible_edge(shape, vgroups, egroups)
         assert skip == (not (ds.is_reduced(gog) and ds.is_minimal(gog)))
         skipped += skip
         kept += not skip

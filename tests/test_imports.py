@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-module-level name is read somewhere in the package, and importing the
-CLI loads nothing outside the standard library."""
+module-level name is read somewhere in the package, no name from typing
+is subscripted at run time, importing the CLI loads nothing outside the
+standard library, and a dropped copy of the package is freed."""
 
 import ast
 import json
@@ -39,6 +40,55 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def runtime_typing_subscripts(source: str) -> list[str]:
+    """Subscripts, outside annotations, of names imported from typing
+    (or read off typing itself), as "line: code".  typing caches the
+    arguments of each such subscript for the life of the process."""
+    tree = ast.parse(source)
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "typing"
+             for a in node.names}
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "typing"}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    skipped = {id(n) for a in annotations if a is not None
+               for n in ast.walk(a)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Subscript) or id(node) in skipped:
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in names \
+                or isinstance(base, ast.Attribute) \
+                and isinstance(base.value, ast.Name) \
+                and base.value.id in modules:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_runtime_typing_subscripts_are_found():
+    source = ("from __future__ import annotations\n"
+              "import typing as t\nfrom typing import Optional, Union\n"
+              "A = Union[int, str]\nB: Optional[int] = None\n"
+              "def f(x: Union[int, str], *a: t.List[int]) -> Optional[A]:\n"
+              "    return t.Dict[str, int], x[0]\n")
+    assert runtime_typing_subscripts(source) == [
+        "4: Union[int, str]", "7: t.Dict[str, int]"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_subscripts_nothing_from_typing_at_run_time(path):
+    assert runtime_typing_subscripts(path.read_text()) == []
 
 
 def private_definitions(tree: ast.Module) -> set[str]:
@@ -141,3 +191,23 @@ def test_cli_start_up_loads_no_heavy_standard_modules():
     assert "vfree.cli" in added
     assert added & {"dataclasses", "inspect", "importlib.resources",
                     "pathlib", "tempfile", "zipfile"} == set()
+
+
+def test_a_dropped_copy_of_the_package_is_freed():
+    """Dropping every vfree module from sys.modules and importing again
+    leaves nothing holding the old modules' classes: no cache outside
+    the package (typing's, for one) keeps them alive."""
+    code = ("import gc, sys, weakref\n"
+            "import vfree.folog\n"
+            "old = weakref.ref(vfree.folog.Word)\n"
+            "for name in [n for n in sys.modules\n"
+            "             if n == 'vfree' or n.startswith('vfree.')]:\n"
+            "    del sys.modules[name]\n"
+            "import vfree.folog\n"
+            "gc.collect()\n"
+            "print(old() is None)\n")
+    src = str(Path(vfree.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "True"
