@@ -7,7 +7,7 @@ queries (adjacency, distance, classification, axis windows) are local;
 nothing global is ever materialized except small breadth-first balls used
 by callers that explicitly ask for them, and the frame of each orbit's
 standard vertex (its neighbors and stabilizer), which is built once per
-graph of groups and kept on it.
+graph of groups and kept as the fingroup module docstring says.
 
 Tree vertices, axis segments and classifications are named tuples: each
 hashes as the plain tuple of its fields and compares equal to it.
@@ -102,10 +102,10 @@ def stabilizer(gog: GraphOfGroups, v: TreeVertex) -> list[NormalForm]:
 def standard_frame(gog: GraphOfGroups, orbit: str) -> Frame:
     """The frame at the standard vertex of an orbit, built the first time
     it is asked for and kept on the graph of groups."""
-    frame = gog._frames.get(orbit)
+    frame = gog._facts.get(orbit)
     if frame is None:
         std = standard_vertex(gog, orbit)
-        frame = gog._frames[orbit] = Frame(
+        frame = gog._facts[orbit] = Frame(
             std, frozenset(neighbors(gog, std)), tuple(stabilizer(gog, std)))
     return frame
 

@@ -13,8 +13,8 @@ form, the least sequence of edge-end reads over all labelings of the
 candidate over the catalog groups (see _canonical_form).  Equal forms
 describe one graph, so the dedup is exact, and only the kept candidates
 are built as graphs.  What the forms derive from one group, or from the
-monomorphisms between two, is computed once per process and kept on
-those groups.
+monomorphisms between two, is computed once and kept on those groups
+(see the fingroup module docstring).
 
 The expansion search keeps each graph it reaches unless are_gog_isomorphic
 holds with one kept before; that test compares an invariant (_iso_key)
@@ -584,11 +584,10 @@ def enumerate_reduced(vertex_count: int, edge_count: int, max_order: int,
     Classes of two visited choices differ, so _canonical_form, a
     complete invariant, is compared only inside one choice, keeping the
     first candidate of each form; a choice with one candidate reads no
-    form.  What the signature and the forms derive from the groups is
-    kept on them (_class, _mono_facts), and so is what building a kept
-    graph derives from them (its coset tables and checked injections,
-    see GraphOfGroups): a repeated query lists, reads and builds without
-    searching or checking any group again.
+    form.  What the signature, the forms and the kept graphs derive from
+    the groups is kept on them (see the fingroup module docstring), so a
+    repeated query lists, reads and builds without searching or checking
+    any group again.
     """
     p, q, r = vertex_count, edge_count, max_order
     _check_range("vertex_count", p, 1, ENUM_VERTEX_CAP)
@@ -675,8 +674,7 @@ def _group_choices(p, q, catalog, vertex_groups, edge_groups):
 # -- facts kept on the groups they describe -----------------------------------
 #
 # Each fact below depends only on one group, or on the monomorphisms
-# between two, and is kept in a group's FiniteGroup._facts, so that a
-# caller's groups take theirs with them when they are dropped.
+# between two, and is kept as the fingroup module docstring says.
 
 
 def _class(grp: FiniteGroup) -> tuple:
@@ -723,7 +721,7 @@ class _MonoFacts:
 
 def _mono_facts(c: FiniteGroup, x: FiniteGroup) -> _MonoFacts:
     """The facts of the monomorphisms c → x, kept on x, or on c when x is
-    a catalog group, so that a catalog group holds only catalog groups."""
+    a catalog group (see the fingroup module docstring)."""
     facts = (c if _catalog()[_class(x)[0]] is x else x)._facts
     if (c, x) not in facts:
         facts[c, x] = _MonoFacts()
@@ -767,8 +765,7 @@ def _lead(m: GroupHom) -> tuple:
         for alpha in to_rep:
             moved = get(alpha)
             if set(moved) == image:
-                at = {y: c for c, y in enumerate(moved)}
-                moves.append((alpha, gammas[tuple(at[y] for y in lead)]))
+                moves.append((alpha, gammas[tuple(map(moved.index, lead))]))
         facts.leads[m.mapping] = (lead, moves)
     return facts.leads[m.mapping]
 

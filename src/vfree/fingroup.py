@@ -8,6 +8,29 @@ ad(gh) = ad(g)∘ad(h).
 
 Subgroups, homomorphisms and their reports are named tuples: each hashes
 as the plain tuple of its fields and compares equal to it.
+
+Kept state, one rule for the package: a fact derived from an object is
+kept on that object, filled on first use, and goes when the object goes.
+
+- A FiniteGroup keeps in _facts its element orders ("orders"), Aut(G)
+  ("auts"), conjugation rows ("conj"), the coset_data of each subgroup
+  asked for (under the frozenset of its elements) and defspace's facts
+  ("stats", "class", and under (c, x) those of the monomorphisms c → x,
+  kept on x, or on c when x is a catalog group, so that a catalog group
+  holds only catalog groups; their GroupHom values refer to c, so weak
+  keys would not free it).  In _injections it keeps the mappings from
+  another group checked to be injective homomorphisms into it, weakly
+  keyed by that group: a strong key would keep every edge group ever
+  checked into a catalog group alive for the process.
+- A GraphOfGroups keeps in _facts the tree path between two vertices
+  under (u, w), the Whitehead frame of an orbit under the orbit, and
+  each compiled walk pick under its reduced (steps, tail); no two such
+  keys are equal.  What it compiles at construction is not kept state.
+- functools.cache holds only plain values of its arguments (shapes, the
+  CLI parser) and defspace's catalog, whose groups live for the process.
+
+A kept fact never changes an answer: each call returns what it would
+with nothing kept.
 """
 
 from __future__ import annotations
@@ -56,20 +79,12 @@ class FiniteGroup:
     call and compares the result as a tuple.  Entries are scanned one by
     one only to name the witness of a failure.
 
-    Derived tables are filled on first use and kept, so that they go
-    when the group goes: element orders, Aut(G) and conjugation rows;
-    in _cosets, the coset_data of each subgroup that an edge group of a
-    graph of groups maps onto, keyed by the frozenset of its elements;
-    in _injections, the mappings from another group that were checked
-    to be injective homomorphisms into this one, weakly keyed by that
-    group, so that neither group keeps the other alive; and in _facts
-    what other modules derive from the group (defspace's enumeration
-    facts and each element's (order, conjugacy-class size)).
+    Derived facts are kept in _facts and _injections (see the module
+    docstring).
     """
 
     __slots__ = ("table", "order", "identity", "inverses", "generators",
-                 "labels", "_orders", "_auts", "_conj", "_cosets",
-                 "_injections", "_facts", "__weakref__")
+                 "labels", "_facts", "_injections", "__weakref__")
 
     def __init__(self, table: Sequence[Sequence[int]],
                  generators: dict[str, int],
@@ -89,13 +104,7 @@ class FiniteGroup:
         if len(labels) != self.order:
             raise GroupError("label list length does not match group order")
         self.labels = tuple(labels)
-        self._orders: Optional[tuple[int, ...]] = None
-        self._auts: Optional[tuple[GroupHom, ...]] = None
-        self._conj: Optional[tuple[tuple[int, ...], ...]] = None
-        self._cosets: dict[frozenset, tuple] = {}
-        self._injections: weakref.WeakKeyDictionary = \
-            weakref.WeakKeyDictionary()
-        self._facts: dict = {}
+        self._facts, self._injections = {}, weakref.WeakKeyDictionary()
         self._check_group_axioms()
 
     def _find_identity(self) -> int:
@@ -196,24 +205,28 @@ class FiniteGroup:
         return n
 
     def element_orders(self) -> tuple[int, ...]:
-        if self._orders is None:
-            self._orders = tuple(self.element_order(i) for i in range(self.order))
-        return self._orders
+        orders = self._facts.get("orders")
+        if orders is None:
+            orders = self._facts["orders"] = tuple(
+                map(self.element_order, range(self.order)))
+        return orders
 
     def automorphisms(self) -> tuple[GroupHom, ...]:
         """Aut(G), in isomorphisms_iter order; listed once and kept."""
-        if self._auts is None:
-            self._auts = tuple(isomorphisms_iter(self, self))
-        return self._auts
+        auts = self._facts.get("auts")
+        if auts is None:
+            auts = self._facts["auts"] = tuple(isomorphisms_iter(self, self))
+        return auts
 
     def conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
         """rows[g][x] = g·x·g⁻¹ for every g; built once and kept."""
-        if self._conj is None:
+        rows = self._facts.get("conj")
+        if rows is None:
             t = self.table
-            self._conj = tuple(
+            rows = self._facts["conj"] = tuple(
                 tuple(t[gx][self.inverses[g]] for gx in t[g])
                 for g in range(self.order))
-        return self._conj
+        return rows
 
     def label(self, i: int) -> str:
         return self.labels[i]
@@ -395,14 +408,19 @@ def conjugation_action(group: FiniteGroup, g: int, sub: Subgroup) -> GroupHom:
 
 def coset_data(group: FiniteGroup, sub_elements: Sequence[int]
                ) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
-    """Transversal data for the cosets g·H of a subgroup H.
+    """Transversal data for the cosets g·H of a subgroup H, computed once
+    per subgroup and kept on the group (callers must not change it).
 
     Returns (reps, decompose) where reps lists the minimal-index
     representative of each coset and decompose[g] = (r, h) with g = r·h,
     h ∈ H, r the representative of g's coset.
     """
+    key = frozenset(sub_elements)
+    data = group._facts.get(key)
+    if data is not None:
+        return data
     t = group.table
-    times_h = _gather(sorted(set(sub_elements)))
+    times_h = _gather(sorted(key))
     seen: dict[int, tuple[int, int]] = {}
     reps = []
     for g, row in enumerate(t):
@@ -414,7 +432,8 @@ def coset_data(group: FiniteGroup, sub_elements: Sequence[int]
         r_inv_row = t[group.inverses[r]]
         for x in coset:
             seen[x] = (r, r_inv_row[x])
-    return tuple(reps), seen
+    data = group._facts[key] = (tuple(reps), seen)
+    return data
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:

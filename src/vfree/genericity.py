@@ -11,13 +11,14 @@ splittings over finite subgroups.  Saturation skips turns already in the
 graph and stops as soon as the graph is complete.  Seeded random walks
 estimate how common that certificate is among words of a given length.
 A walk multiplies its normal form on the right by one pick per step.
-Each pick is compiled once per graph of groups: from its first syllable
-that does not cancel, the rest of the pick is pushed as one tuple, kept
-per entering element, so a step costs one test per syllable it cancels
-and one push.  The picks are drawn from the words
-random.Random.randrange reads, without its Python frames: when the
-weights' common denominator is at most 255, as the top bytes of the
-words of batched getrandbits calls, so the walks are those of randrange.
+Each pick is compiled once per graph of groups and kept as the fingroup
+module docstring says: from its first syllable that does not cancel,
+the rest of the pick is pushed as one tuple, kept per entering element,
+so a step costs one test per syllable it cancels and one push.  The
+picks are drawn from the words random.Random.randrange reads, without
+its Python frames: when the weights' common denominator is at most 255,
+as the top bytes of the words of batched getrandbits calls, so the
+walks are those of randrange.
 
 Every value type is a named tuple that hashes as the plain tuple of its
 fields and compares equal to it; a FillingReport is true when it fills.
@@ -434,8 +435,8 @@ def _draws(bits, denom: int, cums: list[int], tables, count: int):
 
 
 def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
-    """One compiled pick per support element: (positions, last), kept on
-    the graph in _picks under the element's reduced (steps, tail).
+    """One compiled pick per support element: (positions, last), kept in
+    the graph's _facts under the element's reduced (steps, tail).
 
     Each element is reduced here, which checks every element index and
     traversal it names; one that is not a loop at the base vertex is
@@ -458,7 +459,7 @@ def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
         if end != base:
             raise GogError("support elements must be loops at the base vertex")
         key = (tuple(steps), last)
-        compiled = gog._picks.get(key)
+        compiled = gog._facts.get(key)
         if compiled is None:
             positions = []
             for j, (r, t) in enumerate(key[0]):
@@ -466,7 +467,7 @@ def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
                 positions.append((r, gog.vertices[c.near].table, c.rev,
                                   c.pinch, c.far_table, {},
                                   (c.near, key[0], j, last)))
-            compiled = gog._picks[key] = (tuple(positions), last)
+            compiled = gog._facts[key] = (tuple(positions), last)
         records.append(compiled)
     return records
 

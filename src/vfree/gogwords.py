@@ -35,17 +35,13 @@ reads the records: it extends a list of normal-form steps in place, one
 record lookup per raw step, so products and inverses share it and
 allocate nothing per step beyond the steps they keep.  Random walks
 reduce each pick through it once, when the pick is compiled, and after
-that read the pick's compiled positions, kept on the graph (see
-genericity._walk).
+that read the pick's compiled positions (see genericity._walk).
 
-What compiling derives from the groups alone is kept on the groups and
-read back by every later graph built on them: a vertex group keeps the
-coset transversal and decomposition of each edge image, and the
-injections from each edge group already checked to be monomorphisms
-into it.  So the enumeration, which builds its kept graphs again on
-every query over the same catalog groups, computes neither twice.  The
-spanning-tree path between two vertices is found when first asked for
-and kept on the graph.
+Compiling reads the coset data of each edge image and the injection
+checks from the vertex groups, and tree paths are filled on first use:
+all of it is kept as the rule in the fingroup module docstring says, so
+the enumeration, which builds its kept graphs again on every query over
+the same catalog groups, computes neither twice.
 """
 
 from __future__ import annotations
@@ -131,20 +127,15 @@ class GraphOfGroups:
     interned reverse traversal, push and pinch tables, the far vertex's
     multiplication table, the coset transversal at the near vertex), and
     for each vertex the spanning-tree traversals from the base to it;
-    products reduce in place through the records.  It reads from the
-    vertex groups what they keep (see FiniteGroup): an injection already
-    checked into its group is not checked again, and the coset
-    transversal and decomposition of an edge image are computed once per
-    group and image subgroup.  Filled on first use and kept on the graph:
-    the spanning-tree path between each pair of vertices in _paths, for
-    the tree layer the Whitehead frame of each orbit (its standard
-    vertex, neighbors and stabilizer) in _frames, and for random walks
-    the compiled positions of each reduced pick in _picks.
+    products reduce in place through the records.  An injection already
+    checked into its group is not checked again, and what the graph
+    fills on first use is kept in _facts (see the fingroup module
+    docstring).
     """
 
     __slots__ = ("vertices", "edges", "base_vertex", "spanning_tree",
                  "_crossing", "_incident", "_from_base", "_letter_home",
-                 "_paths", "_frames", "_picks")
+                 "_facts")
 
     def __init__(self, vertices: Iterable[tuple[str, FiniteGroup]],
                  edges: Iterable[Edge], base_vertex: str,
@@ -186,7 +177,7 @@ class GraphOfGroups:
                 self._incident[e.ends[d]].append(t)
                 image = e.inj[d].mapping
                 pinch = dict(zip(image, e.inj[1 - d].mapping))
-                reps, decomp = _cosets(self.vertices[e.ends[d]], image)
+                reps, decomp = coset_data(self.vertices[e.ends[d]], image)
                 self._crossing[t] = _Crossing(
                     e.ends[d], e.ends[1 - d], pair[1 - d],
                     {g: (r, pinch[h]) for g, (r, h) in decomp.items()},
@@ -206,9 +197,7 @@ class GraphOfGroups:
         for vid in sorted(self.vertices):
             for name in self.vertices[vid].generators:
                 self._letter_home.setdefault(name, []).append(vid)
-        self._paths: dict[tuple[str, str], tuple[Traversal, ...]] = {}
-        self._frames: dict = {}
-        self._picks: dict = {}
+        self._facts: dict = {}
 
     def _validate_graph(self) -> None:
         if len(self.spanning_tree) != len(self.vertices) - 1:
@@ -243,7 +232,7 @@ class GraphOfGroups:
         """The spanning-tree geodesic from u to w, kept per pair on first
         use: the base's path to u run backwards, then its path to w, with
         each traversal that undoes the one before it cancelled."""
-        path = self._paths.get((u, w))
+        path = self._facts.get((u, w))
         if path is None:
             out = [t.reverse() for t in reversed(self._from_base[u])]
             for t in self._from_base[w]:
@@ -251,29 +240,20 @@ class GraphOfGroups:
                     out.pop()
                 else:
                     out.append(t)
-            path = self._paths[u, w] = tuple(out)
+            path = self._facts[u, w] = tuple(out)
         return path
 
 
 def _is_monomorphism(hom: GroupHom) -> bool:
     """Whether hom is an injective homomorphism.  Each mapping found to
-    be one is kept on the target group, weakly keyed by the source (see
-    FiniteGroup), so each mapping is checked once per pair of groups."""
+    be one is kept in the target group's _injections (see the fingroup
+    module docstring), so each is checked once per pair of groups."""
     checked = hom.target._injections.setdefault(hom.source, set())
     if hom.mapping not in checked:
         if check_hom(hom).status == "invalid" or not hom.is_injective():
             return False
         checked.add(hom.mapping)
     return True
-
-
-def _cosets(grp: FiniteGroup, image: Sequence[int]) -> tuple:
-    """coset_data(grp, image), computed once per image subgroup and kept
-    on grp."""
-    key = frozenset(image)
-    if key not in grp._cosets:
-        grp._cosets[key] = coset_data(grp, image)
-    return grp._cosets[key]
 
 
 def _spanning_forest(nodes: Iterable, pairs: Sequence[tuple]

@@ -80,18 +80,31 @@ def test_a_repeated_query_searches_no_group_again(monkeypatch):
     assert calls
 
 
+class StoreLog(dict):
+    """A group's _facts that logs (group, key) for each coset table
+    stored in it: coset_data stores one exactly when it computes one."""
+
+    def __init__(self, grp, log):
+        super().__init__((key, fact) for key, fact in grp._facts.items()
+                         if not isinstance(key, frozenset))
+        self.grp, self.log = grp, log
+
+    def __setitem__(self, key, fact):
+        if isinstance(key, frozenset):
+            self.log.append((self.grp, key))
+        super().__setitem__(key, fact)
+
+
 def test_a_repeated_query_builds_its_graphs_from_kept_tables(monkeypatch):
     # A kept graph reads its coset tables and checked injections from its
     # groups.  With the catalog groups' tables emptied, (2, 1, 7) computes
     # each coset table and checks each injection once; an identical
     # second query computes and checks none.
-    for grp in ds.small_groups(7):
-        grp._cosets.clear()
-        grp._injections.clear()
     cosets, checks = [], []
-    coset_data, check_hom = gw.coset_data, gw.check_hom
-    monkeypatch.setattr(gw, "coset_data", lambda grp, image: cosets.append(
-        (grp, frozenset(image))) or coset_data(grp, image))
+    for grp in ds.small_groups(7):
+        monkeypatch.setattr(grp, "_facts", StoreLog(grp, cosets))
+        grp._injections.clear()
+    check_hom = gw.check_hom
     monkeypatch.setattr(gw, "check_hom",
                         lambda hom: checks.append(hom) or check_hom(hom))
     ds.enumerate_reduced(2, 1, 7)
