@@ -22,7 +22,7 @@ from .gogwords import (
     GraphOfGroups,
     NormalForm,
     Traversal,
-    _product,
+    _reduce_into,
     end_vertex,
     cyclic_reduction,
     path_invert,
@@ -113,8 +113,12 @@ def standard_frame(gog: GraphOfGroups, orbit: str) -> Frame:
 def _product_vertex(gog: GraphOfGroups, p: NormalForm,
                     q: NormalForm) -> TreeVertex:
     """The tree vertex reached by the path p * q, at the end vertex its
-    reduction returns (the trailing element is dropped)."""
-    end, steps, _ = _product(gog, p, q)
+    reduction returns (the trailing element is dropped): p's steps are
+    kept, and only the seam and q are reduced, as by path_multiply."""
+    if end_vertex(gog, p) != q.start:
+        raise GogError("paths are not composable")
+    steps = list(p.steps)
+    end = _reduce_into(gog, steps, q.start, p.tail, q.steps, q.tail)[0]
     return TreeVertex(end, NormalForm(p.start, tuple(steps),
                                       gog.vertices[end].identity))
 

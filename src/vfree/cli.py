@@ -71,6 +71,9 @@ from .gogwords import (
     GogError,
     GraphOfGroups,
     NormalForm,
+    build_counterexample,
+    build_sl2z,
+    build_z2z3,
     conjugate,
     element_order,
     format_nf,
@@ -84,7 +87,10 @@ from .gogwords import (
     path_multiply,
 )
 
-BUILTIN_GROUPS = ("sl2z", "counterexample", "z2z3")
+BUILTIN_GROUPS = {"sl2z": build_sl2z, "counterexample": build_counterexample,
+                  "z2z3": build_z2z3}
+"""The presentations named anywhere a group is read, each built by its
+constructor on every load."""
 
 WALK_STEP_CAP = 10**6
 """The most work `walk` accepts: --trials × Σ(n + 1) over the --lengths
@@ -100,8 +106,9 @@ sl2z with word "a b", 1,000 periods (2,000 steps) print 10 MB."""
 def load_group(spec: str, field: str = "--group") -> GraphOfGroups:
     """A graph of groups from a builtin name or a JSON file path; field
     names the option that gave spec, for the error when it is neither."""
-    if spec in BUILTIN_GROUPS:
-        spec = os.path.join(os.path.dirname(__file__), "data", f"{spec}.json")
+    build = BUILTIN_GROUPS.get(spec)
+    if build is not None:
+        return build()
     return gog_from_json(_load_json(
         spec, field, f"neither a builtin group ({', '.join(BUILTIN_GROUPS)}) "
         "nor a readable file"))

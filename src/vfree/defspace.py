@@ -38,8 +38,8 @@ ENUM_EDGE_CAP = 3
 ENUM_ORDER_CAP = 12
 ENUM_MULTI_EDGE_ORDER_CAP = 7
 """The largest max_order enumerate_reduced takes with two edges or more:
-(3,3,7) takes about 11 s, while (1,2,8) ran out of 3 GB of address space
-and (2,2,8) ran past 150 s (see FORMATS.md)."""
+(3,3,7) takes about 5 s on a 2-vCPU Xeon VM, while (1,2,8) ran out of
+3 GB of address space and (2,2,8) ran past 150 s (see FORMATS.md)."""
 EXPANSION_DEPTH_CAP = 3
 EXPANSION_ORDER_CAP = 64
 """The largest vertex group the expansion search takes: every subgroup

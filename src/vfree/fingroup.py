@@ -606,6 +606,10 @@ def build_semidirect(c: FiniteGroup, q: FiniteGroup,
     the assignment is extended along words in Q and verified to be a
     homomorphism Q → Aut(C). Elements are pairs (c, q) encoded as
     index = c·|Q| + q, multiplied by (c,q)(c',q') = (c·action(q)(c'), qq').
+
+    The table is built a row at a time in C: row (c, q) is, for each c'
+    in turn, the run runs[q][c·action(q)(c')], where runs[q][c''] is
+    c''·|Q| + (row q of Q).
     """
     if set(action) != set(q.generators):
         raise GroupError("action must be given on exactly Q's generators")
@@ -625,40 +629,20 @@ def build_semidirect(c: FiniteGroup, q: FiniteGroup,
         if any(acts[q12] != a1_a2(a1) for q12, a1_a2 in zip(qrow, after)):
             raise GroupError("action is not a homomorphism Q → Aut(C)")
     nq = q.order
-    n = c.order * nq
-
-    def enc(ci: int, qi: int) -> int:
-        return ci * nq + qi
-
-    table = []
-    for ci in range(c.order):
-        for qi in range(q.order):
-            row = [0] * n
-            aq = acts[qi]
-            for cj in range(c.order):
-                cc = c.mul(ci, aq[cj])
-                base = cc * nq
-                qrow = q.table[qi]
-                for qj in range(q.order):
-                    row[enc(cj, qj)] = base + qrow[qj]
-            table.append(row)
-    gens: dict[str, int] = {}
-    for name, idx in c.generators.items():
-        gens[name] = enc(idx, q.identity)
+    runs = [[tuple(map((cc * nq).__add__, qrow)) for cc in range(c.order)]
+            for qrow in q.table]
+    table = [tuple(chain.from_iterable(map(runs[qi].__getitem__,
+                                           after[qi](crow))))
+             for crow in c.table for qi in range(nq)]
+    gens = {name: idx * nq + q.identity for name, idx in c.generators.items()}
     for name, idx in q.generators.items():
         if name in gens:
             raise GroupError(f"generator name {name!r} appears in both factors")
-        gens[name] = enc(c.identity, idx)
-    labels = []
-    for ci in range(c.order):
-        for qi in range(q.order):
-            lc, lq = c.label(ci), q.label(qi)
-            if ci == c.identity:
-                labels.append(lq)
-            elif qi == q.identity:
-                labels.append(lc)
-            else:
-                labels.append(f"{lc}·{lq}")
+        gens[name] = c.identity * nq + idx
+    labels = [lq if ci == c.identity else lc if qi == q.identity
+              else f"{lc}·{lq}"
+              for ci, lc in enumerate(c.labels)
+              for qi, lq in enumerate(q.labels)]
     return FiniteGroup(table, gens, labels)
 
 

@@ -366,16 +366,20 @@ def _check_generation(gog: GraphOfGroups, support: Sequence[NormalForm]) -> None
                        "letter within the bounded product closure")
 
 
-def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> None:
+def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
+    """Check the whole spec, and return the walk plan it checked (see
+    _walk_plan), so an experiment compiles its spec once."""
     if not spec.support:
         raise GogError("measure support must be nonempty")
     if len(spec.weights) != len(spec.support):
         raise GogError("one weight per support element is required")
-    _pick_records(gog, spec.support)  # raises unless every pick is a loop
-    _step_table(spec)  # raises unless the weights are positive, sum 1
+    picks = _pick_records(gog, spec.support)  # raises unless all are loops
+    # raises unless the weights are positive and sum to 1
+    plan = _walk_plan(gog, spec, picks)
     if spec.trials < 1:
         raise GogError("at least one trial is required")
     _check_generation(gog, spec.support)
+    return plan
 
 
 def _step_table(spec: RandomWalkSpec) -> tuple[int, list[int]]:
@@ -490,13 +494,17 @@ def _walk_lengths(lengths: Sequence[int]) -> list[int]:
     return sorted(set(lengths))
 
 
-def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
+def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec,
+               picks: Optional[list] = None) -> tuple:
     """(seed, denom, cums, tables, picks): what _walk needs of a spec,
     checked and built once for all of its trials; tables is
-    _byte_tables(denom, cums), or None when denom > 255."""
+    _byte_tables(denom, cums), or None when denom > 255, and picks is
+    _pick_records(gog, spec.support) unless the caller has it already."""
     denom, cums = _step_table(spec)
     tables = _byte_tables(denom, cums) if denom <= 255 else None
-    return (spec.seed, denom, cums, tables, _pick_records(gog, spec.support))
+    if picks is None:
+        picks = _pick_records(gog, spec.support)
+    return (spec.seed, denom, cums, tables, picks)
 
 
 def _walk(gog: GraphOfGroups, plan: tuple, trial: int,
@@ -562,10 +570,9 @@ def run_genericity_experiment(gog: GraphOfGroups, spec: RandomWalkSpec,
     row per requested length, in the requested order (a length may repeat).
     Each trial is walked once, to the longest length, with one reduction
     per distinct length, and its element is classified at each."""
-    validate_walk_spec(gog, spec)
+    plan = validate_walk_spec(gog, spec)
     wanted = _walk_lengths(lengths)
     counts = {n: [0, 0] for n in wanted}
-    plan = _walk_plan(gog, spec)
     for t in range(spec.trials):
         for n, steps, tail in _walk(gog, plan, t, wanted):
             g = NormalForm(gog.base_vertex, tuple(steps), tail)

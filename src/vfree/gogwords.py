@@ -55,6 +55,10 @@ from .fingroup import (
     _field,
     _typed,
     _typed_list,
+    basis_cycle_perm,
+    build_boolean_vectors,
+    build_cyclic,
+    build_semidirect,
     check_hom,
     coset_data,
     evaluate_word,
@@ -400,23 +404,17 @@ def path_multiply(gog: GraphOfGroups, p: NormalForm, q: NormalForm,
 
     p must be a normal form from this library (parse_word, normal_form,
     path_normal_form, or arithmetic on their results); it is not checked
-    again.  Only the seam and q are reduced: p's steps are kept as they
-    stand except where q cancels into them.  q may be any path word.
+    again.  Only the seams and the later factors are reduced, onto one
+    list of steps: p's steps are kept as they stand except where a later
+    factor cancels into them.  The later factors may be any path words.
     """
-    _, steps, tail = _product(gog, p, q)
-    out = NormalForm(p.start, tuple(steps), tail)
-    return path_multiply(gog, out, *rest) if rest else out
-
-
-def _product(gog: GraphOfGroups, p: NormalForm,
-             q: NormalForm) -> tuple[str, list, int]:
-    """(end vertex, steps, tail) of the product p * q, as path_multiply
-    forms it: p's steps are kept, and only the seam and q are reduced."""
-    if end_vertex(gog, p) != q.start:
-        raise GogError("paths are not composable")
     steps = list(p.steps)
-    end, tail = _reduce_into(gog, steps, q.start, p.tail, q.steps, q.tail)
-    return end, steps, tail
+    end, tail = end_vertex(gog, p), p.tail
+    for f in (q, *rest):
+        if f.start != end:
+            raise GogError("paths are not composable")
+        end, tail = _reduce_into(gog, steps, end, tail, f.steps, f.tail)
+    return NormalForm(p.start, tuple(steps), tail)
 
 
 def path_invert(gog: GraphOfGroups, p: NormalForm) -> NormalForm:
@@ -606,7 +604,6 @@ def build_amalgam(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
 
 def build_rose(letters: Sequence[str]) -> GraphOfGroups:
     """Free group on the given letters: one trivial vertex, one loop each."""
-    from .fingroup import build_cyclic
     trivial = build_cyclic(1, "id0")
     vertex = ("v", trivial)
     edge_triv = build_cyclic(1, "id1")
@@ -620,7 +617,6 @@ def build_rose(letters: Sequence[str]) -> GraphOfGroups:
 def build_sl2z() -> GraphOfGroups:
     """Z/4 amalgamated with Z/6 over Z/2: generators a (order 4), b (order 6),
     with a^2 = b^3."""
-    from .fingroup import build_cyclic
     A = build_cyclic(4, "a")
     B = build_cyclic(6, "b")
     C = build_cyclic(2, "c")
@@ -631,10 +627,32 @@ def build_sl2z() -> GraphOfGroups:
 
 def build_free_product(A: FiniteGroup, B: FiniteGroup) -> GraphOfGroups:
     """A * B: amalgam over the trivial group."""
-    from .fingroup import build_cyclic
     C = build_cyclic(1, "c0")
     iA = GroupHom(C, A, (A.identity,))
     iB = GroupHom(C, B, (B.identity,))
+    return build_amalgam(A, B, C, iA, iB)
+
+
+def build_z2z3() -> GraphOfGroups:
+    """Z/2 * Z/3 with generators s (order 2) and t (order 3): PSL(2, Z)."""
+    return build_free_product(build_cyclic(2, "s"), build_cyclic(3, "t"))
+
+
+def build_counterexample() -> GraphOfGroups:
+    """The virtually free group that is not ∃-homogeneous: A *_C B over
+    C = (Z/2)^4 with basis e1..e4, embedded as the normal subgroup of
+    A = C ⋊ (Z/2)^2, where x swaps e1, e2 and y swaps e3, e4, and of
+    B = C ⋊ Z/3, where z cycles e1, e2, e3."""
+    C = build_boolean_vectors(4)
+    A = build_semidirect(C, build_boolean_vectors(2, names=("x", "y")), {
+        "x": basis_cycle_perm("(e1 e2)", 4),
+        "y": basis_cycle_perm("(e3 e4)", 4)})
+    B = build_semidirect(C, build_cyclic(3, "z"),
+                         {"z": basis_cycle_perm("(e1 e2 e3)", 4)})
+    iA = GroupHom.from_generator_images(
+        C, A, {n: A.generator(n) for n in C.generators})
+    iB = GroupHom.from_generator_images(
+        C, B, {n: B.generator(n) for n in C.generators})
     return build_amalgam(A, B, C, iA, iB)
 
 

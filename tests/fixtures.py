@@ -3,7 +3,9 @@
 The two semidirect products and their amalgam are the running
 counterexample pair: A = (Z/2)^4 x| (Z/2)^2 where x swaps e1,e2 and y
 swaps e3,e4; B = (Z/2)^4 x| Z/3 where z cycles e1,e2,e3; G = A *_C B with
-C = (Z/2)^4 included identically on both sides.
+C = (Z/2)^4 included identically on both sides.  They are built here
+through the semidirect-product oracle, independently of the library's
+builtin constructors, which the tests compare with them.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import random
 
 import vfree.fingroup as fg
 import vfree.gogwords as gw
+from oracles import semidirect_by_entries
 
 
 def build_A() -> fg.FiniteGroup:
     c = fg.build_boolean_vectors(4)
     q = fg.build_boolean_vectors(2, names=("x", "y"))
-    return fg.build_semidirect(c, q, {
+    return semidirect_by_entries(c, q, {
         "x": fg.basis_cycle_perm("(e1 e2)", 4),
         "y": fg.basis_cycle_perm("(e3 e4)", 4),
     })
@@ -26,7 +29,7 @@ def build_A() -> fg.FiniteGroup:
 def build_B() -> fg.FiniteGroup:
     c = fg.build_boolean_vectors(4)
     q = fg.build_cyclic(3, "z")
-    return fg.build_semidirect(c, q, {"z": fg.basis_cycle_perm("(e1 e2 e3)", 4)})
+    return semidirect_by_entries(c, q, {"z": fg.basis_cycle_perm("(e1 e2 e3)", 4)})
 
 
 def build_counterexample_gog() -> gw.GraphOfGroups:
@@ -38,6 +41,14 @@ def build_counterexample_gog() -> gw.GraphOfGroups:
     ia = fg.GroupHom.from_generator_images(c, a, {n: a.generator(n) for n in names})
     ib = fg.GroupHom.from_generator_images(c, b, {n: b.generator(n) for n in names})
     return gw.build_amalgam(a, b, c, ia, ib)
+
+
+def build_sl2z_gog() -> gw.GraphOfGroups:
+    """Z/4 *_{Z/2} Z/6 with a^2 = b^3, from explicit element indices."""
+    a, b = fg.build_cyclic(4, "a"), fg.build_cyclic(6, "b")
+    c = fg.build_cyclic(2, "c")
+    return gw.build_amalgam(a, b, c, fg.GroupHom(c, a, (0, 2)),
+                            fg.GroupHom(c, b, (0, 3)))
 
 
 def build_z2_z3() -> gw.GraphOfGroups:

@@ -17,8 +17,11 @@ kept to judge the generator-based check that replaced it.  The entry-by-
 entry table scans are the library's earlier identity and inverse
 searches, homomorphism check, coset decomposition and permutation
 product table, which look at one table entry at a time, so they judge
-the versions that compare and compose whole rows.  The subgroup lattice by every element is the library's earlier
-all_subgroups, which joins each subgroup with every element outside it.
+the versions that compare and compose whole rows; so does the semidirect
+product by entries, the library's earlier build_semidirect, which judges
+the one that builds a row from runs.  The subgroup lattice by every
+element is the library's earlier all_subgroups, which joins each
+subgroup with every element outside it.
 The two-pass parser is the library's earlier parse_word: it expands
 letters into items first and turns the items into a raw path word
 second, so it judges the one-pass parser that replaced it.  The
@@ -555,6 +558,63 @@ def permutation_table_by_tuples(perms):
     table = [[pos[tuple(a[b[i]] for i in range(degree))] for b in elts]
              for a in elts]
     return elts, table
+
+
+def semidirect_by_entries(c, q, action):
+    """build_semidirect filling one table entry at a time through an
+    index encoder, as the library's earlier constructor did; it shares
+    the action checks with the library, so error messages compare too."""
+    if set(action) != set(q.generators):
+        raise fg.GroupError("action must be given on exactly Q's generators")
+    for name, perm in action.items():
+        if not fg._is_automorphism_perm(c, perm):
+            raise fg.GroupError(
+                f"action of {name!r} is not an automorphism of C")
+    names = sorted(action)
+    perms = [tuple(action[n]) for n in names]
+    acts = {q.identity: tuple(range(c.order))}
+    for x, k, y in fg._cayley_tree(q, [q.generators[n] for n in names]):
+        acts[y] = tuple(acts[x][perms[k][i]] for i in range(c.order))
+    for q1 in range(q.order):
+        for q2 in range(q.order):
+            composed = tuple(acts[q1][acts[q2][i]] for i in range(c.order))
+            if acts[q.mul(q1, q2)] != composed:
+                raise fg.GroupError("action is not a homomorphism Q → Aut(C)")
+    nq = q.order
+    n = c.order * nq
+
+    def enc(ci, qi):
+        return ci * nq + qi
+
+    table = []
+    for ci in range(c.order):
+        for qi in range(q.order):
+            row = [0] * n
+            aq = acts[qi]
+            for cj in range(c.order):
+                cc = c.mul(ci, aq[cj])
+                for qj in range(q.order):
+                    row[enc(cj, qj)] = enc(cc, q.mul(qi, qj))
+            table.append(row)
+    gens = {}
+    for name, idx in c.generators.items():
+        gens[name] = enc(idx, q.identity)
+    for name, idx in q.generators.items():
+        if name in gens:
+            raise fg.GroupError(
+                f"generator name {name!r} appears in both factors")
+        gens[name] = enc(c.identity, idx)
+    labels = []
+    for ci in range(c.order):
+        for qi in range(q.order):
+            lc, lq = c.label(ci), q.label(qi)
+            if ci == c.identity:
+                labels.append(lq)
+            elif qi == q.identity:
+                labels.append(lc)
+            else:
+                labels.append(f"{lc}·{lq}")
+    return fg.FiniteGroup(table, gens, labels)
 
 
 # -- homomorphism search by pairwise closure -----------------------------------

@@ -1,5 +1,8 @@
 """CLI plumbing and the two built-in verification pipelines."""
 
+import builtins
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,10 +15,12 @@ import vfree
 import vfree.defspace as ds
 import vfree.fingroup as fg
 import vfree.gogwords as gw
-from fixtures import build_A
+from fixtures import (build_A, build_counterexample_gog, build_sl2z_gog,
+                      build_z2_z3)
 from vfree.bstree import standard_frame
 from vfree.cli import (
     AXIS_VERTEX_CAP,
+    BUILTIN_GROUPS,
     WALK_STEP_CAP,
     _sample_reduced_forms,
     load_group,
@@ -260,6 +265,48 @@ def test_group_dump_round_trips(capsys):
         == {v: builtin.vertices[v].order for v in builtin.vertices}
     code, out, _ = run(capsys, "group", "--group", "counterexample")
     assert "vA: order 64" in out and "vB: order 48" in out
+
+
+# sha256 of json.dumps(gog_to_json(load_group(name)), sort_keys=True), as
+# the builtins were when they were read from shipped JSON tables.
+BUILTIN_DIGESTS = {
+    "sl2z": "f4aee93edc8209177df2e9afb01bb136a70d4711c86466faa0d4804373b51adb",
+    "counterexample":
+        "d7f584b7353fe44463953edd021073c839a5b480b4c0e1bf68805d17ef12ae20",
+    "z2z3": "0dee33378e830f03bf7693e67f414c8fe1675d87a5b64c9a3cd60cd99aae0a15",
+}
+REFERENCE_BUILDS = {"sl2z": build_sl2z_gog,
+                    "counterexample": build_counterexample_gog,
+                    "z2z3": build_z2_z3}
+
+
+def test_builtins_keep_their_names_and_order():
+    assert list(BUILTIN_GROUPS) == list(BUILTIN_DIGESTS)
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_DIGESTS))
+def test_builtin_definition_is_pinned(name):
+    text = json.dumps(gw.gog_to_json(load_group(name)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_BUILDS))
+def test_builtin_equals_its_reference_build(name):
+    # Without sort_keys the dump also keeps each group's generator order.
+    assert json.dumps(gw.gog_to_json(load_group(name))) == \
+        json.dumps(gw.gog_to_json(REFERENCE_BUILDS[name]()))
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_DIGESTS))
+def test_builtin_load_opens_no_file(monkeypatch, name):
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"opened {path!r}")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(io, "open", refuse)
+    assert load_group(name).base_vertex == "vA"
+    with pytest.raises(AssertionError, match="opened 'no-such-group'"):
+        load_group("no-such-group")
 
 
 @pytest.mark.parametrize("fmt, expected", [

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 from fixtures import build_counterexample_gog, build_z2_z3, relabelled
+from test_defspace_dedup import permuted_group
 from vfree import defspace as ds
 from vfree import fingroup as fg
 from vfree import gogwords as gw
@@ -567,6 +568,77 @@ def test_semidirect_rejects_non_action():
     with pytest.raises(fg.GroupError):
         # an involution cannot generate a Z/3 action
         fg.build_semidirect(c, q, {"z": FX})
+
+
+def group_data(grp):
+    """Table, labels and generators in order: what two constructions of
+    one group must share."""
+    return grp.table, grp.labels, list(grp.generators.items())
+
+
+def semidirect_outcome(build, c, q, action):
+    """group_data of build(c, q, action), or the message it refuses with."""
+    try:
+        return group_data(build(c, q, action))
+    except fg.GroupError as exc:
+        return str(exc)
+
+
+def test_counterexample_factors_match_the_entry_oracle():
+    for q, action in ((fg.build_boolean_vectors(2, names=("x", "y")),
+                       {"x": FX, "y": FY}),
+                      (fg.build_cyclic(3, "z"), {"z": HZ})):
+        c = fg.build_boolean_vectors(4)
+        assert group_data(fg.build_semidirect(c, q, action)) == \
+            group_data(oc.semidirect_by_entries(c, q, action))
+
+
+def test_catalog_matches_the_entry_oracle(monkeypatch):
+    catalog = ds._catalog()
+    calls = []
+    monkeypatch.setattr(fg, "build_semidirect",
+                        lambda *args: calls.append(args) or
+                        oc.semidirect_by_entries(*args))
+    rebuilt = ds._catalog.__wrapped__()
+    assert len(calls) == 7  # four dihedral groups, three direct products
+    assert list(map(group_data, rebuilt)) == list(map(group_data, catalog))
+
+
+@settings(max_examples=80)
+@given(k=st.integers(1, 4), n=st.integers(1, 6),
+       kind=st.sampled_from(["matrix", "permutation", "identity"]),
+       q_name=st.sampled_from(["z", "s", "t", "e1"]),
+       seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_semidirect_matches_the_entry_oracle(k, n, kind, q_name, seed, data):
+    # (Z/2)^k ⋊ Z/n: a linear action builds when its order divides n, and
+    # any other is refused; so is a Z/n generator named like a basis
+    # vector.  Both factors may be renumbered, so neither identity is at 0.
+    c, q = fg.build_boolean_vectors(k), fg.build_cyclic(n, q_name)
+    if kind == "matrix":
+        rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=k,
+                                           max_size=k),
+                                  min_size=k, max_size=k))
+        try:
+            perm = fg.basis_matrix_perm(rows, k)
+        except fg.GroupError:
+            perm = tuple(range(1 << k))
+    elif kind == "permutation":
+        perm = tuple(data.draw(st.permutations(range(1 << k))))
+    else:
+        perm = tuple(range(1 << k))
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        c, sigma = permuted_group(c, rng)
+        moved = [0] * c.order
+        for x, y in enumerate(perm):
+            moved[sigma[x]] = sigma[y]
+        perm = tuple(moved)
+    if rng.random() < 0.5:
+        q = permuted_group(q, rng)[0]
+    action = {q_name: perm}
+    assert semidirect_outcome(fg.build_semidirect, c, q, action) == \
+        semidirect_outcome(oc.semidirect_by_entries, c, q, action)
 
 
 def test_conjugation_in_semidirect_recovers_action():

@@ -526,6 +526,27 @@ def test_experiment_walks_each_trial_once(monkeypatch):
     assert words(walked) == words(calls)
 
 
+def test_experiment_compiles_its_spec_once(monkeypatch):
+    # validate_walk_spec returns the plan it checked, and the experiment
+    # walks with it: one step table and one set of compiled picks.
+    counted = {"_step_table": 0, "_pick_records": 0}
+    for name in counted:
+        real = getattr(gen, name)
+
+        def counting(*args, name=name, real=real):
+            counted[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(gen, name, counting)
+    spec = letter_spec(SL2Z, 3, 5)
+    plan = gen.validate_walk_spec(SL2Z, spec)
+    assert plan == gen._walk_plan(SL2Z, spec)
+    counted.update(dict.fromkeys(counted, 0))
+    rows = gen.run_genericity_experiment(SL2Z, spec, [4, 8])
+    assert counted == {"_step_table": 1, "_pick_records": 1}
+    assert list(rows) == oc.experiment_by_rewalking(SL2Z, spec, [4, 8])
+
+
 @pytest.mark.parametrize("shares", [(1,), (1, 2), (1, 1, 2), (1, 2, 3),
                                     (1, 2, 4, 5), (1, 7918)],
                          ids=lambda shares: f"denom{sum(shares)}")
@@ -546,7 +567,8 @@ def test_walk_draws_the_randrange_stream(shares):
 
 @pytest.mark.parametrize("denom", [1, 255, 256, 7919])
 @settings(max_examples=8, deadline=None)
-@given(name=st.sampled_from(BUILTIN_GROUPS), seed=st.integers(0, 2**32 - 1),
+@given(name=st.sampled_from(list(BUILTIN_GROUPS)),
+       seed=st.integers(0, 2**32 - 1),
        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=4))
 def test_walk_kernel_matches_both_oracles(denom, name, seed, lengths):
     # The denominators sit on both sides of the byte tables' bound of 255.

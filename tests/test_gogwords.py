@@ -370,6 +370,37 @@ def test_reducer_matches_traversal_keyed_oracle(name, seed):
         reduction_error(oc.reduce_by_traversals, gog, start, bad, tail)
 
 
+@pytest.mark.parametrize("name", sorted(SEAM))
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_n_ary_product_is_the_left_nested_binary_product(name, seed):
+    # The first factor is a normal form; each later one is a raw path word
+    # or a normal form, from where the factors before it end.
+    gog = SEAM[name]
+    rng = random.Random(seed)
+    v = rng.choice(sorted(gog.vertices))
+    factors = []
+    for k in range(rng.randint(2, 5)):
+        steps, tail = random_raw_path(gog, rng, v, 6)
+        if k == 0 or rng.random() < 0.5:
+            factors.append(gw.path_normal_form(gog, v, steps, tail))
+        else:
+            factors.append(gw.NormalForm(v, tuple(steps), tail))
+        v = gog.far(steps[-1][1]) if steps else v
+    nested = factors[0]
+    for f in factors[1:]:
+        nested = gw.path_multiply(gog, nested, f)
+    assert gw.path_multiply(gog, *factors) == nested
+
+
+def test_n_ary_product_refuses_a_factor_that_does_not_compose():
+    a, b = nf(SL2Z, "a"), nf(SL2Z, "b")
+    off_base = gw.identity_nf(SL2Z, "vB")
+    for factors in ((a, b, off_base), (a, off_base, b)):
+        assert reduction_error(gw.path_multiply, SL2Z, *factors) == \
+            "paths are not composable"
+
+
 @pytest.mark.parametrize("name", ["sl2z", "counterexample", "z2z3"])
 def test_relabelled_tables_give_the_same_geometry(name):
     gog, moved = SEAM[name], SEAM[name + "-relabelled"]

@@ -174,14 +174,15 @@ def test_cli_imports_only_the_standard_library():
 
 def test_cli_start_up_loads_no_heavy_standard_modules():
     """Importing vfree.cli builds no class through dataclasses (which pulls
-    in inspect), and loading a builtin group does not go through
+    in inspect), and loading the builtin groups does not go through
     importlib.resources (which pulls in pathlib, tempfile and zipfile).
     The interpreter runs with -S, so no site .pth hook has loaded any of
     them first."""
     code = ("import json, sys\n"
             "before = set(sys.modules)\n"
             "import vfree.cli\n"
-            "vfree.cli.load_group('sl2z')\n"
+            "for name in vfree.cli.BUILTIN_GROUPS:\n"
+            "    vfree.cli.load_group(name)\n"
             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     src = str(Path(vfree.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-S", "-c", code],

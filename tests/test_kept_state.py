@@ -215,7 +215,7 @@ class KeptStateMachine(RuleBasedStateMachine):
 
     # -- groups and graphs
 
-    @rule(target=graphs, name=st.sampled_from(cli.BUILTIN_GROUPS))
+    @rule(target=graphs, name=st.sampled_from(list(cli.BUILTIN_GROUPS)))
     def load_builtin(self, name):
         self.builtin[name] = cli.load_group(name)
         return self.builtin[name]
