@@ -373,9 +373,9 @@ def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
         raise GogError("measure support must be nonempty")
     if len(spec.weights) != len(spec.support):
         raise GogError("one weight per support element is required")
-    picks = _pick_records(gog, spec.support)  # raises unless all are loops
-    # raises unless the weights are positive and sum to 1
-    plan = _walk_plan(gog, spec, picks)
+    # raises unless every pick is a loop, then unless the weights are
+    # positive and sum to 1
+    plan = _walk_plan(gog, spec)
     if spec.trials < 1:
         raise GogError("at least one trial is required")
     _check_generation(gog, spec.support)
@@ -494,16 +494,14 @@ def _walk_lengths(lengths: Sequence[int]) -> list[int]:
     return sorted(set(lengths))
 
 
-def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec,
-               picks: Optional[list] = None) -> tuple:
+def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
     """(seed, denom, cums, tables, picks): what _walk needs of a spec,
-    checked and built once for all of its trials; tables is
-    _byte_tables(denom, cums), or None when denom > 255, and picks is
-    _pick_records(gog, spec.support) unless the caller has it already."""
+    checked and built once for all of its trials, the picks before the
+    weights; tables is _byte_tables(denom, cums), or None when
+    denom > 255."""
+    picks = _pick_records(gog, spec.support)
     denom, cums = _step_table(spec)
     tables = _byte_tables(denom, cums) if denom <= 255 else None
-    if picks is None:
-        picks = _pick_records(gog, spec.support)
     return (spec.seed, denom, cums, tables, picks)
 
 

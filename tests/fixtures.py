@@ -52,8 +52,12 @@ def build_sl2z_gog() -> gw.GraphOfGroups:
 
 
 def build_z2_z3() -> gw.GraphOfGroups:
-    """Z/2 * Z/3 with generators s and t."""
-    return gw.build_free_product(fg.build_cyclic(2, "s"), fg.build_cyclic(3, "t"))
+    """Z/2 * Z/3 with generators s and t: the amalgam over the trivial
+    group c0, embedded at explicit identity indices."""
+    s, t = fg.build_cyclic(2, "s"), fg.build_cyclic(3, "t")
+    c = fg.build_cyclic(1, "c0")
+    return gw.build_amalgam(s, t, c, fg.GroupHom(c, s, (0,)),
+                            fg.GroupHom(c, t, (0,)))
 
 
 def build_s3_amalgam() -> gw.GraphOfGroups:

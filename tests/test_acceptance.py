@@ -15,7 +15,6 @@ import oracles as oc
 import tree_oracle as tro
 import vfree.bstree as bt
 import vfree.defspace as ds
-import vfree.fingroup as fg
 import vfree.folds as fo
 import vfree.genericity as gen
 import vfree.gogwords as gw
@@ -83,7 +82,7 @@ def test_criterion_3_word_problem_oracle_equivalence():
     # Closures two letters deeper than the words under test: at depth 8
     # the identifications on length-8 words are still incomplete, at
     # depth 10 the classes are exact (cross-checked against matrices).
-    z2z3 = gw.build_free_product(fg.build_cyclic(2, "s"), fg.build_cyclic(3, "t"))
+    z2z3 = gw.build_z2z3()
     jobs = [
         (SL2Z, oc.sl2z_closure(10), 8,
          {"a": "a", "A": "a^-1", "b": "b", "B": "b^-1"}, oc.sl2z_is_identity),
