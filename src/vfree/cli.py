@@ -415,12 +415,8 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         basis_a = {a.generator(n): i for i, n in enumerate(basis)}
         basis_b = {b.generator(n): i for i, n in enumerate(basis)}
 
-        def action(group, g, basis_idx):
-            perm = [0] * len(basis)
-            for elem, i in basis_idx.items():
-                img = group.mul(g, group.mul(elem, group.inv(g)))
-                perm[i] = basis_idx[img]
-            return tuple(perm)
+        def action(group, g, basis_idx):  # basis_idx lists the basis in order
+            return tuple(basis_idx[group.conj(g, e)] for e in basis_idx)
 
         fx = action(a, a.generator("x"), basis_a)
         fy = action(a, a.generator("y"), basis_a)

@@ -164,12 +164,7 @@ class FiniteGroup:
                     y = next(y for y in range(n) if xs_row[y] != row[ts[y]])
                     raise GroupError(f"associativity fails at ({x},{s},{y})")
             kept.append(s)
-            times_kept = _gather(kept)
-            frontier = closure
-            while frontier:
-                frontier = set(chain.from_iterable(
-                    map(times_kept, map(t.__getitem__, frontier)))) - closure
-                closure |= frontier
+            _close(self, closure, kept)
         if len(closure) != n:
             raise GroupError("declared generators do not generate the group")
 
@@ -354,6 +349,18 @@ def check_hom(h: GroupHom) -> HomReport:
     return HomReport("valid_iso" if bijective else "valid_hom")
 
 
+def _close(group: FiniteGroup, closure: set, gens: Sequence[int]) -> None:
+    """Close a set in place under right multiplication by gens, reading each
+    new element's row at gens in one _gather call.  The whole set is the
+    first frontier, so a set closed under some of gens grows from there."""
+    times = _gather(gens)
+    frontier = closure
+    while frontier:
+        frontier = set(chain.from_iterable(
+            map(times, map(group.table.__getitem__, frontier)))) - closure
+        closure |= frontier
+
+
 def _cayley_tree(group: FiniteGroup, gens: Sequence[int]
                  ) -> list[tuple[int, int, int]]:
     """The breadth-first spanning tree of <gens> in the right Cayley graph.
@@ -379,14 +386,15 @@ def _cayley_tree(group: FiniteGroup, gens: Sequence[int]
 
 
 def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """The subgroup generated by the given element indices: the nodes of
-    their Cayley tree."""
+    """The subgroup generated by the given element indices: the closure of
+    the identity under them (see _close)."""
     gens = list(gens)
     for g in gens:
         if not 0 <= g < group.order:
             raise GroupError(f"generator index {g} out of range")
-    nodes = [group.identity] + [y for _, _, y in _cayley_tree(group, gens)]
-    return Subgroup(group, tuple(sorted(nodes)))
+    closure = {group.identity}
+    _close(group, closure, gens)
+    return Subgroup(group, tuple(sorted(closure)))
 
 
 def conjugation_action(group: FiniteGroup, g: int, sub: Subgroup) -> GroupHom:
@@ -480,20 +488,20 @@ def _generating_sequence(group: FiniteGroup) -> list[int]:
     return chosen
 
 
-def _homs_by_images(src: FiniteGroup, tgt: FiniteGroup,
-                    injective: bool, surjective: bool) -> Iterator[GroupHom]:
-    """Every homomorphism src → tgt (injective or onto, if asked).
+def _homs_by_images(src: FiniteGroup, tgt: FiniteGroup) -> Iterator[GroupHom]:
+    """Every injective homomorphism src → tgt.
 
-    Images h_1, h_2, ... are picked in index order for the generating
-    sequence g_1, g_2, ...; each new h_k is spread over <g_1..g_k> along
-    that prefix's Cayley tree, and the branch is kept only if
-    φ(x·g_i) = φ(x)·h_i for every x in <g_1..g_k> and every i <= k, which
-    makes φ a homomorphism there (and, when injective, only if φ is
-    one-to-one there).
+    Images h_1, h_2, ..., each of the order of its g_k, are picked in index
+    order for the generating sequence g_1, g_2, ...; each new h_k is spread
+    over <g_1..g_k> along that prefix's Cayley tree, and the branch is kept
+    only if φ(x·g_i) = φ(x)·h_i for every x in <g_1..g_k> and every i <= k,
+    which makes φ a homomorphism there, and if φ is one-to-one there.
+    Between groups of equal order these are the isomorphisms.
     """
     gens = _generating_sequence(src)
-    src_orders = src.element_orders()
-    tgt_orders = tgt.element_orders()
+    orders = src.element_orders()
+    candidates = [[h for h, o in enumerate(tgt.element_orders())
+                   if o == orders[g]] for g in gens]
     table = tgt.table
     levels = []
     for k in range(1, len(gens) + 1):
@@ -513,21 +521,13 @@ def _homs_by_images(src: FiniteGroup, tgt: FiniteGroup,
         for x, i, y in edges:
             if phi[y] != table[phi[x]][images[i]]:
                 return False
-        return not injective or len({phi[x] for x in nodes}) == len(nodes)
+        return len({phi[x] for x in nodes}) == len(nodes)
 
     def rec(k: int) -> Iterator[GroupHom]:
         if k == len(gens):
-            if surjective and len(set(phi)) != tgt.order:
-                return
             yield GroupHom(src, tgt, tuple(phi))
             return
-        o = src_orders[gens[k]]
-        for h in range(tgt.order):
-            if injective:
-                if tgt_orders[h] != o:
-                    continue
-            elif o % tgt_orders[h] != 0:
-                continue
+        for h in candidates[k]:
             images.append(h)
             if consistent(k):
                 yield from rec(k + 1)
@@ -540,13 +540,13 @@ def all_monomorphisms(src: FiniteGroup, tgt: FiniteGroup) -> list[GroupHom]:
     """Every injective homomorphism src → tgt."""
     if tgt.order % src.order != 0:
         return []
-    return list(_homs_by_images(src, tgt, injective=True, surjective=False))
+    return list(_homs_by_images(src, tgt))
 
 
 def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup) -> Iterator[GroupHom]:
     if g1.order != g2.order or sorted(g1.element_orders()) != sorted(g2.element_orders()):
         return
-    yield from _homs_by_images(g1, g2, injective=True, surjective=True)
+    yield from _homs_by_images(g1, g2)
 
 
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup,
@@ -769,6 +769,8 @@ def basis_cycle_perm(spec: str, k: int) -> tuple[int, ...]:
                     raise GroupError("nested parentheses in cycle notation")
                 depth, cur, tok = 1, [], ""
             elif ch == ")":
+                if not depth:
+                    raise GroupError("unbalanced parentheses in cycle notation")
                 if tok:
                     cur.append(tok)
                     tok = ""

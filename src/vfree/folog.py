@@ -549,7 +549,9 @@ class _Parser:
     def take(self, expected=None):
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
-            raise FormulaError(f"expected {expected!r}, got {tok!r}")
+            got = "end of formula" if tok is None else repr(tok)
+            raise FormulaError("unexpected end of formula" if expected is None
+                               else f"expected {expected!r}, got {got}")
         self.pos += 1
         return tok
 

@@ -367,14 +367,8 @@ def _check_generation(gog: GraphOfGroups, support: Sequence[NormalForm]) -> None
 
 
 def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
-    """Check the whole spec, and return the walk plan it checked (see
-    _walk_plan), so an experiment compiles its spec once."""
-    if not spec.support:
-        raise GogError("measure support must be nonempty")
-    if len(spec.weights) != len(spec.support):
-        raise GogError("one weight per support element is required")
-    # raises unless every pick is a loop, then unless the weights are
-    # positive and sum to 1
+    """Check the whole spec: the checks of _walk_plan, then the trial count
+    and generation.  Returns the plan, so an experiment compiles it once."""
     plan = _walk_plan(gog, spec)
     if spec.trials < 1:
         raise GogError("at least one trial is required")
@@ -495,10 +489,15 @@ def _walk_lengths(lengths: Sequence[int]) -> list[int]:
 
 
 def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
-    """(seed, denom, cums, tables, picks): what _walk needs of a spec,
-    checked and built once for all of its trials, the picks before the
-    weights; tables is _byte_tables(denom, cums), or None when
-    denom > 255."""
+    """(seed, denom, cums, tables, picks): what _walk needs of a spec, built
+    once for all of its trials; tables is _byte_tables(denom, cums), or
+    None when denom > 255.  Checks, in order, all a walk depends on: a
+    nonempty support, one weight per support element, every pick a loop at
+    the base vertex, and positive weights that sum to 1."""
+    if not spec.support:
+        raise GogError("measure support must be nonempty")
+    if len(spec.weights) != len(spec.support):
+        raise GogError("one weight per support element is required")
     picks = _pick_records(gog, spec.support)
     denom, cums = _step_table(spec)
     tables = _byte_tables(denom, cums) if denom <= 255 else None
@@ -554,9 +553,9 @@ def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
 
     Steps multiply on the right; the walk of a shorter length is a prefix
     of the walk of a longer one at the same trial index, so an experiment
-    walks each trial once, to its longest length.  The spec is checked
-    only as far as the walk needs: every support element must be a loop
-    at the base vertex, and the weights must be positive and sum to 1."""
+    walks each trial once, to its longest length.  The spec is checked as
+    far as the walk needs, by the checks validate_walk_spec starts with
+    (see _walk_plan)."""
     (_, steps, tail), = _walk(gog, _walk_plan(gog, spec), trial,
                               _walk_lengths((length,)))
     return NormalForm(gog.base_vertex, tuple(steps), tail)

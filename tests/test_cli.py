@@ -334,6 +334,11 @@ def test_zero_power_of_a_bad_letter_exits_1(capsys, word, message):
     assert code == 0 and out == "1\n"
 
 
+def test_a_token_without_a_letter_exits_1(capsys):
+    assert run(capsys, "nf", "--group", "sl2z", "--word", "a ^3") == (
+        1, "", "vfree: malformed token '^3'\n")
+
+
 def test_defspace_commands(capsys):
     code, out, _ = run(capsys, "defspace", "reduced", "--group", "sl2z")
     assert code == 0
@@ -633,6 +638,12 @@ def test_emit_formula_command(capsys, tmp_path):
     assert "'n'" in err
 
 
+MU_PARAMS = {
+    "g": {"generators": 2, "relators": ["x1^4", "x2^6", "x1^2 x2^-3"]},
+    "u": {"generators": 1, "relators": ["y1^6"]},
+    "tests": ["x1^2"], "kill": ["y1^3"]}
+
+
 @pytest.mark.parametrize("argv, spec, message", [
     (["fold", "--target", "sl2z", "--source"], [1, 2],
      "marking JSON is not an object (got a list)"),
@@ -655,8 +666,18 @@ def test_emit_formula_command(capsys, tmp_path):
         "embedding": ["x1 x2"], "tests": ["x1^2"], "kill": ["y1^3"],
         "inner": {"kind": "text", "formula": "FREE x1 x2 . x1^x2 = 1"}},
      "vfree: malformed exponent in 'x1^x2'\n"),
+    (["emit-formula", "mu", "--params"],
+     {**MU_PARAMS, "embedding": ["x1 x2"], "inner": {"kind": "zz"}},
+     "vfree: unknown inner formula kind 'zz'\n"),
+    (["emit-formula", "mu", "--params"],
+     {**MU_PARAMS, "embedding": ["x1 x2"],
+      "inner": {"kind": "text", "formula": "(("}},
+     "vfree: unexpected end of formula\n"),
+    (["emit-formula", "theta", "--params"], {"orders": [4, 6, 8]},
+     "vfree: field 'orders' must list 2 orders (got 3)\n"),
 ], ids=["fold-list", "fold-words", "params-list", "theta-words",
-        "theta-relators", "delta-n", "theta-exponent", "mu-inner-exponent"])
+        "theta-relators", "delta-n", "theta-exponent", "mu-inner-exponent",
+        "mu-inner-kind", "mu-inner-end", "theta-three-orders"])
 def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
                                                      spec, message):
     path = tmp_path / "spec.json"
@@ -664,12 +685,6 @@ def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
     code, out, err = run(capsys, *argv, str(path))
     assert code == 1 and out == ""
     assert message in err
-
-
-MU_PARAMS = {
-    "g": {"generators": 2, "relators": ["x1^4", "x2^6", "x1^2 x2^-3"]},
-    "u": {"generators": 1, "relators": ["y1^6"]},
-    "tests": ["x1^2"], "kill": ["y1^3"]}
 
 
 @pytest.mark.parametrize("which, params, code, message", [
@@ -717,6 +732,17 @@ def test_unknown_group_names_the_option(capsys, tmp_path, option):
     assert err == (f"vfree: {option} 'nosuch' is neither a builtin group "
                    "(sl2z, counterexample, z2z3) nor a readable file (No "
                    "such file or directory)\n")
+
+
+def test_group_file_refuses_a_stray_parenthesis(capsys, tmp_path):
+    group = {"kind": "semidirect", "c": {"kind": "boolean", "k": 2},
+             "q": {"kind": "cyclic", "n": 2, "name": "t"},
+             "action": {"t": ")(e1 e2)"}}
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps({"vertices": [{"id": "v", "group": group}],
+                                "edges": [], "base": "v"}))
+    assert run(capsys, "group", "--group", str(path)) == (
+        1, "", "vfree: unbalanced parentheses in cycle notation\n")
 
 
 def file_option_argv(option: str, path: str, marking: str) -> list:

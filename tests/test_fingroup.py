@@ -239,6 +239,66 @@ def test_group_json_cycle_and_matrix_actions_agree():
     assert swap[0].conj(t, e1) == e2
 
 
+def acting(spec, c=V4):
+    """V4 (or c) ⋊ Z/2, with the generator t acting by spec."""
+    return {"kind": "semidirect", "c": c, "q": FLIP, "action": {"t": spec}}
+
+
+TWO = [[0, 1], [1, 0]]
+Z3 = {"kind": "cyclic", "n": 3}
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"kind": "table", "table": [], "generators": {}},
+     "empty multiplication table"),
+    ({"kind": "table", "table": [[0, 1], [1]], "generators": {"a": 1}},
+     "multiplication table is not square over 0..n-1"),
+    ({"kind": "table", "table": TWO, "generators": {"a": 1}, "labels": ["1"]},
+     "label list length does not match group order"),
+    ({"kind": "table", "table": TWO, "generators": {"a": 2}},
+     "generator 'a' index out of range"),
+    ({"kind": "free"}, "unknown group kind 'free'"),
+    ({"kind": "cyclic", "n": 0}, "cyclic group order must be positive"),
+    ({"kind": "boolean", "k": 0}, "need at least one basis vector"),
+    ({"kind": "boolean", "k": 2, "names": ["a"]},
+     "need one name per basis vector"),
+    ({"kind": "dicyclic", "n": 0}, "dicyclic parameter must be positive"),
+    ({"kind": "semidirect", "c": V4, "q": FLIP, "action": {}},
+     "action must be given on exactly Q's generators"),
+    ({"kind": "cyclic"}, "malformed group JSON: 'n'"),
+    ({"kind": "direct", "factors": [V4]},
+     "direct product needs at least two factors"),
+    (acting("((e1 e2))"), "nested parentheses in cycle notation"),
+    (acting("e1 (e2)"), "unexpected character 'e' in cycle notation"),
+    (acting("(e1 e2"), "unbalanced parentheses in cycle notation"),
+    (acting(")(e1 e2)"), "unbalanced parentheses in cycle notation"),
+    (acting("(e1 e2))"), "unbalanced parentheses in cycle notation"),
+    (acting(")"), "unbalanced parentheses in cycle notation"),
+    (acting("(e1 e1)"), "repeated basis vector in cycle notation"),
+    (acting("(x1 e2)"), "expected basis vector like e1, got 'x1'"),
+    (acting("(ex e2)"), "expected basis vector like e1, got 'ex'"),
+    (acting("(e1 e3)"), "basis vector 'e3' out of range for k=2"),
+    (acting([[1, 0]]), "need a 2×2 matrix"),
+    (acting("(e1 e2)", Z3), "cycle-notation actions need a (Z/2)^k factor"),
+    (acting([[1]], Z3), "matrix actions need a (Z/2)^k factor"),
+    (acting(5), "cannot interpret action['t'] = 5"),
+    ({"kind": "permutations", "perms": {}}, "need at least one permutation"),
+    ({"kind": "permutations", "perms": {"s": [0, 0]}},
+     "'s' is not a permutation of 0..1"),
+], ids=["empty-table", "ragged-table", "label-count", "generator-range",
+        "unknown-kind", "cyclic-order", "boolean-rank", "boolean-names",
+        "dicyclic-order", "action-keys", "missing-field", "direct-one-factor", "cycle-nested",
+        "cycle-stray-character", "cycle-unclosed", "cycle-stray-close-first",
+        "cycle-stray-close-last", "cycle-only-close", "cycle-repeated",
+        "cycle-bad-token", "cycle-bad-index", "cycle-out-of-range",
+        "matrix-shape", "cycle-not-boolean", "matrix-not-boolean",
+        "action-type", "perms-empty", "perms-not-permutation"])
+def test_group_json_refuses_malformed_groups(data, message):
+    with pytest.raises(fg.GroupError) as exc:
+        fg.group_from_json(data)
+    assert str(exc.value) == message
+
+
 def _accepts(table, gens):
     try:
         fg.FiniteGroup(table, gens)

@@ -286,6 +286,24 @@ def test_parse_rejections():
         parse("x & y")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("((", "unexpected end of formula"),
+    ("", "unexpected end of formula"),
+    ("(x = 1 AND", "unexpected end of formula"),
+    ("x ^", "unexpected end of formula"),
+    ("x =", "expected '1', got end of formula"),
+    ("(x = 1 AND y = 1", "expected ')', got end of formula"),
+    ("FREE x", "expected '.', got end of formula"),
+    ("x = 2", "expected '1', got '2'"),
+    ("x AND", "expected '=' or '~=', got 'AND'"),
+    ("(x = 1 y = 1)", "expected a connective, got 'y'"),
+])
+def test_parse_names_the_end_of_the_formula(text, message):
+    with pytest.raises(FormulaError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_malformed_exponents_are_named():
     with pytest.raises(FormulaError) as exc:
         word("x^a")

@@ -437,6 +437,49 @@ def test_sample_walk_refuses_weights_that_are_not_positive(weights):
         gen.sample_walk(SL2Z, gen.RandomWalkSpec(letters, weights, 1, 0), 4, 0)
 
 
+OFF_BASE = gw.NormalForm("vB", (), 1)
+
+
+def spec_of(support, weights, trials=1):
+    """A walk spec on SL2Z; words in the support are parsed."""
+    picks = tuple(gw.parse_word(SL2Z, w) if isinstance(w, str) else w
+                  for w in support)
+    return gen.RandomWalkSpec(picks, weights, trials, 0)
+
+
+@pytest.mark.parametrize("support, weights, message", [
+    ((), (), "measure support must be nonempty"),
+    (("a",), (1, 1), "one weight per support element is required"),
+    (("a", "b"), (1,), "one weight per support element is required"),
+    ((OFF_BASE,), (1,), "support elements must be loops at the base vertex"),
+    (("a", "b"), (2, -1), "weights must be positive"),
+    (("a", "b"), (1, 1), "weights must sum to 1"),
+], ids=["empty", "more-weights", "fewer-weights", "off-base", "negative",
+        "sum"])
+def test_walks_refuse_what_they_cannot_walk(support, weights, message):
+    # sample_walk and validate_walk_spec run the same checks (_walk_plan)
+    spec = spec_of(support, weights)
+    for walk_or_check in (lambda: gen.sample_walk(SL2Z, spec, 4, 0),
+                          lambda: gen.validate_walk_spec(SL2Z, spec)):
+        with pytest.raises(gw.GogError) as err:
+            walk_or_check()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("support, weights, trials, message", [
+    ((), (), 0, "measure support must be nonempty"),
+    ((OFF_BASE,), (1, 1), 1, "one weight per support element is required"),
+    ((OFF_BASE,), (2,), 1, "support elements must be loops at the base vertex"),
+    (("a", "b"), (2, -1), 0, "weights must be positive"),
+    (("a",), (1,), 0, "at least one trial is required"),
+], ids=["support-before-trials", "count-before-loops", "loops-before-weights",
+        "weights-before-trials", "trials-before-generation"])
+def test_walk_spec_checks_run_in_order(support, weights, trials, message):
+    with pytest.raises(gw.GogError) as err:
+        gen.validate_walk_spec(SL2Z, spec_of(support, weights, trials))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("length", [0, 1, 2])
 def test_sample_walk_refuses_a_support_that_is_not_a_loop(length):
     # One step from vA to vB, which is not a loop at the base vertex vA.

@@ -870,6 +870,41 @@ def test_gog_json_names_the_bad_field(path, bad, message):
     assert message in str(err.value)
 
 
+SL2Z_DATA = json.loads(SL2Z_JSON)
+VA, VB = SL2Z_DATA["vertices"]
+EDGE = SL2Z_DATA["edges"][0]
+VC = {"id": "vC", "group": {"kind": "cyclic", "n": 2, "name": "d"}}
+LOOP = {**EDGE, "id": "l", "ends": ["vA", "vA"], "maps": [{"c": "a a"}] * 2}
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"vertices": [VA, VB, VB]}, "duplicate vertex id 'vB'"),
+    ({"edges": [EDGE, EDGE]}, "duplicate edge id 'e'"),
+    ({"edges": [{**EDGE, "id": "vA"}], "tree": ["vA"]},
+     "edge id 'vA' collides with a vertex id"),
+    ({"tree": ["f"]}, "spanning tree edge 'f' is not an edge"),
+    ({"edges": [EDGE, LOOP], "tree": ["l"]},
+     "loop edge 'l' cannot lie in a spanning tree"),
+    ({"vertices": [VA, VB, VC], "edges": [EDGE, {**EDGE, "id": "f"}],
+      "tree": ["e", "f"]}, "spanning tree contains a cycle"),
+    ({"edges": [{**EDGE, "ends": ["vA"]}]},
+     "edge 'e' has bad endpoints ('vA',)"),
+    ({"edges": [{**EDGE, "maps": [{"d": "a a"}, {"c": "b b b"}]}]},
+     "injection names unknown generator 'd'"),
+    ({"edges": [{**EDGE, "maps": [{"c": "q"}, {"c": "b b b"}]}]},
+     "unknown generator 'q'"),
+    ({"edges": [{**EDGE, "maps": [{}, {"c": "b b b"}]}]},
+     "images must be given for exactly the declared generators"),
+], ids=["duplicate-vertex", "duplicate-edge", "edge-named-as-vertex",
+        "tree-names-no-edge", "tree-loop", "tree-cycle", "one-endpoint",
+        "injection-unknown-name", "injection-unknown-letter",
+        "injection-missing-name"])
+def test_gog_json_refuses_malformed_graphs(changes, message):
+    with pytest.raises(ValueError) as err:
+        gw.gog_from_json({**SL2Z_DATA, **changes})
+    assert str(err.value) == message
+
+
 def test_format_nf_is_readable():
     assert gw.format_nf(SL2Z, nf(SL2Z, "")) == "1"
     assert gw.format_nf(SL2Z, nf(SL2Z, "a b")) == "a e+ b e-"
