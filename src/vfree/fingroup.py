@@ -28,6 +28,8 @@ kept on that object, filled on first use, and goes when the object goes.
   keys are equal.  What it compiles at construction is not kept state.
 - functools.cache holds only plain values of its arguments (shapes, the
   CLI parser) and defspace's catalog, whose groups live for the process.
+- cli's builtin presentations live for the process too: load_group builds
+  each on its first call, so its graph and groups keep facts across calls.
 
 A kept fact never changes an answer: each call returns what it would
 with nothing kept.
@@ -920,20 +922,29 @@ def _action_perm(c: FiniteGroup, spec, where: str) -> tuple[int, ...]:
     index = bitmask), a k×k F₂ matrix, or an explicit permutation list.
     """
     if isinstance(spec, str):
-        k = c.order.bit_length() - 1
-        if 1 << k != c.order:
-            raise GroupError("cycle-notation actions need a (Z/2)^k factor")
-        return basis_cycle_perm(spec, k)
+        return basis_cycle_perm(spec, _bitmask_rank(c, "cycle-notation",
+                                                    where))
     if isinstance(spec, (list, tuple)):
         if spec and isinstance(spec[0], (list, tuple)):
-            k = c.order.bit_length() - 1
-            if 1 << k != c.order:
-                raise GroupError("matrix actions need a (Z/2)^k factor")
+            k = _bitmask_rank(c, "matrix", where)
             for i, row in enumerate(spec):
                 _typed_list(row, int, f"{where}[{i}]")
             return basis_matrix_perm(spec, k)
         return tuple(_typed_list(spec, int, where))
-    raise GroupError(f"cannot interpret {where} = {spec!r}")
+    raise GroupError(f"cannot interpret {where} = "
+                     f"{json.dumps(spec, default=repr)}")
+
+
+def _bitmask_rank(c: FiniteGroup, kind: str, where: str) -> int:
+    """k, when C is (Z/2)^k with index = bitmask (c.table[i][j] == i ^ j),
+    the only factor on which an action given over basis vectors is read;
+    otherwise a GroupError naming where and the kind of action."""
+    k = c.order.bit_length() - 1
+    if 1 << k != c.order or any(row != tuple(map(i.__xor__, range(c.order)))
+                                for i, row in enumerate(c.table)):
+        raise GroupError(f"{where} is a {kind} action, which needs a "
+                         "(Z/2)^k factor with index = bitmask")
+    return k
 
 
 def group_from_json(data) -> FiniteGroup:

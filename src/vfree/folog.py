@@ -546,12 +546,16 @@ class _Parser:
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
+    def got(self) -> str:
+        """The next token as an error names it."""
+        tok = self.peek()
+        return "end of formula" if tok is None else repr(tok)
+
     def take(self, expected=None):
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
-            got = "end of formula" if tok is None else repr(tok)
             raise FormulaError("unexpected end of formula" if expected is None
-                               else f"expected {expected!r}, got {got}")
+                               else f"expected {expected!r}, got {self.got()}")
         self.pos += 1
         return tok
 
@@ -583,7 +587,7 @@ class _Parser:
             self.take(")")
             return out
         if op not in ("AND", "OR"):
-            raise FormulaError(f"expected a connective, got {op!r}")
+            raise FormulaError(f"expected a connective, got {self.got()}")
         parts = [first]
         while self.peek() == op:
             self.take()

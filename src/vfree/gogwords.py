@@ -699,7 +699,8 @@ def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
             grp = group_from_json(e["group"])
             ends = tuple(_typed_list(e["ends"], str, f"{where}.ends"))
             if len(ends) != 2 or any(v not in vgroups for v in ends):
-                raise GogError(f"edge {eid!r} has bad endpoints {ends}")
+                raise GogError(f"edge {eid!r} has bad endpoints "
+                               f"{json.dumps(ends)}")
             maps = _typed(e["maps"], "a list", f"{where}.maps")
             if len(maps) != 2:
                 raise GogError(f"{where}.maps must list 2 injections "

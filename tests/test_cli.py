@@ -297,6 +297,24 @@ def test_builtin_equals_its_reference_build(name):
         json.dumps(gw.gog_to_json(REFERENCE_BUILDS[name]()))
 
 
+@pytest.mark.parametrize("name", list(BUILTIN_GROUPS))
+def test_a_builtin_is_built_once_per_process(name):
+    assert load_group(name) is load_group(name)
+    assert BUILTIN_GROUPS[name]() is not BUILTIN_GROUPS[name]()
+
+
+def test_a_group_file_is_read_on_every_load(tmp_path):
+    sl2z = gw.gog_to_json(load_group("sl2z"))
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(Z2Z3_JSON))
+    first = load_group(str(path))
+    path.write_text(json.dumps(sl2z))
+    second = load_group(str(path))
+    assert gw.gog_to_json(first) == Z2Z3_JSON
+    assert gw.gog_to_json(second) == sl2z
+    assert load_group(str(path)) is not second
+
+
 @pytest.mark.parametrize("name", list(BUILTIN_DIGESTS))
 def test_builtin_load_opens_no_file(monkeypatch, name):
     def refuse(path, *args, **kwargs):
@@ -305,6 +323,7 @@ def test_builtin_load_opens_no_file(monkeypatch, name):
     monkeypatch.setattr(builtins, "open", refuse)
     monkeypatch.setattr(io, "open", refuse)
     assert load_group(name).base_vertex == "vA"
+    assert BUILTIN_GROUPS[name]().base_vertex == "vA"   # a build, not a reuse
     with pytest.raises(AssertionError, match="opened 'no-such-group'"):
         load_group("no-such-group")
 
@@ -743,6 +762,18 @@ def test_group_file_refuses_a_stray_parenthesis(capsys, tmp_path):
                                 "edges": [], "base": "v"}))
     assert run(capsys, "group", "--group", str(path)) == (
         1, "", "vfree: unbalanced parentheses in cycle notation\n")
+
+
+def test_group_file_refuses_a_matrix_action_on_z4(capsys, tmp_path):
+    # Z/4 has order 2^2, but its indices are not bitmasks, so a matrix over
+    # F₂ does not act on it.
+    path = one_vertex_file(tmp_path, {
+        "kind": "semidirect", "c": {"kind": "cyclic", "n": 4},
+        "q": {"kind": "cyclic", "n": 2, "name": "t"},
+        "action": {"t": [[1, 0], [1, 1]]}})
+    assert run(capsys, "group", "--group", path) == (
+        1, "", "vfree: action['t'] is a matrix action, which needs a (Z/2)^k "
+        "factor with index = bitmask\n")
 
 
 def file_option_argv(option: str, path: str, marking: str) -> list:

@@ -246,6 +246,7 @@ def acting(spec, c=V4):
 
 TWO = [[0, 1], [1, 0]]
 Z3 = {"kind": "cyclic", "n": 3}
+Z4 = {"kind": "cyclic", "n": 4}
 
 
 @pytest.mark.parametrize("data,message", [
@@ -279,9 +280,17 @@ Z3 = {"kind": "cyclic", "n": 3}
     (acting("(ex e2)"), "expected basis vector like e1, got 'ex'"),
     (acting("(e1 e3)"), "basis vector 'e3' out of range for k=2"),
     (acting([[1, 0]]), "need a 2×2 matrix"),
-    (acting("(e1 e2)", Z3), "cycle-notation actions need a (Z/2)^k factor"),
-    (acting([[1]], Z3), "matrix actions need a (Z/2)^k factor"),
+    (acting("(e1 e2)", Z3), "action['t'] is a cycle-notation action, which "
+     "needs a (Z/2)^k factor with index = bitmask"),
+    (acting([[1]], Z3), "action['t'] is a matrix action, which needs a "
+     "(Z/2)^k factor with index = bitmask"),
+    (acting("(e1 e2)", Z4), "action['t'] is a cycle-notation action, which "
+     "needs a (Z/2)^k factor with index = bitmask"),
+    (acting([[1, 0], [1, 1]], Z4), "action['t'] is a matrix action, which "
+     "needs a (Z/2)^k factor with index = bitmask"),
     (acting(5), "cannot interpret action['t'] = 5"),
+    (acting(None), "cannot interpret action['t'] = null"),
+    (acting({"e1": "e2"}), "cannot interpret action['t'] = " '{"e1": "e2"}'),
     ({"kind": "permutations", "perms": {}}, "need at least one permutation"),
     ({"kind": "permutations", "perms": {"s": [0, 0]}},
      "'s' is not a permutation of 0..1"),
@@ -292,7 +301,9 @@ Z3 = {"kind": "cyclic", "n": 3}
         "cycle-stray-close-last", "cycle-only-close", "cycle-repeated",
         "cycle-bad-token", "cycle-bad-index", "cycle-out-of-range",
         "matrix-shape", "cycle-not-boolean", "matrix-not-boolean",
-        "action-type", "perms-empty", "perms-not-permutation"])
+        "cycle-order-4-cyclic", "matrix-order-4-cyclic", "action-type",
+        "action-null", "action-object", "perms-empty",
+        "perms-not-permutation"])
 def test_group_json_refuses_malformed_groups(data, message):
     with pytest.raises(fg.GroupError) as exc:
         fg.group_from_json(data)

@@ -297,6 +297,7 @@ def test_parse_rejections():
     ("x = 2", "expected '1', got '2'"),
     ("x AND", "expected '=' or '~=', got 'AND'"),
     ("(x = 1 y = 1)", "expected a connective, got 'y'"),
+    ("(x = 1", "expected a connective, got end of formula"),
 ])
 def test_parse_names_the_end_of_the_formula(text, message):
     with pytest.raises(FormulaError) as exc:

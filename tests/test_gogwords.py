@@ -888,7 +888,7 @@ LOOP = {**EDGE, "id": "l", "ends": ["vA", "vA"], "maps": [{"c": "a a"}] * 2}
     ({"vertices": [VA, VB, VC], "edges": [EDGE, {**EDGE, "id": "f"}],
       "tree": ["e", "f"]}, "spanning tree contains a cycle"),
     ({"edges": [{**EDGE, "ends": ["vA"]}]},
-     "edge 'e' has bad endpoints ('vA',)"),
+     "edge 'e' has bad endpoints " '["vA"]'),
     ({"edges": [{**EDGE, "maps": [{"d": "a a"}, {"c": "b b b"}]}]},
      "injection names unknown generator 'd'"),
     ({"edges": [{**EDGE, "maps": [{"c": "q"}, {"c": "b b b"}]}]},
