@@ -90,7 +90,7 @@ from .gogwords import (
 BUILTIN_GROUPS = {"sl2z": build_sl2z, "counterexample": build_counterexample,
                   "z2z3": build_z2z3}
 """The presentations named anywhere a group is read, each built by its
-constructor on the first load in a process (see load_group)."""
+constructor on every load."""
 
 WALK_STEP_CAP = 10**6
 """The most work `walk` accepts: --trials × Σ(n + 1) over the --lengths
@@ -104,25 +104,15 @@ sl2z with word "a b", 1,000 periods (2,000 steps) print 10 MB."""
 
 
 def load_group(spec: str, field: str = "--group") -> GraphOfGroups:
-    """A graph of groups from a builtin name or a JSON file path; field
-    names the option that gave spec, for the error when it is neither.
-
-    A builtin is built on its first load and the same graph returned on
-    every later one in the process; a file is read and built on every
-    call, since it may change between calls."""
-    if spec in BUILTIN_GROUPS:
-        return _builtin(spec)
+    """A new graph of groups from a builtin name or a JSON file path;
+    field names the option that gave spec, for the error when it is
+    neither."""
+    build = BUILTIN_GROUPS.get(spec)
+    if build is not None:
+        return build()
     return gog_from_json(_load_json(
         spec, field, f"neither a builtin group ({', '.join(BUILTIN_GROUPS)}) "
         "nor a readable file"))
-
-
-@functools.cache
-def _builtin(name: str) -> GraphOfGroups:
-    """The builtin presentation name, built once per process: what a graph
-    keeps never changes an answer (see the fingroup module docstring), so
-    every load may share it."""
-    return BUILTIN_GROUPS[name]()
 
 
 def _load_json(path: str, field: str,

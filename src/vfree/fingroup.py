@@ -28,8 +28,6 @@ kept on that object, filled on first use, and goes when the object goes.
   keys are equal.  What it compiles at construction is not kept state.
 - functools.cache holds only plain values of its arguments (shapes, the
   CLI parser) and defspace's catalog, whose groups live for the process.
-- cli's builtin presentations live for the process too: load_group builds
-  each on its first call, so its graph and groups keep facts across calls.
 
 A kept fact never changes an answer: each call returns what it would
 with nothing kept.
@@ -74,12 +72,16 @@ class FiniteGroup:
 
     table[i][j] is the index of the product (element i) * (element j).
     generators maps generator names to element indices and must generate
-    the whole group. Associativity is checked exactly at every order, in
-    O(n² log n) table lookups (see _check_group_axioms). Validation works
-    a row at a time in C: the identity row and each inverse are found by
-    tuple.index, and Light's test composes two rows with one itemgetter
-    call and compares the result as a tuple.  Entries are scanned one by
-    one only to name the witness of a failure.
+    the whole group. The constructor validates the table: associativity
+    is checked exactly at every order, in O(n² log n) table lookups (see
+    _check_group_axioms). Validation works a row at a time in C: the
+    identity row and each inverse are found by tuple.index, and Light's
+    test composes two rows with one itemgetter call and compares the
+    result as a tuple.  Entries are scanned one by one only to name the
+    witness of a failure.  The constructors in this module, whose tables
+    are groups by construction, build through _built and skip the square
+    and axiom checks; tests run every one of them through the validating
+    constructor.
 
     Derived facts are kept in _facts and _injections (see the module
     docstring).
@@ -91,13 +93,34 @@ class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]],
                  generators: dict[str, int],
                  labels: Optional[Sequence[str]] = None):
-        self.table = t = tuple(map(tuple, table))
-        self.order = len(t)
-        if self.order == 0:
+        t = tuple(map(tuple, table))
+        if not t:
             raise GroupError("empty multiplication table")
-        if set(map(len, t)) != {self.order} or min(map(min, t)) < 0 \
-                or max(map(max, t)) >= self.order:
+        if set(map(len, t)) != {len(t)} or min(map(min, t)) < 0 \
+                or max(map(max, t)) >= len(t):
             raise GroupError("multiplication table is not square over 0..n-1")
+        self._fill(t, generators, labels)
+        self._check_group_axioms()
+
+    @classmethod
+    def _built(cls, table: Sequence[Sequence[int]],
+               generators: dict[str, int],
+               labels: Sequence[str]) -> FiniteGroup:
+        """The group a constructor in this module made: its table is a
+        group and its generators generate it by construction, so neither
+        the square check nor Light's test runs."""
+        group = cls.__new__(cls)
+        group._fill(tuple(map(tuple, table)), generators, labels)
+        return group
+
+    def _fill(self, t: tuple[tuple[int, ...], ...],
+              generators: dict[str, int],
+              labels: Optional[Sequence[str]]) -> None:
+        """Set every slot from the square table t; a GroupError when t
+        has no identity, an element has no inverse or the labels do not
+        fit."""
+        self.table = t
+        self.order = len(t)
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
         self.generators = dict(generators)
@@ -107,7 +130,6 @@ class FiniteGroup:
             raise GroupError("label list length does not match group order")
         self.labels = tuple(labels)
         self._facts, self._injections = {}, weakref.WeakKeyDictionary()
-        self._check_group_axioms()
 
     def _find_identity(self) -> int:
         """The two-sided identity: the first row that is the identity
@@ -569,7 +591,7 @@ def build_cyclic(n: int, name: str = "g") -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["1"] + [name if k == 1 else f"{name}^{k}" for k in range(1, n)]
     gens = {name: 1 % n} if n > 1 else {name: 0}
-    return FiniteGroup(table, gens, labels)
+    return FiniteGroup._built(table, gens, labels)
 
 
 def build_boolean_vectors(k: int, names: Optional[Sequence[str]] = None
@@ -587,12 +609,14 @@ def build_boolean_vectors(k: int, names: Optional[Sequence[str]] = None
         names = [f"e{j}" for j in range(1, k + 1)]
     if len(names) != k:
         raise GroupError("need one name per basis vector")
+    if len(set(names)) != k:
+        raise GroupError("basis vector names must be distinct")
     labels = []
     for v in range(n):
         parts = [names[j] for j in range(k) if v >> j & 1]
         labels.append("+".join(parts) if parts else "1")
     gens = {names[j]: 1 << j for j in range(k)}
-    return FiniteGroup(table, gens, labels)
+    return FiniteGroup._built(table, gens, labels)
 
 
 def _is_automorphism_perm(group: FiniteGroup, perm: Sequence[int]) -> bool:
@@ -645,7 +669,7 @@ def build_semidirect(c: FiniteGroup, q: FiniteGroup,
               else f"{lc}·{lq}"
               for ci, lc in enumerate(c.labels)
               for qi, lq in enumerate(q.labels)]
-    return FiniteGroup(table, gens, labels)
+    return FiniteGroup._built(table, gens, labels)
 
 
 def build_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -679,7 +703,8 @@ def build_dicyclic(n: int) -> FiniteGroup:
         for k in range(m):
             base = "1" if k == 0 else ("a" if k == 1 else f"a^{k}")
             labels.append(base if j == 0 else ("b" if k == 0 else f"{base}·b"))
-    return FiniteGroup(table, {"a": idx(1, 0), "b": idx(0, 1)}, labels)
+    return FiniteGroup._built(table, {"a": idx(1, 0), "b": idx(0, 1)},
+                              labels)
 
 
 def group_from_permutations(perms: dict[str, Sequence[int]]) -> FiniteGroup:
@@ -727,7 +752,7 @@ def group_from_permutations(perms: dict[str, Sequence[int]]) -> FiniteGroup:
                        for b in elts)))
     labels = [cycle_notation(p) for p in elts]
     gens = {name: pos[p] for name, p in items.items()}
-    return FiniteGroup(table, gens, labels)
+    return FiniteGroup._built(table, gens, labels)
 
 
 def cycle_notation(perm: Sequence[int], point_names: Optional[Sequence[str]] = None

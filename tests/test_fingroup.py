@@ -263,6 +263,8 @@ Z4 = {"kind": "cyclic", "n": 4}
     ({"kind": "boolean", "k": 0}, "need at least one basis vector"),
     ({"kind": "boolean", "k": 2, "names": ["a"]},
      "need one name per basis vector"),
+    ({"kind": "boolean", "k": 2, "names": ["a", "a"]},
+     "basis vector names must be distinct"),
     ({"kind": "dicyclic", "n": 0}, "dicyclic parameter must be positive"),
     ({"kind": "semidirect", "c": V4, "q": FLIP, "action": {}},
      "action must be given on exactly Q's generators"),
@@ -296,6 +298,7 @@ Z4 = {"kind": "cyclic", "n": 4}
      "'s' is not a permutation of 0..1"),
 ], ids=["empty-table", "ragged-table", "label-count", "generator-range",
         "unknown-kind", "cyclic-order", "boolean-rank", "boolean-names",
+        "boolean-names-repeated",
         "dicyclic-order", "action-keys", "missing-field", "direct-one-factor", "cycle-nested",
         "cycle-stray-character", "cycle-unclosed", "cycle-stray-close-first",
         "cycle-stray-close-last", "cycle-only-close", "cycle-repeated",
@@ -411,6 +414,38 @@ def test_random_tables_are_closed_groups():
         p = fg.build_direct_product(g, h)
         assert p.order == g.order * h.order
         assert p.identity == 0
+
+
+def revalidated(group):
+    """identity and inverses of group's table and generators run through
+    the validating constructor, which the module's constructors skip."""
+    checked = fg.FiniteGroup(group.table, group.generators, group.labels)
+    return checked.identity, checked.inverses
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: fg.build_cyclic(n, "c") for n in range(1, 13)),
+    *(lambda k=k: fg.build_boolean_vectors(k) for k in range(1, 7)),
+    *(lambda n=n: fg.build_dicyclic(n) for n in range(1, 9)),
+    lambda: fg.build_direct_product(fg.build_cyclic(4, "c"),
+                                    fg.build_dicyclic(6)),
+    lambda: fg.group_from_permutations({"p": (1, 2, 3, 4, 0),
+                                        "q": (1, 0, 2, 3, 4)}),
+], ids=[*(f"cyclic-{n}" for n in range(1, 13)),
+        *(f"boolean-{k}" for k in range(1, 7)),
+        *(f"dicyclic-{n}" for n in range(1, 9)), "direct-96", "s5"])
+def test_constructor_tables_pass_validation(build):
+    group = build()
+    assert (group.identity, group.inverses) == revalidated(group)
+
+
+def test_builtin_and_catalog_groups_pass_validation():
+    groups = list(ds._catalog())
+    for gog in (gw.build_sl2z(), gw.build_counterexample(), gw.build_z2z3()):
+        groups += [*gog.vertices.values(),
+                   *(e.group for e in gog.edges.values())]
+    for group in groups:
+        assert (group.identity, group.inverses) == revalidated(group)
 
 
 # -- row operations against the entry-by-entry oracles ------------------------
@@ -537,6 +572,7 @@ def test_permutation_group_matches_the_tuple_closure(data):
     assert g.table == tuple(map(tuple, table))
     assert g.labels == tuple(map(fg.cycle_notation, elts))
     assert g.generators == {name: elts.index(p) for name, p in perms.items()}
+    assert (g.identity, g.inverses) == revalidated(g)
 
 
 # -- cycle notation and basis permutations -----------------------------------

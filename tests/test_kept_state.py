@@ -14,10 +14,8 @@ functools.cache in the package must be known to it.
 """
 
 import ast
-import contextlib
 import copy
 import gc
-import io
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -46,13 +44,8 @@ BUILT_SLOTS = {fg.FiniteGroup: ("table", "order", "identity", "inverses",
 """The slots set at construction and never changed after it."""
 
 CACHES = (ds._shape_ends, ds._shape_tree, ds._canonical_shapes, cli._parser)
-"""Every functools.cache in the package but those in PROCESS_CACHES;
-forget_kept_state clears each."""
-
-PROCESS_CACHES = (ds._catalog, cli._builtin)
-"""The functools.caches whose groups and graphs live for the process:
-defspace's catalog and the builtin presentations.  forget_kept_state
-empties their kept slots but keeps them."""
+"""Every functools.cache in the package but ds._catalog; forget_kept_state
+clears each."""
 
 
 def live_holders():
@@ -72,12 +65,11 @@ def forget_kept_state(holders=None):
     does not keep is reachable afterwards only through CACHES or the
     kept slots of objects older than the call, which this empties.
 
-    PROCESS_CACHES are not cleared.  Callers hold the catalog's groups
-    (small_groups returns them, and enumerated graphs are built on them),
-    and a second catalog would leave those groups outside it, so that
-    _mono_facts would keep their facts elsewhere; callers hold the
-    builtin graphs load_group returned.  The kept slots of those groups
-    and graphs are emptied like those of any other."""
+    ds._catalog is not cleared: callers hold its groups (small_groups
+    returns them, and enumerated graphs are built on them), and a second
+    catalog would leave those groups outside it, so that _mono_facts
+    would keep their facts elsewhere.  Its groups' kept slots are
+    emptied like those of any other group."""
     for obj in live_holders() if holders is None else holders:
         for slot in KEPT_SLOTS[type(obj)]:   # unset if __init__ raised
             getattr(obj, slot, {}).clear()
@@ -368,7 +360,7 @@ def test_forget_kept_state_knows_every_slot_and_cache():
     sources = {f"vfree.{path.stem}": path.read_text() for path in
                sorted(Path(vfree.__file__).parent.glob("*.py"))}
     assert package_caches(sources) == sorted(
-        f"{fn.__module__}.{fn.__name__}" for fn in CACHES + PROCESS_CACHES)
+        f"{fn.__module__}.{fn.__name__}" for fn in CACHES + (ds._catalog,))
 
     # Fill every kept slot and cache, checking that no built slot changes.
     gog = renumbered(cli.load_group("sl2z"), random.Random(1))
@@ -387,40 +379,6 @@ def test_forget_kept_state_knows_every_slot_and_cache():
 
     forget_kept_state()
     assert all(fn.cache_info().currsize == 0 for fn in CACHES)
-    builtin = cli.load_group("sl2z")
-    for obj in [gog, *gog.vertices.values(), *ds._catalog(),
-                builtin, *builtin.vertices.values()]:
+    for obj in [gog, *gog.vertices.values(), *ds._catalog()]:
         for slot in KEPT_SLOTS[type(obj)]:
             assert len(getattr(obj, slot)) == 0
-
-
-# -- a builtin shared by every load keeps a bounded set of facts
-
-
-def builtin_fact_count():
-    """Entries kept by the builtin graphs and by their groups, once
-    garbage the calls left (weak _injections keys among it) is freed."""
-    gc.collect()
-    count = 0
-    for name in cli.BUILTIN_GROUPS:
-        gog = cli.load_group(name)
-        groups = {*gog.vertices.values(),
-                  *(e.group for e in gog.edges.values())}
-        count += len(gog._facts) + sum(len(grp._facts) + len(grp._injections)
-                                       for grp in groups)
-    return count
-
-
-def test_repeated_commands_keep_no_more_facts_on_the_builtins():
-    calls = [["verify", "sl2z"], ["verify", "counterexample"],
-             *(["defspace", "reduced", "--group", name]
-               for name in cli.BUILTIN_GROUPS),
-             ["defspace", "expand", "--group", "sl2z", "--depth", "1"]]
-    counts = []
-    for rounds in (1, 4):   # counted after the first round and the fifth
-        for _ in range(rounds):
-            for argv in calls:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.main(argv) == 0
-        counts.append(builtin_fact_count())
-    assert counts[0] == counts[1] > 0
