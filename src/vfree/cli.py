@@ -50,6 +50,7 @@ from .fingroup import (
 from .folds import fold_sequence, identity_marking, marked_rose_for_basis
 from .folog import (
     SL2Z_RELATORS,
+    _check_generator_count,
     classify as classify_formula,
     emit_delta_related,
     emit_mu,
@@ -678,6 +679,7 @@ def _delta_formula(spec: dict, prefix: str):
     """The delta formula of a JSON object with fields n and blocks, named
     prefix + field in errors."""
     n = _typed(spec["n"], "an integer", f"field {prefix + 'n'!r}")
+    _check_generator_count(f"field {prefix + 'n'!r}", n)
     blocks = [_typed_list(b, str, f"{prefix}blocks[{i}]") for i, b in
               enumerate(_list_field(spec, "blocks", list, prefix + "blocks"))]
     return emit_delta_related(n, blocks)
@@ -696,9 +698,10 @@ def _inner_formula(params: dict):
 
 def _presentation(params: dict, key: str) -> tuple:
     spec = _typed(params[key], "an object", f"field {key!r}")
-    return (_typed(spec["generators"], "an integer",
-                   f"field '{key}.generators'"),
-            _list_field(spec, "relators", str, f"{key}.relators"))
+    count = _typed(spec["generators"], "an integer",
+                   f"field '{key}.generators'")
+    _check_generator_count(f"field '{key}.generators'", count)
+    return count, _list_field(spec, "relators", str, f"{key}.relators")
 
 
 def cmd_emit_formula(args) -> int:

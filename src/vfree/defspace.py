@@ -208,7 +208,7 @@ def _apply_collapse(gog: GraphOfGroups, move: DeformationMove):
     vertices = [(vid, grp) for vid, grp in gog.vertices.items() if vid != v]
     base = w if gog.base_vertex == v else gog.base_vertex
     tree = gog.spanning_tree - {eid}
-    result = GraphOfGroups(vertices, new_edges, base, tree)
+    result = GraphOfGroups._built(vertices, new_edges, base, tree)
 
     word_map = {}
     for vid in gog.vertices:
@@ -274,7 +274,7 @@ def _apply_expansion(gog: GraphOfGroups, move: DeformationMove):
 
     vertices = list(gog.vertices.items()) + [(x, local)]
     tree = set(gog.spanning_tree) | {new_eid}
-    result = GraphOfGroups(vertices, new_edges, gog.base_vertex, tree)
+    result = GraphOfGroups._built(vertices, new_edges, gog.base_vertex, tree)
     if not is_minimal(result):
         raise GogError("expansion creates a dangling vertex "
                        "(non-minimal splitting)")
@@ -523,7 +523,7 @@ def _candidate_graph(shape, vgroups, egroups, monos) -> GraphOfGroups:
     edges = [Edge(f"e{k}", egrp, (f"v{i}", f"v{j}"), (mi, mj))
              for k, ((i, j), egrp, (mi, mj))
              in enumerate(zip(shape, egroups, monos))]
-    return GraphOfGroups(vertices, edges, "v0", _shape_tree(shape))
+    return GraphOfGroups._built(vertices, edges, "v0", _shape_tree(shape))
 
 
 def _check_range(name: str, value: int, low: int, high: int,

@@ -18,10 +18,7 @@ kept on that object, filled on first use, and goes when the object goes.
   ("stats", "class", and under (c, x) those of the monomorphisms c → x,
   kept on x, or on c when x is a catalog group, so that a catalog group
   holds only catalog groups; their GroupHom values refer to c, so weak
-  keys would not free it).  In _injections it keeps the mappings from
-  another group checked to be injective homomorphisms into it, weakly
-  keyed by that group: a strong key would keep every edge group ever
-  checked into a catalog group alive for the process.
+  keys would not free it).
 - A GraphOfGroups keeps in _facts the tree path between two vertices
   under (u, w), the Whitehead frame of an orbit under the orbit, and
   each compiled walk pick under its reduced (steps, tail); no two such
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -83,12 +79,11 @@ class FiniteGroup:
     and axiom checks; tests run every one of them through the validating
     constructor.
 
-    Derived facts are kept in _facts and _injections (see the module
-    docstring).
+    Derived facts are kept in _facts (see the module docstring).
     """
 
     __slots__ = ("table", "order", "identity", "inverses", "generators",
-                 "labels", "_facts", "_injections", "__weakref__")
+                 "labels", "_facts")
 
     def __init__(self, table: Sequence[Sequence[int]],
                  generators: dict[str, int],
@@ -129,7 +124,7 @@ class FiniteGroup:
         if len(labels) != self.order:
             raise GroupError("label list length does not match group order")
         self.labels = tuple(labels)
-        self._facts, self._injections = {}, weakref.WeakKeyDictionary()
+        self._facts = {}
 
     def _find_identity(self) -> int:
         """The two-sided identity: the first row that is the identity
@@ -280,16 +275,23 @@ class Subgroup(NamedTuple):
         """Realize the subgroup as a standalone FiniteGroup.
 
         Returns (group, embed) where embed maps local indices back to
-        indices in the parent group. Local index 0 is the identity.
+        indices in the parent group. Local index 0 is the identity.  It
+        is built unchecked (_built): any set but a subgroup raises here.
         """
         elts = sorted(self.elements, key=lambda i: i != self.group.identity)
+        if not elts:
+            raise GroupError("empty multiplication table")
         pos = {e: k for k, e in enumerate(elts)}
         times = _gather(elts)
-        table = [list(map(pos.__getitem__, times(self.group.table[a])))
-                 for a in elts]
+        try:
+            table = [list(map(pos.__getitem__, times(self.group.table[a])))
+                     for a in elts]
+        except KeyError:
+            raise GroupError(f"elements {list(self.elements)} are not closed "
+                             "under the group product") from None
         labels = [self.group.label(e) for e in elts]
         gens = {f"s{k}": k for k in range(1, len(elts))} or {"s0": 0}
-        sub = FiniteGroup(table, gens, labels)
+        sub = FiniteGroup._built(table, gens, labels)
         return sub, {k: e for k, e in enumerate(elts)}
 
 

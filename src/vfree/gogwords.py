@@ -37,11 +37,10 @@ allocate nothing per step beyond the steps they keep.  Random walks
 reduce each pick through it once, when the pick is compiled, and after
 that read the pick's compiled positions (see genericity._walk).
 
-Compiling reads the coset data of each edge image and the injection
-checks from the vertex groups, and tree paths are filled on first use:
-all of it is kept as the rule in the fingroup module docstring says, so
-the enumeration, which builds its kept graphs again on every query over
-the same catalog groups, computes neither twice.
+The constructor checks a graph from outside in full; one the library
+builds from checked parts (an enumerated splitting, a collapse, an
+expansion) is only compiled, through GraphOfGroups._built.  Compiling
+reads each edge image's coset data kept on its vertex group.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from .fingroup import (
     FiniteGroup,
     GroupHom,
-    _field,
     _typed,
     _typed_list,
     basis_cycle_perm,
@@ -131,9 +129,9 @@ class GraphOfGroups:
     interned reverse traversal, push and pinch tables, the far vertex's
     multiplication table, the coset transversal at the near vertex), and
     for each vertex the spanning-tree traversals from the base to it;
-    products reduce in place through the records.  An injection already
-    checked into its group is not checked again, and what the graph
-    fills on first use is kept in _facts (see the fingroup module
+    products reduce in place through the records.  A graph the library
+    builds from checked parts skips the checks (_built), and what the
+    graph fills on first use is kept in _facts (see the fingroup module
     docstring).
     """
 
@@ -165,13 +163,37 @@ class GraphOfGroups:
                 hom = e.inj[k]
                 if hom.source is not e.group or hom.target is not self.vertices[e.ends[k]]:
                     raise GogError(f"edge {e.id!r} injection {k} connects wrong groups")
-                if not _is_monomorphism(hom):
+                if not hom.is_injective() or check_hom(hom).status == "invalid":
                     raise GogError(f"edge {e.id!r} injection {k} is not a monomorphism")
             self.edges[e.id] = e
 
         self.spanning_tree = frozenset(spanning_tree)
-        self._validate_graph()
+        if len(self.spanning_tree) != len(self.vertices) - 1:
+            raise GogError("spanning tree must have (vertex count - 1) edges")
+        for eid in self.spanning_tree:
+            if eid not in self.edges:
+                raise GogError(f"spanning tree edge {eid!r} is not an edge")
+            if self.edges[eid].ends[0] == self.edges[eid].ends[1]:
+                raise GogError(f"loop edge {eid!r} cannot lie in a spanning tree")
+        # (vertex count - 1) edges without a cycle connect every vertex, so
+        # this check also rules out a disconnected underlying graph.
+        tree_ends = [self.edges[eid].ends for eid in self.spanning_tree]
+        if _spanning_forest(self.vertices, tree_ends)[1] != 1:
+            raise GogError("spanning tree contains a cycle")
+        self._compile()
 
+    @classmethod
+    def _built(cls, vertices: Iterable[tuple[str, FiniteGroup]], edges: Iterable[Edge],
+               base_vertex: str, spanning_tree: Iterable[str]) -> GraphOfGroups:
+        """A graph built from checked parts: its ids, injections and tree
+        are sound by construction, so it is compiled but not checked."""
+        gog = cls.__new__(cls)
+        gog.vertices, gog.edges = dict(vertices), {e.id: e for e in edges}
+        gog.base_vertex, gog.spanning_tree = base_vertex, frozenset(spanning_tree)
+        gog._compile()
+        return gog
+
+    def _compile(self) -> None:
         self._incident: dict[str, list[Traversal]] = {v: [] for v in self.vertices}
         self._crossing: dict[Traversal, _Crossing] = {}
         for eid in sorted(self.edges):
@@ -187,9 +209,9 @@ class GraphOfGroups:
                     {g: (r, pinch[h]) for g, (r, h) in decomp.items()},
                     pinch, self.vertices[e.ends[1 - d]].table, reps)
 
-        # The tree is connected (_validate_graph), so this reaches every vertex.
-        self._from_base: dict[str, tuple[Traversal, ...]] = {base_vertex: ()}
-        frontier = [base_vertex]
+        # The tree spans, so this reaches every vertex.
+        self._from_base: dict[str, tuple[Traversal, ...]] = {self.base_vertex: ()}
+        frontier = [self.base_vertex]
         for v in frontier:
             for t in self._incident[v]:
                 w = self.far(t)
@@ -202,20 +224,6 @@ class GraphOfGroups:
             for name in self.vertices[vid].generators:
                 self._letter_home.setdefault(name, []).append(vid)
         self._facts: dict = {}
-
-    def _validate_graph(self) -> None:
-        if len(self.spanning_tree) != len(self.vertices) - 1:
-            raise GogError("spanning tree must have (vertex count - 1) edges")
-        for eid in self.spanning_tree:
-            if eid not in self.edges:
-                raise GogError(f"spanning tree edge {eid!r} is not an edge")
-            if self.edges[eid].ends[0] == self.edges[eid].ends[1]:
-                raise GogError(f"loop edge {eid!r} cannot lie in a spanning tree")
-        # (vertex count - 1) edges without a cycle connect every vertex, so
-        # this check also rules out a disconnected underlying graph.
-        tree_ends = [self.edges[eid].ends for eid in self.spanning_tree]
-        if _spanning_forest(self.vertices, tree_ends)[1] != 1:
-            raise GogError("spanning tree contains a cycle")
 
     # -- local accessors ---------------------------------------------------
 
@@ -246,18 +254,6 @@ class GraphOfGroups:
                     out.append(t)
             path = self._facts[u, w] = tuple(out)
         return path
-
-
-def _is_monomorphism(hom: GroupHom) -> bool:
-    """Whether hom is an injective homomorphism.  Each mapping found to
-    be one is kept in the target group's _injections (see the fingroup
-    module docstring), so each is checked once per pair of groups."""
-    checked = hom.target._injections.setdefault(hom.source, set())
-    if hom.mapping not in checked:
-        if check_hom(hom).status == "invalid" or not hom.is_injective():
-            return False
-        checked.add(hom.mapping)
-    return True
 
 
 def _spanning_forest(nodes: Iterable, pairs: Sequence[tuple]
@@ -494,7 +490,9 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
 
     Letters are vertex-group generator names or non-tree edge names; a
     trailing ^k (k an integer, typically -1) inverts or repeats, and ^0
-    is the identity but must still name a letter.
+    is the identity but must still name a letter.  A spanning-tree edge
+    carries no letter, so its id reads as a generator of that name; a
+    name that is both a non-tree edge and a generator is ambiguous.
     Spanning-tree crossings are inserted automatically.  A word may cross
     non-tree edges at most MAX_WORD_TRAVERSALS times in all; the count is
     checked before a letter is expanded.  The letters are read into one
@@ -523,7 +521,8 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
                 power = int(exp)
             except ValueError:
                 raise GogError(f"malformed exponent in {token!r}") from None
-        if name in gog.edges:
+        homes = gog._letter_home.get(name)
+        if name in gog.edges and not (homes and name in gog.spanning_tree):
             traversals += abs(power)
             if traversals > MAX_WORD_TRAVERSALS:
                 raise GogError(f"letter {name!r} takes the word past "
@@ -531,6 +530,10 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
             if name in gog.spanning_tree:
                 raise GogError(f"{name!r} is a spanning-tree edge and "
                                "carries no letter")
+            if homes:
+                raise GogError(f"letter {name!r} is ambiguous between edge "
+                               f"{name!r} and the generator at vertices "
+                               f"{homes}")
             d = 0 if power > 0 else 1
             near = gog.edges[name].ends[d]
             for _ in range(abs(power)):
@@ -552,17 +555,18 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
 
 def generator_letters(gog: GraphOfGroups) -> list[tuple[str, NormalForm]]:
     """Canonical lifts of all letters: vertex-group generators and non-tree
-    edges, as normal forms of loop words at the base."""
+    edges, as normal forms of loop words at the base.  A name that is
+    both a non-tree edge and a generator names no letter (parse_word
+    refuses it), so it is left out."""
+    edges = [eid for eid in sorted(gog.edges) if eid not in gog.spanning_tree]
+    clash = gog._letter_home.keys() & edges
     out = []
     for vid in sorted(gog.vertices):
         grp = gog.vertices[vid]
         for name in sorted(grp.generators):
-            if grp.generators[name] == grp.identity:
-                continue
-            out.append((name, parse_word(gog, name)))
-    for eid in sorted(gog.edges):
-        if eid not in gog.spanning_tree:
-            out.append((eid, parse_word(gog, eid)))
+            if grp.generators[name] != grp.identity and name not in clash:
+                out.append((name, parse_word(gog, name)))
+    out += [(eid, parse_word(gog, eid)) for eid in edges if eid not in clash]
     return out
 
 
@@ -685,23 +689,25 @@ def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
     try:
         _typed(data, "an object", "graph of groups")
         vertices = []
-        for i, v in enumerate(_field(data, "vertices", "a list")):
+        for i, v in enumerate(_member(data, "vertices", "a list")):
             where = f"vertices[{i}]"
-            vid = _typed(_typed(v, "an object", where)["id"], "a string",
-                         f"{where}.id")
-            vertices.append((vid, group_from_json(v["group"])))
+            vid = _member(_typed(v, "an object", where), "id", "a string",
+                          where)
+            vertices.append((vid, group_from_json(_member(v, "group", None,
+                                                          where))))
         vgroups = dict(vertices)
         edges = []
-        for i, e in enumerate(_field(data, "edges", "a list")):
+        for i, e in enumerate(_member(data, "edges", "a list")):
             where = f"edges[{i}]"
-            eid = _typed(_typed(e, "an object", where)["id"], "a string",
-                         f"{where}.id")
-            grp = group_from_json(e["group"])
-            ends = tuple(_typed_list(e["ends"], str, f"{where}.ends"))
+            eid = _member(_typed(e, "an object", where), "id", "a string",
+                          where)
+            grp = group_from_json(_member(e, "group", None, where))
+            ends = tuple(_typed_list(_member(e, "ends", None, where), str,
+                                     f"{where}.ends"))
             if len(ends) != 2 or any(v not in vgroups for v in ends):
                 raise GogError(f"edge {eid!r} has bad endpoints "
                                f"{json.dumps(ends)}")
-            maps = _typed(e["maps"], "a list", f"{where}.maps")
+            maps = _member(e, "maps", "a list", where)
             if len(maps) != 2:
                 raise GogError(f"{where}.maps must list 2 injections "
                                f"(got {len(maps)})")
@@ -713,9 +719,22 @@ def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
                 enumerate(_typed(data.get("tree", []), "a list",
                                  "field 'tree'"))]
         return GraphOfGroups(vertices, edges,
-                             _field(data, "base", "a string"), set(tree))
+                             _member(data, "base", "a string"), set(tree))
     except (KeyError, TypeError) as exc:
         raise GogError(f"malformed graph-of-groups JSON: {exc}") from exc
+
+
+def _member(obj: dict, key: str, want: Optional[str],
+            where: Optional[str] = None):
+    """obj[key], of JSON type want unless that is None.  A missing or
+    mistyped field is named with its place: a field of the vertex or
+    edge at where, else a top-level field of the graph."""
+    if key not in obj:
+        raise GogError(f"{where or 'graph of groups'} has no field {key!r}")
+    if want is None:
+        return obj[key]
+    return _typed(obj[key], want, f"{where}.{key}" if where
+                  else f"field {key!r}")
 
 
 def gog_to_json(gog: GraphOfGroups) -> dict:

@@ -97,6 +97,20 @@ def seam_presentations() -> dict[str, gw.GraphOfGroups]:
     return out
 
 
+def assert_compiles_like_checked(gog: gw.GraphOfGroups) -> None:
+    """gog, which the library built from checked parts without the
+    constructor's checks, passes them and compiles to the same records,
+    in the same order."""
+    again = gw.GraphOfGroups(gog.vertices.items(), gog.edges.values(),
+                             gog.base_vertex, gog.spanning_tree)
+    assert (again.base_vertex, again.spanning_tree) == \
+        (gog.base_vertex, gog.spanning_tree)
+    for slot in ("vertices", "edges", "_crossing", "_incident", "_from_base",
+                 "_letter_home"):
+        assert list(getattr(again, slot).items()) == \
+            list(getattr(gog, slot).items()), slot
+
+
 def random_letter_word(gog, rng, max_letters):
     """Seeded random word text in the presentation's letters and their
     inverses."""

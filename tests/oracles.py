@@ -343,10 +343,15 @@ def _letter_items(gog, at, name, power):
     Traversals and ("g", vertex, element) entries, and the new vertex."""
     items = []
     v = at
-    if name in gog.edges:
+    homes = gog._letter_home.get(name)
+    if _reads_edge(gog, name):
         if name in gog.spanning_tree:
             raise gw.GogError(
                 f"{name!r} is a spanning-tree edge and carries no letter")
+        if homes:
+            raise gw.GogError(
+                f"letter {name!r} is ambiguous between edge {name!r} and "
+                f"the generator at vertices {homes}")
         e = gog.edges[name]
         for _ in range(abs(power)):
             d = 0 if power > 0 else 1
@@ -354,7 +359,6 @@ def _letter_items(gog, at, name, power):
             items.append(gw.Traversal(name, d))
             v = e.ends[1 - d]
         return items, v
-    homes = gog._letter_home.get(name)
     if not homes:
         raise gw.GogError(f"unknown letter {name!r}")
     if v in homes:
@@ -371,6 +375,13 @@ def _letter_items(gog, at, name, power):
     items.extend(gog.tree_path(v, home))
     items.append(("g", home, grp.power(idx, power)))
     return items, home
+
+
+def _reads_edge(gog, name):
+    """Whether a letter name reads as an edge: a spanning-tree edge
+    carries no letter, so a generator of its name reads instead."""
+    return name in gog.edges and not (name in gog.spanning_tree
+                                      and name in gog._letter_home)
 
 
 def _items_to_raw(gog, items):
@@ -414,7 +425,7 @@ def two_pass_parse(gog, text):
                 continue
         else:
             power = 1
-        if name in gog.edges:
+        if _reads_edge(gog, name):
             traversals += abs(power)
             if traversals > gw.MAX_WORD_TRAVERSALS:
                 raise gw.GogError(f"letter {name!r} takes the word past "

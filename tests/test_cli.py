@@ -715,8 +715,26 @@ def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
             "inner": {"kind": "delta", "n": 1, "blocks": [["x1^10000000"]]}},
      1, "power 10000000 of x1 x2 would have 20000000 syllables, above the "
         "cap of 100000"),
+    ("delta", {"n": 10000, "blocks": [["x1"]]}, 0, "x1 u1 x10001^-1 u1^-1"),
+    ("delta", {"n": 10000000, "blocks": [["x1"]]}, 1,
+     "field 'n' 10000000 is above the generator cap 10000"),
+    ("delta", {"n": 10**9, "blocks": [["x1"]]}, 1,
+     "field 'n' 1000000000 is above the generator cap 10000"),
+    ("mu", {**MU_PARAMS, "embedding": ["x1 x2"],
+            "g": {"generators": 10000000, "relators": []},
+            "inner": {"n": 1, "blocks": [["x1"]]}}, 1,
+     "field 'g.generators' 10000000 is above the generator cap 10000"),
+    ("mu", {**MU_PARAMS, "embedding": ["x1 x2"],
+            "u": {"generators": 10000000, "relators": []},
+            "inner": {"n": 1, "blocks": [["x1"]]}}, 1,
+     "field 'u.generators' 10000000 is above the generator cap 10000"),
+    ("mu", {**MU_PARAMS, "embedding": ["x1 x2"],
+            "inner": {"n": 10000000, "blocks": [["x1"]]}}, 1,
+     "field 'inner.n' 10000000 is above the generator cap 10000"),
 ], ids=["delta-1e6", "delta-1e10", "theta-512", "theta-6000", "theta-1e12",
-        "mu-one-syllable-core", "mu-long-core", "mu-past-the-cap"])
+        "mu-one-syllable-core", "mu-long-core", "mu-past-the-cap",
+        "delta-n-at-the-cap", "delta-n-1e7", "delta-n-1e9",
+        "mu-g-generators-1e7", "mu-u-generators-1e7", "mu-inner-n-1e7"])
 def test_formula_powers_finish_quickly(capsys, tmp_path, which, params, code,
                                        message):
     path = tmp_path / "params.json"

@@ -14,7 +14,8 @@ import pytest
 import vfree.defspace as ds
 import vfree.fingroup as fg
 import vfree.gogwords as gw
-from fixtures import build_counterexample_gog
+import vfree.cli as cli
+from fixtures import assert_compiles_like_checked, build_counterexample_gog
 from vfree.fingroup import GroupHom
 from vfree.gogwords import Edge, GraphOfGroups
 
@@ -111,9 +112,11 @@ def test_expansion_collapse_roundtrip():
     assert sorted(sub.vertices) == ["m", "vA", "vB"]
     assert not ds.is_reduced(sub)
     assert ds.degree_sum(sub).value == ds.degree_sum(SL2Z).value
+    assert_compiles_like_checked(sub)
     for eid in ("f", "e"):
         back = ds.apply_move(sub, ds.collapse_move(eid))
         assert ds.are_gog_isomorphic(back, SL2Z)
+        assert_compiles_like_checked(back)
 
 
 def test_collapse_word_map():
@@ -194,6 +197,7 @@ def test_expansion_errors():
 def test_slide_star():
     star = build_star()
     slid = ds.apply_move(star, ds.slide_move("e2", "e1"))
+    assert_compiles_like_checked(slid)
     assert ds.are_gog_isomorphic(slid, star)
     assert ds.is_reduced(slid)
     assert ds.degree_sum(slid).value == ds.degree_sum(star).value
@@ -211,6 +215,7 @@ def test_slide_preserves_group_multisets():
     g = GraphOfGroups([("u", z4a), ("m", z4b), ("w", z2w)],
                       [e, f], "u", ["e", "f"])
     slid = ds.apply_move(g, ds.slide_move("f", "e"))
+    assert_compiles_like_checked(slid)
     assert slid.edges["f"].ends == ("m", "w")
     vs = sorted(grp.order for grp in slid.vertices.values())
     es = sorted(eo.group.order for eo in slid.edges.values())
@@ -273,6 +278,20 @@ def test_degree_sum_invariant_along_random_sequences():
                     break
                 cur = ds.apply_move(cur, move)
                 assert ds.degree_sum(cur).value == want
+                assert_compiles_like_checked(cur)
+
+
+def test_moves_check_no_injection_and_no_table(monkeypatch):
+    # A move's result is built from checked parts: neither its injections
+    # nor the table of an expansion's new vertex group are checked again.
+    sub, star = subdivide_sl2z(), build_star()
+    checks = []
+    monkeypatch.setattr(gw, "check_hom", checks.append)
+    monkeypatch.setattr(fg.FiniteGroup, "_check_group_axioms", checks.append)
+    ds.apply_move(sub, ds.collapse_move("f"))
+    subdivide_sl2z()
+    ds.apply_move(star, ds.slide_move("e2", "e1"))
+    assert checks == []
 
 
 # -- isomorphism of graphs of groups -------------------------------------------
@@ -505,6 +524,25 @@ def test_expansions_refuse_before_listing_subgroups(monkeypatch):
     with pytest.raises(gw.GogError, match="vertex 'vA' has order 64"):
         ds.expansion_moves(build_counterexample_gog())
     assert listed == []
+
+
+def test_expansion_search_graphs_compile_like_checked_ones(monkeypatch):
+    # Every graph the search reaches, kept or not, and every graph it
+    # returns.
+    reached = []
+    expansions = ds._expansions
+
+    def recording(gog):
+        for move, new in expansions(gog):
+            reached.append(new)
+            yield move, new
+    monkeypatch.setattr(ds, "_expansions", recording)
+    for name, depth in (("sl2z", 3), ("z2z3", 3), ("counterexample", 1)):
+        reached.extend(ds.nonredundant_expansions(cli.load_group(name),
+                                                  depth)[0])
+    assert len(reached) > 3
+    for gog in reached:
+        assert_compiles_like_checked(gog)
 
 
 def test_nonredundant_expansions_requires_reduced():

@@ -23,6 +23,7 @@ import defspace_oracle as oracle
 import vfree
 import vfree.defspace as ds
 import vfree.fingroup as fg
+from fixtures import assert_compiles_like_checked
 from test_defspace_dedup import as_json, isomorphic_copy
 
 
@@ -100,6 +101,8 @@ def test_enumeration_frontier_is_pinned_and_in_budget(query, classes,
     assert len(found) == classes
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert elapsed < budget
+    for gog in found:
+        assert_compiles_like_checked(gog)
 
 
 def test_cold_one_vertex_loop_query_in_budget():

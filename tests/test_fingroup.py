@@ -765,6 +765,32 @@ def test_conjugation_in_semidirect_recovers_action():
     assert ad_x(e[3]) == e[3] and ad_x(e[4]) == e[4]
 
 
+def test_as_group_builds_each_subgroup_as_the_checks_would():
+    for grp in (fg.build_cyclic(6), ds._dihedral(4),
+                fg.build_boolean_vectors(3)):
+        for sub in fg.all_subgroups(grp):
+            local, embed = sub.as_group()
+            checked = fg.FiniteGroup(local.table, local.generators,
+                                     local.labels)
+            assert (checked.table, checked.inverses) == \
+                (local.table, local.inverses)
+            assert local.identity == 0 == checked.identity
+            assert sorted(embed.values()) == list(sub.elements)
+
+
+@pytest.mark.parametrize("elements, message", [
+    ((0, 1), "elements [0, 1] are not closed under the group product"),
+    ((), "empty multiplication table"),
+], ids=["not-closed", "empty"])
+def test_as_group_refuses_a_set_that_is_not_a_subgroup(elements, message):
+    z4 = fg.build_cyclic(4)
+    sub = fg.Subgroup(z4, elements)
+    for call in (sub.as_group, lambda: fg.conjugation_action(z4, 1, sub)):
+        with pytest.raises(fg.GroupError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_hom_report_witness():
     z4 = fg.build_cyclic(4)
     z2 = fg.build_cyclic(2)

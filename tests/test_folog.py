@@ -161,6 +161,19 @@ def test_delta_rejections():
         emit_delta_related(0, [["x1"]])
 
 
+def test_generator_counts_are_capped_before_any_variable_is_named():
+    cap = folog.MAX_FORMULA_GENERATORS
+    assert len(emit_delta_related(cap, [["x1"]]).free_variables) == 2 * cap
+    with pytest.raises(FormulaError, match="n 10001 is above the generator "
+                       "cap 10000"):
+        emit_delta_related(cap + 1, [["x1"]])
+    inner = emit_delta_related(1, [["x1"]])
+    for g, u, what in ((10**9, 1, "ambient"), (1, 10**9, "subgroup")):
+        with pytest.raises(FormulaError, match=f"{what} generator count "
+                           "1000000000 is above the generator cap 10000"):
+            emit_mu((g, []), (u, []), ["x1"], ["x1"], ["y1"], inner)
+
+
 def mu_small():
     inner = emit_delta_related(1, [["x1"]])
     return emit_mu(

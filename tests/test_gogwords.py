@@ -19,6 +19,7 @@ import vfree.bstree as bt
 import vfree.defspace as ds
 import vfree.fingroup as fg
 import vfree.gogwords as gw
+from vfree.cli import main
 from fixtures import (build_counterexample_gog, build_klein_hnn, build_z2_z3,
                       random_letter_word, seam_presentations)
 
@@ -521,6 +522,86 @@ def test_parse_word_matches_two_pass_oracle(name):
         assert gw.parse_word(gog, text) == oc.two_pass_parse(gog, text), text
 
 
+def _name_clash_graph(query, in_tree):
+    """The first enumerated graph whose edge e1 shares its name with a
+    generator of a (Z/2)^2 vertex group, with e1 in the spanning tree or
+    not: enumeration names edges e0, e1, ... and (Z/2)^k's generators
+    e1, e2, ..."""
+    return next(gog for gog in ds.enumerate_reduced(*query)
+                if "e1" in gog._letter_home
+                and ("e1" in gog.spanning_tree) == in_tree
+                and all(gog.base_vertex in homes
+                        for homes in gog._letter_home.values()
+                        if len(homes) > 1))
+
+
+def _parsed(parse, gog, text):
+    """parse(gog, text), or the message it raised: a (3, 2, 4) graph has
+    two vertices named g, so some words are ambiguous."""
+    try:
+        return parse(gog, text)
+    except gw.GogError as err:
+        return str(err)
+
+
+def _generator_lift(gog, home, element):
+    """The loop at the base through the tree to home, element there, and
+    back, reduced."""
+    there = gog.tree_path(gog.base_vertex, home)
+    back = gog.tree_path(home, gog.base_vertex)
+    steps = [(gog.vertices[gog.near(t)].identity, t) for t in there]
+    steps += [(element if k == 0 else gog.vertices[gog.near(t)].identity, t)
+              for k, t in enumerate(back)]
+    tail = gog.vertices[gog.base_vertex].identity if back else element
+    return gw.path_normal_form(gog, gog.base_vertex, steps, tail)
+
+
+@pytest.mark.parametrize("query, in_tree", [((1, 2, 4), False),
+                                            ((2, 2, 4), True),
+                                            ((3, 2, 4), True)], ids=str)
+def test_a_name_both_an_edge_and_a_generator(query, in_tree, tmp_path,
+                                             capsys):
+    # A tree edge carries no letter, so its id reads as the generator of
+    # that name; a non-tree edge and a generator of one name are refused
+    # as ambiguous, by parse_word and the oracle alike, and
+    # generator_letters lists neither.
+    gog = _name_clash_graph(query, in_tree)
+    (home,) = gog._letter_home["e1"]
+    letters = gw.generator_letters(gog)
+    names = [name for name, _ in letters]
+    assert all(gw.parse_word(gog, name) == form for name, form in letters)
+    if in_tree:
+        want = _generator_lift(gog, home, gog.vertices[home].generator("e1"))
+        assert gw.parse_word(gog, "e1") == oc.two_pass_parse(gog, "e1") == want
+        assert names.count("e1") == 1
+    else:
+        for parse in (gw.parse_word, oc.two_pass_parse):
+            with pytest.raises(gw.GogError) as err:
+                parse(gog, "e0 e1")
+            assert str(err.value) == ("letter 'e1' is ambiguous between edge "
+                                      "'e1' and the generator at vertices "
+                                      "['v0']")
+        assert "e1" not in names and len(set(names)) == len(names)
+    rng = random.Random(f"clash-{query}")
+    for _ in range(30):
+        text = _powered_word(gog, rng, 6)
+        assert _parsed(gw.parse_word, gog, text) == \
+            _parsed(oc.two_pass_parse, gog, text), text
+
+    path = str(tmp_path / "clash.json")
+    with open(path, "w") as fh:
+        json.dump(gw.gog_to_json(gog), fh)
+    code = main(["nf", "--group", path, "--word", "e1"])
+    out, err = capsys.readouterr()
+    if in_tree:
+        assert (code, out) == (0, gw.format_nf(gog, want) + "\n")
+    else:
+        assert code == 1 and "is ambiguous between edge 'e1'" in err
+    code = main(["walk", "--group", path, "--lengths", "0,3", "--trials", "2"])
+    out, err = capsys.readouterr()
+    assert code == 0 and out and not err
+
+
 def _shared_letter_star():
     """Base u with a generator p; leaves v and w both name a generator g."""
     z2a, z2b, z2c = (fg.build_cyclic(2, n) for n in ("p", "g", "g"))
@@ -836,6 +917,10 @@ def test_gog_json_loading_and_roundtrip():
         gw.gog_from_json({"vertices": [], "edges": []})
 
 
+MISSING = object()
+"""A test_gog_json_names_the_bad_field value: the field is deleted."""
+
+
 @pytest.mark.parametrize("path,bad,message", [
     ((), 5, "graph of groups is not an object (got an integer)"),
     (("vertices",), 5, "field 'vertices' is not a list (got an integer)"),
@@ -855,6 +940,15 @@ def test_gog_json_loading_and_roundtrip():
     (("base",), 0, "field 'base' is not a string (got an integer)"),
     (("tree",), 7, "field 'tree' is not a list (got an integer)"),
     (("tree", 0), True, "tree[0] is not a string (got a boolean)"),
+    (("vertices",), MISSING, "graph of groups has no field 'vertices'"),
+    (("edges",), MISSING, "graph of groups has no field 'edges'"),
+    (("base",), MISSING, "graph of groups has no field 'base'"),
+    (("vertices", 1, "id"), MISSING, "vertices[1] has no field 'id'"),
+    (("vertices", 0, "group"), MISSING, "vertices[0] has no field 'group'"),
+    (("edges", 0, "id"), MISSING, "edges[0] has no field 'id'"),
+    (("edges", 0, "group"), MISSING, "edges[0] has no field 'group'"),
+    (("edges", 0, "ends"), MISSING, "edges[0] has no field 'ends'"),
+    (("edges", 0, "maps"), MISSING, "edges[0] has no field 'maps'"),
 ])
 def test_gog_json_names_the_bad_field(path, bad, message):
     data = json.loads(SL2Z_JSON)
@@ -862,7 +956,10 @@ def test_gog_json_names_the_bad_field(path, bad, message):
         parent = data
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = bad
+        if bad is MISSING:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = bad
     else:
         data = bad
     with pytest.raises(ValueError) as err:

@@ -1,13 +1,13 @@
 """What the package keeps between calls never changes an answer.
 
 The rule for kept state is stated once, in the fingroup module
-docstring: a fact lives in the _facts (or _injections) of the group or
-graph it is derived from, or in a functools.cache of plain values.  The
-state machine below interleaves the calls that fill and read those
-facts: it loads presentations and renumbered copies, parses and
-multiplies words, walks, asks for filling certificates, runs small
-enumerations and expansions, and builds edges whose mapping was checked
-from another group.  Each result must equal the same call made with
+docstring: a fact lives in the _facts of the group or graph it is
+derived from, or in a functools.cache of plain values.  The state
+machine below interleaves the calls that fill and read those facts: it
+loads presentations and renumbered copies, parses and multiplies words,
+walks, asks for filling certificates, runs small enumerations and
+expansions, and builds edges whose mapping was checked from another
+group.  Each result must equal the same call made with
 nothing kept: after forget_kept_state, on the graph rebuilt from its
 groups.  A guard keeps forget_kept_state complete: every slot and every
 functools.cache in the package must be known to it.
@@ -31,13 +31,13 @@ import vfree.genericity as gen
 import vfree.gogwords as gw
 from test_defspace_dedup import as_json, permuted_group
 
-KEPT_SLOTS = {fg.FiniteGroup: ("_facts", "_injections"),
+KEPT_SLOTS = {fg.FiniteGroup: ("_facts",),
               gw.GraphOfGroups: ("_facts",)}
 """The slots each class fills on first use, which forget_kept_state
 empties."""
 
 BUILT_SLOTS = {fg.FiniteGroup: ("table", "order", "identity", "inverses",
-                                "generators", "labels", "__weakref__"),
+                                "generators", "labels"),
                gw.GraphOfGroups: ("vertices", "edges", "base_vertex",
                                   "spanning_tree", "_crossing", "_incident",
                                   "_from_base", "_letter_home")}
@@ -366,7 +366,7 @@ def test_forget_kept_state_knows_every_slot_and_cache():
     gog = renumbered(cli.load_group("sl2z"), random.Random(1))
     built = [(obj, slot, copy.copy(getattr(obj, slot)))
              for obj in [gog, *gog.vertices.values()]
-             for slot in BUILT_SLOTS[type(obj)] if slot != "__weakref__"]
+             for slot in BUILT_SLOTS[type(obj)]]
     g = gw.parse_word(gog, "a b a b^-1")
     gen.fills(gog, g)
     gen.sample_walk(gog, gen.uniform_spec(gog, ["a", "b"], 1, 0), 8, 0)
