@@ -47,7 +47,12 @@ from .fingroup import (
     cycle_notation,
     group_from_permutations,
 )
-from .folds import fold_sequence, identity_marking, marked_rose_for_basis
+from .folds import (
+    StepLimitError,
+    fold_sequence,
+    identity_marking,
+    marked_rose_for_basis,
+)
 from .folog import (
     SL2Z_RELATORS,
     _check_generator_count,
@@ -96,6 +101,13 @@ constructor on every load."""
 WALK_STEP_CAP = 10**6
 """The most work `walk` accepts: --trials × Σ(n + 1) over the --lengths
 entries n, checked before any walk; the + 1 counts a length-0 entry too."""
+
+FOLD_SYLLABLE_CAP = 160
+"""The most syllables a basis marking accepts: the total over the normal
+forms of its words, which is its edge count, checked before the marked
+tree is built.  Fold time grows faster than the square of it: at the cap
+the slowest marking tried, on sl2z, ends in about 2.6 s as a fresh
+process, and on the rose x, y in about 1.4 s (2-vCPU VM)."""
 
 AXIS_VERTEX_CAP = 2000
 """The most axis steps `axis` accepts: --periods × the translation
@@ -562,6 +574,8 @@ def _list_field(data: dict, key: str, want: type, where: str) -> list:
 
 
 def cmd_fold(args) -> int:
+    if args.max_steps < 0:
+        raise GogError(f"--max-steps is {args.max_steps}, below 0")
     gog = load_group(args.target, "--target")
     spec = _typed(_load_json(args.source, "--source"), "an object",
                   "marking JSON")
@@ -571,11 +585,20 @@ def cmd_fold(args) -> int:
     elif kind == "basis":
         words = _list_field(spec, "words", str, "words")
         hub = _typed(spec.get("hub", "u"), "a string", "field 'hub'")
-        marked = marked_rose_for_basis(gog, words, hub=hub)
+        forms = [parse_word(gog, w) for w in words]
+        syllables = sum(g.syllable_length() for g in forms)
+        if syllables > FOLD_SYLLABLE_CAP:
+            raise GogError(f"field 'words' has {syllables} syllables, above "
+                           f"the marking cap {FOLD_SYLLABLE_CAP}")
+        marked = marked_rose_for_basis(gog, forms, hub=hub)
     else:
         raise GogError(f"unknown marking kind {kind!r}; expected "
                        "'identity' or 'basis'")
-    steps = fold_sequence(marked, gog, max_steps=args.max_steps)
+    try:
+        steps = fold_sequence(marked, gog, max_steps=args.max_steps)
+    except StepLimitError:
+        raise GogError(f"--max-steps {args.max_steps} exceeded before "
+                       "reaching the target") from None
     for i, (d, tree) in enumerate(steps):
         record = {"step": i + 1, "kind": d.kind,
                   "classification": d.classification,
@@ -804,9 +827,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("fold", "fold a marked tree onto a presentation", cmd_fold)
     sp.add_argument("--source", required=True,
                     help="marking JSON: {\"marking\": \"identity\"} or "
-                         "{\"marking\": \"basis\", \"words\": [...]}")
+                         "{\"marking\": \"basis\", \"words\": [...]}; "
+                         "the words' normal forms have at most "
+                         f"{FOLD_SYLLABLE_CAP} syllables in all, which fold "
+                         "in under 3 s")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--max-steps", type=int, default=50)
+    sp.add_argument("--max-steps", type=int, default=50,
+                    help="at least 0")
 
     sp = add("whitehead", "Whitehead graphs and the filling certificate",
              cmd_whitehead)

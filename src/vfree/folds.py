@@ -13,11 +13,18 @@ ambient tree, a marked vertex's image or an edge's near image, so its
 closures and subgroup checks run in that vertex group's table.
 Marked vertices and edges and fold directives are named tuples, equal
 to the plain tuples of their fields.
+
+A marked tree is checked once, where it comes in: MarkedTree(...),
+identity_marking and marked_rose_for_basis validate in full; a fold
+checks its directive, which is caller data, and builds its result
+through MarkedTree._built unchecked. Legal folds are listed lazily, in
+priority order, so a fold sequence stops listing at its first pick.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+import functools
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .bstree import (
     TreeVertex,
@@ -45,6 +52,10 @@ from .gogwords import (
     path_multiply,
     path_normal_form,
 )
+
+
+class StepLimitError(GogError):
+    """A fold sequence ran out of steps before reaching its target."""
 
 
 def _nf(gog: GraphOfGroups, w) -> NormalForm:
@@ -145,6 +156,13 @@ class MarkedTree:
         self.vertices = dict(vertices)
         self.edges = dict(edges)
         self.validate()
+
+    @classmethod
+    def _built(cls, ambient: GraphOfGroups, vertices, edges) -> MarkedTree:
+        """A fold's result, sound by construction: not validated."""
+        tree = cls.__new__(cls)
+        tree.ambient, tree.vertices, tree.edges = ambient, vertices, edges
+        return tree
 
     def validate(self) -> None:
         gog = self.ambient
@@ -303,7 +321,7 @@ def _apply_pair(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     stab = merged if d.end == 0 else _conj_set(gog, me.twist, merged)
     edges[d.edge] = MarkedEdge(me.ends, me.twist, stab)
     del edges[d.edge2]
-    return MarkedTree(gog, vertices, edges)
+    return MarkedTree._built(gog, vertices, edges)
 
 
 def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
@@ -313,16 +331,14 @@ def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
         raise GogError("stabilizer fold needs at least one element")
     elems = [_nf(gog, w) for w in d.elements]
     sv = marked.vertices[v]
-    for h in elems:
-        if h not in sv.stab:
-            raise GogError("fold subgroup must lie in the marked vertex "
-                           "stabilizer")
+    if any(h not in sv.stab for h in elems):
+        raise GogError("fold subgroup must lie in the marked vertex "
+                       "stabilizer")
     far, mu = _far(marked, d.edge, d.end)
     pfar = translate(gog, mu, marked.vertices[far].image)
-    for h in elems:
-        if translate(gog, h, pfar) != pfar:
-            raise GogError("fold does not respect the marking: an element "
-                           "moves the image of the far endpoint")
+    if any(translate(gog, h, pfar) != pfar for h in elems):
+        raise GogError("fold does not respect the marking: an element "
+                       "moves the image of the far endpoint")
     hgrp = _closure(gog, sv.image, elems)
     vertices, edges = dict(marked.vertices), dict(marked.edges)
     fv = vertices[far]
@@ -334,13 +350,12 @@ def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     me = edges[d.edge]
     stab = newt if d.end == 0 else _conj_set(gog, me.twist, newt)
     edges[d.edge] = MarkedEdge(me.ends, me.twist, stab)
-    return MarkedTree(gog, vertices, edges)
+    return MarkedTree._built(gog, vertices, edges)
 
 
 def _apply_collapse(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     gog = marked.ambient
-    if d.edge not in marked.edges:
-        raise GogError(f"unknown edge {d.edge!r} in fold directive")
+    _near_name(marked, d.edge, 0)
     me = marked.edges[d.edge]
     a, b = me.ends
     if (translate(gog, me.twist, marked.vertices[b].image)
@@ -355,7 +370,7 @@ def _apply_collapse(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
                 mv.image, _closure(gog, mv.image, set(mv.stab) | {me.twist}))
     else:
         _merge_vertex(gog, vertices, edges, a, b, path_invert(gog, me.twist))
-    return MarkedTree(gog, vertices, edges)
+    return MarkedTree._built(gog, vertices, edges)
 
 
 def fold(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
@@ -384,56 +399,58 @@ def classify_fold(marked: MarkedTree, d: FoldDirective) -> str:
     return _FOLD_CLASS[d.kind]
 
 
+def _folds(marked: MarkedTree) -> Iterator[FoldDirective]:
+    """Every applicable directive, lazily and in priority order:
+    collapses by edge; pairs by vertex, then by (edge, end) position;
+    stabilizer folds by edge, then end, with the least witness element.
+    Far images are computed at most once per edge end; as the tree is
+    checked, an end whose far image is not its home crosses an edge."""
+    gog = marked.ambient
+    far = functools.cache(functools.partial(far_image, marked))
+    ends = [(eid, end, v) for eid in sorted(marked.edges)
+            for end, v in enumerate(marked.edges[eid].ends)]
+    ends_at: dict[str, list] = {}
+    for eid, end, v in ends:
+        ends_at.setdefault(v, []).append((eid, end))
+        if end == 0 and far(eid, 0) == marked.vertices[v].image:
+            yield collapse_fold(eid)
+    for v, items in sorted(ends_at.items()):
+        for i, (e1, k1) in enumerate(items):
+            p1 = far(e1, k1)
+            if p1 == marked.vertices[v].image:
+                continue
+            for e2, k2 in items[i + 1:]:
+                if e1 != e2 and far(e2, k2) == p1:
+                    yield pair_fold(e1, k1, e2, k2)
+    for eid, end, v in ends:
+        pfar = far(eid, end)
+        if pfar == marked.vertices[v].image:
+            continue
+        cur = _stab_from(gog, marked.edges[eid], end)
+        for h in sorted(marked.vertices[v].stab, key=NormalForm.sort_key):
+            if h not in cur and translate(gog, h, pfar) == pfar:
+                yield stabilizer_fold(eid, end, (h,))
+                break
+
+
 def available_folds(marked: MarkedTree) -> dict:
     """All applicable directives, grouped by priority class.
 
     Stabilizer folds are reported one witness element per edge end; pair
     folds and collapses are listed exhaustively. Deterministic order.
     """
+    out = {"collapses": [], "pairs": [], "stabilizers": []}
+    for d in _folds(marked):
+        out[d.kind + "s"].append(d)
+    return out
+
+
+def _image_edge(marked: MarkedTree, eid: str) -> Optional[Traversal]:
+    """The quotient traversal that the edge's lift maps onto, or None when
+    the edge maps to a point (no neighbor of a tree vertex is itself)."""
     gog = marked.ambient
-    collapses, pairs, stabs = [], [], []
-    for eid in sorted(marked.edges):
-        home = marked.vertices[marked.edges[eid].ends[0]].image
-        if far_image(marked, eid, 0) == home:
-            collapses.append(collapse_fold(eid))
-    ends_at: dict[str, list] = {}
-    for eid in sorted(marked.edges):
-        for end in (0, 1):
-            ends_at.setdefault(marked.edges[eid].ends[end], []).append(
-                (eid, end))
-    for v in sorted(ends_at):
-        home = marked.vertices[v].image
-        items = ends_at[v]
-        for i in range(len(items)):
-            e1, k1 = items[i]
-            p1 = far_image(marked, e1, k1)
-            if distance(gog, home, p1) != 1:
-                continue
-            for j in range(i + 1, len(items)):
-                e2, k2 = items[j]
-                if e1 == e2:
-                    continue
-                if far_image(marked, e2, k2) == p1:
-                    pairs.append(pair_fold(e1, k1, e2, k2))
-    for eid in sorted(marked.edges):
-        for end in (0, 1):
-            v = marked.edges[eid].ends[end]
-            pfar = far_image(marked, eid, end)
-            if pfar == marked.vertices[v].image:
-                continue
-            cur = _stab_from(gog, marked.edges[eid], end)
-            for h in sorted(marked.vertices[v].stab, key=NormalForm.sort_key):
-                if h in cur:
-                    continue
-                if translate(gog, h, pfar) == pfar:
-                    stabs.append(stabilizer_fold(eid, end, (h,)))
-                    break
-    return {"collapses": collapses, "pairs": pairs, "stabilizers": stabs}
-
-
-def _crossing(gog: GraphOfGroups, u: TreeVertex,
-              x: TreeVertex) -> Optional[Traversal]:
-    """The quotient traversal realizing the tree edge from u to x."""
+    u = marked.vertices[marked.edges[eid].ends[0]].image
+    x = far_image(marked, eid, 0)
     return next((t for t in gog.incident(u.orbit) for r in gog.transversal(t)
                  if neighbor(gog, u, r, t) == x), None)
 
@@ -444,13 +461,9 @@ def maximality_flags(marked: MarkedTree) -> dict[str, bool]:
     gog = marked.ambient
     out = {}
     for eid, me in marked.edges.items():
-        u = marked.vertices[me.ends[0]].image
-        x = far_image(marked, eid, 0)
-        if u == x:
-            out[eid] = False
-            continue
-        t = _crossing(gog, u, x)
-        out[eid] = len(me.stab) == gog.edges[t.edge].group.order
+        t = _image_edge(marked, eid)
+        out[eid] = (t is not None
+                    and len(me.stab) == gog.edges[t.edge].group.order)
     return out
 
 
@@ -461,23 +474,15 @@ def is_terminal(marked: MarkedTree) -> bool:
     if (len(marked.vertices) != len(gog.vertices)
             or len(marked.edges) != len(gog.edges)):
         return False
-    orbits = {}
-    for name, mv in marked.vertices.items():
-        orbits.setdefault(mv.image.orbit, []).append(name)
-    if sorted(orbits) != sorted(gog.vertices):
+    # With the counts equal, covering every orbit makes a bijection.
+    orbits = {mv.image.orbit: mv for mv in marked.vertices.values()}
+    if sorted(orbits) != sorted(gog.vertices) or any(
+            len(mv.stab) != gog.vertices[orb].order
+            for orb, mv in orbits.items()):
         return False
-    for orb, names in orbits.items():
-        if len(names) != 1:
-            return False
-        if len(marked.vertices[names[0]].stab) != gog.vertices[orb].order:
-            return False
     seen = set()
     for eid, me in marked.edges.items():
-        u = marked.vertices[me.ends[0]].image
-        x = far_image(marked, eid, 0)
-        if u == x:
-            return False
-        t = _crossing(gog, u, x)
+        t = _image_edge(marked, eid)
         if t is None or t.edge in seen:
             return False
         seen.add(t.edge)
@@ -487,15 +492,13 @@ def is_terminal(marked: MarkedTree) -> bool:
 
 
 def _same_presentation(a: GraphOfGroups, b: GraphOfGroups) -> bool:
-    if sorted(a.vertices) != sorted(b.vertices):
-        return False
-    if sorted(a.edges) != sorted(b.edges):
-        return False
-    if any(a.vertices[v].order != b.vertices[v].order for v in a.vertices):
-        return False
-    return all(a.edges[e].ends == b.edges[e].ends
-               and a.edges[e].group.order == b.edges[e].group.order
-               for e in a.edges)
+    return (sorted(a.vertices) == sorted(b.vertices)
+            and sorted(a.edges) == sorted(b.edges)
+            and all(a.vertices[v].order == b.vertices[v].order
+                    for v in a.vertices)
+            and all(a.edges[e].ends == b.edges[e].ends
+                    and a.edges[e].group.order == b.edges[e].group.order
+                    for e in a.edges))
 
 
 def _diagnostic(marked: MarkedTree) -> str:
@@ -522,21 +525,18 @@ def fold_sequence(source: MarkedTree, target: GraphOfGroups,
                        "of groups")
     steps: list[tuple[FoldDirective, MarkedTree]] = []
     cur = source
-    for _ in range(max_steps):
-        if is_terminal(cur):
-            return steps
-        av = available_folds(cur)
-        picks = av["collapses"] or av["pairs"] or av["stabilizers"]
-        if not picks:
+    while not is_terminal(cur):
+        if len(steps) >= max_steps:
+            raise StepLimitError(f"max_steps {max_steps} exceeded before "
+                                 "reaching the target")
+        pick = next(_folds(cur), None)
+        if pick is None:
             raise GogError("map not foldable: no legal fold and the target "
                            "is not reached; " + _diagnostic(cur))
-        cur = fold(cur, picks[0])
-        steps.append((picks[0]._replace(
-            classification=_FOLD_CLASS[picks[0].kind]), cur))
-    if is_terminal(cur):
-        return steps
-    raise GogError(f"max_steps {max_steps} exceeded before reaching the "
-                   "target")
+        cur = fold(cur, pick)
+        steps.append((pick._replace(classification=_FOLD_CLASS[pick.kind]),
+                      cur))
+    return steps
 
 
 def identity_marking(gog: GraphOfGroups) -> MarkedTree:

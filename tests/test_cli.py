@@ -21,6 +21,7 @@ from vfree.bstree import standard_frame
 from vfree.cli import (
     AXIS_VERTEX_CAP,
     BUILTIN_GROUPS,
+    FOLD_SYLLABLE_CAP,
     WALK_STEP_CAP,
     _sample_reduced_forms,
     load_group,
@@ -615,6 +616,55 @@ def test_axis_work_is_capped_before_any_window(capsys, monkeypatch):
     assert "--periods × translation length is 6, above the axis cap 4" in err
 
 
+def test_basis_marking_is_capped_before_any_fold(capsys, tmp_path,
+                                                 monkeypatch):
+    """The words' syllables may reach the cap but not pass it; past it the
+    command exits 1 before the marked tree is built."""
+    assert FOLD_SYLLABLE_CAP == 160
+    rose = tmp_path / "rose.json"
+    rose.write_text(json.dumps(gw.gog_to_json(gw.build_rose(["x", "y"]))))
+    marking = tmp_path / "marking.json"
+    monkeypatch.setattr("vfree.cli.FOLD_SYLLABLE_CAP", 3)
+    marking.write_text(json.dumps({"marking": "basis",
+                                   "words": ["x", "x y"]}))
+    code, out, _ = run(capsys, "fold", "--source", str(marking),
+                       "--target", str(rose))
+    assert code == 0 and len(out.splitlines()) == 1
+    monkeypatch.setattr("vfree.cli.marked_rose_for_basis", None)
+    marking.write_text(json.dumps({"marking": "basis",
+                                   "words": ["x y", "y x"]}))
+    code, out, err = run(capsys, "fold", "--source", str(marking),
+                         "--target", str(rose))
+    assert code == 1 and out == ""
+    assert err == "vfree: field 'words' has 4 syllables, above the marking " \
+        "cap 3\n"
+
+
+@pytest.mark.parametrize("target, words, code, folds", [
+    ("sl2z", [" ".join(["a b"] * 78) + " a b b", "a b"], 1, 0),
+    ("rose", [" ".join(["x"] * 158) + " y", "x"], 0, 158),
+], ids=["sl2z", "rose"])
+def test_largest_accepted_marking_in_budget(tmp_path, target, words, code,
+                                            folds):
+    """The slowest markings found at the syllable cap, each in a fresh
+    interpreter: the sl2z one is not foldable, and the rose one folds in
+    158 steps.  On a 2-vCPU x86-64 VM the processes took about 2.6 s and
+    1.4 s."""
+    gog = gw.build_rose(["x", "y"]) if target == "rose" else gw.build_sl2z()
+    assert sum(gw.parse_word(gog, w).syllable_length() for w in words) == \
+        FOLD_SYLLABLE_CAP
+    if target == "rose":
+        target = str(tmp_path / "rose.json")
+        (tmp_path / "rose.json").write_text(json.dumps(gw.gog_to_json(gog)))
+    marking = tmp_path / "marking.json"
+    marking.write_text(json.dumps({"marking": "basis", "words": words}))
+    start = time.perf_counter()
+    got, out = run_fresh("fold", "--source", str(marking), "--target",
+                         target, "--max-steps", "100000")
+    assert time.perf_counter() - start < 10
+    assert got == code and len(out.splitlines()) == folds
+
+
 @pytest.mark.parametrize("lengths", [",", "", ",,"])
 def test_walk_needs_a_length(capsys, lengths):
     code, out, err = run(capsys, "walk", "--group", "z2z3", "--lengths",
@@ -658,6 +708,15 @@ MU_PARAMS = {
     (["fold", "--target", "sl2z", "--source"],
      {"marking": "basis", "words": 5},
      "field 'words' is not a list (got an integer)"),
+    (["fold", "--target", "sl2z", "--max-steps", "0", "--source"],
+     {"marking": "basis", "words": ["a b", "a b b"]},
+     "vfree: --max-steps 0 exceeded before reaching the target\n"),
+    (["fold", "--target", "sl2z", "--max-steps", "-1", "--source"],
+     {"marking": "basis", "words": ["a b", "a b b"]},
+     "vfree: --max-steps is -1, below 0\n"),
+    (["fold", "--target", "sl2z", "--source"],
+     {"marking": "basis", "words": [" ".join(["a b"] * 79), "a b b", "a b"]},
+     "vfree: field 'words' has 162 syllables, above the marking cap 160\n"),
     (["emit-formula", "theta", "--params"], [1, 2],
      "parameter JSON is not an object (got a list)"),
     (["emit-formula", "theta", "--params"], {"words": 5},
@@ -683,7 +742,9 @@ MU_PARAMS = {
      "vfree: unexpected end of formula\n"),
     (["emit-formula", "theta", "--params"], {"orders": [4, 6, 8]},
      "vfree: field 'orders' must list 2 orders (got 3)\n"),
-], ids=["fold-list", "fold-words", "params-list", "theta-words",
+], ids=["fold-list", "fold-words", "fold-max-steps-0",
+        "fold-max-steps-negative", "fold-words-cap", "params-list",
+        "theta-words",
         "theta-relators", "delta-n", "theta-exponent", "mu-inner-exponent",
         "mu-inner-kind", "mu-inner-end", "theta-three-orders"])
 def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,

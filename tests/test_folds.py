@@ -6,12 +6,18 @@ Free-group fold counts are cross-checked against an independent folding
 oracle on labeled graphs; stabilizer growth is cross-checked against a
 brute-force closure computed directly from normal-form products, and
 property tests hold the vertex-group table closure and the subgroup check
-of marked trees to the product closure oracle.
+of marked trees to the product closure oracle.  Fold runs are held, step
+by step, to the eager listing of fold_oracle, whose trees are checked in
+full.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import time
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import fold_oracle
 import vfree.bstree as bt
 import vfree.folds as fo
 import vfree.gogwords as gw
@@ -128,6 +134,40 @@ def test_marked_rose_shape():
     assert not fo.is_terminal(m)
     with pytest.raises(gw.GogError, match="fixes the base"):
         fo.marked_rose_for_basis(SL2Z, ["a"])
+
+
+@pytest.mark.parametrize("gog, vertices, edges, flags", [
+    # Two vertices over the orbit vA and none over vB.
+    (SL2Z, {"v": ("", [""]), "w": ("", [""])}, {"E": (("v", "w"), "", [""])},
+     {"E": False}),
+    # The vertex over vA records half of its stabilizer.
+    (SL2Z, {"v": ("", Z2A), "w": ("vB", Z6)}, {"E": (("v", "w"), "", Z2A)},
+     {"E": True}),
+    # The loop L maps to a point.
+    (ROSE, {"u": ("", [""])}, {"L": (("u", "u"), "", [""]),
+                                "M": (("u", "u"), "x", [""])},
+     {"L": False, "M": True}),
+    # Both loops map onto the ambient edge x.
+    (ROSE, {"u": ("", [""])}, {"L": (("u", "u"), "x", [""]),
+                                "M": (("u", "u"), "x^-1", [""])},
+     {"L": True, "M": True}),
+    # The edge records a trivial stabilizer, not the order-2 edge group.
+    (SL2Z, {"v": ("", Z4), "w": ("vB", Z6)}, {"E": (("v", "w"), "", [""])},
+     {"E": False}),
+], ids=["orbit-missed", "vertex-stabilizer", "edge-to-point",
+        "ambient-edge-twice", "edge-stabilizer"])
+def test_is_terminal_refuses_each_shortfall(gog, vertices, edges, flags):
+    """Each marking has as many vertex and edge orbits as the ambient
+    quotient and falls short of it in one way."""
+    at = {"": bt.base_vertex(gog)}
+    if "vB" in gog.vertices:
+        at["vB"] = bt.standard_vertex(gog, "vB")
+    m = mk(gog, {n: (at[i], stab) for n, (i, stab) in vertices.items()},
+           edges)
+    assert (len(m.vertices), len(m.edges)) == \
+        (len(gog.vertices), len(gog.edges))
+    assert not fo.is_terminal(m) and not fold_oracle.is_terminal(m)
+    assert fo.maximality_flags(m) == flags
 
 
 def test_validation_rejects_bad_markings():
@@ -352,7 +392,7 @@ def test_no_available_fold_is_ever_type1():
 
 def test_fold_sequence_errors():
     m = fo.marked_rose_for_basis(ROSE, ["x", "x y"])
-    with pytest.raises(gw.GogError, match="max_steps"):
+    with pytest.raises(fo.StepLimitError, match="max_steps"):
         fo.fold_sequence(m, ROSE, 0)
     with pytest.raises(gw.GogError, match="target must present"):
         fo.fold_sequence(m, SL2Z, 10)
@@ -405,3 +445,97 @@ def test_marked_tree_accepts_exactly_the_subgroups(name, data):
     except gw.GogError:
         accepted = False
     assert accepted == (product_closure(gog, subset) == subset)
+
+
+# -- fold runs against the eager oracle -------------------------------------------
+
+FOLD_PRESENTATIONS = {"rose-xy": ROSE, **SEAM}
+
+
+@st.composite
+def markings(draw):
+    """A basis marking of one to three short words on the rose x, y or a
+    seam presentation, an identity marking, or a subdivided sl2z."""
+    kind = draw(st.sampled_from(["basis", "basis", "identity", "subdivided"]))
+    if kind == "subdivided":
+        return SL2Z, subdivided_sl2z(draw(st.sampled_from([Z2A, [""]])))
+    gog = FOLD_PRESENTATIONS[draw(st.sampled_from(sorted(FOLD_PRESENTATIONS)))]
+    if kind == "identity":
+        return gog, fo.identity_marking(gog)
+    letters = [name + power for name, _ in gw.generator_letters(gog)
+               for power in ("", "^-1")]
+    words = draw(st.lists(st.lists(st.sampled_from(letters), min_size=1,
+                                   max_size=4).map(" ".join),
+                          min_size=1, max_size=3))
+    try:
+        return gog, fo.marked_rose_for_basis(gog, words)
+    except gw.GogError:
+        assume(False)
+
+
+def _recorded_run(m, gog, max_steps):
+    """fold_sequence's outcome, as fold_oracle names it, and every
+    (directive, tree) it folded, also when it ends in an error."""
+    folded, real = [], fo.fold
+
+    def recording(marked, d):
+        folded.append((d, real(marked, d)))
+        return folded[-1][1]
+    with mock.patch.object(fo, "fold", recording):
+        try:
+            steps = fo.fold_sequence(m, gog, max_steps)
+        except fo.StepLimitError:
+            return "limit", folded
+        except gw.GogError as exc:
+            assert "not foldable" in str(exc)
+            return "stuck", folded
+    assert [(d._replace(classification=None), t) for d, t in steps] == folded
+    assert all(d.classification == fo._FOLD_CLASS[d.kind] for d, _ in steps)
+    return "terminal", folded
+
+
+@settings(max_examples=60)
+@given(drawn=markings(), max_steps=st.integers(min_value=0, max_value=12))
+def test_fold_sequence_matches_the_eager_oracle(drawn, max_steps):
+    """Every step picks the oracle's directive and gives the oracle's tree,
+    so every tree a fold returns passes the checking constructor; the
+    whole listing also matches at each step, and so does the outcome."""
+    gog, m = drawn
+    want, want_outcome = fold_oracle.fold_sequence(m, max_steps)
+    outcome, got = _recorded_run(m, gog, max_steps)
+    assert outcome == want_outcome
+    assert len(got) == len(want)
+    cur = m
+    for (d, tree), (want_d, want_tree) in zip(got, want):
+        assert fo.available_folds(cur) == fold_oracle.available_folds(cur)
+        assert d == want_d
+        assert (tree.vertices, tree.edges) == \
+            (want_tree.vertices, want_tree.edges)
+        cur = tree
+
+
+def test_fold_sequence_validates_only_its_source(monkeypatch):
+    checked = []
+    real = fo.MarkedTree.validate
+
+    def counted(self):
+        checked.append(self)
+        real(self)
+    monkeypatch.setattr(fo.MarkedTree, "validate", counted)
+    m = fo.marked_rose_for_basis(ROSE, ["x y x", "x y^-1", "y x"])
+    seq = fo.fold_sequence(m, ROSE, 20)
+    assert len(seq) > 1 and fo.is_terminal(seq[-1][1])
+    assert checked == [m]
+
+
+def test_fold_sequence_on_131_edges_in_budget():
+    """The basis marking (x y)^64, x, x y of the rose has 131 edges and
+    folds in 129 pair folds.  On a 2-vCPU x86-64 VM the run took
+    0.6-1.0 s; the budget is twice that."""
+    m = fo.marked_rose_for_basis(ROSE, [" ".join(["x y"] * 64), "x", "x y"])
+    assert len(m.edges) == 131
+    start = time.perf_counter()
+    seq = fo.fold_sequence(m, ROSE, 200)
+    elapsed = time.perf_counter() - start
+    assert len(seq) == 129 and fo.is_terminal(seq[-1][1])
+    assert elapsed < 2.0
