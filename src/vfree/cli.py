@@ -90,6 +90,7 @@ from .gogwords import (
     is_identity,
     nf_to_json,
     parse_word,
+    path_invert,
     path_multiply,
 )
 
@@ -105,9 +106,9 @@ entries n, checked before any walk; the + 1 counts a length-0 entry too."""
 FOLD_SYLLABLE_CAP = 160
 """The most syllables a basis marking accepts: the total over the normal
 forms of its words, which is its edge count, checked before the marked
-tree is built.  Fold time grows faster than the square of it: at the cap
-the slowest marking tried, on sl2z, ends in about 2.6 s as a fresh
-process, and on the rose x, y in about 1.4 s (2-vCPU VM)."""
+tree is built.  Fold time grows about as the square of it or faster: at
+the cap the slowest marking tried, on sl2z, ends in about 0.5 s as a
+fresh process, and on the rose x, y in about 0.3 s (2-vCPU VM)."""
 
 AXIS_VERTEX_CAP = 2000
 """The most axis steps `axis` accepts: --periods × the translation
@@ -325,8 +326,9 @@ def _phi_predicted_steps(gog: GraphOfGroups, inj: dict, nf) -> int:
 def _letter_measure(gog: GraphOfGroups, trials: int, seed: int
                     ) -> RandomWalkSpec:
     """The uniform measure on the generator letters and their inverses."""
-    return uniform_spec(gog, [w for name, _ in generator_letters(gog)
-                              for w in (name, f"{name}^-1")], trials, seed)
+    return uniform_spec(gog, [w for _, nf in generator_letters(gog)
+                              for w in (nf, path_invert(gog, nf))],
+                        trials, seed)
 
 
 def _sample_reduced_forms(gog: GraphOfGroups, loops: dict,
@@ -566,11 +568,20 @@ def cmd_defspace(args) -> int:
     return 0
 
 
+def _required(data: dict, key: str, where: str):
+    """The required field data[key]; when it is missing, the KeyError
+    that main reports names it as where (a dotted path when nested)."""
+    try:
+        return data[key]
+    except KeyError:
+        raise KeyError(where) from None
+
+
 def _list_field(data: dict, key: str, want: type, where: str) -> list:
     """The required field data[key], a JSON list whose entries have type
     want; errors name the field as where (a dotted path when nested)."""
-    return _typed_list(_typed(data[key], "a list", f"field {where!r}"),
-                       want, where)
+    return _typed_list(_typed(_required(data, key, where), "a list",
+                              f"field {where!r}"), want, where)
 
 
 def cmd_fold(args) -> int:
@@ -701,7 +712,8 @@ def cmd_walk(args) -> int:
 def _delta_formula(spec: dict, prefix: str):
     """The delta formula of a JSON object with fields n and blocks, named
     prefix + field in errors."""
-    n = _typed(spec["n"], "an integer", f"field {prefix + 'n'!r}")
+    n = _typed(_required(spec, "n", prefix + "n"), "an integer",
+               f"field {prefix + 'n'!r}")
     _check_generator_count(f"field {prefix + 'n'!r}", n)
     blocks = [_typed_list(b, str, f"{prefix}blocks[{i}]") for i, b in
               enumerate(_list_field(spec, "blocks", list, prefix + "blocks"))]
@@ -714,15 +726,16 @@ def _inner_formula(params: dict):
     if kind == "delta":
         return _delta_formula(spec, "inner.")
     if kind == "text":
-        return parse_formula(_typed(spec["formula"], "a string",
-                                    "field 'inner.formula'"))
+        return parse_formula(_typed(_required(spec, "formula",
+                                              "inner.formula"),
+                                    "a string", "field 'inner.formula'"))
     raise GogError(f"unknown inner formula kind {kind!r}")
 
 
 def _presentation(params: dict, key: str) -> tuple:
     spec = _typed(params[key], "an object", f"field {key!r}")
-    count = _typed(spec["generators"], "an integer",
-                   f"field '{key}.generators'")
+    count = _typed(_required(spec, "generators", f"{key}.generators"),
+                   "an integer", f"field '{key}.generators'")
     _check_generator_count(f"field '{key}.generators'", count)
     return count, _list_field(spec, "relators", str, f"{key}.relators")
 
@@ -830,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "{\"marking\": \"basis\", \"words\": [...]}; "
                          "the words' normal forms have at most "
                          f"{FOLD_SYLLABLE_CAP} syllables in all, which fold "
-                         "in under 3 s")
+                         "in under 1 s")
     sp.add_argument("--target", required=True)
     sp.add_argument("--max-steps", type=int, default=50,
                     help="at least 0")

@@ -23,6 +23,10 @@ kept on that object, filled on first use, and goes when the object goes.
   under (u, w), the Whitehead frame of an orbit under the orbit, and
   each compiled walk pick under its reduced (steps, tail); no two such
   keys are equal.  What it compiles at construction is not kept state.
+- A marked tree (folds) keeps nothing: the far image of each edge end
+  is compiled where the tree comes in and moved by the fold that builds
+  the next tree, so it is not kept state, and a marked tree is not
+  changed after it is built.
 - functools.cache holds only plain values of its arguments (shapes, the
   CLI parser) and defspace's catalog, whose groups live for the process.
 

@@ -15,22 +15,22 @@ Marked vertices and edges and fold directives are named tuples, equal
 to the plain tuples of their fields.
 
 A marked tree is checked once, where it comes in: MarkedTree(...),
-identity_marking and marked_rose_for_basis validate in full; a fold
-checks its directive, which is caller data, and builds its result
-through MarkedTree._built unchecked. Legal folds are listed lazily, in
+identity_marking and marked_rose_for_basis validate in full and compile
+each edge end's far image. A fold checks its directive (caller data),
+moves far images only at the merged vertex, and builds its result through
+MarkedTree._built unchecked, so far images are not kept state; a marked
+tree is not changed after it is built. Legal folds are listed lazily, in
 priority order, so a fold sequence stops listing at its first pick.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .bstree import (
     TreeVertex,
     base_vertex,
     distance,
-    neighbor,
     stabilizer,
     standard_frame,
     translate,
@@ -45,7 +45,6 @@ from .gogwords import (
     _spanning_forest,
     end_vertex,
     identity_nf,
-    is_identity,
     normal_form,
     parse_word,
     path_invert,
@@ -158,10 +157,12 @@ class MarkedTree:
         self.validate()
 
     @classmethod
-    def _built(cls, ambient: GraphOfGroups, vertices, edges) -> MarkedTree:
+    def _built(cls, ambient: GraphOfGroups, vertices, edges,
+               far_images) -> MarkedTree:
         """A fold's result, sound by construction: not validated."""
         tree = cls.__new__(cls)
         tree.ambient, tree.vertices, tree.edges = ambient, vertices, edges
+        tree._far_images = far_images
         return tree
 
     def validate(self) -> None:
@@ -172,6 +173,7 @@ class MarkedTree:
             self._check_subgroup(
                 f"vertex {name!r}", mv.stab, mv.image,
                 f"stabilizer entry at vertex {name!r} does not fix its image")
+        far = self._far_images = {}
         for eid, me in self.edges.items():
             a, b = me.ends
             if a not in self.vertices or b not in self.vertices:
@@ -189,6 +191,7 @@ class MarkedTree:
                 raise GogError(
                     f"edge {eid!r} does not map to an edge or a point")
             ti = path_invert(gog, me.twist)
+            far[eid, 0], far[eid, 1] = far_pt, translate(gog, ti, near.image)
             for s in me.stab:
                 if s not in near.stab:
                     raise GogError(f"edge {eid!r} stabilizer is not inside "
@@ -242,8 +245,8 @@ def _far(marked: MarkedTree, edge: str, end: int
 
 
 def far_image(marked: MarkedTree, edge: str, end: int) -> TreeVertex:
-    far, mu = _far(marked, edge, end)
-    return translate(marked.ambient, mu, marked.vertices[far].image)
+    """The ambient image of the edge's far endpoint, seen from one end."""
+    return marked._far_images[edge, end]
 
 
 def _stab_from(gog: GraphOfGroups, me: MarkedEdge, end: int) -> frozenset:
@@ -254,9 +257,10 @@ def _stab_from(gog: GraphOfGroups, me: MarkedEdge, end: int) -> frozenset:
 
 
 def _merge_vertex(gog: GraphOfGroups, vertices: dict, edges: dict,
-                  keep: str, gone: str, gamma: NormalForm) -> None:
+                  far: dict, keep: str, gone: str, gamma: NormalForm) -> None:
     """Identify the lift of gone with gamma times the lift of keep,
-    renaming gone away and re-twisting its incident edges."""
+    renaming gone away and re-twisting its incident edges; only the far
+    images seen from the ends at gone move, by gamma^-1."""
     kv, gv = vertices[keep], vertices[gone]
     if translate(gog, gamma, kv.image) != gv.image:
         raise GogError("fold witness does not match the marked images")
@@ -281,6 +285,9 @@ def _merge_vertex(gog: GraphOfGroups, vertices: dict, edges: dict,
         else:
             continue
         edges[eid] = MarkedEdge((a, b), twist, estab)
+        for end, v in enumerate(me.ends):
+            if v == gone:
+                far[eid, end] = translate(gog, gi, far[eid, end])
 
 
 def _apply_pair(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
@@ -292,36 +299,34 @@ def _apply_pair(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     v2 = _near_name(marked, d.edge2, d.end2)
     if v1 != v2:
         raise GogError("pair fold needs a common endpoint")
-    far1, mu1 = _far(marked, d.edge, d.end)
-    far2, mu2 = _far(marked, d.edge2, d.end2)
-    p1 = translate(gog, mu1, marked.vertices[far1].image)
-    p2 = translate(gog, mu2, marked.vertices[far2].image)
-    if p1 != p2:
+    p1 = far_image(marked, d.edge, d.end)
+    if p1 != far_image(marked, d.edge2, d.end2):
         raise GogError("far endpoints have different images in the "
                        "ambient tree")
-    if distance(gog, marked.vertices[v1].image, p1) != 1:
+    if p1 == marked.vertices[v1].image:
         raise GogError("edge maps to a point; collapse it instead")
+    far1, mu1 = _far(marked, d.edge, d.end)
+    far2, mu2 = _far(marked, d.edge2, d.end2)
     vertices, edges = dict(marked.vertices), dict(marked.edges)
+    far_images = dict(marked._far_images)
+    gamma = path_multiply(gog, path_invert(gog, mu2), mu1)
     if far1 == far2:
-        gamma = path_multiply(gog, path_invert(gog, mu2), mu1)
-        if not is_identity(gog, gamma):
-            mv = vertices[far1]
-            vertices[far1] = MarkedVertex(
-                mv.image, _closure(gog, mv.image, set(mv.stab) | {gamma}))
+        mv = vertices[far1]
+        vertices[far1] = MarkedVertex(
+            mv.image, _closure(gog, mv.image, set(mv.stab) | {gamma}))
     elif far2 == v1 and far1 != v1:
-        gamma = path_multiply(gog, path_invert(gog, mu1), mu2)
-        _merge_vertex(gog, vertices, edges, far2, far1, gamma)
+        _merge_vertex(gog, vertices, edges, far_images, far2, far1,
+                      path_invert(gog, gamma))
     else:
-        gamma = path_multiply(gog, path_invert(gog, mu2), mu1)
-        _merge_vertex(gog, vertices, edges, far1, far2, gamma)
+        _merge_vertex(gog, vertices, edges, far_images, far1, far2, gamma)
     merged = _closure(gog, vertices[v1].image,
                       set(_stab_from(gog, edges[d.edge], d.end))
                       | set(_stab_from(gog, edges[d.edge2], d.end2)))
     me = edges[d.edge]
     stab = merged if d.end == 0 else _conj_set(gog, me.twist, merged)
     edges[d.edge] = MarkedEdge(me.ends, me.twist, stab)
-    del edges[d.edge2]
-    return MarkedTree._built(gog, vertices, edges)
+    del edges[d.edge2], far_images[d.edge2, 0], far_images[d.edge2, 1]
+    return MarkedTree._built(gog, vertices, edges, far_images)
 
 
 def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
@@ -334,12 +339,12 @@ def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     if any(h not in sv.stab for h in elems):
         raise GogError("fold subgroup must lie in the marked vertex "
                        "stabilizer")
-    far, mu = _far(marked, d.edge, d.end)
-    pfar = translate(gog, mu, marked.vertices[far].image)
+    pfar = far_image(marked, d.edge, d.end)
     if any(translate(gog, h, pfar) != pfar for h in elems):
         raise GogError("fold does not respect the marking: an element "
                        "moves the image of the far endpoint")
     hgrp = _closure(gog, sv.image, elems)
+    far, mu = _far(marked, d.edge, d.end)
     vertices, edges = dict(marked.vertices), dict(marked.edges)
     fv = vertices[far]
     grown = _closure(gog, fv.image, set(fv.stab)
@@ -350,27 +355,26 @@ def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     me = edges[d.edge]
     stab = newt if d.end == 0 else _conj_set(gog, me.twist, newt)
     edges[d.edge] = MarkedEdge(me.ends, me.twist, stab)
-    return MarkedTree._built(gog, vertices, edges)
+    return MarkedTree._built(gog, vertices, edges, marked._far_images)
 
 
 def _apply_collapse(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     gog = marked.ambient
-    _near_name(marked, d.edge, 0)
-    me = marked.edges[d.edge]
-    a, b = me.ends
-    if (translate(gog, me.twist, marked.vertices[b].image)
-            != marked.vertices[a].image):
+    a = _near_name(marked, d.edge, 0)
+    if far_image(marked, d.edge, 0) != marked.vertices[a].image:
         raise GogError("edge does not map to a point")
+    me = marked.edges[d.edge]
     vertices, edges = dict(marked.vertices), dict(marked.edges)
-    del edges[d.edge]
-    if a == b:
-        if not is_identity(gog, me.twist):
-            mv = vertices[a]
-            vertices[a] = MarkedVertex(
-                mv.image, _closure(gog, mv.image, set(mv.stab) | {me.twist}))
+    far_images = dict(marked._far_images)
+    del edges[d.edge], far_images[d.edge, 0], far_images[d.edge, 1]
+    if a == me.ends[1]:
+        mv = vertices[a]
+        vertices[a] = MarkedVertex(
+            mv.image, _closure(gog, mv.image, set(mv.stab) | {me.twist}))
     else:
-        _merge_vertex(gog, vertices, edges, a, b, path_invert(gog, me.twist))
-    return MarkedTree._built(gog, vertices, edges)
+        _merge_vertex(gog, vertices, edges, far_images, a, me.ends[1],
+                      path_invert(gog, me.twist))
+    return MarkedTree._built(gog, vertices, edges, far_images)
 
 
 def fold(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
@@ -403,27 +407,27 @@ def _folds(marked: MarkedTree) -> Iterator[FoldDirective]:
     """Every applicable directive, lazily and in priority order:
     collapses by edge; pairs by vertex, then by (edge, end) position;
     stabilizer folds by edge, then end, with the least witness element.
-    Far images are computed at most once per edge end; as the tree is
-    checked, an end whose far image is not its home crosses an edge."""
+    Far images are read from the tree; as the tree is checked, an end
+    whose far image is not its home crosses an edge."""
     gog = marked.ambient
-    far = functools.cache(functools.partial(far_image, marked))
+    far = marked._far_images
     ends = [(eid, end, v) for eid in sorted(marked.edges)
             for end, v in enumerate(marked.edges[eid].ends)]
     ends_at: dict[str, list] = {}
     for eid, end, v in ends:
         ends_at.setdefault(v, []).append((eid, end))
-        if end == 0 and far(eid, 0) == marked.vertices[v].image:
+        if end == 0 and far[eid, 0] == marked.vertices[v].image:
             yield collapse_fold(eid)
     for v, items in sorted(ends_at.items()):
         for i, (e1, k1) in enumerate(items):
-            p1 = far(e1, k1)
+            p1 = far[e1, k1]
             if p1 == marked.vertices[v].image:
                 continue
             for e2, k2 in items[i + 1:]:
-                if e1 != e2 and far(e2, k2) == p1:
+                if e1 != e2 and far[e2, k2] == p1:
                     yield pair_fold(e1, k1, e2, k2)
     for eid, end, v in ends:
-        pfar = far(eid, end)
+        pfar = far[eid, end]
         if pfar == marked.vertices[v].image:
             continue
         cur = _stab_from(gog, marked.edges[eid], end)
@@ -446,13 +450,13 @@ def available_folds(marked: MarkedTree) -> dict:
 
 
 def _image_edge(marked: MarkedTree, eid: str) -> Optional[Traversal]:
-    """The quotient traversal that the edge's lift maps onto, or None when
-    the edge maps to a point (no neighbor of a tree vertex is itself)."""
+    """The quotient traversal the edge's lift maps onto, read off the path
+    from its near image to its far image; None when that path is empty."""
     gog = marked.ambient
     u = marked.vertices[marked.edges[eid].ends[0]].image
-    x = far_image(marked, eid, 0)
-    return next((t for t in gog.incident(u.orbit) for r in gog.transversal(t)
-                 if neighbor(gog, u, r, t) == x), None)
+    path = path_multiply(gog, path_invert(gog, u.coset_rep),
+                         far_image(marked, eid, 0).coset_rep)
+    return path.steps[0][1] if path.steps else None
 
 
 def maximality_flags(marked: MarkedTree) -> dict[str, bool]:

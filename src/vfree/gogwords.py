@@ -553,19 +553,33 @@ def parse_word(gog: GraphOfGroups, text: str) -> NormalForm:
     return _reduce_raw(gog, gog.base_vertex, steps, acc)
 
 
+def _generator_loop(gog: GraphOfGroups, vid: str, idx: int) -> NormalForm:
+    """The loop at the base that runs the tree path to vid, reads the
+    element idx of its group there and runs back, reduced once."""
+    steps = [(gog.vertices[gog.near(t)].identity, t)
+             for t in gog.tree_path(gog.base_vertex, vid)]
+    acc = idx
+    for t in gog.tree_path(vid, gog.base_vertex):
+        steps.append((acc, t))
+        acc = gog.vertices[gog.far(t)].identity
+    return _reduce_raw(gog, gog.base_vertex, steps, acc)
+
+
 def generator_letters(gog: GraphOfGroups) -> list[tuple[str, NormalForm]]:
     """Canonical lifts of all letters: vertex-group generators and non-tree
-    edges, as normal forms of loop words at the base.  A name that is
-    both a non-tree edge and a generator names no letter (parse_word
-    refuses it), so it is left out."""
+    edges, as normal forms of loop words at the base.  Each generator is
+    read at its own vertex, also where another vertex's group shares its
+    name.  A name that is both a non-tree edge and a generator names no
+    letter (parse_word refuses it), so it is left out."""
     edges = [eid for eid in sorted(gog.edges) if eid not in gog.spanning_tree]
     clash = gog._letter_home.keys() & edges
     out = []
     for vid in sorted(gog.vertices):
         grp = gog.vertices[vid]
         for name in sorted(grp.generators):
-            if grp.generators[name] != grp.identity and name not in clash:
-                out.append((name, parse_word(gog, name)))
+            idx = grp.generators[name]
+            if idx != grp.identity and name not in clash:
+                out.append((name, _generator_loop(gog, vid, idx)))
     out += [(eid, parse_word(gog, eid)) for eid in edges if eid not in clash]
     return out
 

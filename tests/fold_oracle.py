@@ -1,21 +1,33 @@
 """Reference fold listing and fold run: every legal fold is listed, every
 step, and every tree is checked in full.
 
-`available_folds` is the listing `folds` used before it listed lazily:
-it computes each far image afresh wherever it is needed, tests pairs with
-the tree distance, and lists every collapse, pair and stabilizer fold
-before the caller looks at any.  `is_terminal` is the terminal test
-before the image edge of an edge had one helper, walking each vertex
-orbit's names.  `fold_sequence` takes the first directive of that
-listing at every step and rebuilds each result through the checking
-constructor `MarkedTree(...)`.  The tests require
-`folds.fold_sequence` to pick the same directives and to return the same
-trees, and each of its trees to pass the checking constructor.
+`far_image` computes a far image as `folds` did before a marked tree
+kept them: the edge's twist, or its inverse, applied to the far vertex's
+image; it never reads the images a tree keeps.  `available_folds` is the
+listing `folds` used before it listed lazily: it computes each far image
+afresh wherever it is needed, tests pairs with the tree distance, and
+lists every collapse, pair and stabilizer fold before the caller looks
+at any.  `is_terminal` is the terminal test before the image edge of an
+edge had one helper, walking each vertex orbit's names.
+`fold_sequence` takes the first directive of that listing at every step
+and rebuilds each result through the checking constructor
+`MarkedTree(...)`.  The tests require `folds.fold_sequence` to pick the
+same directives and to return the same trees, and each of its trees to
+pass the checking constructor and keep the far images it compiles.
 """
 
 import vfree.bstree as bt
 import vfree.folds as fo
 import vfree.gogwords as gw
+
+
+def far_image(marked, edge, end):
+    """The ambient image of the edge's far endpoint, seen from one end."""
+    gog, me = marked.ambient, marked.edges[edge]
+    if end == 0:
+        return bt.translate(gog, me.twist, marked.vertices[me.ends[1]].image)
+    return bt.translate(gog, gw.path_invert(gog, me.twist),
+                        marked.vertices[me.ends[0]].image)
 
 
 def available_folds(marked):
@@ -24,7 +36,7 @@ def available_folds(marked):
     collapses, pairs, stabs = [], [], []
     for eid in sorted(marked.edges):
         home = marked.vertices[marked.edges[eid].ends[0]].image
-        if fo.far_image(marked, eid, 0) == home:
+        if far_image(marked, eid, 0) == home:
             collapses.append(fo.collapse_fold(eid))
     ends_at = {}
     for eid in sorted(marked.edges):
@@ -36,19 +48,19 @@ def available_folds(marked):
         items = ends_at[v]
         for i in range(len(items)):
             e1, k1 = items[i]
-            p1 = fo.far_image(marked, e1, k1)
+            p1 = far_image(marked, e1, k1)
             if bt.distance(gog, home, p1) != 1:
                 continue
             for j in range(i + 1, len(items)):
                 e2, k2 = items[j]
                 if e1 == e2:
                     continue
-                if fo.far_image(marked, e2, k2) == p1:
+                if far_image(marked, e2, k2) == p1:
                     pairs.append(fo.pair_fold(e1, k1, e2, k2))
     for eid in sorted(marked.edges):
         for end in (0, 1):
             v = marked.edges[eid].ends[end]
-            pfar = fo.far_image(marked, eid, end)
+            pfar = far_image(marked, eid, end)
             if pfar == marked.vertices[v].image:
                 continue
             cur = fo._stab_from(gog, marked.edges[eid], end)
@@ -87,7 +99,7 @@ def is_terminal(marked):
     seen = set()
     for eid, me in marked.edges.items():
         u = marked.vertices[me.ends[0]].image
-        x = fo.far_image(marked, eid, 0)
+        x = far_image(marked, eid, 0)
         if u == x:
             return False
         t = _crossing(gog, u, x)

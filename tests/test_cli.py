@@ -506,6 +506,25 @@ def test_walk_custom_measure(capsys, tmp_path):
     assert all(r["trials"] == 5 for r in rows)
 
 
+def test_walk_runs_on_every_reduced_splitting(capsys, tmp_path):
+    """The default letter measure reads each generator at its own vertex,
+    so walk runs on all 65 graphs of enumerate_reduced(3, 2, 4), also
+    where two vertices' groups share a generator name."""
+    graphs = ds.enumerate_reduced(3, 2, 4)
+    assert len(graphs) == 65
+    shared = 0
+    for i, gog in enumerate(graphs):
+        names = [n for v in gog.vertices.values() for n in v.generators]
+        shared += len(set(names)) < len(names)
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(gw.gog_to_json(gog)))
+        code, out, err = run(capsys, "walk", "--group", str(path),
+                             "--lengths", "2")
+        assert (code, err) == (0, ""), i
+        assert out.startswith("n,trials,")
+    assert shared > 0
+
+
 @pytest.mark.parametrize("weights,lengths,seed,message", [
     (["1/0", "1/2", "1/2"], "4", None,
      "weights[0] is not a rational number: '1/0'"),
@@ -648,8 +667,8 @@ def test_largest_accepted_marking_in_budget(tmp_path, target, words, code,
                                             folds):
     """The slowest markings found at the syllable cap, each in a fresh
     interpreter: the sl2z one is not foldable, and the rose one folds in
-    158 steps.  On a 2-vCPU x86-64 VM the processes took about 2.6 s and
-    1.4 s."""
+    158 steps.  On a 2-vCPU x86-64 VM the processes took about 0.5 s and
+    0.3 s."""
     gog = gw.build_rose(["x", "y"]) if target == "rose" else gw.build_sl2z()
     assert sum(gw.parse_word(gog, w).syllable_length() for w in words) == \
         FOLD_SYLLABLE_CAP
@@ -742,11 +761,23 @@ MU_PARAMS = {
      "vfree: unexpected end of formula\n"),
     (["emit-formula", "theta", "--params"], {"orders": [4, 6, 8]},
      "vfree: field 'orders' must list 2 orders (got 3)\n"),
+    (["emit-formula", "mu", "--params"],
+     {**MU_PARAMS, "g": {"relators": []}, "embedding": ["x1 x2"],
+      "inner": {"n": 1, "blocks": []}},
+     "vfree: missing required field 'g.generators'\n"),
+    (["emit-formula", "mu", "--params"],
+     {**MU_PARAMS, "embedding": ["x1 x2"], "inner": {"blocks": [["x1"]]}},
+     "vfree: missing required field 'inner.n'\n"),
+    (["emit-formula", "mu", "--params"],
+     {**MU_PARAMS, "embedding": ["x1 x2"], "inner": {"kind": "text"}},
+     "vfree: missing required field 'inner.formula'\n"),
 ], ids=["fold-list", "fold-words", "fold-max-steps-0",
         "fold-max-steps-negative", "fold-words-cap", "params-list",
         "theta-words",
         "theta-relators", "delta-n", "theta-exponent", "mu-inner-exponent",
-        "mu-inner-kind", "mu-inner-end", "theta-three-orders"])
+        "mu-inner-kind", "mu-inner-end", "theta-three-orders",
+        "mu-g-generators-missing", "mu-inner-n-missing",
+        "mu-inner-formula-missing"])
 def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
                                                      spec, message):
     path = tmp_path / "spec.json"
