@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .bstree import (
     axis_window,
@@ -146,6 +146,16 @@ def _load_json(path: str, field: str,
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _print_json_list(items: Iterable) -> None:
+    """Print _dump of the list of items one item at a time, as soon as it
+    is made: the same bytes, without holding the list or its text."""
+    sep = "[\n"
+    for item in items:
+        print(sep + "  " + _dump(item).replace("\n", "\n  "), end="")
+        sep = ",\n"
+    print("[]" if sep == "[\n" else "\n]")
 
 
 def _vertex_str(gog: GraphOfGroups, v) -> str:
@@ -555,14 +565,14 @@ def cmd_defspace(args) -> int:
     if args.action == "enumerate":
         found = enumerate_reduced(args.vertices, args.edges, args.max_order)
         if args.format == "json":
-            print(_dump([gog_to_json(g) for g in found]))
+            _print_json_list(gog_to_json(g) for g in found)
         else:
             print(f"{len(found)} isomorphism classes")
         return 0
     gog = load_group(args.group)
     fresh = nonredundant_expansions(gog, args.depth)[0][1:]
     if args.format == "json":
-        print(_dump([gog_to_json(g) for g in fresh]))
+        _print_json_list(gog_to_json(g) for g in fresh)
     else:
         print(f"{len(fresh)} non-redundant expansions within depth {args.depth}")
     return 0

@@ -14,15 +14,17 @@ kept on that object, filled on first use, and goes when the object goes.
 
 - A FiniteGroup keeps in _facts its element orders ("orders"), Aut(G)
   ("auts"), conjugation rows ("conj"), the coset_data of each subgroup
-  asked for (under the frozenset of its elements) and defspace's facts
-  ("stats", "class", and under (c, x) those of the monomorphisms c → x,
-  kept on x, or on c when x is a catalog group, so that a catalog group
-  holds only catalog groups; their GroupHom values refer to c, so weak
-  keys would not free it).
+  asked for (under the frozenset of its elements; the compiled records
+  of graphs of groups hold that very data, so it must not be changed)
+  and defspace's facts ("stats", "class", and under (c, x) those of the
+  monomorphisms c → x, kept on x, or on c when x is a catalog group, so
+  that a catalog group holds only catalog groups; their GroupHom values
+  refer to c, so weak keys would not free it).
 - A GraphOfGroups keeps in _facts the tree path between two vertices
   under (u, w), the Whitehead frame of an orbit under the orbit, and
   each compiled walk pick under its reduced (steps, tail); no two such
-  keys are equal.  What it compiles at construction is not kept state.
+  keys are equal.  What it compiles at construction is not kept state;
+  its traversal records reference the coset data of its vertex groups.
 - A marked tree (folds) keeps nothing: the far image of each edge end
   is compiled where the tree comes in and moved by the fold that builds
   the next tree, so it is not kept state, and a marked tree is not

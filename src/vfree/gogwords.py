@@ -28,19 +28,19 @@ NormalForm.
 
 Each GraphOfGroups is compiled once, at construction.  Every traversal
 gets one record holding its near and far vertices, its reverse
-traversal, its push and pinch tables, the far vertex's multiplication
-table and its coset transversal at the near vertex; every vertex keeps
-its one path of spanning-tree traversals from the base.  One reducer
-reads the records: it extends a list of normal-form steps in place, one
-record lookup per raw step, so products and inverses share it and
-allocate nothing per step beyond the steps they keep.  Random walks
-reduce each pick through it once, when the pick is compiled, and after
-that read the pick's compiled positions (see genericity._walk).
+traversal, the coset data of the edge image that the near vertex group
+keeps (fingroup.coset_data; no graph copies it), its pinch table and the
+far vertex's multiplication table; every vertex keeps its one path of
+spanning-tree traversals from the base.  One reducer reads the records:
+it extends a list of normal-form steps in place, one record lookup per
+raw step, so products and inverses share it and allocate nothing per
+step beyond the steps they keep.  Random walks reduce each pick through
+it once, when the pick is compiled, and after that read the pick's
+compiled positions (see genericity._walk).
 
 The constructor checks a graph from outside in full; one the library
 builds from checked parts (an enumerated splitting, a collapse, an
-expansion) is only compiled, through GraphOfGroups._built.  Compiling
-reads each edge image's coset data kept on its vertex group.
+expansion) is only compiled, through GraphOfGroups._built.
 """
 
 from __future__ import annotations
@@ -107,18 +107,18 @@ class NormalForm(NamedTuple):
 
 
 class _Crossing(NamedTuple):
-    """The compiled record of one traversal t.  push maps an element g at
-    the near vertex to (r, f) with g = r · ι_near(c) and f = ι_far(c), r
-    the canonical coset representative; pinch maps each ι_near(c) to
-    ι_far(c); transversal lists the representatives r in order."""
+    """The compiled record of one traversal t.  transversal and decomp are
+    the coset data of ι_near(C) kept on the near vertex group: decomp maps
+    g there to (r, h), g = r · h with h = ι_near(c) and r the canonical
+    representative.  pinch maps each ι_near(c) to ι_far(c)."""
 
     near: str
     far: str
     rev: Traversal
-    push: dict
+    transversal: tuple
+    decomp: dict
     pinch: dict
     far_table: tuple
-    transversal: tuple
 
 
 class GraphOfGroups:
@@ -126,13 +126,13 @@ class GraphOfGroups:
 
     The constructor checks every injection and builds one _Crossing record
     for each of the two traversals of each edge (near and far vertex, the
-    interned reverse traversal, push and pinch tables, the far vertex's
-    multiplication table, the coset transversal at the near vertex), and
-    for each vertex the spanning-tree traversals from the base to it;
-    products reduce in place through the records.  A graph the library
-    builds from checked parts skips the checks (_built), and what the
-    graph fills on first use is kept in _facts (see the fingroup module
-    docstring).
+    interned reverse traversal, the coset data of the edge image that the
+    near vertex group keeps, referenced and not copied, the pinch table
+    and the far vertex's multiplication table), and for each vertex the
+    spanning-tree traversals from the base to it; products reduce in
+    place through the records.  A graph the library builds from checked
+    parts skips the checks (_built), and what the graph fills on first
+    use is kept in _facts (see the fingroup module docstring).
     """
 
     __slots__ = ("vertices", "edges", "base_vertex", "spanning_tree",
@@ -202,12 +202,11 @@ class GraphOfGroups:
             for d, t in enumerate(pair):
                 self._incident[e.ends[d]].append(t)
                 image = e.inj[d].mapping
-                pinch = dict(zip(image, e.inj[1 - d].mapping))
-                reps, decomp = coset_data(self.vertices[e.ends[d]], image)
                 self._crossing[t] = _Crossing(
                     e.ends[d], e.ends[1 - d], pair[1 - d],
-                    {g: (r, pinch[h]) for g, (r, h) in decomp.items()},
-                    pinch, self.vertices[e.ends[1 - d]].table, reps)
+                    *coset_data(self.vertices[e.ends[d]], image),
+                    dict(zip(image, e.inj[1 - d].mapping)),
+                    self.vertices[e.ends[1 - d]].table)
 
         # The tree spans, so this reaches every vertex.
         self._from_base: dict[str, tuple[Traversal, ...]] = {self.base_vertex: ()}
@@ -294,7 +293,7 @@ def _reduce_into(gog: GraphOfGroups, out: list, v: str, acc: int,
     crossing = gog._crossing
     table = gog.vertices[v].table
     for g, t in raw_steps:
-        near, far, rev, push, pinch, far_table, _ = crossing[t]
+        near, far, rev, _, decomp, pinch, far_table = crossing[t]
         if near != v:
             raise GogError(f"traversal {t} does not start at {v!r}")
         if not 0 <= g < len(table):
@@ -303,7 +302,8 @@ def _reduce_into(gog: GraphOfGroups, out: list, v: str, acc: int,
         if out and out[-1][1] == rev and acc in pinch:
             acc = far_table[out.pop()[0]][pinch[acc]]
         else:
-            r, acc = push[acc]
+            r, h = decomp[acc]
+            acc = pinch[h]
             out.append((r, t))
         v, table = far, far_table
     if not 0 <= raw_tail < len(table):
@@ -688,6 +688,9 @@ def _hom_from_spec(edge_group: FiniteGroup, target: FiniteGroup,
     return GroupHom.from_generator_images(edge_group, target, images)
 
 
+MAX_GRAPH_TABLE_ENTRIES = 2**20
+
+
 def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
     """Build a graph of groups from its JSON description.
 
@@ -696,10 +699,25 @@ def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
     "base": id, "tree": [edge ids]}, where each injection spec maps edge
     generator names to words in the endpoint group's generators.  Every
     field is type-checked, and a wrong one is named in the error with the
-    JSON type it had.
+    JSON type it had.  The multiplication tables of the vertex and edge
+    groups may hold MAX_GRAPH_TABLE_ENTRIES entries in all (Σ order²),
+    four tables of the largest order; the sum is checked as each group is
+    built, so a file past it is refused before its next group is built.
     """
     if isinstance(data, str):
         data = json.loads(data)
+    entries = 0
+
+    def group_at(obj: dict, where: str) -> FiniteGroup:
+        nonlocal entries
+        grp = group_from_json(_member(obj, "group", None, where))
+        entries += grp.order ** 2
+        if entries > MAX_GRAPH_TABLE_ENTRIES:
+            raise GogError(f"{where}.group brings the group tables to "
+                           f"{entries} entries, above the table cap "
+                           f"{MAX_GRAPH_TABLE_ENTRIES}")
+        return grp
+
     try:
         _typed(data, "an object", "graph of groups")
         vertices = []
@@ -707,15 +725,14 @@ def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
             where = f"vertices[{i}]"
             vid = _member(_typed(v, "an object", where), "id", "a string",
                           where)
-            vertices.append((vid, group_from_json(_member(v, "group", None,
-                                                          where))))
+            vertices.append((vid, group_at(v, where)))
         vgroups = dict(vertices)
         edges = []
         for i, e in enumerate(_member(data, "edges", "a list")):
             where = f"edges[{i}]"
             eid = _member(_typed(e, "an object", where), "id", "a string",
                           where)
-            grp = group_from_json(_member(e, "group", None, where))
+            grp = group_at(e, where)
             ends = tuple(_typed_list(_member(e, "ends", None, where), str,
                                      f"{where}.ends"))
             if len(ends) != 2 or any(v not in vgroups for v in ends):

@@ -144,3 +144,15 @@ def random_words(alphabet, count, max_len, seed):
     rng = random.Random(seed)
     return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
             for _ in range(count)]
+
+
+PEAK_RSS_MB = (
+    "def peak_rss_mb():\n"
+    "    # VmHWM, the peak resident set of this process image.  On Linux\n"
+    "    # ru_maxrss also carries the peak of the process that spawned this\n"
+    "    # one over the exec, so under a large test runner it reads that.\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        return next(int(line.split()[1]) for line in status\n"
+    "                    if line.startswith('VmHWM:')) // 1024\n")
+"""Source of a function that a fresh interpreter defines and calls to read
+its own peak resident set size in MB."""

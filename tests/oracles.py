@@ -6,9 +6,10 @@ library's word machinery.  The whole-path product is the library's
 earlier product: it reduces the full concatenation from scratch, so it
 checks the seam-local product without sharing its resume logic.  It
 reduces with the reducer by traversals, the library's earlier reducer,
-which looks up each traversal's push and pinch tables by key and reads
-its ends from the edges, so it shares no code with the library's reducer
-over compiled traversal records and judges it.  The scanning closure
+which reads each traversal's ends and injections from the edges and
+decomposes by the coset scan by products, so it shares no code or table
+with the library's reducer over compiled traversal records and judges
+it.  The scanning closure
 is the rewriting closure's earlier construction, which tries every rule
 at every position of every word, so it judges the rule-first
 construction on integer-coded words.  The table checks at
@@ -264,12 +265,23 @@ def mat_order(m: tuple, cap: int = 12):
 
 def reduce_by_traversals(gog, start, raw_steps, raw_tail):
     """The normal form of a raw path word from start, (element, traversal)
-    steps plus tail, reduced step by step through the Traversal-keyed push
-    and pinch tables, with each edge's ends read from gog.edges."""
+    steps plus tail, reduced step by step, with each edge's ends and
+    injections read from gog.edges: a step's pinch table is built from
+    its edge's two injections, and its coset decomposition is
+    coset_data_by_products of the near group and the edge image, computed
+    once per (group, image) in each call."""
+    decomps = {}
 
     def ends(t):
         e = gog.edges[t.edge].ends
         return e[t.dir], e[1 - t.dir]
+
+    def tables(t, grp):
+        inj = gog.edges[t.edge].inj
+        image = inj[t.dir].mapping
+        if (grp, image) not in decomps:
+            decomps[grp, image] = coset_data_by_products(grp, image)[1]
+        return dict(zip(image, inj[1 - t.dir].mapping)), decomps[grp, image]
 
     out = []
     v = start
@@ -281,7 +293,7 @@ def reduce_by_traversals(gog, start, raw_steps, raw_tail):
         if not 0 <= g < grp.order:
             raise gw.GogError(f"element index {g} out of range at {v!r}")
         acc = grp.mul(acc, g)
-        pinch = gog._crossing[t].pinch
+        pinch, decomp = tables(t, grp)
         if out and out[-1][1] == t.reverse() and acc in pinch:
             far_elt = pinch[acc]
             r_prev, t_prev = out.pop()
@@ -289,11 +301,11 @@ def reduce_by_traversals(gog, start, raw_steps, raw_tail):
             grp = gog.vertices[v]
             acc = grp.mul(r_prev, far_elt)
         else:
-            r, far_elt = gog._crossing[t].push[acc]
+            r, h = decomp[acc]
             out.append((r, t))
             v = ends(t)[1]
             grp = gog.vertices[v]
-            acc = far_elt
+            acc = pinch[h]
     if not 0 <= raw_tail < grp.order:
         raise gw.GogError(f"tail index {raw_tail} out of range at {v!r}")
     return gw.NormalForm(start, tuple(out), grp.mul(acc, raw_tail))

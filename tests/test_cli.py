@@ -15,14 +15,15 @@ import vfree
 import vfree.defspace as ds
 import vfree.fingroup as fg
 import vfree.gogwords as gw
-from fixtures import (build_A, build_counterexample_gog, build_sl2z_gog,
-                      build_z2_z3)
+from fixtures import (PEAK_RSS_MB, build_A, build_counterexample_gog,
+                      build_sl2z_gog, build_z2_z3)
 from vfree.bstree import standard_frame
 from vfree.cli import (
     AXIS_VERTEX_CAP,
     BUILTIN_GROUPS,
     FOLD_SYLLABLE_CAP,
     WALK_STEP_CAP,
+    _dump,
     _sample_reduced_forms,
     load_group,
     main,
@@ -363,6 +364,55 @@ def test_defspace_commands(capsys):
     code, _, err = run(capsys, "defspace", "reduced")
     assert code == 1
     assert "--group" in err
+
+
+@pytest.mark.parametrize("argv, classes", [
+    (["enumerate", "--vertices", "1", "--edges", "2", "--max-order", "4"], 47),
+    (["enumerate", "--vertices", "2", "--edges", "2", "--max-order", "4"],
+     105),
+    (["enumerate", "--vertices", "2", "--edges", "1", "--max-order", "8"],
+     179),
+    (["enumerate", "--vertices", "3", "--edges", "3", "--max-order", "1"], 0),
+    (["expand", "--group", "sl2z", "--depth", "3"], 0),
+    (["expand", "--group", "{rose}", "--depth", "1"], 4),
+], ids=["(1,2,4)", "(2,2,4)", "(2,1,8)", "empty", "expand-sl2z",
+        "expand-rose"])
+def test_defspace_json_is_the_dump_of_the_whole_list(capsys, tmp_path,
+                                                     argv, classes):
+    # The classes are written one at a time, in the bytes that _dump of
+    # the whole list would print.
+    rose = tmp_path / "rose.json"
+    rose.write_text(json.dumps(gw.gog_to_json(gw.build_rose("xyz"))))
+    argv = [arg.format(rose=rose) for arg in argv]
+    if argv[0] == "enumerate":
+        graphs = ds.enumerate_reduced(*(int(a) for a in argv[2::2]))
+    else:
+        graphs = ds.nonredundant_expansions(load_group(argv[2]),
+                                            int(argv[4]))[0][1:]
+    code, out, _ = run(capsys, "defspace", *argv, "--format", "json")
+    assert code == 0
+    assert out == _dump([gw.gog_to_json(g) for g in graphs]) + "\n"
+    assert len(graphs) == classes
+
+
+def test_streamed_enumeration_json_peak_in_budget():
+    # In a fresh interpreter, so that the peak is this command's alone.
+    # On a 2-vCPU x86-64 VM, (3,3,5) took about 2.7 s at a 28-29 MB peak
+    # with each class written as soon as it is made, and 84-86 MB when the
+    # whole list and its text were built first.
+    code = (PEAK_RSS_MB + "import sys\n"
+            "from vfree.cli import main\n"
+            "code = main(['defspace', 'enumerate', '--vertices', '3',\n"
+            "             '--edges', '3', '--max-order', '5',\n"
+            "             '--format', 'json'])\n"
+            "print(code, peak_rss_mb(), file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(vfree.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    code, peak_mb = proc.stderr.split()
+    assert code == "0" and len(json.loads(proc.stdout)) == 1564
+    assert int(peak_mb) <= 40
 
 
 @pytest.mark.parametrize("argv, message", [

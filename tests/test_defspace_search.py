@@ -23,7 +23,7 @@ import defspace_oracle as oracle
 import vfree
 import vfree.defspace as ds
 import vfree.fingroup as fg
-from fixtures import assert_compiles_like_checked
+from fixtures import PEAK_RSS_MB, assert_compiles_like_checked
 from test_defspace_dedup import as_json, isomorphic_copy
 
 
@@ -105,6 +105,20 @@ def test_enumeration_frontier_is_pinned_and_in_budget(query, classes,
         assert_compiles_like_checked(gog)
 
 
+@pytest.mark.parametrize("query", [row[0] for row in FRONTIER[:4]], ids=str)
+def test_graphs_share_the_coset_data_their_vertex_groups_keep(query):
+    # Each traversal's record references the decomposition its near group
+    # keeps for the edge image, so graphs with the same near group and
+    # image share one dict instead of copying it.
+    records = [(gog, t, c) for gog in ds.enumerate_reduced(*query)
+               for t, c in gog._crossing.items()]
+    for gog, t, c in records:
+        image = gog.edges[t.edge].inj[t.dir].mapping
+        reps, decomp = fg.coset_data(gog.vertices[c.near], image)
+        assert c.decomp is decomp and c.transversal is reps
+    assert len({id(c.decomp) for _, _, c in records}) < len(records) / 4
+
+
 def test_cold_one_vertex_loop_query_in_budget():
     # A fresh interpreter, so that no earlier test has warmed the facts
     # kept on the catalog groups; only the call is timed.  On a 2-vCPU
@@ -127,25 +141,29 @@ def test_cold_one_vertex_loop_query_in_budget():
 
 def test_cold_largest_multi_edge_query_in_budget():
     # (3, 3, 7) is the largest query ENUM_MULTI_EDGE_ORDER_CAP accepts.  A
-    # fresh interpreter, as above; only the call is timed.  It reads the
-    # facts kept on the catalog groups (_class, _mono_facts and each
-    # end's reads) about half a million times.  On a 2-vCPU x86-64 VM it
-    # took about 7 s, at a 204 MB peak that includes the JSON dump.
-    code = ("import hashlib, json, time\n"
+    # fresh interpreter, as above; only the call is timed, and the peak is
+    # read after the call, before the JSON digest.  It reads the facts
+    # kept on the catalog groups (_class, _mono_facts and each end's
+    # reads) about half a million times.  On a 2-vCPU x86-64 VM it took
+    # 5-6 s, at a 77-79 MB peak once each traversal referenced its vertex
+    # group's coset data, and 107-109 MB when each graph copied it.
+    code = (PEAK_RSS_MB + "import hashlib, json, time\n"
             "import vfree.defspace as ds\n"
             "import vfree.gogwords as gw\n"
             "start = time.perf_counter()\n"
             "found = ds.enumerate_reduced(3, 3, 7)\n"
             "elapsed = time.perf_counter() - start\n"
+            "peak = peak_rss_mb()\n"
             "text = json.dumps([gw.gog_to_json(g) for g in found],\n"
             "                  sort_keys=True)\n"
             "print(len(found), hashlib.sha256(text.encode()).hexdigest(),\n"
-            "      elapsed)\n")
+            "      elapsed, peak)\n")
     src = os.path.dirname(os.path.dirname(vfree.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    classes, digest, elapsed = proc.stdout.split()
+    classes, digest, elapsed, peak_mb = proc.stdout.split()
     assert int(classes) == 8787
     assert digest[:16] == "df8bac6e43cdeb76"
     assert float(elapsed) < 20.0
+    assert int(peak_mb) <= 90

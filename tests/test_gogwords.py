@@ -19,7 +19,7 @@ import vfree.bstree as bt
 import vfree.defspace as ds
 import vfree.fingroup as fg
 import vfree.gogwords as gw
-from vfree.cli import main
+from vfree.cli import BUILTIN_GROUPS, main
 from fixtures import (build_counterexample_gog, build_klein_hnn, build_z2_z3,
                       random_letter_word, seam_presentations)
 
@@ -1011,6 +1011,35 @@ def test_gog_json_refuses_malformed_graphs(changes, message):
     with pytest.raises(ValueError) as err:
         gw.gog_from_json({**SL2Z_DATA, **changes})
     assert str(err.value) == message
+
+
+def test_gog_json_table_entries_are_capped_before_the_next_group(
+        monkeypatch):
+    """SL2Z_JSON's groups hold 4² + 6² + 2² = 56 table entries.  At a cap
+    of 56 the file loads; below it the group that passes the cap is named,
+    and no group after it is built."""
+    monkeypatch.setattr(gw, "MAX_GRAPH_TABLE_ENTRIES", 56)
+    assert gw.gog_from_json(SL2Z_JSON).vertices["vB"].order == 6
+    built = []
+    monkeypatch.setattr(gw, "group_from_json",
+                        lambda spec: built.append(spec)
+                        or fg.group_from_json(spec))
+    for cap, where, entries, groups in ((55, "edges[0]", 56, 3),
+                                        (51, "vertices[1]", 52, 2)):
+        monkeypatch.setattr(gw, "MAX_GRAPH_TABLE_ENTRIES", cap)
+        built.clear()
+        with pytest.raises(gw.GogError) as err:
+            gw.gog_from_json(SL2Z_JSON)
+        assert str(err.value) == (f"{where}.group brings the group tables "
+                                  f"to {entries} entries, above the table "
+                                  f"cap {cap}")
+        assert len(built) == groups
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_builtins_load_from_json_under_the_table_cap(name):
+    data = gw.gog_to_json(BUILTIN_GROUPS[name]())
+    assert gw.gog_to_json(gw.gog_from_json(json.dumps(data))) == data
 
 
 def test_format_nf_is_readable():
