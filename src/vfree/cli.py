@@ -37,12 +37,12 @@ from .defspace import (
     nonredundant_expansions,
 )
 from .fingroup import (
+    GroupError,
     GroupHom,
     _check_order,
     _field,
     _typed,
     _typed_list,
-    build_cyclic,
     check_hom,
     cycle_notation,
     group_from_permutations,
@@ -65,6 +65,8 @@ from .folog import (
 )
 from .genericity import (
     RandomWalkSpec,
+    _pick_records,
+    _push_picks,
     _walk,
     _walk_plan,
     experiment_csv,
@@ -86,7 +88,6 @@ from .gogwords import (
     generator_letters,
     gog_from_json,
     gog_to_json,
-    identity_nf,
     is_identity,
     nf_to_json,
     parse_word,
@@ -185,11 +186,32 @@ class VerificationReport(NamedTuple):
                 "checks": [c._asdict() for c in self.checks]}
 
 
-def report_from_json(data: dict) -> VerificationReport:
-    checks = tuple(Check(c["check_id"], c["description"], c["status"],
-                         c["witness"]) for c in data["checks"])
-    report = VerificationReport(data["case_name"], checks)
-    if report.overall != data.get("overall", report.overall):
+def report_from_json(data) -> VerificationReport:
+    """The report a verify JSON dump holds.  Every field is type-checked,
+    and a missing or mistyped one raises GogError naming it and the JSON
+    type it had; an overall flag that its checks contradict is refused."""
+    try:
+        _typed(data, "an object", "report")
+        checks = []
+        for i, c in enumerate(_field(data, "checks", "a list")):
+            where = f"checks[{i}]"
+            _typed(c, "an object", where)
+            checks.append(Check(*(
+                _typed(_required(c, key, f"{where}.{key}"), want,
+                       f"field '{where}.{key}'")
+                for key, want in (("check_id", "a string"),
+                                  ("description", "a string"),
+                                  ("status", "a string"),
+                                  ("witness", "an object")))))
+        report = VerificationReport(_field(data, "case_name", "a string"),
+                                    tuple(checks))
+        overall = _typed(data.get("overall", report.overall), "a string",
+                         "field 'overall'")
+    except KeyError as exc:
+        raise GogError(f"report has no field {exc.args[0]!r}") from None
+    except GroupError as exc:
+        raise GogError(str(exc)) from None
+    if report.overall != overall:
         raise GogError("report overall flag does not match its checks")
     return report
 
@@ -232,9 +254,12 @@ def verify_sl2z(gog: Optional[GraphOfGroups] = None) -> VerificationReport:
                     "a^2": format_nf(gog, a2), "b^3": format_nf(gog, b3)}
 
     def check_unique_class():
-        z4, z6, z2 = build_cyclic(4, "a"), build_cyclic(6, "b"), build_cyclic(2, "c")
-        found = enumerate_reduced(2, 1, 12, vertex_groups=[z4, z6],
-                                  edge_groups=[z2])
+        vertex_groups = [gog.vertices[v] for v in sorted(gog.vertices)]
+        edge_groups = [gog.edges[e].group for e in sorted(gog.edges)]
+        found = enumerate_reduced(
+            len(vertex_groups), len(edge_groups),
+            max(g.order for g in vertex_groups + edge_groups),
+            vertex_groups=vertex_groups, edge_groups=edge_groups)
         ok = is_reduced(gog) and len(found) == 1
         return ok, {"reduced": is_reduced(gog), "classes": len(found)}
 
@@ -287,27 +312,42 @@ def counterexample_psi(gog: GraphOfGroups) -> GroupHom:
 def counterexample_phi(gog: GraphOfGroups) -> Callable:
     """The endomorphism acting as psi on the vA factor and as conjugation
     by u = z^-1 x y z on the vB factor, applied syllable by syllable to
-    a normal form from this library."""
+    a normal form of a loop from this library.
+
+    Each syllable image is compiled once per phi, on first use, as a walk
+    pick is (genericity._pick_records): psi's loop at vA, or the
+    u-conjugate of the loop at vB.  phi(w) pushes the images of w's
+    syllables, the tail's last, onto an empty normal form with one
+    genericity._push_picks call, so an image costs only the syllables it
+    cancels at the seam and one push of its rest, and phi multiplies no
+    normal forms."""
     psi = counterexample_psi(gog)
     u = parse_word(gog, "z^-1 x y z")
+    u_inv = path_invert(gog, u)
     loops_a, loops_b = (standard_frame(gog, vid).stabilizer
                         for vid in ("vA", "vB"))
-    images_b: dict = {}
+    images: dict = {"vA": {}, "vB": {}}
+    base = gog.base_vertex
+    identity = gog.vertices[base].identity
+    crossing = gog._crossing
 
-    def syllable_image(vid: str, elem: int):
-        if vid == "vA":
-            return loops_a[psi(elem)]
-        if elem not in images_b:
-            images_b[elem] = conjugate(gog, u, loops_b[elem])
-        return images_b[elem]
+    def image(vid: str, elem: int):
+        compiled = images[vid].get(elem)
+        if compiled is None:
+            loop = (loops_a[psi(elem)] if vid == "vA"
+                    else path_multiply(gog, u, loops_b[elem], u_inv))
+            compiled = images[vid][elem] = _pick_records(gog, [loop])[0]
+        return compiled
 
     def phi(nf):
-        out = identity_nf(gog)
-        v = nf.start
+        picks, v = [], nf.start
         for r, t in nf.steps:
-            out = path_multiply(gog, out, syllable_image(v, r))
-            v = gog.far(t)
-        return path_multiply(gog, out, syllable_image(v, nf.tail))
+            picks.append(image(v, r))
+            v = crossing[t].far
+        picks.append(image(v, nf.tail))
+        steps: list = []
+        tail = _push_picks(gog, steps, identity, picks)
+        return NormalForm(base, tuple(steps), tail)
 
     return phi
 
@@ -346,20 +386,23 @@ def _sample_reduced_forms(gog: GraphOfGroups, loops: dict,
     """The first target distinct non-identity elements of syllable length
     at most max_syllables among the vertex-group elements (loops maps each
     vertex to its stabilizer), then those passed by seeded walks of
-    2 * max_syllables letters, 40 * target steps in all."""
+    2 * max_syllables letters, 40 * target steps in all.  A normal form
+    is built only for an element that is kept."""
     plan = _walk_plan(gog, _letter_measure(gog, 1, seed))
-    walked = (NormalForm(gog.base_vertex, tuple(steps), tail)
-              for trial in range(20 * target // max_syllables)
+    base = gog.base_vertex
+    identity = gog.vertices[base].identity
+    walked = ((steps, tail) for trial in range(20 * target // max_syllables)
               for _, steps, tail in _walk(gog, plan, trial,
                                           range(2 * max_syllables + 1)))
     seen: dict = {}
-    for nf in itertools.chain(*(loops[v] for v in sorted(gog.vertices)),
-                              walked):
+    for steps, tail in itertools.chain(
+            ((nf.steps, nf.tail)
+             for v in sorted(gog.vertices) for nf in loops[v]), walked):
         if len(seen) == target:
             break
-        if len(nf.steps) <= max_syllables and not is_identity(gog, nf):
-            seen.setdefault(nf, nf)
-    return list(seen)
+        if len(steps) <= max_syllables and (steps or tail != identity):
+            seen[tuple(steps), tail] = None
+    return [NormalForm(base, steps, tail) for steps, tail in seen]
 
 
 def verify_counterexample(gog: Optional[GraphOfGroups] = None

@@ -22,7 +22,9 @@ kept on that object, filled on first use, and goes when the object goes.
   refer to c, so weak keys would not free it).
 - A GraphOfGroups keeps in _facts the tree path between two vertices
   under (u, w), the Whitehead frame of an orbit under the orbit, and
-  each compiled walk pick under its reduced (steps, tail); no two such
+  each compiled pick under its reduced (steps, tail): the picks of
+  walks and the syllable images of the counterexample's phi alike, in
+  that one slot, so a loop that is both is compiled once; no two such
   keys are equal.  What it compiles at construction is not kept state;
   its traversal records reference the coset data of its vertex groups.
 - A marked tree (folds) keeps nothing: the far image of each edge end

@@ -14,7 +14,10 @@ A walk multiplies its normal form on the right by one pick per step.
 Each pick is compiled once per graph of groups and kept as the fingroup
 module docstring says: from its first syllable that does not cancel,
 the rest of the pick is pushed as one tuple, kept per entering element,
-so a step costs one test per syllable it cancels and one push.  The
+so a step costs one test per syllable it cancels and one push.  One
+kernel, _push_picks, multiplies compiled picks onto a normal form in
+place; walks call it once per segment, and the counterexample's phi
+(cli.counterexample_phi) calls it on compiled syllable images.  The
 picks are drawn from the words random.Random.randrange reads, without
 its Python frames: when the weights' common denominator is at most 255,
 as the top bytes of the words of batched getrandbits calls, so the
@@ -31,7 +34,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .bstree import (
     TreeVertex,
@@ -433,8 +436,10 @@ def _draws(bits, denom: int, cums: list[int], tables, count: int):
 
 
 def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
-    """One compiled pick per support element: (positions, last), kept in
-    the graph's _facts under the element's reduced (steps, tail).
+    """One compiled pick per support element, a loop at the base vertex:
+    (positions, last), kept in the graph's _facts under the element's
+    reduced (steps, tail).  Walks compile their measure's support here,
+    and phi its syllable images (cli.counterexample_phi).
 
     Each element is reduced here, which checks every element index and
     traversal it names; one that is not a loop at the base vertex is
@@ -480,6 +485,38 @@ def _rest_of_pick(gog: GraphOfGroups, entering: int, near: str,
     return tuple(out), tail
 
 
+def _push_picks(gog: GraphOfGroups, steps: list, tail: int,
+                records: Iterable) -> int:
+    """Right-multiply compiled picks (see _pick_records), in order, onto
+    the normal form of a loop at the base vertex, given as its steps and
+    tail, and return the new tail; the steps are changed in place.
+
+    Through each pick's positions, a position that cancels into the last
+    step pops it, and the first that does not pushes the rest of the
+    pick, kept per entering element; a pick all of whose positions cancel
+    leaves its last element on the tail.  So a pick costs one test per
+    syllable it cancels and one push, whatever the length of the steps.
+    This is the one kernel of walks and of the counterexample's phi."""
+    base_table = gog.vertices[gog.base_vertex].table
+    pop = steps.pop
+    for positions, last in records:
+        for r, table, rev, pinch, far_table, pushed, rest in positions:
+            acc = table[tail][r]
+            if steps and steps[-1][1] == rev and acc in pinch:
+                tail = far_table[pop()[0]][pinch[acc]]
+                continue
+            try:
+                more, tail = pushed[tail]
+            except KeyError:
+                hit = pushed[tail] = _rest_of_pick(gog, tail, *rest)
+                more, tail = hit
+            steps += more
+            break
+        else:
+            tail = base_table[tail][last]
+    return tail
+
+
 def _walk_lengths(lengths: Sequence[int]) -> list[int]:
     """The distinct requested walk lengths in increasing order."""
     if any(isinstance(n, bool) or not isinstance(n, int) or n < 0
@@ -513,36 +550,22 @@ def _walk(gog: GraphOfGroups, plan: tuple, trial: int,
     Each step takes the support element that r = randrange(denom) selects
     (see _step_table).  The walk reads all of its draws before its first
     step, with _draws, so the stream and every walk are those of
-    randrange.  Each pick is multiplied onto the walk's steps through its
-    compiled positions (see _pick_records): a position that cancels into
-    the last step pops it, and the first that does not pushes the rest of
-    the pick.  The steps are one list that every pick extends or cancels
-    in place, so a caller copies what it keeps first."""
+    randrange.  The picks of each segment, from one length to the next,
+    are multiplied onto the walk's steps by one _push_picks call, the
+    kernel that phi shares (see cli.counterexample_phi): a position that
+    cancels into the last step pops it, and the first that does not
+    pushes the rest of the pick.  The steps are one list that every pick
+    extends or cancels in place, so a caller copies what it keeps
+    first."""
     seed, denom, cums, tables, picks = plan
     bits = random.Random(splitmix64(seed, trial)).getrandbits
     drawn = _draws(bits, denom, cums, tables, lengths[-1] if lengths else 0)
-    base_table = gog.vertices[gog.base_vertex].table
+    pick = picks.__getitem__
     steps: list = []
-    pop = steps.pop
     tail = gog.vertices[gog.base_vertex].identity
     done = 0
     for n in lengths:
-        for i in drawn[done:n]:
-            positions, last = picks[i]
-            for r, table, rev, pinch, far_table, pushed, rest in positions:
-                acc = table[tail][r]
-                if steps and steps[-1][1] == rev and acc in pinch:
-                    tail = far_table[pop()[0]][pinch[acc]]
-                    continue
-                try:
-                    more, tail = pushed[tail]
-                except KeyError:
-                    hit = pushed[tail] = _rest_of_pick(gog, tail, *rest)
-                    more, tail = hit
-                steps += more
-                break
-            else:
-                tail = base_table[tail][last]
+        tail = _push_picks(gog, steps, tail, map(pick, drawn[done:n]))
         done = n
         yield n, steps, tail
 

@@ -41,7 +41,13 @@ walks each trial once.  The walk by segments is the library's earlier
 walk loop: it draws with randrange, joins the picks between two lengths
 into one raw path word and reduces that word onto the walk with one
 _reduce_into call, so it judges the walk that reads batched draws and
-pushes compiled picks.
+pushes compiled picks.  The counterexample's phi by products is the
+CLI's earlier phi: it multiplies the whole running image by each
+syllable image with one path_multiply, so it judges the phi that pushes
+compiled images.  The sample by normal forms is the CLI's earlier
+sampler of reduced forms, which builds a normal form for every walk
+prefix before it filters, so it judges the one that builds only the
+forms it keeps.
 """
 
 from __future__ import annotations
@@ -52,9 +58,11 @@ import math
 import random
 from fractions import Fraction
 
+import vfree.cli as cli
 import vfree.fingroup as fg
 import vfree.genericity as gen
 import vfree.gogwords as gw
+from vfree.bstree import standard_frame
 
 
 def inverse_word(w: str, inverse: dict[str, str]) -> str:
@@ -862,3 +870,51 @@ def experiment_by_rewalking(gog, spec, lengths):
                 fil += gen.fills(gog, core).fills
         rows.append((n, spec.trials, hyp, fil))
     return rows
+
+
+# -- the counterexample's phi and sample, product by product ---------------------
+
+
+def counterexample_phi_by_products(gog):
+    """phi (psi on the vA factor, conjugation by u = z^-1 x y z on the vB
+    factor) with one path_multiply of the running image per syllable."""
+    psi = cli.counterexample_psi(gog)
+    u = gw.parse_word(gog, "z^-1 x y z")
+    loops_a, loops_b = (standard_frame(gog, vid).stabilizer
+                        for vid in ("vA", "vB"))
+    images_b = {}
+
+    def syllable_image(vid, elem):
+        if vid == "vA":
+            return loops_a[psi(elem)]
+        if elem not in images_b:
+            images_b[elem] = gw.conjugate(gog, u, loops_b[elem])
+        return images_b[elem]
+
+    def phi(nf):
+        out = gw.identity_nf(gog)
+        v = nf.start
+        for r, t in nf.steps:
+            out = gw.path_multiply(gog, out, syllable_image(v, r))
+            v = gog.far(t)
+        return gw.path_multiply(gog, out, syllable_image(v, nf.tail))
+
+    return phi
+
+
+def sample_reduced_forms_by_nf(gog, loops, max_syllables, target, seed):
+    """The sampler of cli._sample_reduced_forms, with a normal form built
+    for every vertex-group element and every walk prefix."""
+    plan = gen._walk_plan(gog, cli._letter_measure(gog, 1, seed))
+    walked = (gw.NormalForm(gog.base_vertex, tuple(steps), tail)
+              for trial in range(20 * target // max_syllables)
+              for _, steps, tail in gen._walk(gog, plan, trial,
+                                              range(2 * max_syllables + 1)))
+    seen = {}
+    for nf in itertools.chain(*(loops[v] for v in sorted(gog.vertices)),
+                              walked):
+        if len(seen) == target:
+            break
+        if len(nf.steps) <= max_syllables and not gw.is_identity(gog, nf):
+            seen.setdefault(nf, nf)
+    return list(seen)

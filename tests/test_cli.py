@@ -10,7 +10,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles as oc
 import vfree
 import vfree.defspace as ds
 import vfree.fingroup as fg
@@ -25,6 +27,7 @@ from vfree.cli import (
     WALK_STEP_CAP,
     _dump,
     _sample_reduced_forms,
+    counterexample_phi,
     load_group,
     main,
     report_from_json,
@@ -93,6 +96,109 @@ def test_counterexample_sample_is_seeded_reduced_and_covers_lengths():
     assert {w.syllable_length() for w in sample} == {0, 2, 4, 6}
 
 
+def _tampered_counterexample():
+    """The counterexample with z acting as a single swap, which collapses
+    both conjugation actions."""
+    a = build_A()
+    c = fg.build_boolean_vectors(4)
+    b = fg.build_semidirect(c, fg.build_cyclic(2, "z"),
+                            {"z": fg.basis_cycle_perm("(e1 e2)", 4)})
+    names = ["e1", "e2", "e3", "e4"]
+    ia = fg.GroupHom.from_generator_images(c, a, {n: a.generator(n) for n in names})
+    ib = fg.GroupHom.from_generator_images(c, b, {n: b.generator(n) for n in names})
+    return gw.build_amalgam(a, b, c, ia, ib)
+
+
+def test_sample_equals_the_normal_form_oracle():
+    gog = load_group("counterexample")
+    loops = {v: standard_frame(gog, v).stabilizer for v in gog.vertices}
+    for target, seed in ((240, 20250814), (40, 7), (300, 1)):
+        assert (_sample_reduced_forms(gog, loops, 6, target, seed)
+                == oc.sample_reduced_forms_by_nf(gog, loops, 6, target, seed))
+
+
+@pytest.mark.parametrize("build, loop_count", [
+    (lambda: load_group("counterexample"), 112),
+    (_tampered_counterexample, 96)], ids=["counterexample", "tampered"])
+def test_phi_equals_the_product_oracle(build, loop_count):
+    gog = build()
+    phi, oracle = counterexample_phi(gog), oc.counterexample_phi_by_products(gog)
+    loops = {v: standard_frame(gog, v).stabilizer for v in gog.vertices}
+    vertex_loops = [w for v in sorted(loops) for w in loops[v]]
+    assert len(vertex_loops) == loop_count
+    inj = dict(zip(gog.edges["e"].ends, gog.edges["e"].inj))
+    edge_loops = [loops[v][inj[v](c)] for v in ("vA", "vB")
+                  for c in range(gog.edges["e"].group.order)]
+    assert len(edge_loops) == 32
+    sample = _sample_reduced_forms(gog, loops, 6, 240, 20250814)
+    for w in [*vertex_loops, *edge_loops, *sample]:
+        assert phi(w) == oracle(w)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_phi_equals_the_product_oracle_on_drawn_words(data):
+    """Reduced loops of at most 8 syllables: the normal forms of raw words
+    that alternate between the two vertices, with any elements."""
+    gog = load_group("counterexample")
+    order = {v: gog.vertices[v].order for v in gog.vertices}
+    raw, v = [], "vA"
+    for k in range(2 * data.draw(st.integers(0, 4))):
+        raw.append((data.draw(st.integers(0, order[v] - 1)),
+                    gw.Traversal("e", k % 2)))
+        v = "vB" if v == "vA" else "vA"
+    w = gw.normal_form(gog, gw.NormalForm(
+        "vA", tuple(raw), data.draw(st.integers(0, order["vA"] - 1))))
+    assert w.syllable_length() <= 8
+    assert counterexample_phi(gog)(w) == oc.counterexample_phi_by_products(gog)(w)
+
+
+OTHER_PRESENTATIONS = {"sl2z": lambda: load_group("sl2z"),
+                       "z2z3": lambda: load_group("z2z3"),
+                       "rose": lambda: gw.build_rose(["x"])}
+
+
+@pytest.mark.parametrize("verify, name", [
+    (verify_counterexample, "sl2z"), (verify_counterexample, "z2z3"),
+    (verify_counterexample, "rose"), (verify_sl2z, "z2z3"),
+    (verify_sl2z, "rose")])
+def test_verify_scripts_fail_cleanly_on_other_presentations(verify, name):
+    """A check that cannot run on the graph records its error as a failed
+    check, so the script returns a failing report and raises nothing."""
+    report = verify(OTHER_PRESENTATIONS[name]())
+    assert report.overall == "fail"
+    assert check_by_id(report, "a").status == "fail"
+
+
+def _z2xz4_amalgam():
+    """Z/2 × Z/4 amalgamated with Z/4 over their squares: the edge group
+    has two classes of images in Z/2 × Z/4, so two reduced classes share
+    this group shape."""
+    c, b = fg.build_cyclic(2, "c"), fg.build_cyclic(4, "b")
+    a = fg.build_direct_product(fg.build_cyclic(2, "s"), fg.build_cyclic(4, "a"))
+    ia = fg.GroupHom.from_generator_images(
+        c, a, {"c": a.mul(a.generator("a"), a.generator("a"))})
+    ib = fg.GroupHom.from_generator_images(
+        c, b, {"c": b.mul(b.generator("b"), b.generator("b"))})
+    return gw.build_amalgam(a, b, c, ia, ib)
+
+
+@pytest.mark.parametrize("name, classes", [
+    ("sl2z", 1), ("z2z3", 1), ("rose", 1), ("z2xz4", 2)])
+def test_unique_class_check_enumerates_the_graphs_own_groups(name, classes):
+    gog = (_z2xz4_amalgam if name == "z2xz4" else OTHER_PRESENTATIONS[name])()
+    vertex_groups = [gog.vertices[v] for v in sorted(gog.vertices)]
+    edge_groups = [gog.edges[e].group for e in sorted(gog.edges)]
+    found = ds.enumerate_reduced(
+        len(vertex_groups), len(edge_groups),
+        max(g.order for g in vertex_groups + edge_groups),
+        vertex_groups=vertex_groups, edge_groups=edge_groups)
+    assert len(found) == classes
+    c = check_by_id(verify_sl2z(gog), "c")
+    assert c.witness == {"reduced": ds.is_reduced(gog), "classes": classes}
+    assert c.status == ("pass" if classes == 1 else "fail")
+
+
 def test_report_json_round_trip():
     report = verify_sl2z()
     data = report.to_json()
@@ -102,6 +208,37 @@ def test_report_json_round_trip():
     bad["overall"] = "fail"
     with pytest.raises(gw.GogError):
         report_from_json(bad)
+
+
+_CHECK = {"check_id": "a", "description": "d", "status": "pass",
+          "witness": {}}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "report has no field 'checks'"),
+    ({"case_name": "x", "checks": "no"},
+     "field 'checks' is not a list (got a string)"),
+    ([], "report is not an object (got a list)"),
+    ({"checks": []}, "report has no field 'case_name'"),
+    ({"case_name": 3, "checks": []},
+     "field 'case_name' is not a string (got an integer)"),
+    ({"case_name": "x", "checks": [3]},
+     "checks[0] is not an object (got an integer)"),
+    ({"case_name": "x", "checks": [{"check_id": "a"}]},
+     "report has no field 'checks[0].description'"),
+    ({"case_name": "x", "checks": [_CHECK, dict(_CHECK, witness=[])]},
+     "field 'checks[1].witness' is not an object (got a list)"),
+    ({"case_name": "x", "checks": [dict(_CHECK, status=None)]},
+     "field 'checks[0].status' is not a string (got null)"),
+    ({"case_name": "x", "checks": [], "overall": 1},
+     "field 'overall' is not a string (got an integer)"),
+    ({"case_name": "x", "checks": [], "overall": "fail"},
+     "report overall flag does not match its checks"),
+])
+def test_malformed_report_json_names_the_field(data, message):
+    with pytest.raises(gw.GogError) as info:
+        report_from_json(data)
+    assert str(info.value) == message
 
 
 def test_verify_sl2z_fault_injection():
@@ -115,16 +252,7 @@ def test_verify_sl2z_fault_injection():
 
 
 def test_verify_counterexample_fault_injection():
-    # z acting as a single swap collapses both conjugation actions
-    a = build_A()
-    c = fg.build_boolean_vectors(4)
-    b = fg.build_semidirect(c, fg.build_cyclic(2, "z"),
-                            {"z": fg.basis_cycle_perm("(e1 e2)", 4)})
-    names = ["e1", "e2", "e3", "e4"]
-    ia = fg.GroupHom.from_generator_images(c, a, {n: a.generator(n) for n in names})
-    ib = fg.GroupHom.from_generator_images(c, b, {n: b.generator(n) for n in names})
-    tampered = gw.build_amalgam(a, b, c, ia, ib)
-    report = verify_counterexample(tampered)
+    report = verify_counterexample(_tampered_counterexample())
     assert report.overall == "fail"
     f = check_by_id(report, "f")
     assert f.status == "fail"
