@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -67,8 +66,6 @@ from .genericity import (
     RandomWalkSpec,
     _pick_records,
     _push_picks,
-    _walk,
-    _walk_plan,
     experiment_csv,
     fills,
     run_genericity_experiment,
@@ -88,7 +85,6 @@ from .gogwords import (
     generator_letters,
     gog_from_json,
     gog_to_json,
-    is_identity,
     nf_to_json,
     parse_word,
     path_invert,
@@ -352,25 +348,19 @@ def counterexample_phi(gog: GraphOfGroups) -> Callable:
     return phi
 
 
-def _phi_predicted_steps(gog: GraphOfGroups, inj: dict, nf) -> int:
-    """Syllable length the phi image must have if no reduction occurs.
-
-    Each vA syllable maps to one vA syllable and each vB syllable to the
-    five-syllable word z^-1 . xy . (z b z^-1) . (xy)^-1 . z; concatenation
-    stays alternating, so the image length is exact unless something
-    collapses."""
-    sides = []
-    v = nf.start
+def _syllable_sides(gog: GraphOfGroups, inside: dict, nf) -> list:
+    """The vertex of each syllable of nf read as an amalgam word: each
+    position whose element lies outside the edge group's image (inside
+    maps each end vertex to that image).  A normal form is reduced, so
+    over one edge only its first position and its tail can lie inside."""
+    sides, v = [], nf.start
     for r, t in nf.steps:
-        if r not in inj[v].mapping:
+        if r not in inside[v]:
             sides.append(v)
         v = gog.far(t)
-    if nf.tail not in inj[v].mapping:
+    if nf.tail not in inside[v]:
         sides.append(v)
-    if not sides:
-        return 0
-    total = sum(1 if s == "vA" else 5 for s in sides)
-    return (total - 1) + (sides[0] == "vB") + (sides[-1] == "vB")
+    return sides
 
 
 def _letter_measure(gog: GraphOfGroups, trials: int, seed: int
@@ -381,37 +371,20 @@ def _letter_measure(gog: GraphOfGroups, trials: int, seed: int
                         trials, seed)
 
 
-def _sample_reduced_forms(gog: GraphOfGroups, loops: dict,
-                          max_syllables: int, target: int, seed: int) -> list:
-    """The first target distinct non-identity elements of syllable length
-    at most max_syllables among the vertex-group elements (loops maps each
-    vertex to its stabilizer), then those passed by seeded walks of
-    2 * max_syllables letters, 40 * target steps in all.  A normal form
-    is built only for an element that is kept."""
-    plan = _walk_plan(gog, _letter_measure(gog, 1, seed))
-    base = gog.base_vertex
-    identity = gog.vertices[base].identity
-    walked = ((steps, tail) for trial in range(20 * target // max_syllables)
-              for _, steps, tail in _walk(gog, plan, trial,
-                                          range(2 * max_syllables + 1)))
-    seen: dict = {}
-    for steps, tail in itertools.chain(
-            ((nf.steps, nf.tail)
-             for v in sorted(gog.vertices) for nf in loops[v]), walked):
-        if len(seen) == target:
-            break
-        if len(steps) <= max_syllables and (steps or tail != identity):
-            seen[tuple(steps), tail] = None
-    return [NormalForm(base, steps, tail) for steps, tail in seen]
-
-
 def verify_counterexample(gog: Optional[GraphOfGroups] = None
                           ) -> VerificationReport:
     """Scripted checks for the amalgam of the order-64 and order-48 groups
-    whose x and y are swapped by an endomorphism but by no automorphism."""
+    whose x and y are swapped by an endomorphism but by no automorphism.
+    A graph without the vertices vA and vB and the edge e fails every
+    check, each naming the first of them it lacks."""
     if gog is None:
         gog = load_group("counterexample")
     checks: list = []
+    missing = next((f"presentation has no {kind} {name!r}"
+                    for kind, names, name in (("vertex", gog.vertices, "vA"),
+                                              ("vertex", gog.vertices, "vB"),
+                                              ("edge", gog.edges, "e"))
+                    if name not in names), None)
     basis = ("e1", "e2", "e3", "e4")
     loops = {vid: standard_frame(gog, vid).stabilizer
              for vid in gog.vertices}
@@ -466,18 +439,20 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
         return agree and swaps, {"edge_agreements": agree, "swaps_x_y": swaps}
 
     def check_normal_form_preservation():
-        phi, inj = counterexample_phi(gog), _edge_injections(gog)
-        sample = _sample_reduced_forms(gog, loops, max_syllables=6,
-                                       target=240, seed=20250814)
-        preserved = nontrivial = 0
-        for w in sample:
-            image = phi(w)
-            nontrivial += not is_identity(gog, image)
-            preserved += len(image.steps) == _phi_predicted_steps(
-                gog, inj, w)
-        ok = preserved == len(sample) and nontrivial == len(sample)
-        return ok, {"sampled": len(sample), "max_syllables": 6,
-                    "no_collapse": preserved, "nontrivial_images": nontrivial}
+        phi = counterexample_phi(gog)
+        inside = {v: set(inj.mapping)
+                  for v, inj in _edge_injections(gog).items()}
+        sides = {vid: [_syllable_sides(gog, inside, phi(loops[vid][g]))
+                       for g in range(gog.vertices[vid].order)
+                       if g not in inside[vid]] for vid in ("vA", "vB")}
+        kept = sum(s == ["vA"] for s in sides["vA"])
+        five = sum(len(s) == 5 for s in sides["vB"])
+        ends = sum((s[:1] == ["vB"]) + (s[-1:] == ["vB"]) for s in sides["vB"])
+        n_a, n_b = len(sides["vA"]), len(sides["vB"])
+        ok = kept == n_a and five == n_b and ends == 2 * n_b
+        return ok, {"syllables_A": n_a, "syllables_B": n_b, "seams": 2 * n_b,
+                    "A_images_outside_C": kept, "B_images_5_syllables": five,
+                    "seams_in_B": ends}
 
     def check_conjugation_actions():
         a, b = gog.vertices["vA"], gog.vertices["vB"]
@@ -499,22 +474,27 @@ def verify_counterexample(gog: Optional[GraphOfGroups] = None
                     "order_with_x": n_x, "order_with_y": n_y,
                     "non_isomorphic": n_x != n_y}
 
-    _run_check(checks, "a", "the two factors have orders 64 and 48 over an "
-               "order-16 edge group with injective inclusions", check_build)
-    _run_check(checks, "b", "psi is an automorphism of the order-64 factor",
-               check_psi)
-    _run_check(checks, "c", "conjugation by u = z^-1 x y z agrees with psi "
-               "on all 16 edge-group elements", check_conjugation_matches_psi)
-    _run_check(checks, "d", "phi (psi on one factor, conjugation by u on "
-               "the other) is well defined and swaps x and y",
-               check_phi_well_defined)
-    _run_check(checks, "e", "phi sends sampled reduced normal forms of "
-               "syllable length <= 6 to reduced normal forms with the exact "
-               "no-collapse syllable count, and never to the identity",
-               check_normal_form_preservation)
-    _run_check(checks, "f", "the conjugation actions of <x, z> and <y, z> "
-               "on the edge group have orders 6 and 24, so no automorphism "
-               "sends x to y", check_conjugation_actions)
+    for cid, description, check in (
+            ("a", "the two factors have orders 64 and 48 over an order-16 "
+             "edge group with injective inclusions", check_build),
+            ("b", "psi is an automorphism of the order-64 factor", check_psi),
+            ("c", "conjugation by u = z^-1 x y z agrees with psi on all 16 "
+             "edge-group elements", check_conjugation_matches_psi),
+            ("d", "phi (psi on one factor, conjugation by u on the other) "
+             "is well defined and swaps x and y", check_phi_well_defined),
+            ("e", "phi sends each element of the order-64 factor A outside "
+             "the edge group C to one outside C, and each b of the order-48 "
+             "factor B outside C to u b u^-1 reduced with 5 "
+             "syllables whose first and last lie in B outside C; so every "
+             "reduced normal form goes to a reduced normal form of the "
+             "predicted syllable length", check_normal_form_preservation),
+            ("f", "the conjugation actions of <x, z> and <y, z> on the edge "
+             "group have orders 6 and 24, so no automorphism sends x to y",
+             check_conjugation_actions)):
+        if missing:
+            checks.append(Check(cid, description, "fail", {"error": missing}))
+        else:
+            _run_check(checks, cid, description, check)
     return VerificationReport("counterexample", tuple(checks))
 
 

@@ -44,10 +44,12 @@ _reduce_into call, so it judges the walk that reads batched draws and
 pushes compiled picks.  The counterexample's phi by products is the
 CLI's earlier phi: it multiplies the whole running image by each
 syllable image with one path_multiply, so it judges the phi that pushes
-compiled images.  The sample by normal forms is the CLI's earlier
-sampler of reduced forms, which builds a normal form for every walk
-prefix before it filters, so it judges the one that builds only the
-forms it keeps.
+compiled images.  The sampled normal form check is the CLI's earlier
+check (e) of verify counterexample: it applies phi to 240 sampled
+reduced forms (the sample by normal forms, which builds a normal form
+for every walk prefix) and counts the images of the predicted syllable
+length, so it judges the certificate over single syllables that
+replaced it.
 """
 
 from __future__ import annotations
@@ -872,7 +874,7 @@ def experiment_by_rewalking(gog, spec, lengths):
     return rows
 
 
-# -- the counterexample's phi and sample, product by product ---------------------
+# -- the counterexample's phi by products and its sampled check ----------------
 
 
 def counterexample_phi_by_products(gog):
@@ -903,8 +905,11 @@ def counterexample_phi_by_products(gog):
 
 
 def sample_reduced_forms_by_nf(gog, loops, max_syllables, target, seed):
-    """The sampler of cli._sample_reduced_forms, with a normal form built
-    for every vertex-group element and every walk prefix."""
+    """The first target distinct non-identity elements of syllable length
+    at most max_syllables among the vertex-group elements (loops maps each
+    vertex to its stabilizer), then those passed by seeded walks of
+    2 * max_syllables letters, with a normal form built for every
+    vertex-group element and every walk prefix."""
     plan = gen._walk_plan(gog, cli._letter_measure(gog, 1, seed))
     walked = (gw.NormalForm(gog.base_vertex, tuple(steps), tail)
               for trial in range(20 * target // max_syllables)
@@ -918,3 +923,43 @@ def sample_reduced_forms_by_nf(gog, loops, max_syllables, target, seed):
         if len(nf.steps) <= max_syllables and not gw.is_identity(gog, nf):
             seen.setdefault(nf, nf)
     return list(seen)
+
+
+def phi_predicted_steps(gog, nf):
+    """Syllable length the phi image must have if no reduction occurs.
+
+    Each vA syllable maps to one vA syllable and each vB syllable to the
+    five-syllable word z^-1 . xy . (z b z^-1) . (xy)^-1 . z; concatenation
+    stays alternating, so the image length is exact unless something
+    collapses."""
+    inj = dict(zip(gog.edges["e"].ends, gog.edges["e"].inj))
+    sides = []
+    v = nf.start
+    for r, t in nf.steps:
+        if r not in inj[v].mapping:
+            sides.append(v)
+        v = gog.far(t)
+    if nf.tail not in inj[v].mapping:
+        sides.append(v)
+    if not sides:
+        return 0
+    total = sum(1 if s == "vA" else 5 for s in sides)
+    return (total - 1) + (sides[0] == "vB") + (sides[-1] == "vB")
+
+
+def sampled_normal_form_check(gog):
+    """(ok, witness) of the CLI's earlier check (e): cli.counterexample_phi
+    applied to 240 seeded reduced forms of at most 6 syllables, each image
+    counted when it has the predicted syllable length and when it is not
+    the identity."""
+    phi = cli.counterexample_phi(gog)
+    loops = {v: standard_frame(gog, v).stabilizer for v in gog.vertices}
+    sample = sample_reduced_forms_by_nf(gog, loops, 6, 240, 20250814)
+    preserved = nontrivial = 0
+    for w in sample:
+        image = phi(w)
+        nontrivial += not gw.is_identity(gog, image)
+        preserved += len(image.steps) == phi_predicted_steps(gog, w)
+    ok = preserved == len(sample) and nontrivial == len(sample)
+    return ok, {"sampled": len(sample), "max_syllables": 6,
+                "no_collapse": preserved, "nontrivial_images": nontrivial}

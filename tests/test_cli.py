@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 import vfree
+import vfree.cli as cli
 import vfree.defspace as ds
 import vfree.fingroup as fg
+import vfree.genericity as gen
 import vfree.gogwords as gw
 from fixtures import (PEAK_RSS_MB, build_A, build_counterexample_gog,
                       build_sl2z_gog, build_z2_z3)
@@ -26,7 +28,6 @@ from vfree.cli import (
     FOLD_SYLLABLE_CAP,
     WALK_STEP_CAP,
     _dump,
-    _sample_reduced_forms,
     counterexample_phi,
     load_group,
     main,
@@ -81,14 +82,17 @@ def test_verify_counterexample_passes():
     assert f.witness["f_x"] == "(e1 e2)"
     assert f.witness["h_z"] == "(e1 e2 e3)"
     e = check_by_id(report, "e")
-    assert e.witness["sampled"] == e.witness["no_collapse"] >= 150
+    assert e.witness == {"syllables_A": 48, "A_images_outside_C": 48,
+                         "syllables_B": 32, "B_images_5_syllables": 32,
+                         "seams": 64, "seams_in_B": 64}
 
 
 def test_counterexample_sample_is_seeded_reduced_and_covers_lengths():
     gog = load_group("counterexample")
     loops = {v: standard_frame(gog, v).stabilizer for v in gog.vertices}
-    sample = _sample_reduced_forms(gog, loops, 6, 240, 20250814)
-    assert sample == _sample_reduced_forms(gog, loops, 6, 240, 20250814)
+    sample = oc.sample_reduced_forms_by_nf(gog, loops, 6, 240, 20250814)
+    assert sample == oc.sample_reduced_forms_by_nf(gog, loops, 6, 240,
+                                                   20250814)
     assert len(set(sample)) == len(sample) == 240
     for w in sample:
         assert not gw.is_identity(gog, w) and w.syllable_length() <= 6
@@ -109,14 +113,6 @@ def _tampered_counterexample():
     return gw.build_amalgam(a, b, c, ia, ib)
 
 
-def test_sample_equals_the_normal_form_oracle():
-    gog = load_group("counterexample")
-    loops = {v: standard_frame(gog, v).stabilizer for v in gog.vertices}
-    for target, seed in ((240, 20250814), (40, 7), (300, 1)):
-        assert (_sample_reduced_forms(gog, loops, 6, target, seed)
-                == oc.sample_reduced_forms_by_nf(gog, loops, 6, target, seed))
-
-
 @pytest.mark.parametrize("build, loop_count", [
     (lambda: load_group("counterexample"), 112),
     (_tampered_counterexample, 96)], ids=["counterexample", "tampered"])
@@ -130,7 +126,7 @@ def test_phi_equals_the_product_oracle(build, loop_count):
     edge_loops = [loops[v][inj[v](c)] for v in ("vA", "vB")
                   for c in range(gog.edges["e"].group.order)]
     assert len(edge_loops) == 32
-    sample = _sample_reduced_forms(gog, loops, 6, 240, 20250814)
+    sample = oc.sample_reduced_forms_by_nf(gog, loops, 6, 240, 20250814)
     for w in [*vertex_loops, *edge_loops, *sample]:
         assert phi(w) == oracle(w)
 
@@ -168,6 +164,9 @@ def test_verify_scripts_fail_cleanly_on_other_presentations(verify, name):
     report = verify(OTHER_PRESENTATIONS[name]())
     assert report.overall == "fail"
     assert check_by_id(report, "a").status == "fail"
+    if verify is verify_counterexample and name == "rose":
+        assert [(c.status, c.witness) for c in report.checks] == [
+            ("fail", {"error": "presentation has no vertex 'vA'"})] * 6
 
 
 def _z2xz4_amalgam():
@@ -258,6 +257,52 @@ def test_verify_counterexample_fault_injection():
     assert f.status == "fail"
     assert f.witness["order_with_x"] <= 4
     assert f.witness["order_with_y"] <= 4
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_group("counterexample"), _tampered_counterexample],
+    ids=["counterexample", "tampered"])
+def test_normal_form_certificate_agrees_with_the_sampled_judge(build):
+    """Check (e)'s certificate over single syllables and the earlier
+    sampled check both pass, on the builtin and on the graph whose z
+    action is tampered (which fails only check (f))."""
+    gog = build()
+    e = check_by_id(verify_counterexample(gog), "e")
+    ok, witness = oc.sampled_normal_form_check(gog)
+    assert e.status == "pass" and ok
+    assert witness["sampled"] == witness["no_collapse"] == 240
+
+
+def test_normal_form_certificate_and_judge_fail_with_a_trivial_psi(
+        monkeypatch):
+    """A psi that sends every element of A into C collapses phi: the
+    certificate finds no element of A kept outside C, and the sampled
+    check sees collapsed and trivial images."""
+    gog = load_group("counterexample")
+    a = gog.vertices["vA"]
+    monkeypatch.setattr(cli, "counterexample_psi", lambda g: fg.GroupHom(
+        a, a, (a.identity,) * a.order))
+    e = check_by_id(verify_counterexample(gog), "e")
+    assert e.status == "fail"
+    assert e.witness["A_images_outside_C"] == 0
+    ok, witness = oc.sampled_normal_form_check(gog)
+    assert not ok
+    assert (witness["no_collapse"], witness["nontrivial_images"]) == (210, 158)
+
+
+def test_verify_counterexample_takes_no_walk(monkeypatch):
+    """Check (e) reads phi's images of single syllables, so no check
+    plans or takes a random walk."""
+    calls = []
+    for module in (gen, cli):
+        for name in ("_walk", "_walk_plan"):
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), **kwargs):
+                    calls.append(_fn)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    assert verify_counterexample().overall == "pass"
+    assert calls == []
 
 
 def test_verify_outputs_are_byte_stable(capsys):
