@@ -9,6 +9,11 @@ by callers that explicitly ask for them, and the frame of each orbit's
 standard vertex (its neighbors and stabilizer), which is built once per
 graph of groups and kept as the fingroup module docstring says.
 
+A neighbor of a tree vertex c·v is a coset c·r·ι_t(G_e) (Serre, Trees,
+§I.4): direction names it as the pair (t, r), r a canonical coset
+representative, and act moves it by a vertex-group element with one
+table lookup, no normal-form product.
+
 Tree vertices, axis segments and classifications are named tuples: each
 hashes as the plain tuple of its fields and compares equal to it.
 """
@@ -146,6 +151,30 @@ def neighbors(gog: GraphOfGroups, v: TreeVertex) -> list[TreeVertex]:
     group image (the count is the sum of the indices)."""
     return [neighbor(gog, v, r, t)
             for t in gog.incident(v.orbit) for r in gog.transversal(t)]
+
+
+def direction(gog: GraphOfGroups, v: TreeVertex,
+              w: TreeVertex) -> Optional[tuple[Traversal, int]]:
+    """The direction at v of a neighbor w: the pair (t, r), with r in
+    gog.transversal(t), for which w = neighbor(gog, v, r, t); None when w
+    is v.  Raises GogError when w is farther."""
+    p = path_multiply(gog, path_invert(gog, v.coset_rep), w.coset_rep)
+    if len(p.steps) > 1:
+        raise GogError("vertices are not adjacent")
+    return (p.steps[0][1], p.steps[0][0]) if p.steps else None
+
+
+def act(gog: GraphOfGroups, x: int, d: Optional[tuple[Traversal, int]]
+        ) -> Optional[tuple[Traversal, int]]:
+    """The image of a direction d at a tree vertex v under stabilizer(gog,
+    v)[x], x an element of the group at v.orbit: one lookup in that
+    group's table and in the coset data of t's edge image.  None, the
+    vertex itself, is fixed."""
+    if d is None:
+        return None
+    t, r = d
+    c = gog._crossing[t]
+    return t, c.decomp[gog.vertices[c.near].table[x][r]][0]
 
 
 def distance(gog: GraphOfGroups, u: TreeVertex, w: TreeVertex) -> int:

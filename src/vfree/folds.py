@@ -14,13 +14,15 @@ closures and subgroup checks run in that vertex group's table.
 Marked vertices and edges and fold directives are named tuples, equal
 to the plain tuples of their fields.
 
-A marked tree is checked once, where it comes in: MarkedTree(...),
-identity_marking and marked_rose_for_basis validate in full and compile
-each edge end's far image. A fold checks its directive (caller data),
-moves far images only at the merged vertex, and builds its result through
-MarkedTree._built unchecked, so far images are not kept state; a marked
-tree is not changed after it is built. Legal folds are listed lazily, in
-priority order, so a fold sequence stops listing at its first pick.
+A marked tree is checked once, where it comes in, images and twists as
+normal forms too, and keeps each edge end's far image as a direction at
+its near image (bstree.direction), None for an edge mapping to a point.
+Folds translate no tree vertex: a stabilizer element moves a direction by
+a table lookup (bstree.act), and a merge moves the directions at the gone
+vertex by one group element. A fold checks its directive (caller data)
+and builds its result unchecked; a marked tree is not changed after it is
+built. Folds are listed lazily, in priority order, so a fold sequence
+stops listing at its first pick.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .bstree import (
     TreeVertex,
+    act,
     base_vertex,
-    distance,
+    direction,
+    neighbor,
     stabilizer,
     standard_frame,
     translate,
@@ -85,11 +89,13 @@ def _table_indices(gog: GraphOfGroups, at: TreeVertex, elements,
     return table, idx
 
 
+_NOT_FIXED = "fold element does not fix its vertex"
+
+
 def _closure(gog: GraphOfGroups, at: TreeVertex, elements) -> frozenset:
     """The subgroup generated by elements fixing the tree vertex at,
     closed in the table of its vertex group."""
-    table, idx = _table_indices(gog, at, elements,
-                                "fold element does not fix its vertex")
+    table, idx = _table_indices(gog, at, elements, _NOT_FIXED)
     sub = subgroup_closure(gog.vertices[at.orbit], idx)
     return frozenset(table[x] for x in sub.elements)
 
@@ -170,6 +176,12 @@ class MarkedTree:
         if not self.vertices:
             raise GogError("marked tree needs at least one vertex")
         for name, mv in self.vertices.items():
+            img = mv.image
+            if not (isinstance(img, TreeVertex)
+                    and self._is_normal(img.coset_rep, img.orbit)
+                    and img == vertex_from_path(gog, img.coset_rep)):
+                raise GogError(f"vertex {name!r} image is not a tree vertex "
+                               "in normal form")
             self._check_subgroup(
                 f"vertex {name!r}", mv.stab, mv.image,
                 f"stabilizer entry at vertex {name!r} does not fix its image")
@@ -178,20 +190,24 @@ class MarkedTree:
             a, b = me.ends
             if a not in self.vertices or b not in self.vertices:
                 raise GogError(f"edge {eid!r} has an unknown endpoint")
-            if not self._is_element(me.twist):
+            if not self._is_normal(me.twist, gog.base_vertex):
                 raise GogError(f"edge {eid!r} twist is not a based group "
-                               "element")
+                               "element in normal form")
             near = self.vertices[a]
             self._check_subgroup(
                 f"edge {eid!r}", me.stab, near.image,
                 f"edge {eid!r} stabilizer is not inside its near vertex "
                 "stabilizer")
-            far_pt = translate(gog, me.twist, self.vertices[b].image)
-            if distance(gog, near.image, far_pt) > 1:
-                raise GogError(
-                    f"edge {eid!r} does not map to an edge or a point")
             ti = path_invert(gog, me.twist)
-            far[eid, 0], far[eid, 1] = far_pt, translate(gog, ti, near.image)
+            # The far image seen from a is twist·b, and from b twist^-1·a.
+            try:
+                far[eid, 0], far[eid, 1] = (direction(
+                    gog, self.vertices[u].image,
+                    translate(gog, g, self.vertices[w].image))
+                    for u, g, w in ((a, me.twist, b), (b, ti, a)))
+            except GogError:
+                raise GogError(f"edge {eid!r} does not map to an edge or a "
+                               "point") from None
             for s in me.stab:
                 if s not in near.stab:
                     raise GogError(f"edge {eid!r} stabilizer is not inside "
@@ -204,10 +220,15 @@ class MarkedTree:
         if _spanning_forest(self.vertices, ends)[1] != 1:
             raise GogError("marked shape is not connected")
 
-    def _is_element(self, nf: NormalForm) -> bool:
+    def _is_normal(self, nf: NormalForm, end: str) -> bool:
+        """Whether nf is a normal form from the base vertex to end."""
         gog = self.ambient
-        return (nf.start == gog.base_vertex
-                and end_vertex(gog, nf) == gog.base_vertex)
+        try:
+            return (isinstance(nf, NormalForm) and nf.start == gog.base_vertex
+                    and path_normal_form(gog, *nf) == nf
+                    and end_vertex(gog, nf) == end)
+        except GogError:
+            return False
 
     def _check_subgroup(self, where: str, stab: frozenset, at: TreeVertex,
                         outside: str) -> None:
@@ -215,7 +236,7 @@ class MarkedTree:
         vertex at; outside is the error for an entry not fixing at."""
         gog = self.ambient
         for s in stab:
-            if not self._is_element(s):
+            if not self._is_normal(s, gog.base_vertex):
                 raise GogError(f"stabilizer entry at {where} is not a based "
                                "group element")
         _, idx = _table_indices(gog, at, stab, outside)
@@ -246,7 +267,9 @@ def _far(marked: MarkedTree, edge: str, end: int
 
 def far_image(marked: MarkedTree, edge: str, end: int) -> TreeVertex:
     """The ambient image of the edge's far endpoint, seen from one end."""
-    return marked._far_images[edge, end]
+    near = marked.vertices[marked.edges[edge].ends[end]].image
+    d = marked._far_images[edge, end]
+    return near if d is None else neighbor(marked.ambient, near, d[1], d[0])
 
 
 def _stab_from(gog: GraphOfGroups, me: MarkedEdge, end: int) -> frozenset:
@@ -258,36 +281,30 @@ def _stab_from(gog: GraphOfGroups, me: MarkedEdge, end: int) -> frozenset:
 
 def _merge_vertex(gog: GraphOfGroups, vertices: dict, edges: dict,
                   far: dict, keep: str, gone: str, gamma: NormalForm) -> None:
-    """Identify the lift of gone with gamma times the lift of keep,
-    renaming gone away and re-twisting its incident edges; only the far
-    images seen from the ends at gone move, by gamma^-1."""
+    """Identify the lift of gone with gamma times the lift of keep, and
+    re-twist the edges at gone.  y = c_k^-1 gamma^-1 c_g, from the images'
+    coset reps, crosses no edge, and its tail moves the directions at gone."""
     kv, gv = vertices[keep], vertices[gone]
-    if translate(gog, gamma, kv.image) != gv.image:
-        raise GogError("fold witness does not match the marked images")
     gi = path_invert(gog, gamma)
+    y = path_multiply(gog, path_invert(gog, kv.image.coset_rep), gi,
+                      gv.image.coset_rep)
+    if y.steps:
+        raise GogError("fold witness does not match the marked images")
     stab = _closure(gog, kv.image, set(kv.stab) | _conj_set(gog, gi, gv.stab))
     vertices[keep] = MarkedVertex(kv.image, stab)
     del vertices[gone]
     for eid, me in list(edges.items()):
         a, b = me.ends
-        twist, estab = me.twist, me.stab
-        if a == gone and b == gone:
-            twist = path_multiply(gog, gi, twist, gamma)
-            estab = _conj_set(gog, gi, estab)
-            a = b = keep
-        elif a == gone:
-            twist = path_multiply(gog, gi, twist)
-            estab = _conj_set(gog, gi, estab)
-            a = keep
-        elif b == gone:
-            twist = path_multiply(gog, twist, gamma)
-            b = keep
-        else:
+        if gone not in (a, b):
             continue
-        edges[eid] = MarkedEdge((a, b), twist, estab)
+        twist = path_multiply(gog, gi, me.twist) if a == gone else me.twist
+        edges[eid] = MarkedEdge(
+            (keep if a == gone else a, keep if b == gone else b),
+            path_multiply(gog, twist, gamma) if b == gone else twist,
+            _conj_set(gog, gi, me.stab) if a == gone else me.stab)
         for end, v in enumerate(me.ends):
             if v == gone:
-                far[eid, end] = translate(gog, gi, far[eid, end])
+                far[eid, end] = act(gog, y.tail, far[eid, end])
 
 
 def _apply_pair(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
@@ -299,11 +316,11 @@ def _apply_pair(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     v2 = _near_name(marked, d.edge2, d.end2)
     if v1 != v2:
         raise GogError("pair fold needs a common endpoint")
-    p1 = far_image(marked, d.edge, d.end)
-    if p1 != far_image(marked, d.edge2, d.end2):
+    p1 = marked._far_images[d.edge, d.end]
+    if p1 != marked._far_images[d.edge2, d.end2]:
         raise GogError("far endpoints have different images in the "
                        "ambient tree")
-    if p1 == marked.vertices[v1].image:
+    if p1 is None:
         raise GogError("edge maps to a point; collapse it instead")
     far1, mu1 = _far(marked, d.edge, d.end)
     far2, mu2 = _far(marked, d.edge2, d.end2)
@@ -339,8 +356,9 @@ def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     if any(h not in sv.stab for h in elems):
         raise GogError("fold subgroup must lie in the marked vertex "
                        "stabilizer")
-    pfar = far_image(marked, d.edge, d.end)
-    if any(translate(gog, h, pfar) != pfar for h in elems):
+    pfar = marked._far_images[d.edge, d.end]
+    _, idx = _table_indices(gog, sv.image, elems, _NOT_FIXED)
+    if any(act(gog, x, pfar) != pfar for x in idx):
         raise GogError("fold does not respect the marking: an element "
                        "moves the image of the far endpoint")
     hgrp = _closure(gog, sv.image, elems)
@@ -361,7 +379,7 @@ def _apply_stabilizer(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
 def _apply_collapse(marked: MarkedTree, d: FoldDirective) -> MarkedTree:
     gog = marked.ambient
     a = _near_name(marked, d.edge, 0)
-    if far_image(marked, d.edge, 0) != marked.vertices[a].image:
+    if marked._far_images[d.edge, 0] is not None:
         raise GogError("edge does not map to a point")
     me = marked.edges[d.edge]
     vertices, edges = dict(marked.vertices), dict(marked.edges)
@@ -407,8 +425,8 @@ def _folds(marked: MarkedTree) -> Iterator[FoldDirective]:
     """Every applicable directive, lazily and in priority order:
     collapses by edge; pairs by vertex, then by (edge, end) position;
     stabilizer folds by edge, then end, with the least witness element.
-    Far images are read from the tree; as the tree is checked, an end
-    whose far image is not its home crosses an edge."""
+    Far images are the directions read from the tree: None for an edge
+    mapping to a point, and a stabilizer element acts by a table lookup."""
     gog = marked.ambient
     far = marked._far_images
     ends = [(eid, end, v) for eid in sorted(marked.edges)
@@ -416,23 +434,26 @@ def _folds(marked: MarkedTree) -> Iterator[FoldDirective]:
     ends_at: dict[str, list] = {}
     for eid, end, v in ends:
         ends_at.setdefault(v, []).append((eid, end))
-        if end == 0 and far[eid, 0] == marked.vertices[v].image:
+        if end == 0 and far[eid, 0] is None:
             yield collapse_fold(eid)
     for v, items in sorted(ends_at.items()):
         for i, (e1, k1) in enumerate(items):
             p1 = far[e1, k1]
-            if p1 == marked.vertices[v].image:
+            if p1 is None:
                 continue
             for e2, k2 in items[i + 1:]:
                 if e1 != e2 and far[e2, k2] == p1:
                     yield pair_fold(e1, k1, e2, k2)
     for eid, end, v in ends:
         pfar = far[eid, end]
-        if pfar == marked.vertices[v].image:
+        if pfar is None:
             continue
-        cur = _stab_from(gog, marked.edges[eid], end)
-        for h in sorted(marked.vertices[v].stab, key=NormalForm.sort_key):
-            if h not in cur and translate(gog, h, pfar) == pfar:
+        mv = marked.vertices[v]
+        hs = sorted(mv.stab - _stab_from(gog, marked.edges[eid], end),
+                    key=NormalForm.sort_key)
+        idx = _table_indices(gog, mv.image, hs, _NOT_FIXED)[1] if hs else ()
+        for h, x in zip(hs, idx):
+            if act(gog, x, pfar) == pfar:
                 yield stabilizer_fold(eid, end, (h,))
                 break
 
@@ -449,26 +470,13 @@ def available_folds(marked: MarkedTree) -> dict:
     return out
 
 
-def _image_edge(marked: MarkedTree, eid: str) -> Optional[Traversal]:
-    """The quotient traversal the edge's lift maps onto, read off the path
-    from its near image to its far image; None when that path is empty."""
-    gog = marked.ambient
-    u = marked.vertices[marked.edges[eid].ends[0]].image
-    path = path_multiply(gog, path_invert(gog, u.coset_rep),
-                         far_image(marked, eid, 0).coset_rep)
-    return path.steps[0][1] if path.steps else None
-
-
 def maximality_flags(marked: MarkedTree) -> dict[str, bool]:
     """Per edge: whether the recorded stabilizer already equals the full
     stabilizer of the image edge. Diagnostic only, never enforced."""
-    gog = marked.ambient
-    out = {}
-    for eid, me in marked.edges.items():
-        t = _image_edge(marked, eid)
-        out[eid] = (t is not None
-                    and len(me.stab) == gog.edges[t.edge].group.order)
-    return out
+    gog, far = marked.ambient, marked._far_images
+    return {eid: far[eid, 0] is not None
+            and len(me.stab) == gog.edges[far[eid, 0][0].edge].group.order
+            for eid, me in marked.edges.items()}
 
 
 def is_terminal(marked: MarkedTree) -> bool:
@@ -478,21 +486,13 @@ def is_terminal(marked: MarkedTree) -> bool:
     if (len(marked.vertices) != len(gog.vertices)
             or len(marked.edges) != len(gog.edges)):
         return False
-    # With the counts equal, covering every orbit makes a bijection.
-    orbits = {mv.image.orbit: mv for mv in marked.vertices.values()}
-    if sorted(orbits) != sorted(gog.vertices) or any(
-            len(mv.stab) != gog.vertices[orb].order
-            for orb, mv in orbits.items()):
-        return False
-    seen = set()
-    for eid, me in marked.edges.items():
-        t = _image_edge(marked, eid)
-        if t is None or t.edge in seen:
-            return False
-        seen.add(t.edge)
-        if len(me.stab) != gog.edges[t.edge].group.order:
-            return False
-    return True
+    # With the counts equal, covering every orbit and every ambient edge
+    # makes bijections; a full edge stabilizer needs an image edge.
+    return ({mv.image.orbit: len(mv.stab) for mv in marked.vertices.values()}
+            == {v: g.order for v, g in gog.vertices.items()}
+            and all(maximality_flags(marked).values())
+            and {marked._far_images[eid, 0][0].edge for eid in marked.edges}
+            == set(gog.edges))
 
 
 def _same_presentation(a: GraphOfGroups, b: GraphOfGroups) -> bool:

@@ -8,6 +8,7 @@ through neighbor lists and against exact integer matrices.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 import tree_oracle as tro
@@ -105,6 +106,39 @@ def test_neighbor_depends_only_on_the_coset(name):
                 assert want in bt.neighbors(gog, v)
                 assert all(bt.neighbor(gog, v, grp.mul(r, h), t) == want
                            for h in image)
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_directions_name_neighbors_and_stabilizers_act_on_them(name, data):
+    """At a standard vertex v, or a translate of it by a short word:
+    direction inverts neighbor, act(x, d) is where translating by
+    stabilizer entry x sends the neighbor in direction d, and act is an
+    action of the vertex group."""
+    gog = SEAM[name]
+    v = bt.standard_vertex(gog, data.draw(st.sampled_from(
+        sorted(gog.vertices))))
+    letters = [n + p for n, _ in gw.generator_letters(gog)
+               for p in ("", "^-1")]
+    word = data.draw(st.lists(st.sampled_from(letters), max_size=2))
+    v = bt.translate(gog, gw.parse_word(gog, " ".join(word)), v)
+
+    def at(d):
+        return v if d is None else bt.neighbor(gog, v, d[1], d[0])
+    dirs = [(t, r) for t in gog.incident(v.orbit) for r in gog.transversal(t)]
+    assert bt.direction(gog, v, v) is None
+    assert [bt.direction(gog, v, at(d)) for d in dirs] == dirs
+    grp, stab = gog.vertices[v.orbit], bt.stabilizer(gog, v)
+    x, y = (data.draw(st.integers(0, grp.order - 1)) for _ in range(2))
+    d = data.draw(st.sampled_from(dirs))
+    assert at(bt.act(gog, x, d)) == bt.translate(gog, stab[x], at(d))
+    assert bt.act(gog, x, bt.act(gog, y, d)) == \
+        bt.act(gog, grp.mul(x, y), d)
+    assert bt.act(gog, x, None) is None
+    farther = next(w for w in bt.neighbors(gog, at(d)) if w != v)
+    with pytest.raises(gw.GogError, match="not adjacent"):
+        bt.direction(gog, v, farther)
 
 
 def test_neighbors_are_symmetric_and_at_distance_one():

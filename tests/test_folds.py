@@ -195,6 +195,41 @@ def test_validation_rejects_bad_markings():
         mk(SL2Z, {"v": (base, [""]), "w": (vb, [""])}, {})
 
 
+def _loop_at(image, twist):
+    """One vertex v with the given image and a trivial stabilizer, and a
+    loop L at v with the given twist."""
+    ident = nf(SL2Z, "")
+    return fo.MarkedTree(
+        SL2Z, {"v": fo.MarkedVertex(image, frozenset([ident]))},
+        {"L": fo.MarkedEdge(("v", "v"), twist, frozenset([ident]))})
+
+
+_A = gw.parse_word(SL2Z, "a")
+_E0, _E1 = gw.Traversal("e", 0), gw.Traversal("e", 1)
+
+
+@pytest.mark.parametrize("image, twist, where", [
+    # The base vertex, with a tail that is not the identity.
+    (bt.TreeVertex("vA", gw.NormalForm("vA", (), _A.tail)), _A, "vertex 'v'"),
+    # The identity, as a path that crosses e and comes back.
+    (bt.base_vertex(SL2Z), gw.NormalForm("vA", ((0, _E0), (0, _E1)), 0),
+     "edge 'L'"),
+    (bt.TreeVertex("nope", gw.NormalForm("vA", (), 0)), _A, "vertex 'v'"),
+    (("vA", gw.NormalForm("vA", (), 0)), _A, "vertex 'v'"),
+], ids=["image-tail", "unreduced-twist", "unknown-orbit", "plain-tuple"])
+def test_validation_names_data_not_in_normal_form(image, twist, where):
+    """An image or twist that is not a normal form, or not a tree vertex,
+    is refused with its vertex or edge named, since far images are read
+    as directions off canonical reps.  The first two inputs equal the
+    base vertex and the identity; on the base vertex itself, the loop
+    with twist a maps to a point and lists its collapse."""
+    with pytest.raises(gw.GogError, match=f"^{where} .* normal form"):
+        _loop_at(image, twist)
+    canonical = _loop_at(bt.base_vertex(SL2Z), _A)
+    assert fo.available_folds(canonical)["collapses"] == \
+        [fo.collapse_fold("L")]
+
+
 # -- single folds -----------------------------------------------------------------
 
 def test_pair_fold_merges_orbits_and_stabilizers():
@@ -552,6 +587,36 @@ def test_fold_sequence_validates_only_its_source(monkeypatch):
     assert checked == [m]
 
 
+def _rose_259():
+    body = " ".join(["x y"] * 64)
+    return fo.marked_rose_for_basis(ROSE, [body + " x", body + " y", "x"])
+
+
+@pytest.mark.parametrize("gog, make", [
+    (ROSE, _rose_259),
+    (SL2Z, lambda: subdivided_sl2z(Z2A)),
+    (SL2Z, lambda: subdivided_sl2z([""])),
+    (SEAM["counterexample"],
+     lambda: fo.identity_marking(SEAM["counterexample"])),
+], ids=["rose-259", "subdivided-collapse", "subdivided-stabilizer",
+        "counterexample-identity"])
+def test_fold_sequence_translates_no_tree_vertex(monkeypatch, gog, make):
+    """After its source is validated, a fold run reads far images as
+    directions: it makes no bstree.translate and no bstree.distance call,
+    through bstree or through a name folds imports."""
+    m = make()
+    calls = []
+    for mod in (bt, fo):
+        for name in ("translate", "distance"):
+            if hasattr(mod, name):
+                real = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *a, real=real, name=name:
+                                    calls.append(name) or real(*a))
+    seq = fo.fold_sequence(m, gog, 300)
+    assert fo.is_terminal(seq[-1][1] if seq else m)
+    assert calls == []
+
+
 def test_fold_sequence_on_131_edges_in_budget():
     """The basis marking (x y)^64, x, x y of the rose has 131 edges and
     folds in 129 pair folds.  On a 2-vCPU x86-64 VM the run took
@@ -569,8 +634,7 @@ def test_fold_sequence_on_259_edges_in_budget():
     """The basis marking (x y)^64 x, (x y)^64 y, x of the rose has 259
     edges and folds in 257 steps.  On a 2-vCPU x86-64 VM the run took
     0.3-0.4 s; the budget is 1.0 s."""
-    body = " ".join(["x y"] * 64)
-    m = fo.marked_rose_for_basis(ROSE, [body + " x", body + " y", "x"])
+    m = _rose_259()
     assert len(m.edges) == 259
     start = time.perf_counter()
     seq = fo.fold_sequence(m, ROSE, 300)
