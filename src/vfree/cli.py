@@ -36,10 +36,10 @@ from .defspace import (
     nonredundant_expansions,
 )
 from .fingroup import (
-    GroupError,
     GroupHom,
     _check_order,
     _field,
+    _place,
     _typed,
     _typed_list,
     check_hom,
@@ -121,9 +121,10 @@ def load_group(spec: str, field: str = "--group") -> GraphOfGroups:
     build = BUILTIN_GROUPS.get(spec)
     if build is not None:
         return build()
-    return gog_from_json(_load_json(
-        spec, field, f"neither a builtin group ({', '.join(BUILTIN_GROUPS)}) "
-        "nor a readable file"))
+    data = _load_json(spec, field, f"neither a builtin group "
+                      f"({', '.join(BUILTIN_GROUPS)}) nor a readable file")
+    return gog_from_json(_typed(data, "an object", "graph of groups",
+                                GogError))
 
 
 def _load_json(path: str, field: str,
@@ -183,31 +184,21 @@ class VerificationReport(NamedTuple):
 
 
 def report_from_json(data) -> VerificationReport:
-    """The report a verify JSON dump holds.  Every field is type-checked,
-    and a missing or mistyped one raises GogError naming it and the JSON
-    type it had; an overall flag that its checks contradict is refused."""
-    try:
-        _typed(data, "an object", "report")
-        checks = []
-        for i, c in enumerate(_field(data, "checks", "a list")):
-            where = f"checks[{i}]"
-            _typed(c, "an object", where)
-            checks.append(Check(*(
-                _typed(_required(c, key, f"{where}.{key}"), want,
-                       f"field '{where}.{key}'")
-                for key, want in (("check_id", "a string"),
-                                  ("description", "a string"),
-                                  ("status", "a string"),
-                                  ("witness", "an object")))))
-        report = VerificationReport(_field(data, "case_name", "a string"),
-                                    tuple(checks))
-        overall = _typed(data.get("overall", report.overall), "a string",
-                         "field 'overall'")
-    except KeyError as exc:
-        raise GogError(f"report has no field {exc.args[0]!r}") from None
-    except GroupError as exc:
-        raise GogError(str(exc)) from None
-    if report.overall != overall:
+    """The report a verify JSON dump holds.  Every field is read by
+    fingroup._field, and a missing or mistyped one raises GogError naming
+    its place; an overall flag that its checks contradict is refused."""
+    def field(obj: dict, key: str, want: str, where: str = "report", **opts):
+        return _field(obj, key, want, where, error=GogError, **opts)
+
+    _typed(data, "an object", "report", GogError)
+    checks = tuple(
+        Check(*(field(c, key, want, f"checks[{i}]") for key, want in (
+            ("check_id", "a string"), ("description", "a string"),
+            ("status", "a string"), ("witness", "an object"))))
+        for i, c in enumerate(field(data, "checks", "a list", of=dict)))
+    report = VerificationReport(field(data, "case_name", "a string"), checks)
+    if field(data, "overall", "a string", default=report.overall) \
+            != report.overall:
         raise GogError("report overall flag does not match its checks")
     return report
 
@@ -601,34 +592,18 @@ def cmd_defspace(args) -> int:
     return 0
 
 
-def _required(data: dict, key: str, where: str):
-    """The required field data[key]; when it is missing, the KeyError
-    that main reports names it as where (a dotted path when nested)."""
-    try:
-        return data[key]
-    except KeyError:
-        raise KeyError(where) from None
-
-
-def _list_field(data: dict, key: str, want: type, where: str) -> list:
-    """The required field data[key], a JSON list whose entries have type
-    want; errors name the field as where (a dotted path when nested)."""
-    return _typed_list(_typed(_required(data, key, where), "a list",
-                              f"field {where!r}"), want, where)
-
-
 def cmd_fold(args) -> int:
     if args.max_steps < 0:
         raise GogError(f"--max-steps is {args.max_steps}, below 0")
     gog = load_group(args.target, "--target")
-    spec = _typed(_load_json(args.source, "--source"), "an object",
-                  "marking JSON")
-    kind = spec.get("marking")
+    where = "marking JSON"
+    spec = _typed(_load_json(args.source, "--source"), "an object", where)
+    kind = _field(spec, "marking", "a string", where)
     if kind == "identity":
         marked = identity_marking(gog)
     elif kind == "basis":
-        words = _list_field(spec, "words", str, "words")
-        hub = _typed(spec.get("hub", "u"), "a string", "field 'hub'")
+        words = _field(spec, "words", "a list", where, of=str)
+        hub = _field(spec, "hub", "a string", where, default="u")
         forms = [parse_word(gog, w) for w in words]
         syllables = sum(g.syllable_length() for g in forms)
         if syllables > FOLD_SYLLABLE_CAP:
@@ -712,15 +687,15 @@ def cmd_walk(args) -> int:
     gog = load_group(args.group)
     seed = _integer(os.environ.get("VFREE_SEED", args.seed), "VFREE_SEED")
     if args.measure is not None:
+        where = "measure JSON"
         data = _typed(_load_json(args.measure, "--measure"), "an object",
-                      "measure JSON")
-        words = [_typed(w, "a string", f"support[{i}]")
-                 for i, w in enumerate(_field(data, "support", "a list"))]
-        spec = uniform_spec(gog, words, args.trials, seed)
-        if "weights" in data:
+                      where)
+        spec = uniform_spec(gog, _field(data, "support", "a list", where,
+                                        of=str), args.trials, seed)
+        weights = _field(data, "weights", "a list", where, default=None)
+        if weights is not None:
             spec = spec._replace(weights=tuple(
-                _weight(w, i) for i, w in
-                enumerate(_field(data, "weights", "a list"))))
+                _weight(w, i) for i, w in enumerate(weights)))
     else:
         spec = _letter_measure(gog, args.trials, seed)
     lengths = [_integer(part, "--lengths entry")
@@ -742,46 +717,48 @@ def cmd_walk(args) -> int:
     return 0
 
 
-def _delta_formula(spec: dict, prefix: str):
-    """The delta formula of a JSON object with fields n and blocks, named
-    prefix + field in errors."""
-    n = _typed(_required(spec, "n", prefix + "n"), "an integer",
-               f"field {prefix + 'n'!r}")
-    _check_generator_count(f"field {prefix + 'n'!r}", n)
-    blocks = [_typed_list(b, str, f"{prefix}blocks[{i}]") for i, b in
-              enumerate(_list_field(spec, "blocks", list, prefix + "blocks"))]
-    return emit_delta_related(n, blocks)
+_PARAMS = "parameter JSON"
+"""The document name of emit-formula --params, where its field errors
+place a top-level field."""
+
+
+def _delta_formula(spec: dict, where: str):
+    """The delta formula of the JSON object at where, with fields n and
+    blocks."""
+    n = _field(spec, "n", "an integer", where)
+    _check_generator_count(f"field {_place(where, 'n')!r}", n)
+    blocks = _place(where, "blocks")
+    return emit_delta_related(n, [
+        _typed_list(b, str, f"{blocks}[{i}]") for i, b in
+        enumerate(_field(spec, "blocks", "a list", where, of=list))])
 
 
 def _inner_formula(params: dict):
-    spec = _typed(params["inner"], "an object", "field 'inner'")
-    kind = spec.get("kind", "delta")
+    spec = _field(params, "inner", "an object", _PARAMS)
+    kind = _field(spec, "kind", "a string", "inner", default="delta")
     if kind == "delta":
-        return _delta_formula(spec, "inner.")
+        return _delta_formula(spec, "inner")
     if kind == "text":
-        return parse_formula(_typed(_required(spec, "formula",
-                                              "inner.formula"),
-                                    "a string", "field 'inner.formula'"))
+        return parse_formula(_field(spec, "formula", "a string", "inner"))
     raise GogError(f"unknown inner formula kind {kind!r}")
 
 
 def _presentation(params: dict, key: str) -> tuple:
-    spec = _typed(params[key], "an object", f"field {key!r}")
-    count = _typed(_required(spec, "generators", f"{key}.generators"),
-                   "an integer", f"field '{key}.generators'")
+    spec = _field(params, key, "an object", _PARAMS)
+    count = _field(spec, "generators", "an integer", key)
     _check_generator_count(f"field '{key}.generators'", count)
-    return count, _list_field(spec, "relators", str, f"{key}.relators")
+    return count, _field(spec, "relators", "a list", key, of=str)
 
 
 def cmd_emit_formula(args) -> int:
     params = _typed(_load_json(args.params, "--params") if args.params else {},
-                    "an object", "parameter JSON")
+                    "an object", _PARAMS)
     if args.which == "theta":
-        given = {"relators": SL2Z_RELATORS, "words": ["x"],
-                 "orders": (4, 6), **params}
-        relators = _list_field(given, "relators", str, "relators")
-        words = _list_field(given, "words", str, "words")
-        orders = _list_field(given, "orders", int, "orders")
+        relators, words, orders = (
+            _field(params, key, "a list", _PARAMS, default=default, of=want)
+            for key, default, want in (("relators", SL2Z_RELATORS, str),
+                                       ("words", ["x"], str),
+                                       ("orders", (4, 6), int)))
         if len(orders) != 2:
             raise GogError(f"field 'orders' must list 2 orders "
                            f"(got {len(orders)})")
@@ -789,10 +766,10 @@ def cmd_emit_formula(args) -> int:
             _check_order("field 'orders' entry", order)
         f = emit_theta_sl2z(relators, words, tuple(orders))
     elif args.which == "delta":
-        f = _delta_formula(params, "")
+        f = _delta_formula(params, _PARAMS)
     else:
         f = emit_mu(_presentation(params, "g"), _presentation(params, "u"),
-                    *(_list_field(params, key, str, key)
+                    *(_field(params, key, "a list", _PARAMS, of=str)
                       for key in ("embedding", "tests", "kill")),
                     _inner_formula(params))
     if args.format == "json":
@@ -922,9 +899,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"vfree: missing required field {exc.args[0]!r}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"vfree: {exc}", file=sys.stderr)
         return 1

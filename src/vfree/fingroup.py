@@ -878,6 +878,8 @@ def evaluate_word(group: FiniteGroup, text: str) -> int:
     acc = group.identity
     for token in text.split():
         name, caret, exp = token.partition("^")
+        if not name:
+            raise GroupError(f"malformed token {token!r}")
         if name not in group.generators:
             raise GroupError(f"unknown generator {name!r}")
         power = 1
@@ -921,27 +923,55 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list", tuple: "a list",
                dict: "an object", type(None): "null"}
 
+DOCUMENTS = frozenset({"group", "graph of groups", "report", "marking JSON",
+                       "measure JSON", "parameter JSON"})
+"""The names of the JSON documents vfree reads.  A field error names its
+place: the document's name at its top, else the path to the object that
+holds the field, such as vertices[0].group (see _field)."""
 
-def _typed(val, want: str, where: str):
+_REQUIRED = object()
+
+
+def _typed(val, want: str, where: str, error: type = GroupError):
     """val itself, if its JSON type is `want`; else an error naming where."""
     got = _JSON_TYPES.get(type(val), type(val).__name__)
     if got != want:
-        raise GroupError(f"{where} is not {want} (got {got})")
+        raise error(f"{where} is not {want} (got {got})")
     return val
 
 
-def _typed_list(val, want: type, where: str) -> list:
-    """A JSON list whose entries all have the exact type `want` (int or
-    str); group tables are checked with this, so the scan stays in C."""
-    if not set(map(type, _typed(val, "a list", where))) <= {want}:
+def _typed_list(val, want: type, where: str, error: type = GroupError) -> list:
+    """A JSON list whose entries all have the exact type `want`; group
+    tables are checked with this, so the scan stays in C."""
+    if not set(map(type, _typed(val, "a list", where, error))) <= {want}:
         i = next(i for i, x in enumerate(val) if type(x) is not want)
-        _typed(val[i], _JSON_TYPES[want], f"{where}[{i}]")
+        _typed(val[i], _JSON_TYPES[want], f"{where}[{i}]", error)
     return val
 
 
-def _field(data: dict, key: str, want: str):
-    """The required field data[key], checked to have JSON type `want`."""
-    return _typed(data[key], want, f"field {key!r}")
+def _place(where: str, key: str) -> str:
+    """The path of the field key of the object at where: the key alone at
+    the top of a document, else where.key."""
+    return key if where in DOCUMENTS else f"{where}.{key}"
+
+
+def _field(data: dict, key: str, want: str, where: str,
+           default=_REQUIRED, of: Optional[type] = None,
+           error: type = GroupError):
+    """The field data[key] of the JSON object at where (a document name or
+    a path), checked to have JSON type `want`, and when `of` is given to
+    be a list of entries of exact type `of`.  A missing field is default,
+    or else raises `<where> has no field 'key'`; a mistyped one raises
+    `field 'key' is not ...` at the top of a document and `<where>.key is
+    not ...` below it, with the JSON type it had."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise error(f"{where} has no field {key!r}")
+        return default
+    path = _place(where, key)
+    val = _typed(data[key], want,
+                 f"field {path!r}" if where in DOCUMENTS else path, error)
+    return val if of is None else _typed_list(val, of, path, error)
 
 
 def _check_order(what: str, order: int) -> None:
@@ -983,7 +1013,7 @@ def _bitmask_rank(c: FiniteGroup, kind: str, where: str) -> int:
 
 
 def group_from_json(data) -> FiniteGroup:
-    """Build a finite group from a JSON description.
+    """Build a finite group from a JSON description, or from its text.
 
     Kinds: {"kind":"cyclic","n":4[,"name":"a"]},
     {"kind":"boolean","k":4[,"names":[...]]},
@@ -992,71 +1022,75 @@ def group_from_json(data) -> FiniteGroup:
     {"kind":"dicyclic","n":2},
     {"kind":"permutations","perms":{name:[...]}},
     {"kind":"table","table":[[...]],"generators":{...}[,"labels":[...]]}.
-    Every field is type-checked and a wrong one is named in the error.  A
-    group may have at most MAX_GROUP_ORDER elements (and a permutation at
-    most that many points); the order is checked before any table is
-    built.
+    Every field is read by _field, so a missing or mistyped one is named
+    by its place.  A group may have at most MAX_GROUP_ORDER elements (and
+    a permutation at most that many points); the order is checked before
+    any table is built.
     """
     if isinstance(data, str):
         data = json.loads(data)
-    try:
-        kind = _typed(data, "an object", "group")["kind"]
-        if kind == "cyclic":
-            n = _field(data, "n", "an integer")
-            _check_order("cyclic order", n)
-            return build_cyclic(n, _typed(data.get("name", "g"), "a string",
-                                          "field 'name'"))
-        if kind == "boolean":
-            k = _field(data, "k", "an integer")
-            if k >= MAX_GROUP_ORDER.bit_length():
-                raise GroupError(f"boolean order 2^{k} is above the order "
-                                 f"cap {MAX_GROUP_ORDER}")
-            names = data.get("names")
-            if names is not None:
-                _typed_list(names, str, "names")
-            return build_boolean_vectors(k, names)
-        if kind == "semidirect":
-            c = group_from_json(_field(data, "c", "an object"))
-            q = group_from_json(_field(data, "q", "an object"))
-            _check_order("semidirect product order", c.order * q.order)
-            action = {name: _action_perm(c, spec, f"action[{name!r}]")
-                      for name, spec in
-                      _field(data, "action", "an object").items()}
-            return build_semidirect(c, q, action)
-        if kind == "direct":
-            factors = [group_from_json(f)
-                       for f in _field(data, "factors", "a list")]
-            if len(factors) < 2:
-                raise GroupError("direct product needs at least two factors")
-            _check_order("direct product order",
-                         math.prod(f.order for f in factors))
-            out = factors[0]
-            for f in factors[1:]:
-                out = build_direct_product(out, f)
-            return out
-        if kind == "dicyclic":
-            n = _field(data, "n", "an integer")
-            _check_order("dicyclic order", 4 * n)
-            return build_dicyclic(n)
-        if kind == "permutations":
-            perms = _field(data, "perms", "an object")
-            for name, p in perms.items():
-                _typed_list(p, int, f"perms[{name!r}]")
-                _check_order(f"perms[{name!r}] degree", len(p))
-            return group_from_permutations(
-                {name: tuple(p) for name, p in perms.items()})
-        if kind == "table":
-            table = _field(data, "table", "a list")
-            _check_order("table order", len(table))
-            for i, row in enumerate(table):
-                _typed_list(row, int, f"table[{i}]")
-            gens = _field(data, "generators", "an object")
-            for name, idx in gens.items():
-                _typed(idx, "an integer", f"generator {name!r} index")
-            labels = data.get("labels")
-            if labels is not None:
-                _typed_list(labels, str, "labels")
-            return FiniteGroup(table, gens, labels)
-        raise GroupError(f"unknown group kind {kind!r}")
-    except (KeyError, TypeError) as exc:
-        raise GroupError(f"malformed group JSON: {exc}") from exc
+    return _group_at(_typed(data, "an object", "group"), "group")
+
+
+def _group_at(data: dict, where: str) -> FiniteGroup:
+    """The group the JSON object data at where describes: where is the
+    document name "group" or the path to data, and names the fields of
+    data and of the groups inside it in errors."""
+    def field(key, want, default=_REQUIRED, of=None):
+        return _field(data, key, want, where, default, of)
+
+    kind = field("kind", "a string")
+    if kind == "cyclic":
+        n = field("n", "an integer")
+        _check_order("cyclic order", n)
+        return build_cyclic(n, field("name", "a string", default="g"))
+    if kind == "boolean":
+        k = field("k", "an integer")
+        if k >= MAX_GROUP_ORDER.bit_length():
+            raise GroupError(f"boolean order 2^{k} is above the order "
+                             f"cap {MAX_GROUP_ORDER}")
+        names = field("names", "a list", default=None, of=str)
+        return build_boolean_vectors(k, names)
+    if kind == "semidirect":
+        c, q = (_group_at(field(key, "an object"), _place(where, key))
+                for key in "cq")
+        _check_order("semidirect product order", c.order * q.order)
+        action = _place(where, "action")
+        return build_semidirect(c, q, {
+            name: _action_perm(c, spec, f"{action}[{name!r}]")
+            for name, spec in field("action", "an object").items()})
+    if kind == "direct":
+        factors = [_group_at(f, f"{_place(where, 'factors')}[{i}]")
+                   for i, f in enumerate(field("factors", "a list", of=dict))]
+        if len(factors) < 2:
+            raise GroupError("direct product needs at least two factors")
+        _check_order("direct product order",
+                     math.prod(f.order for f in factors))
+        out = factors[0]
+        for f in factors[1:]:
+            out = build_direct_product(out, f)
+        return out
+    if kind == "dicyclic":
+        n = field("n", "an integer")
+        _check_order("dicyclic order", 4 * n)
+        return build_dicyclic(n)
+    if kind == "permutations":
+        perms = field("perms", "an object")
+        for name, p in perms.items():
+            place = f"{_place(where, 'perms')}[{name!r}]"
+            _typed_list(p, int, place)
+            _check_order(f"{place} degree", len(p))
+        return group_from_permutations(
+            {name: tuple(p) for name, p in perms.items()})
+    if kind == "table":
+        table = field("table", "a list")
+        _check_order("table order", len(table))
+        for i, row in enumerate(table):
+            _typed_list(row, int, f"{_place(where, 'table')}[{i}]")
+        gens = field("generators", "an object")
+        for name, idx in gens.items():
+            _typed(idx, "an integer",
+                   f"{_place(where, 'generators')}[{name!r}]")
+        labels = field("labels", "a list", default=None, of=str)
+        return FiniteGroup(table, gens, labels)
+    raise GroupError(f"unknown group kind {kind!r}")

@@ -15,8 +15,9 @@ Marked vertices and edges and fold directives are named tuples, equal
 to the plain tuples of their fields.
 
 A marked tree is checked once, where it comes in, images and twists as
-normal forms too, and keeps each edge end's far image as a direction at
-its near image (bstree.direction), None for an edge mapping to a point.
+normal forms too, and keeps each edge end's far image as a direction
+(t, r) at its near image, as bstree.direction names one, None for an
+edge mapping to a point: both ends' directions are read off one product.
 Folds translate no tree vertex: a stabilizer element moves a direction by
 a table lookup (bstree.act), and a merge moves the directions at the gone
 vertex by one group element. A fold checks its directive (caller data)
@@ -33,11 +34,9 @@ from .bstree import (
     TreeVertex,
     act,
     base_vertex,
-    direction,
     neighbor,
     stabilizer,
     standard_frame,
-    translate,
     vertex_from_path,
 )
 from .fingroup import subgroup_closure
@@ -176,6 +175,8 @@ class MarkedTree:
         if not self.vertices:
             raise GogError("marked tree needs at least one vertex")
         for name, mv in self.vertices.items():
+            if not isinstance(mv, MarkedVertex):
+                raise GogError(f"vertex {name!r} is not a MarkedVertex")
             img = mv.image
             if not (isinstance(img, TreeVertex)
                     and self._is_normal(img.coset_rep, img.orbit)
@@ -187,6 +188,10 @@ class MarkedTree:
                 f"stabilizer entry at vertex {name!r} does not fix its image")
         far = self._far_images = {}
         for eid, me in self.edges.items():
+            if not isinstance(me, MarkedEdge):
+                raise GogError(f"edge {eid!r} is not a MarkedEdge")
+            if len(me.ends) != 2:
+                raise GogError(f"edge {eid!r} does not have two ends")
             a, b = me.ends
             if a not in self.vertices or b not in self.vertices:
                 raise GogError(f"edge {eid!r} has an unknown endpoint")
@@ -198,16 +203,18 @@ class MarkedTree:
                 f"edge {eid!r}", me.stab, near.image,
                 f"edge {eid!r} stabilizer is not inside its near vertex "
                 "stabilizer")
-            ti = path_invert(gog, me.twist)
-            # The far image seen from a is twist·b, and from b twist^-1·a.
-            try:
-                far[eid, 0], far[eid, 1] = (direction(
-                    gog, self.vertices[u].image,
-                    translate(gog, g, self.vertices[w].image))
-                    for u, g, w in ((a, me.twist, b), (b, ti, a)))
-            except GogError:
+            # The far image seen from a is twist·b: read off z, the path
+            # from a's image to it, c_a^-1·twist·c_b for c_a, c_b the coset
+            # reps of the images; seen from b it is twist^-1·a, read off z^-1.
+            z = path_multiply(gog, path_invert(gog, near.image.coset_rep),
+                              me.twist, self.vertices[b].image.coset_rep)
+            if len(z.steps) > 1:
                 raise GogError(f"edge {eid!r} does not map to an edge or a "
-                               "point") from None
+                               "point")
+            far[eid, 0], far[eid, 1] = (
+                (p.steps[0][1], p.steps[0][0]) if p.steps else None
+                for p in (z, path_invert(gog, z)))
+            ti = path_invert(gog, me.twist)
             for s in me.stab:
                 if s not in near.stab:
                     raise GogError(f"edge {eid!r} stabilizer is not inside "

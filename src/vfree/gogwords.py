@@ -51,8 +51,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from .fingroup import (
     FiniteGroup,
     GroupHom,
+    _field,
+    _group_at,
     _typed,
-    _typed_list,
     basis_cycle_perm,
     build_boolean_vectors,
     build_cyclic,
@@ -61,7 +62,6 @@ from .fingroup import (
     coset_data,
     evaluate_word,
     generator_word,
-    group_from_json,
     group_to_json,
 )
 
@@ -678,13 +678,13 @@ def build_counterexample() -> GraphOfGroups:
 
 
 def _hom_from_spec(edge_group: FiniteGroup, target: FiniteGroup,
-                   spec, where: str) -> GroupHom:
+                   spec: dict, where: str) -> GroupHom:
     images = {}
-    for name, word in _typed(spec, "an object", where).items():
+    for name, word in spec.items():
         if name not in edge_group.generators:
             raise GogError(f"injection names unknown generator {name!r}")
         images[name] = evaluate_word(
-            target, _typed(word, "a string", f"{where}[{name!r}]"))
+            target, _typed(word, "a string", f"{where}[{name!r}]", GogError))
     return GroupHom.from_generator_images(edge_group, target, images)
 
 
@@ -692,25 +692,32 @@ MAX_GRAPH_TABLE_ENTRIES = 2**20
 
 
 def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
-    """Build a graph of groups from its JSON description.
+    """Build a graph of groups from its JSON description, or from its text.
 
     Expected shape: {"vertices": [{"id", "group"}...],
     "edges": [{"id", "group", "ends": [u, w], "maps": [spec0, spec1]}...],
     "base": id, "tree": [edge ids]}, where each injection spec maps edge
     generator names to words in the endpoint group's generators.  Every
-    field is type-checked, and a wrong one is named in the error with the
-    JSON type it had.  The multiplication tables of the vertex and edge
+    field is read by fingroup._field, so a missing or mistyped one is
+    named by its place; a group inside is named by its path, such as
+    vertices[0].group.  The multiplication tables of the vertex and edge
     groups may hold MAX_GRAPH_TABLE_ENTRIES entries in all (Σ order²),
     four tables of the largest order; the sum is checked as each group is
     built, so a file past it is refused before its next group is built.
     """
     if isinstance(data, str):
         data = json.loads(data)
+    top = "graph of groups"
+    data = _typed(data, "an object", top, GogError)
     entries = 0
+
+    def field(obj: dict, key: str, want: str, where: str = top, **opts):
+        return _field(obj, key, want, where, error=GogError, **opts)
 
     def group_at(obj: dict, where: str) -> FiniteGroup:
         nonlocal entries
-        grp = group_from_json(_member(obj, "group", None, where))
+        grp = _group_at(field(obj, "group", "an object", where),
+                        f"{where}.group")
         entries += grp.order ** 2
         if entries > MAX_GRAPH_TABLE_ENTRIES:
             raise GogError(f"{where}.group brings the group tables to "
@@ -718,54 +725,32 @@ def gog_from_json(data: Union[str, dict]) -> GraphOfGroups:
                            f"{MAX_GRAPH_TABLE_ENTRIES}")
         return grp
 
-    try:
-        _typed(data, "an object", "graph of groups")
-        vertices = []
-        for i, v in enumerate(_member(data, "vertices", "a list")):
-            where = f"vertices[{i}]"
-            vid = _member(_typed(v, "an object", where), "id", "a string",
-                          where)
-            vertices.append((vid, group_at(v, where)))
-        vgroups = dict(vertices)
-        edges = []
-        for i, e in enumerate(_member(data, "edges", "a list")):
-            where = f"edges[{i}]"
-            eid = _member(_typed(e, "an object", where), "id", "a string",
-                          where)
-            grp = group_at(e, where)
-            ends = tuple(_typed_list(_member(e, "ends", None, where), str,
-                                     f"{where}.ends"))
-            if len(ends) != 2 or any(v not in vgroups for v in ends):
-                raise GogError(f"edge {eid!r} has bad endpoints "
-                               f"{json.dumps(ends)}")
-            maps = _member(e, "maps", "a list", where)
-            if len(maps) != 2:
-                raise GogError(f"{where}.maps must list 2 injections "
-                               f"(got {len(maps)})")
-            inj = tuple(_hom_from_spec(grp, vgroups[v], spec,
-                                       f"{where}.maps[{k}]")
-                        for k, (v, spec) in enumerate(zip(ends, maps)))
-            edges.append(Edge(eid, grp, ends, inj))
-        tree = [_typed(t, "a string", f"tree[{i}]") for i, t in
-                enumerate(_typed(data.get("tree", []), "a list",
-                                 "field 'tree'"))]
-        return GraphOfGroups(vertices, edges,
-                             _member(data, "base", "a string"), set(tree))
-    except (KeyError, TypeError) as exc:
-        raise GogError(f"malformed graph-of-groups JSON: {exc}") from exc
-
-
-def _member(obj: dict, key: str, want: Optional[str],
-            where: Optional[str] = None):
-    """obj[key], of JSON type want unless that is None.  A missing or
-    mistyped field is named with its place: a field of the vertex or
-    edge at where, else a top-level field of the graph."""
-    if key not in obj:
-        raise GogError(f"{where or 'graph of groups'} has no field {key!r}")
-    if want is None:
-        return obj[key]
-    return _typed(obj[key], want, f"{where}.{key}" if where
-                  else f"field {key!r}")
+    vertices = []
+    for i, v in enumerate(field(data, "vertices", "a list", of=dict)):
+        where = f"vertices[{i}]"
+        vertices.append((field(v, "id", "a string", where),
+                         group_at(v, where)))
+    vgroups = dict(vertices)
+    edges = []
+    for i, e in enumerate(field(data, "edges", "a list", of=dict)):
+        where = f"edges[{i}]"
+        eid = field(e, "id", "a string", where)
+        grp = group_at(e, where)
+        ends = tuple(field(e, "ends", "a list", where, of=str))
+        if len(ends) != 2 or any(v not in vgroups for v in ends):
+            raise GogError(f"edge {eid!r} has bad endpoints "
+                           f"{json.dumps(ends)}")
+        maps = field(e, "maps", "a list", where, of=dict)
+        if len(maps) != 2:
+            raise GogError(f"{where}.maps must list 2 injections "
+                           f"(got {len(maps)})")
+        inj = tuple(_hom_from_spec(grp, vgroups[v], spec,
+                                   f"{where}.maps[{k}]")
+                    for k, (v, spec) in enumerate(zip(ends, maps)))
+        edges.append(Edge(eid, grp, ends, inj))
+    tree = field(data, "tree", "a list", default=[], of=str)
+    return GraphOfGroups(vertices, edges, field(data, "base", "a string"),
+                         set(tree))
 
 
 def gog_to_json(gog: GraphOfGroups) -> dict:

@@ -224,11 +224,11 @@ _CHECK = {"check_id": "a", "description": "d", "status": "pass",
     ({"case_name": "x", "checks": [3]},
      "checks[0] is not an object (got an integer)"),
     ({"case_name": "x", "checks": [{"check_id": "a"}]},
-     "report has no field 'checks[0].description'"),
+     "checks[0] has no field 'description'"),
     ({"case_name": "x", "checks": [_CHECK, dict(_CHECK, witness=[])]},
-     "field 'checks[1].witness' is not an object (got a list)"),
+     "checks[1].witness is not an object (got a list)"),
     ({"case_name": "x", "checks": [dict(_CHECK, status=None)]},
-     "field 'checks[0].status' is not a string (got null)"),
+     "checks[0].status is not a string (got null)"),
     ({"case_name": "x", "checks": [], "overall": 1},
      "field 'overall' is not a string (got an integer)"),
     ({"case_name": "x", "checks": [], "overall": "fail"},
@@ -359,9 +359,9 @@ Z2Z3_JSON = gw.gog_to_json(load_group("z2z3"))
     ("table", True, "table[0][1] is not an integer"),
     ("table", 1.0, "table[0][1] is not an integer"),
     ("table", "1", "table[0][1] is not an integer"),
-    ("generator", True, "generator 's' index is not an integer"),
-    ("generator", 1.0, "generator 's' index is not an integer"),
-    ("generator", "1", "generator 's' index is not an integer"),
+    ("generator", True, "generators['s'] is not an integer"),
+    ("generator", 1.0, "generators['s'] is not an integer"),
+    ("generator", "1", "generators['s'] is not an integer"),
 ])
 def test_table_json_needs_integers(capsys, tmp_path, field, bad, message):
     data = json.loads(json.dumps(Z2Z3_JSON))
@@ -987,13 +987,13 @@ MU_PARAMS = {
     (["emit-formula", "mu", "--params"],
      {**MU_PARAMS, "g": {"relators": []}, "embedding": ["x1 x2"],
       "inner": {"n": 1, "blocks": []}},
-     "vfree: missing required field 'g.generators'\n"),
+     "vfree: g has no field 'generators'\n"),
     (["emit-formula", "mu", "--params"],
      {**MU_PARAMS, "embedding": ["x1 x2"], "inner": {"blocks": [["x1"]]}},
-     "vfree: missing required field 'inner.n'\n"),
+     "vfree: inner has no field 'n'\n"),
     (["emit-formula", "mu", "--params"],
      {**MU_PARAMS, "embedding": ["x1 x2"], "inner": {"kind": "text"}},
-     "vfree: missing required field 'inner.formula'\n"),
+     "vfree: inner has no field 'formula'\n"),
 ], ids=["fold-list", "fold-words", "fold-max-steps-0",
         "fold-max-steps-negative", "fold-words-cap", "params-list",
         "theta-words",
@@ -1094,8 +1094,8 @@ def test_group_file_refuses_a_matrix_action_on_z4(capsys, tmp_path):
         "q": {"kind": "cyclic", "n": 2, "name": "t"},
         "action": {"t": [[1, 0], [1, 1]]}})
     assert run(capsys, "group", "--group", path) == (
-        1, "", "vfree: action['t'] is a matrix action, which needs a (Z/2)^k "
-        "factor with index = bitmask\n")
+        1, "", "vfree: vertices[0].group.action['t'] is a matrix action, "
+        "which needs a (Z/2)^k factor with index = bitmask\n")
 
 
 def file_option_argv(option: str, path: str, marking: str) -> list:

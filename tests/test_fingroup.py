@@ -268,7 +268,7 @@ Z4 = {"kind": "cyclic", "n": 4}
     ({"kind": "dicyclic", "n": 0}, "dicyclic parameter must be positive"),
     ({"kind": "semidirect", "c": V4, "q": FLIP, "action": {}},
      "action must be given on exactly Q's generators"),
-    ({"kind": "cyclic"}, "malformed group JSON: 'n'"),
+    ({"kind": "cyclic"}, "group has no field 'n'"),
     ({"kind": "direct", "factors": [V4]},
      "direct product needs at least two factors"),
     (acting("((e1 e2))"), "nested parentheses in cycle notation"),

@@ -193,6 +193,13 @@ def test_validation_rejects_bad_markings():
            {"E": (("v", "w"), "a b a b", [""])})
     with pytest.raises(gw.GogError, match="not connected"):
         mk(SL2Z, {"v": (base, [""]), "w": (vb, [""])}, {})
+    with pytest.raises(gw.GogError, match="^edge 'E' does not have two ends$"):
+        mk(SL2Z, {"v": (base, [""])}, {"E": (("v",), "", [""])})
+    with pytest.raises(gw.GogError, match="^vertex 'v' is not a MarkedVertex$"):
+        fo.MarkedTree(SL2Z, {"v": (base, frozenset([nf(SL2Z, "")]))}, {})
+    with pytest.raises(gw.GogError, match="^edge 'E' is not a MarkedEdge$"):
+        fo.MarkedTree(SL2Z, mk(SL2Z, {"v": (base, [""])}, {}).vertices,
+                      {"E": (("v", "v"), nf(SL2Z, ""), frozenset())})
 
 
 def _loop_at(image, twist):

@@ -1001,12 +1001,14 @@ LOOP = {**EDGE, "id": "l", "ends": ["vA", "vA"], "maps": [{"c": "a a"}] * 2}
      "injection names unknown generator 'd'"),
     ({"edges": [{**EDGE, "maps": [{"c": "q"}, {"c": "b b b"}]}]},
      "unknown generator 'q'"),
+    ({"edges": [{**EDGE, "maps": [{"c": "^2"}, {"c": "b b b"}]}]},
+     "malformed token '^2'"),
     ({"edges": [{**EDGE, "maps": [{}, {"c": "b b b"}]}]},
      "images must be given for exactly the declared generators"),
 ], ids=["duplicate-vertex", "duplicate-edge", "edge-named-as-vertex",
         "tree-names-no-edge", "tree-loop", "tree-cycle", "one-endpoint",
         "injection-unknown-name", "injection-unknown-letter",
-        "injection-missing-name"])
+        "injection-nameless-token", "injection-missing-name"])
 def test_gog_json_refuses_malformed_graphs(changes, message):
     with pytest.raises(ValueError) as err:
         gw.gog_from_json({**SL2Z_DATA, **changes})
@@ -1021,9 +1023,9 @@ def test_gog_json_table_entries_are_capped_before_the_next_group(
     monkeypatch.setattr(gw, "MAX_GRAPH_TABLE_ENTRIES", 56)
     assert gw.gog_from_json(SL2Z_JSON).vertices["vB"].order == 6
     built = []
-    monkeypatch.setattr(gw, "group_from_json",
-                        lambda spec: built.append(spec)
-                        or fg.group_from_json(spec))
+    monkeypatch.setattr(gw, "_group_at",
+                        lambda spec, where: built.append(spec)
+                        or fg._group_at(spec, where))
     for cap, where, entries, groups in ((55, "edges[0]", 56, 3),
                                         (51, "vertices[1]", 52, 2)):
         monkeypatch.setattr(gw, "MAX_GRAPH_TABLE_ENTRIES", cap)
