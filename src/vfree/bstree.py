@@ -6,12 +6,13 @@ path from the base vertex with its trailing free element dropped.  All
 queries (adjacency, distance, classification, axis windows) are local;
 nothing global is ever materialized except small breadth-first balls used
 by callers that explicitly ask for them, and the frame of each orbit's
-standard vertex (its neighbors and stabilizer), which is built once per
-graph of groups and kept as the fingroup module docstring says.
+standard vertex (its neighbors, each under its direction, and its
+stabilizer), which is built once per graph of groups and kept as the
+fingroup module docstring says.
 
 A neighbor of a tree vertex c·v is a coset c·r·ι_t(G_e) (Serre, Trees,
-§I.4): direction names it as the pair (t, r), r a canonical coset
-representative, and act moves it by a vertex-group element with one
+§I.4), named by its direction, the pair (t, r) with r a canonical coset
+representative; act moves a direction by a vertex-group element with one
 table lookup, no normal-form product.
 
 Tree vertices, axis segments and classifications are named tuples: each
@@ -60,12 +61,14 @@ class Classification(NamedTuple):
 
 
 class Frame(NamedTuple):
-    """The standard vertex of an orbit, the set of its neighbors, and its
-    stabilizer as a tuple indexed by the orbit's vertex group."""
+    """The standard vertex of an orbit, the set of its neighbors, its
+    stabilizer as a tuple indexed by the orbit's vertex group, and the
+    neighbor in each direction (t, r) there, r in gog.transversal(t)."""
 
     vertex: TreeVertex
     neighbors: frozenset
     stabilizer: tuple
+    directions: dict
 
 
 def vertex_from_path(gog: GraphOfGroups, p: NormalForm) -> TreeVertex:
@@ -97,11 +100,18 @@ def stabilizer(gog: GraphOfGroups, v: TreeVertex) -> list[NormalForm]:
     """The stabilizer of a tree vertex, as based loops indexed by the
     vertex group at v.orbit: entry x is rep·x·rep⁻¹ for rep the coset
     representative of v, so products of entries follow that group's
-    table."""
+    table.  Each entry reduces only rep⁻¹ onto rep·x, as path_multiply
+    does."""
     rep = v.coset_rep
-    rep_inv = path_invert(gog, rep)
-    return [path_multiply(gog, rep, NormalForm(v.orbit, (), x), rep_inv)
-            for x in gog.vertices[v.orbit].elements()]
+    inv = path_invert(gog, rep)
+    row = gog.vertices[v.orbit].table[rep.tail]
+    out = []
+    for x in gog.vertices[v.orbit].elements():
+        steps = list(rep.steps)
+        tail = _reduce_into(gog, steps, v.orbit, row[x], inv.steps,
+                            inv.tail)[1]
+        out.append(NormalForm(rep.start, tuple(steps), tail))
+    return out
 
 
 def standard_frame(gog: GraphOfGroups, orbit: str) -> Frame:
@@ -110,8 +120,9 @@ def standard_frame(gog: GraphOfGroups, orbit: str) -> Frame:
     frame = gog._facts.get(orbit)
     if frame is None:
         std = standard_vertex(gog, orbit)
+        near = dict(zip(_directions(gog, orbit), neighbors(gog, std)))
         frame = gog._facts[orbit] = Frame(
-            std, frozenset(neighbors(gog, std)), tuple(stabilizer(gog, std)))
+            std, frozenset(near.values()), tuple(stabilizer(gog, std)), near)
     return frame
 
 
@@ -146,22 +157,18 @@ def neighbor(gog: GraphOfGroups, v: TreeVertex, r: int,
     return _product_vertex(gog, v.coset_rep, _step(gog, r, t))
 
 
+def _directions(gog: GraphOfGroups,
+                orbit: str) -> list[tuple[Traversal, int]]:
+    """The directions (t, r) at a vertex of an orbit, in the order
+    neighbors lists their neighbors: t incident there, r in
+    gog.transversal(t)."""
+    return [(t, r) for t in gog.incident(orbit) for r in gog.transversal(t)]
+
+
 def neighbors(gog: GraphOfGroups, v: TreeVertex) -> list[TreeVertex]:
     """All adjacent tree vertices: one per coset of each incident edge
     group image (the count is the sum of the indices)."""
-    return [neighbor(gog, v, r, t)
-            for t in gog.incident(v.orbit) for r in gog.transversal(t)]
-
-
-def direction(gog: GraphOfGroups, v: TreeVertex,
-              w: TreeVertex) -> Optional[tuple[Traversal, int]]:
-    """The direction at v of a neighbor w: the pair (t, r), with r in
-    gog.transversal(t), for which w = neighbor(gog, v, r, t); None when w
-    is v.  Raises GogError when w is farther."""
-    p = path_multiply(gog, path_invert(gog, v.coset_rep), w.coset_rep)
-    if len(p.steps) > 1:
-        raise GogError("vertices are not adjacent")
-    return (p.steps[0][1], p.steps[0][0]) if p.steps else None
+    return [neighbor(gog, v, r, t) for t, r in _directions(gog, v.orbit)]
 
 
 def act(gog: GraphOfGroups, x: int, d: Optional[tuple[Traversal, int]]

@@ -39,6 +39,7 @@ from .fingroup import (
     GroupHom,
     _check_order,
     _field,
+    _name,
     _place,
     _typed,
     _typed_list,
@@ -726,7 +727,7 @@ def _delta_formula(spec: dict, where: str):
     """The delta formula of the JSON object at where, with fields n and
     blocks."""
     n = _field(spec, "n", "an integer", where)
-    _check_generator_count(f"field {_place(where, 'n')!r}", n)
+    _check_generator_count(_name(where, "n"), n)
     blocks = _place(where, "blocks")
     return emit_delta_related(n, [
         _typed_list(b, str, f"{blocks}[{i}]") for i, b in
@@ -746,7 +747,7 @@ def _inner_formula(params: dict):
 def _presentation(params: dict, key: str) -> tuple:
     spec = _field(params, key, "an object", _PARAMS)
     count = _field(spec, "generators", "an integer", key)
-    _check_generator_count(f"field '{key}.generators'", count)
+    _check_generator_count(_name(key, "generators"), count)
     return count, _field(spec, "relators", "a list", key, of=str)
 
 
@@ -762,8 +763,8 @@ def cmd_emit_formula(args) -> int:
         if len(orders) != 2:
             raise GogError(f"field 'orders' must list 2 orders "
                            f"(got {len(orders)})")
-        for order in orders:
-            _check_order("field 'orders' entry", order)
+        for i, order in enumerate(orders):
+            _check_order(f"orders[{i}]", order)
         f = emit_theta_sl2z(relators, words, tuple(orders))
     elif args.which == "delta":
         f = _delta_formula(params, _PARAMS)

@@ -21,12 +21,18 @@ kept on that object, filled on first use, and goes when the object goes.
   that a catalog group holds only catalog groups; their GroupHom values
   refer to c, so weak keys would not free it).
 - A GraphOfGroups keeps in _facts the tree path between two vertices
-  under (u, w), the Whitehead frame of an orbit under the orbit, and
-  each compiled pick under its reduced (steps, tail): the picks of
-  walks and the syllable images of the counterexample's phi alike, in
-  that one slot, so a loop that is both is compiled once; no two such
-  keys are equal.  What it compiles at construction is not kept state;
-  its traversal records reference the coset data of its vertex groups.
+  under (u, w); the Whitehead frame of an orbit under the orbit, with
+  its direction map, the neighbor of the standard vertex in each
+  direction (t, r); each compiled pick under its reduced (steps, tail):
+  the picks of walks, the grams compiled from them and the syllable
+  images of the counterexample's phi alike, in that one slot, so a loop
+  that is more than one of these is compiled once; and under
+  (genericity._WALK_PLAN, support, weights) the plan of that walk
+  measure: its compiled picks, step and byte tables, whether the
+  generation check passed, and its gram table, which fills as the
+  measure's walks draw grams.  No two such keys are
+  equal.  What a graph compiles at construction is not kept state; its
+  traversal records reference the coset data of its vertex groups.
 - A marked tree (folds) keeps nothing: the far image of each edge end
   is compiled where the tree comes in and moved by the fold that builds
   the next tree, so it is not kept state, and a marked tree is not
@@ -955,6 +961,12 @@ def _place(where: str, key: str) -> str:
     return key if where in DOCUMENTS else f"{where}.{key}"
 
 
+def _name(where: str, key: str) -> str:
+    """The field key of the object at where as its errors name it:
+    field 'key' at the top of a document, where.key below it."""
+    return f"field {key!r}" if where in DOCUMENTS else f"{where}.{key}"
+
+
 def _field(data: dict, key: str, want: str, where: str,
            default=_REQUIRED, of: Optional[type] = None,
            error: type = GroupError):
@@ -968,10 +980,9 @@ def _field(data: dict, key: str, want: str, where: str,
         if default is _REQUIRED:
             raise error(f"{where} has no field {key!r}")
         return default
-    path = _place(where, key)
-    val = _typed(data[key], want,
-                 f"field {path!r}" if where in DOCUMENTS else path, error)
-    return val if of is None else _typed_list(val, of, path, error)
+    val = _typed(data[key], want, _name(where, key), error)
+    return val if of is None else _typed_list(val, of, _place(where, key),
+                                              error)
 
 
 def _check_order(what: str, order: int) -> None:

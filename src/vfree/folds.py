@@ -16,8 +16,9 @@ to the plain tuples of their fields.
 
 A marked tree is checked once, where it comes in, images and twists as
 normal forms too, and keeps each edge end's far image as a direction
-(t, r) at its near image, as bstree.direction names one, None for an
-edge mapping to a point: both ends' directions are read off one product.
+(t, r) at its near image, the pair bstree.neighbor reads as r·t, None
+for an edge mapping to a point: both ends' directions are read off one
+product.
 Folds translate no tree vertex: a stabilizer element moves a direction by
 a table lookup (bstree.act), and a merge moves the directions at the gone
 vertex by one group element. A fold checks its directive (caller data)

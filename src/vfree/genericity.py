@@ -23,6 +23,12 @@ its Python frames: when the weights' common denominator is at most 255,
 as the top bytes of the words of batched getrandbits calls, so the
 walks are those of randrange.
 
+What a walk needs of its measure but the seed is kept on the graph, once
+per measure (_WalkPlan).  That includes grams: runs of a few draws, each
+compiled like a pick the second time it is drawn on the graph, so that
+on a graph that has walked the measure before, a segment of a walk
+pushes one record per gram rather than one per draw.
+
 Every value type is a named tuple that hashes as the plain tuple of its
 fields and compares equal to it; a FillingReport is true when it fills.
 """
@@ -41,7 +47,6 @@ from .bstree import (
     axis_window,
     ball,
     base_vertex,
-    neighbor,
     standard_frame,
     translate,
 )
@@ -125,18 +130,22 @@ def _core_turns(gog: GraphOfGroups, core: NormalForm, orbit: str):
 def _graph_at(gog: GraphOfGroups, core: NormalForm,
               orbit: str) -> WhiteheadGraph:
     """The Whitehead graph at one orbit: each turn there is placed at the
-    standard vertex and saturated by its stabilizer.
+    standard vertex, by looking its two directions up in the frame there
+    (the entering element moved to its coset representative by t's
+    decomp; the leaving one, a normal-form syllable, is one already), and
+    saturated by its stabilizer.
 
     The edge set is always a union of stabilizer orbits of pairs, so a
     turn whose pair is already an edge adds nothing and is skipped.  The
     graph is returned as soon as it holds every pair, checked after each
     stabilizer image, and the remaining turns are never read."""
-    std, nodes, sat = standard_frame(gog, orbit)
+    std, nodes, sat, near = standard_frame(gog, orbit)
     complete_count = math.comb(len(nodes), 2)
+    crossing = gog._crossing
     edges: set = set()
-    for back, out in _core_turns(gog, core, orbit):
-        p0 = neighbor(gog, std, *back)
-        n0 = neighbor(gog, std, *out)
+    for (x, back), out in _core_turns(gog, core, orbit):
+        p0 = near[back, crossing[back].decomp[x][0]]
+        n0 = near[out[1], out[0]]
         if frozenset((p0, n0)) in edges:
             continue
         for s in sat:
@@ -369,13 +378,17 @@ def _check_generation(gog: GraphOfGroups, support: Sequence[NormalForm]) -> None
                        "letter within the bounded product closure")
 
 
-def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
+def validate_walk_spec(gog: GraphOfGroups, spec: RandomWalkSpec) -> _WalkPlan:
     """Check the whole spec: the checks of _walk_plan, then the trial count
-    and generation.  Returns the plan, so an experiment compiles it once."""
+    and generation.  Returns the plan, kept on the graph with the outcome
+    of the generation check, so a measure is compiled and checked once
+    whatever the seeds and trial counts it is walked with."""
     plan = _walk_plan(gog, spec)
     if spec.trials < 1:
         raise GogError("at least one trial is required")
-    _check_generation(gog, spec.support)
+    if not plan.generates:
+        _check_generation(gog, spec.support)
+        plan.generates = True
     return plan
 
 
@@ -383,10 +396,11 @@ def _step_table(spec: RandomWalkSpec) -> tuple[int, list[int]]:
     """(denom, cums): a step draws r in range(denom) and takes the support
     element at bisect_right(cums, r), so each has its exact weight."""
     fracs = [Fraction(w) for w in spec.weights]
-    if any(f <= 0 for f in fracs):
+    if any(f.numerator <= 0 for f in fracs):
         raise GogError("weights must be positive")
     denom = math.lcm(*(f.denominator for f in fracs))
-    cums = list(itertools.accumulate(int(f * denom) for f in fracs))
+    cums = list(itertools.accumulate(f.numerator * (denom // f.denominator)
+                                     for f in fracs))
     if cums[-1] != denom:
         raise GogError("weights must sum to 1")
     return denom, cums
@@ -408,7 +422,9 @@ def _byte_tables(denom: int, cums: list[int]) -> tuple[bytes, bytes]:
 
 def _draws(bits, denom: int, cums: list[int], tables, count: int):
     """The support indices of the next count draws of randrange(denom)
-    from the getrandbits function bits, reading exactly its words.
+    from the getrandbits function bits, reading exactly its words, as
+    bytes when the support has at most 256 elements, so that a run of
+    draws is a gram key (see _WalkPlan), and as a list otherwise.
 
     With tables = _byte_tables(denom, cums), the m draws still missing
     are read from the top bytes of one getrandbits(32 * m) call, whose
@@ -418,7 +434,7 @@ def _draws(bits, denom: int, cums: list[int], tables, count: int):
     of randrange(denom): r = bits(k), k = denom.bit_length(), again while
     r >= denom."""
     if tables:
-        out = bytearray()
+        out = b""
         while len(out) < count:
             m = count - len(out)
             out += bits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
@@ -432,7 +448,7 @@ def _draws(bits, denom: int, cums: list[int], tables, count: int):
         while r >= denom:
             r = bits(k)
         out.append(bisect_right(cums, r))
-    return out
+    return bytes(out) if len(cums) <= 256 else out
 
 
 def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
@@ -461,18 +477,25 @@ def _pick_records(gog: GraphOfGroups, support: Sequence[NormalForm]) -> list:
                                  pick.tail)
         if end != base:
             raise GogError("support elements must be loops at the base vertex")
-        key = (tuple(steps), last)
-        compiled = gog._facts.get(key)
-        if compiled is None:
-            positions = []
-            for j, (r, t) in enumerate(key[0]):
-                c = gog._crossing[t]
-                positions.append((r, gog.vertices[c.near].table, c.rev,
-                                  c.pinch, c.far_table, {},
-                                  (c.near, key[0], j, last)))
-            compiled = gog._facts[key] = (tuple(positions), last)
-        records.append(compiled)
+        records.append(_compiled(gog, tuple(steps), last))
     return records
+
+
+def _compiled(gog: GraphOfGroups, steps: tuple, last: int) -> tuple:
+    """The compiled pick of the reduced loop (steps, last) at the base
+    vertex (see _pick_records), kept in the graph's _facts under
+    (steps, last)."""
+    key = (steps, last)
+    compiled = gog._facts.get(key)
+    if compiled is None:
+        positions = []
+        for j, (r, t) in enumerate(steps):
+            c = gog._crossing[t]
+            positions.append((r, gog.vertices[c.near].table, c.rev,
+                              c.pinch, c.far_table, {},
+                              (c.near, steps, j, last)))
+        compiled = gog._facts[key] = (tuple(positions), last)
+    return compiled
 
 
 def _rest_of_pick(gog: GraphOfGroups, entering: int, near: str,
@@ -525,12 +548,52 @@ def _walk_lengths(lengths: Sequence[int]) -> list[int]:
     return sorted(set(lengths))
 
 
-def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
-    """(seed, denom, cums, tables, picks): what _walk needs of a spec, built
-    once for all of its trials; tables is _byte_tables(denom, cums), or
-    None when denom > 255.  Checks, in order, all a walk depends on: a
-    nonempty support, one weight per support element, every pick a loop at
-    the base vertex, and positive weights that sum to 1."""
+_GRAM_CODES = {2: "H", 4: "I", 8: "Q"}
+"""The memoryview format that reads the bytes of a gram of each length
+as one unsigned integer, its key in the gram table."""
+
+_WALK_PLAN = object()
+"""The tag of the key (_WALK_PLAN, support, weights) in a graph's _facts,
+which no other key there can equal, of the kept plan of that measure."""
+
+
+class _WalkPlan:
+    """What walks need of a measure whatever the seed, kept on the graph
+    (see _walk_plan): the step table (denom, cums), the byte tables
+    (_byte_tables(denom, cums), or None when denom > 255), the compiled
+    picks, the gram length and table, and whether the generation check
+    passed.
+
+    A gram is a run of `gram` consecutive draws, keyed by their bytes
+    read as one unsigned integer (see _GRAM_CODES): gram = max(1, 8 //
+    max(1, (s - 1).bit_length())) for a support of s elements, so there
+    are at most 256 grams and a support of more than 16 elements walks
+    by single picks (gram 1).  The gram table maps a gram drawn once to
+    None and a gram drawn again to its compiled pick: its single picks
+    pushed onto an empty normal form, compiled under the reduced loop's
+    (steps, tail) like any pick (see _compiled)."""
+
+    __slots__ = ("denom", "cums", "tables", "picks", "gram", "grams",
+                 "generates")
+
+    def __init__(self, denom: int, cums: list[int], tables, picks: list):
+        self.denom, self.cums = denom, cums
+        self.tables, self.picks = tables, picks
+        self.gram = max(1, 8 // max(1, (len(picks) - 1).bit_length()))
+        self.grams: dict = {}
+        self.generates = False
+
+
+def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec) -> _WalkPlan:
+    """The plan of the spec's measure, built the first time the graph is
+    asked for it and kept in its _facts.  Checks, in order, all a walk
+    depends on: a nonempty support, one weight per support element, every
+    pick a loop at the base vertex, and positive weights that sum to 1; a
+    spec that fails a check keeps no plan."""
+    key = (_WALK_PLAN, tuple(spec.support), tuple(spec.weights))
+    plan = gog._facts.get(key)
+    if plan is not None:
+        return plan
     if not spec.support:
         raise GogError("measure support must be nonempty")
     if len(spec.weights) != len(spec.support):
@@ -538,34 +601,80 @@ def _walk_plan(gog: GraphOfGroups, spec: RandomWalkSpec) -> tuple:
     picks = _pick_records(gog, spec.support)
     denom, cums = _step_table(spec)
     tables = _byte_tables(denom, cums) if denom <= 255 else None
-    return (spec.seed, denom, cums, tables, picks)
+    plan = gog._facts[key] = _WalkPlan(denom, cums, tables, picks)
+    return plan
 
 
-def _walk(gog: GraphOfGroups, plan: tuple, trial: int,
+def _records(gog: GraphOfGroups, plan: _WalkPlan, drawn, lo: int,
+             hi: int) -> list:
+    """The compiled picks that multiply draws lo to hi of a walk onto it:
+    one per gram of the segment, from its start, and one per draw left
+    over past the last whole gram.  A gram drawn for the first time on
+    the graph is marked and takes its single picks; the second time it
+    is compiled (see _WalkPlan).  When every gram is compiled already,
+    as on a graph that has walked the measure for long, the records are
+    read with one dict lookup per gram and no Python loop; when the
+    grams are distinct and each is drawn for the first time, as on a
+    fresh graph, they are marked and the segment is read as single
+    picks, again with no Python loop."""
+    pick = plan.picks.__getitem__
+    k = plan.gram
+    if k == 1:
+        return list(map(pick, drawn[lo:hi]))
+    cut = hi - (hi - lo) % k
+    keys = memoryview(drawn)[lo:cut].cast(_GRAM_CODES[k])
+    grams = plan.grams
+    records = list(map(grams.get, keys))
+    if None in records:
+        new = dict.fromkeys(keys)
+        if len(new) == len(records) and grams.keys().isdisjoint(new):
+            grams.update(new)
+            return list(map(pick, drawn[lo:hi]))
+        identity = gog.vertices[gog.base_vertex].identity
+        records = []
+        for key, i in zip(keys, range(lo, cut, k)):
+            compiled = grams.get(key)
+            if compiled is None:
+                if key not in grams:
+                    grams[key] = None
+                    records += map(pick, drawn[i:i + k])
+                    continue
+                steps: list = []
+                tail = _push_picks(gog, steps, identity,
+                                   map(pick, drawn[i:i + k]))
+                compiled = grams[key] = _compiled(gog, tuple(steps), tail)
+            records.append(compiled)
+    records += map(pick, drawn[cut:hi])
+    return records
+
+
+def _walk(gog: GraphOfGroups, plan: _WalkPlan, seed: int, trial: int,
           lengths: Sequence[int]):
-    """The elements trial number `trial` reaches at each of the lengths,
-    which must be distinct and increasing, yielded as (n, steps, tail) with
-    steps and tail its normal form; plan = _walk_plan(gog, spec).
+    """The elements trial number `trial` of a walk seeded by seed reaches
+    at each of the lengths, which must be distinct and increasing,
+    yielded as (n, steps, tail) with steps and tail its normal form;
+    plan = _walk_plan(gog, spec).
 
     Each step takes the support element that r = randrange(denom) selects
     (see _step_table).  The walk reads all of its draws before its first
     step, with _draws, so the stream and every walk are those of
     randrange.  The picks of each segment, from one length to the next,
     are multiplied onto the walk's steps by one _push_picks call, the
-    kernel that phi shares (see cli.counterexample_phi): a position that
-    cancels into the last step pops it, and the first that does not
-    pushes the rest of the pick.  The steps are one list that every pick
-    extends or cancels in place, so a caller copies what it keeps
-    first."""
-    seed, denom, cums, tables, picks = plan
+    kernel that phi shares (see cli.counterexample_phi), a compiled gram
+    standing for each run of draws it was compiled from (see _records):
+    a position that cancels into the last step pops it, and the first
+    that does not pushes the rest of the pick.  The steps are one list
+    that every pick extends or cancels in place, so a caller copies what
+    it keeps first."""
     bits = random.Random(splitmix64(seed, trial)).getrandbits
-    drawn = _draws(bits, denom, cums, tables, lengths[-1] if lengths else 0)
-    pick = picks.__getitem__
+    drawn = _draws(bits, plan.denom, plan.cums, plan.tables,
+                   lengths[-1] if lengths else 0)
     steps: list = []
     tail = gog.vertices[gog.base_vertex].identity
     done = 0
     for n in lengths:
-        tail = _push_picks(gog, steps, tail, map(pick, drawn[done:n]))
+        tail = _push_picks(gog, steps, tail,
+                           _records(gog, plan, drawn, done, n))
         done = n
         yield n, steps, tail
 
@@ -579,7 +688,7 @@ def sample_walk(gog: GraphOfGroups, spec: RandomWalkSpec, length: int,
     walks each trial once, to its longest length.  The spec is checked as
     far as the walk needs, by the checks validate_walk_spec starts with
     (see _walk_plan)."""
-    (_, steps, tail), = _walk(gog, _walk_plan(gog, spec), trial,
+    (_, steps, tail), = _walk(gog, _walk_plan(gog, spec), spec.seed, trial,
                               _walk_lengths((length,)))
     return NormalForm(gog.base_vertex, tuple(steps), tail)
 
@@ -594,7 +703,7 @@ def run_genericity_experiment(gog: GraphOfGroups, spec: RandomWalkSpec,
     wanted = _walk_lengths(lengths)
     counts = {n: [0, 0] for n in wanted}
     for t in range(spec.trials):
-        for n, steps, tail in _walk(gog, plan, t, wanted):
+        for n, steps, tail in _walk(gog, plan, spec.seed, t, wanted):
             g = NormalForm(gog.base_vertex, tuple(steps), tail)
             core = cyclic_reduction(gog, g)[1]
             if core.steps:

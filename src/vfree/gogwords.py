@@ -679,12 +679,18 @@ def build_counterexample() -> GraphOfGroups:
 
 def _hom_from_spec(edge_group: FiniteGroup, target: FiniteGroup,
                    spec: dict, where: str) -> GroupHom:
+    """The injection the spec at where gives: each generator of the edge
+    group to the element of target its word names.  A name that is not
+    a generator, and a generator with no word, are named with where."""
     images = {}
     for name, word in spec.items():
         if name not in edge_group.generators:
-            raise GogError(f"injection names unknown generator {name!r}")
+            raise GogError(f"{where} names unknown generator {name!r}")
         images[name] = evaluate_word(
             target, _typed(word, "a string", f"{where}[{name!r}]", GogError))
+    missing = [name for name in edge_group.generators if name not in images]
+    if missing:
+        raise GogError(f"{where} has no field {missing[0]!r}")
     return GroupHom.from_generator_images(edge_group, target, images)
 
 

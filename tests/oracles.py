@@ -913,7 +913,7 @@ def sample_reduced_forms_by_nf(gog, loops, max_syllables, target, seed):
     plan = gen._walk_plan(gog, cli._letter_measure(gog, 1, seed))
     walked = (gw.NormalForm(gog.base_vertex, tuple(steps), tail)
               for trial in range(20 * target // max_syllables)
-              for _, steps, tail in gen._walk(gog, plan, trial,
+              for _, steps, tail in gen._walk(gog, plan, seed, trial,
                                               range(2 * max_syllables + 1)))
     seen = {}
     for nf in itertools.chain(*(loops[v] for v in sorted(gog.vertices)),

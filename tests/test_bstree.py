@@ -127,8 +127,8 @@ def test_directions_name_neighbors_and_stabilizers_act_on_them(name, data):
     def at(d):
         return v if d is None else bt.neighbor(gog, v, d[1], d[0])
     dirs = [(t, r) for t in gog.incident(v.orbit) for r in gog.transversal(t)]
-    assert bt.direction(gog, v, v) is None
-    assert [bt.direction(gog, v, at(d)) for d in dirs] == dirs
+    assert tro.direction(gog, v, v) is None
+    assert [tro.direction(gog, v, at(d)) for d in dirs] == dirs
     grp, stab = gog.vertices[v.orbit], bt.stabilizer(gog, v)
     x, y = (data.draw(st.integers(0, grp.order - 1)) for _ in range(2))
     d = data.draw(st.sampled_from(dirs))
@@ -138,7 +138,21 @@ def test_directions_name_neighbors_and_stabilizers_act_on_them(name, data):
     assert bt.act(gog, x, None) is None
     farther = next(w for w in bt.neighbors(gog, at(d)) if w != v)
     with pytest.raises(gw.GogError, match="not adjacent"):
-        bt.direction(gog, v, farther)
+        tro.direction(gog, v, farther)
+
+
+@pytest.mark.parametrize("name", sorted(SEAM))
+def test_frame_keeps_the_neighbor_in_each_direction(name):
+    # The frame's direction map lists the neighbors of the standard vertex
+    # in the order neighbors does, each under the direction that names it.
+    gog = SEAM[name]
+    for orbit in sorted(gog.vertices):
+        frame = bt.standard_frame(gog, orbit)
+        assert list(frame.directions.values()) == \
+            bt.neighbors(gog, frame.vertex)
+        assert frame.neighbors == frozenset(frame.directions.values())
+        assert all(tro.direction(gog, frame.vertex, w) == d
+                   for d, w in frame.directions.items())
 
 
 def test_neighbors_are_symmetric_and_at_distance_one():

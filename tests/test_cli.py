@@ -1017,9 +1017,9 @@ def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
      "x4^99999999999 x3^-10000000000"),
     ("theta", {"orders": [4, 512]}, 0, "y^511 ~= 1"),
     ("theta", {"orders": [4, 6000]}, 1,
-     "field 'orders' entry 6000 is above the order cap 512"),
+     "orders[1] 6000 is above the order cap 512"),
     ("theta", {"orders": [10**12, 6]}, 1,
-     "field 'orders' entry 1000000000000 is above the order cap 512"),
+     "orders[0] 1000000000000 is above the order cap 512"),
     ("mu", {**MU_PARAMS, "embedding": ["x1 x2 x1^-1"],
             "inner": {"kind": "delta", "n": 1, "blocks": [["x1^10000000"]]}},
      0, "x1 x2^10000000 x1^-1"),
@@ -1038,14 +1038,14 @@ def test_fold_and_formula_json_errors_name_the_field(capsys, tmp_path, argv,
     ("mu", {**MU_PARAMS, "embedding": ["x1 x2"],
             "g": {"generators": 10000000, "relators": []},
             "inner": {"n": 1, "blocks": [["x1"]]}}, 1,
-     "field 'g.generators' 10000000 is above the generator cap 10000"),
+     "g.generators 10000000 is above the generator cap 10000"),
     ("mu", {**MU_PARAMS, "embedding": ["x1 x2"],
             "u": {"generators": 10000000, "relators": []},
             "inner": {"n": 1, "blocks": [["x1"]]}}, 1,
-     "field 'u.generators' 10000000 is above the generator cap 10000"),
+     "u.generators 10000000 is above the generator cap 10000"),
     ("mu", {**MU_PARAMS, "embedding": ["x1 x2"],
             "inner": {"n": 10000000, "blocks": [["x1"]]}}, 1,
-     "field 'inner.n' 10000000 is above the generator cap 10000"),
+     "inner.n 10000000 is above the generator cap 10000"),
 ], ids=["delta-1e6", "delta-1e10", "theta-512", "theta-6000", "theta-1e12",
         "mu-one-syllable-core", "mu-long-core", "mu-past-the-cap",
         "delta-n-at-the-cap", "delta-n-1e7", "delta-n-1e9",
@@ -1059,6 +1059,50 @@ def test_formula_powers_finish_quickly(capsys, tmp_path, which, params, code,
     assert time.perf_counter() - start < 1.0
     assert got == code
     assert message in (out if code == 0 else err)
+
+
+DELTA_PARAMS = {"n": 1, "blocks": [["x1"]]}
+MU_FULL = {**MU_PARAMS, "embedding": ["x1 x2"], "inner": DELTA_PARAMS}
+
+
+@pytest.mark.parametrize("which, params, path, message", [
+    ("theta", {"orders": [4, 6000]}, ("orders", 1),
+     "orders[1] 6000 is above the order cap 512"),
+    ("delta", {**DELTA_PARAMS, "n": 10001}, ("n",),
+     "field 'n' 10001 is above the generator cap 10000"),
+    ("mu", {**MU_FULL, "g": {"generators": 10001, "relators": []}},
+     ("g", "generators"), "g.generators 10001 is above the generator cap "
+                          "10000"),
+    ("mu", {**MU_FULL, "u": {"generators": 10001, "relators": []}},
+     ("u", "generators"), "u.generators 10001 is above the generator cap "
+                          "10000"),
+    ("mu", {**MU_FULL, "inner": {**DELTA_PARAMS, "n": 10001}},
+     ("inner", "n"), "inner.n 10001 is above the generator cap 10000"),
+], ids=["theta-orders", "delta-n", "mu-g-generators", "mu-u-generators",
+        "mu-inner-n"])
+def test_cap_messages_name_the_field_as_type_errors_do(
+        capsys, tmp_path, which, params, path, message):
+    # Each cap message is pinned, and a value of the wrong type in the
+    # same field names the field the same way.
+    file = tmp_path / "params.json"
+
+    def err_with(bad):
+        data = json.loads(json.dumps(params))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "emit-formula", which, "--params",
+                             str(file))
+        assert code == 1 and out == ""
+        return err
+
+    file.write_text(json.dumps(params))
+    code, out, err = run(capsys, "emit-formula", which, "--params", str(file))
+    assert (code, out, err) == (1, "", f"vfree: {message}\n")
+    name = message.split(" is above")[0].rsplit(" ", 1)[0]
+    assert err_with("x").startswith(f"vfree: {name} is not an integer ")
 
 
 @pytest.mark.parametrize("option", ["--group", "--target"])

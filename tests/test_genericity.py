@@ -9,9 +9,11 @@ run.
 """
 
 import bisect
+import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -532,7 +534,7 @@ def test_walk_matches_oracle_on_mixed_supports(name, seed, lengths):
     spec = gen.RandomWalkSpec(tuple(support), weights, 1, rng.getrandbits(64))
     trial = rng.randrange(3)
     want = {n: oc.walk_from_identity(gog, spec, n, trial) for n in lengths}
-    walked = gen._walk(gog, gen._walk_plan(gog, spec), trial,
+    walked = gen._walk(gog, gen._walk_plan(gog, spec), spec.seed, trial,
                        sorted(set(lengths)))
     assert {n: gw.NormalForm(gog.base_vertex, tuple(steps), tail)
             for n, steps, tail in walked} == want
@@ -570,9 +572,11 @@ def test_experiment_walks_each_trial_once(monkeypatch):
 
 
 def test_experiment_compiles_its_spec_once(monkeypatch):
-    # validate_walk_spec returns the plan it checked, and the experiment
-    # walks with it: one step table and one set of compiled picks.
-    counted = {"_step_table": 0, "_pick_records": 0}
+    # The plan of a measure is kept on the graph: validate_walk_spec and
+    # two experiments with different seeds and trial counts build one
+    # step table, compile one set of picks and check generation once, per
+    # graph and measure.
+    counted = {"_step_table": 0, "_pick_records": 0, "_check_generation": 0}
     for name in counted:
         real = getattr(gen, name)
 
@@ -581,13 +585,15 @@ def test_experiment_compiles_its_spec_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(gen, name, counting)
-    spec = letter_spec(SL2Z, 3, 5)
-    plan = gen.validate_walk_spec(SL2Z, spec)
-    assert plan == gen._walk_plan(SL2Z, spec)
-    counted.update(dict.fromkeys(counted, 0))
-    rows = gen.run_genericity_experiment(SL2Z, spec, [4, 8])
-    assert counted == {"_step_table": 1, "_pick_records": 1}
-    assert list(rows) == oc.experiment_by_rewalking(SL2Z, spec, [4, 8])
+    for gog in (build_z2_z3(), gw.build_sl2z()):
+        counted.update(dict.fromkeys(counted, 0))
+        spec = letter_spec(gog, 3, 5)
+        plan = gen.validate_walk_spec(gog, spec)
+        assert plan is gen._walk_plan(gog, spec)
+        for other in (spec._replace(seed=6), spec._replace(trials=2, seed=7)):
+            rows = gen.run_genericity_experiment(gog, other, [4, 8])
+            assert list(rows) == oc.experiment_by_rewalking(gog, other, [4, 8])
+        assert counted == dict.fromkeys(counted, 1)
 
 
 @pytest.mark.parametrize("shares", [(1,), (1, 2), (1, 1, 2), (1, 2, 3),
@@ -642,20 +648,198 @@ def test_walk_kernel_matches_both_oracles(denom, name, seed, lengths):
     assert want == [(n, oc.walk_from_identity(fresh, spec, n, trial))
                     for n in wanted]
     other = letter_spec(used, 1, seed)
-    for _ in gen._walk(used, gen._walk_plan(used, other), 0, [40]):
+    for _ in gen._walk(used, gen._walk_plan(used, other), other.seed, 0,
+                       [40]):
         pass
     for gog in (fresh, used):
         plan = gen._walk_plan(gog, spec)
         assert [(n, gw.NormalForm(gog.base_vertex, tuple(steps), tail))
-                for n, steps, tail in gen._walk(gog, plan, trial,
+                for n, steps, tail in gen._walk(gog, plan, spec.seed, trial,
                                                 wanted)] == want
-    _, step_denom, cums, tables, _ = plan
-    assert step_denom == denom and (tables is None) == (denom > 255)
+    cums, tables = plan.cums, plan.tables
+    assert plan.denom == denom and (tables is None) == (denom > 255)
     bits, rand = random.Random(seed), random.Random(seed)
     drawn = gen._draws(bits.getrandbits, denom, cums, tables, wanted[-1])
     assert list(drawn) == [bisect.bisect_right(cums, rand.randrange(denom))
                            for _ in range(wanted[-1])]
     assert bits.getstate() == rand.getstate()
+
+
+def fresh_copy(gog):
+    """A new graph on the same groups and edges, with nothing kept."""
+    return gw.GraphOfGroups(gog.vertices.items(), gog.edges.values(),
+                            gog.base_vertex, gog.spanning_tree)
+
+
+def walked(gog, spec, trial, lengths):
+    """(n, normal form) at each of the lengths of one walk."""
+    return [(n, gw.NormalForm(gog.base_vertex, tuple(steps), tail))
+            for n, steps, tail in gen._walk(gog, gen._walk_plan(gog, spec),
+                                            spec.seed, trial, lengths)]
+
+
+GRAM_SIZES = {1: 8, 2: 8, 3: 4, 4: 4, 5: 2, 16: 2, 17: 1, 257: 1}
+"""Support sizes and the gram length each walks with."""
+
+
+@pytest.mark.parametrize("size", sorted(GRAM_SIZES))
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(SEAM)), seed=st.integers(0, 2**32 - 1),
+       big=st.booleans(),
+       lengths=st.lists(st.integers(0, 70), min_size=1, max_size=4))
+@example(name="sl2z", seed=1, big=False, lengths=[3, 17, 70])
+@example(name="z2z3", seed=2, big=True, lengths=[1, 9, 63])
+def test_gram_walks_match_both_oracles(size, name, seed, big, lengths):
+    # Supports of every gram length, up to one of more than 256 elements,
+    # whose draws are a list, denominators on both sides of the byte
+    # tables' bound of 255, and lengths that leave draws past the
+    # last whole gram of a segment.  The walk is taken three times on a
+    # fresh graph, so its grams are first drawn, then compiled, then
+    # pushed compiled, and three times on a graph whose compiled picks two
+    # other measures on the same loops filled first; every walk equals
+    # the segment walk and the walk by products.
+    gog = SEAM[name]
+    rng = random.Random(seed)
+    base = gog.vertices[gog.base_vertex]
+    support = []
+    for _ in range(size):
+        if rng.random() < 0.25:
+            support.append(gw.NormalForm(gog.base_vertex, (),
+                                         rng.randrange(base.order)))
+        else:
+            support.append(gw.parse_word(
+                gog, random_letter_word(gog, rng, 5)))
+    denom = (rng.randint(max(size, 256), 400) if big or size > 255
+             else rng.randint(size, 255))
+    cuts = sorted(rng.sample(range(1, denom), size - 1))
+    shares = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, denom])]
+    spec = gen.RandomWalkSpec(tuple(support),
+                              tuple(Fraction(k, denom) for k in shares), 1,
+                              rng.getrandbits(64))
+    wanted = sorted(set(lengths))
+    trial = rng.randrange(3)
+    want = oc.walk_by_segments(gog, spec, trial, wanted)
+    assert want == [(n, oc.walk_from_identity(gog, spec, n, trial))
+                    for n in wanted]
+    fresh, used = fresh_copy(gog), fresh_copy(gog)
+    uniform = tuple(Fraction(1, size) for _ in support)
+    for other in (letter_spec(used, 1, seed),
+                  spec._replace(weights=uniform, seed=seed)):
+        for t in range(3):
+            walked(used, other, t, [70])
+    for g in (fresh, used):
+        assert gen._walk_plan(g, spec).gram == GRAM_SIZES[size]
+        for _ in range(3):
+            assert walked(g, spec, trial, wanted) == want
+
+
+def warm_letter_walks(gog):
+    """The letter measure of gog, walked on it until every gram of the
+    measure is compiled."""
+    spec = letter_spec(gog, 1, 3)
+    plan = gen._walk_plan(gog, spec)
+    grams = len(spec.support) ** plan.gram
+    trial = 0
+    while sum(v is not None for v in plan.grams.values()) < grams:
+        walked(gog, spec, trial, [512])
+        trial += 1
+    return spec
+
+
+def test_warm_walk_pushes_one_record_per_gram(monkeypatch):
+    # On sl2z the letter measure has 4 letters, so a gram is 4 draws; once
+    # its 256 grams are compiled a 512-step walk pushes 128 records.
+    gog = fresh_copy(SL2Z)
+    spec = warm_letter_walks(gog)
+    assert gen._walk_plan(gog, spec).gram == 4
+    fed = []
+    real = gen._push_picks
+
+    def counting(gog, steps, tail, records):
+        records = list(records)
+        fed.append(len(records))
+        return real(gog, steps, tail, records)
+
+    monkeypatch.setattr(gen, "_push_picks", counting)
+    spec = spec._replace(seed=99)
+    for lengths in ([512], [32, 128, 512]):
+        fed.clear()
+        assert walked(gog, spec, 0, lengths) == [
+            (n, oc.walk_from_identity(gog, spec, n, 0)) for n in lengths]
+        assert sum(fed) <= 128
+
+
+def test_grams_drawn_once_are_not_compiled(monkeypatch):
+    # On a fresh graph, a walk whose grams are all distinct compiles none:
+    # each is pushed as its single picks, and kept as drawn once.
+    gog = fresh_copy(SL2Z)
+    spec = letter_spec(gog, 1, 3)
+    plan = gen._walk_plan(gog, spec)
+    trial = next(t for t in itertools.count() if len(set(
+        gen._draws(random.Random(gen.splitmix64(spec.seed, t)).getrandbits,
+                   plan.denom, plan.cums, plan.tables, 32)[i:i + 4]
+        for i in range(0, 32, 4))) == 8)
+
+    def no_compiling(*args):
+        raise AssertionError("a gram drawn once was compiled")
+
+    monkeypatch.setattr(gen, "_compiled", no_compiling)
+    assert walked(gog, spec, trial, [8, 32]) == [
+        (n, oc.walk_from_identity(gog, spec, n, trial)) for n in (8, 32)]
+    assert len(plan.grams) == 8 and set(plan.grams.values()) == {None}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(SEAM)), size=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1),
+       lengths=st.lists(st.integers(0, 40), min_size=1, max_size=3),
+       walks=st.integers(1, 3))
+def test_a_gram_is_compiled_the_second_time_it_is_drawn(name, size, seed,
+                                                        lengths, walks):
+    # Grams are cut from the start of each segment; counting each gram's
+    # drawings over the walks in order, those drawn twice or more are
+    # compiled and those drawn once are only marked.  Small supports
+    # repeat grams inside one segment as well as across segments.
+    gog = fresh_copy(SEAM[name])
+    letters = letter_spec(gog, 1, seed).support
+    spec = gen.uniform_spec(gog, (letters * 2)[:size], 1, seed)
+    plan = gen._walk_plan(gog, spec)
+    k = plan.gram
+    wanted = sorted(set(lengths))
+    drawings = collections.Counter()
+    for trial in range(walks):
+        drawn = gen._draws(
+            random.Random(gen.splitmix64(spec.seed, trial)).getrandbits,
+            plan.denom, plan.cums, plan.tables, wanted[-1])
+        for lo, hi in zip([0, *wanted], wanted):
+            drawings.update(
+                int.from_bytes(drawn[i:i + k], sys.byteorder)
+                for i in range(lo, hi - k + 1, k))
+        assert walked(gog, spec, trial, wanted) == [
+            (n, oc.walk_from_identity(gog, spec, n, trial)) for n in wanted]
+    assert {key: count > 1 for key, count in drawings.items()} == {
+        key: compiled is not None for key, compiled in plan.grams.items()}
+
+
+def test_turns_read_no_neighbor_once_frames_exist(monkeypatch):
+    # The frame keeps the neighbor in each direction, so once it exists a
+    # Whitehead graph makes no neighbor product: on an sl2z experiment and
+    # on the counterexample's fills.
+    cex = load_group("counterexample")
+    rng = random.Random(4)
+    words = [nf(cex, random_letter_word(cex, rng, 8)) for _ in range(40)]
+    words = [g for g in words if bt.classify(cex, g).kind == "hyperbolic"]
+    spec = letter_spec(SL2Z, 4, 7)
+    want = (gen.run_genericity_experiment(SL2Z, spec, [8, 32]),
+            [gen.fills(cex, g) for g in words])
+    assert words
+
+    def no_neighbor(*args):
+        raise AssertionError("a Whitehead graph made a neighbor product")
+
+    monkeypatch.setattr(bt, "neighbor", no_neighbor)
+    assert (gen.run_genericity_experiment(SL2Z, spec, [8, 32]),
+            [gen.fills(cex, g) for g in words]) == want
 
 
 def no_products(*args):

@@ -998,13 +998,13 @@ LOOP = {**EDGE, "id": "l", "ends": ["vA", "vA"], "maps": [{"c": "a a"}] * 2}
     ({"edges": [{**EDGE, "ends": ["vA"]}]},
      "edge 'e' has bad endpoints " '["vA"]'),
     ({"edges": [{**EDGE, "maps": [{"d": "a a"}, {"c": "b b b"}]}]},
-     "injection names unknown generator 'd'"),
+     "edges[0].maps[0] names unknown generator 'd'"),
     ({"edges": [{**EDGE, "maps": [{"c": "q"}, {"c": "b b b"}]}]},
      "unknown generator 'q'"),
     ({"edges": [{**EDGE, "maps": [{"c": "^2"}, {"c": "b b b"}]}]},
      "malformed token '^2'"),
-    ({"edges": [{**EDGE, "maps": [{}, {"c": "b b b"}]}]},
-     "images must be given for exactly the declared generators"),
+    ({"edges": [{**EDGE, "maps": [{"c": "a a"}, {}]}]},
+     "edges[0].maps[1] has no field 'c'"),
 ], ids=["duplicate-vertex", "duplicate-edge", "edge-named-as-vertex",
         "tree-names-no-edge", "tree-loop", "tree-cycle", "one-endpoint",
         "injection-unknown-name", "injection-unknown-letter",

@@ -57,13 +57,16 @@ class Doc:
     optional lists the fields that have a default, keyed the fields whose
     object (or list of objects) maps names to values, each entry named
     where['key'], and free the fields whose contents are not read.
-    accepts maps a keyed field to the entry types it reads."""
+    accepts maps a keyed field to the entry types it reads, and required
+    lists the keyed fields whose every entry is required, so that a
+    missing one reads where has no field 'key'."""
 
     def __init__(self, name, data, read=None, argv=None, optional=(),
-                 keyed=(), free=(), accepts=None, root=()):
+                 keyed=(), free=(), accepts=None, root=(), required=()):
         self.name, self.data, self.read, self.argv = name, data, read, argv
         self.optional, self.keyed, self.free = (set(optional), set(keyed),
                                                 set(free))
+        self.required = set(required)
         self.accepts = accepts or {}
         self.root = root
 
@@ -90,7 +93,8 @@ def docs(rose):
                         group_argv, root=("vertices", 0, "group"),
                         **GROUP_SETS)))
     graph_sets = {**GROUP_SETS, "optional": GROUP_SETS["optional"] | {"tree"},
-                  "keyed": GROUP_SETS["keyed"] | {"maps"}}
+                  "keyed": GROUP_SETS["keyed"] | {"maps"},
+                  "required": {"maps"}}
     out += [
         ("graph", Doc("graph of groups", GRAPH, gw.gog_from_json, group_argv,
                       **graph_sets)),
@@ -170,6 +174,9 @@ def mutations(doc: Doc):
         for key, val in obj.items():
             sub = path + (key,)
             if keyed:
+                if keyed in doc.required:
+                    yield (f"delete {where}[{key!r}]", changed(sub, DELETE),
+                           f"{where} has no field {key!r}")
                 name = f"{where}[{key!r}]"
                 types = doc.accepts.get(keyed, ())
             else:

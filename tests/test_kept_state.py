@@ -170,6 +170,30 @@ def walk_op(gog, rng, seed):
     return op
 
 
+def measure_ops(gog, rng, seeds):
+    """One op per seed, each walking the same measure: the generator
+    letters and random loops, with random weights.  Each op runs an
+    experiment and three sample walks, so the second op reads the plan,
+    and the grams, that the first kept."""
+    raws = [raw_loop(gog, rng, rng.randint(0, 3))
+            for _ in range(rng.randint(0, 3))]
+    counts = [rng.randint(1, 3)
+              for _ in range(len(gw.generator_letters(gog)) + len(raws))]
+    weights = tuple(Fraction(k, sum(counts)) for k in counts)
+    length = rng.randint(0, 40)
+
+    def op_for(seed):
+        def op(g):
+            support = tuple(nf for _, nf in gw.generator_letters(g))
+            support += tuple(gw.normal_form(g, w) for w in raws)
+            spec = gen.RandomWalkSpec(support, weights, 2, seed)
+            return (gen.run_genericity_experiment(g, spec, [length // 2,
+                                                            length]),
+                    [gen.sample_walk(g, spec, length, t) for t in range(3)])
+        return op
+    return [op_for(seed) for seed in seeds]
+
+
 def fills_op(gog, rng):
     """The filling report of a product of two raw loops."""
     raws = [raw_loop(gog, rng, rng.randint(1, 3)) for _ in range(2)]
@@ -240,6 +264,12 @@ class KeptStateMachine(RuleBasedStateMachine):
     def walk(self, gog, seeds):
         for seed in seeds:
             self.record(walk_op(gog, random.Random(seed), seed), gog)
+
+    @rule(gog=graphs, seed=SEEDS,
+          seeds=st.lists(SEEDS, min_size=2, max_size=2, unique=True))
+    def walk_one_measure(self, gog, seed, seeds):
+        for op in measure_ops(gog, random.Random(seed), seeds):
+            self.record(op, gog)
 
     @rule(gog=graphs, seeds=SEED_RUNS)
     def fills(self, gog, seeds):

@@ -4,7 +4,10 @@ These deliberately avoid the algebraic distance and classification
 routines: distances are found by searching outward through neighbor
 lists, so they cross-check the normal-form projection independently.
 The axis-window oracle rebuilds every window vertex from a prefix product
-reduced from scratch, as the library did before its one-pass window.
+reduced from scratch, as the library did before its one-pass window, and
+direction reads the direction of a neighbor off the product of two coset
+representatives, as marked trees did before they read both ends of an
+edge off one product.
 """
 
 from __future__ import annotations
@@ -12,6 +15,16 @@ from __future__ import annotations
 import oracles as oc
 import vfree.bstree as bt
 import vfree.gogwords as gw
+
+
+def direction(gog, v, w):
+    """The direction at v of a neighbor w: the pair (t, r), with r in
+    gog.transversal(t), for which w = bt.neighbor(gog, v, r, t); None
+    when w is v.  Raises GogError when w is farther."""
+    p = gw.path_multiply(gog, gw.path_invert(gog, v.coset_rep), w.coset_rep)
+    if len(p.steps) > 1:
+        raise gw.GogError("vertices are not adjacent")
+    return (p.steps[0][1], p.steps[0][0]) if p.steps else None
 
 
 def bfs_distance(gog, src, dst, max_radius):
