@@ -94,8 +94,10 @@ from .gogwords import (
 
 BUILTIN_GROUPS = {"sl2z": build_sl2z, "counterexample": build_counterexample,
                   "z2z3": build_z2z3}
-"""The presentations named anywhere a group is read, each built by its
-constructor on every load."""
+"""The presentations named anywhere a group is read.  Each load makes a
+new graph, with new groups and injections, through the checked graph
+constructor; only the plain tables it is made from are built once per
+process (see gogwords._builtin_tables)."""
 
 WALK_STEP_CAP = 10**6
 """The most work `walk` accepts: --trials × Σ(n + 1) over the --lengths

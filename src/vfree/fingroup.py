@@ -29,16 +29,20 @@ kept on that object, filled on first use, and goes when the object goes.
   that is more than one of these is compiled once; and under
   (genericity._WALK_PLAN, support, weights) the plan of that walk
   measure: its compiled picks, step and byte tables, whether the
-  generation check passed, and its gram table, which fills as the
-  measure's walks draw grams.  No two such keys are
-  equal.  What a graph compiles at construction is not kept state; its
-  traversal records reference the coset data of its vertex groups.
+  generation check passed, its count of grams drawn, and its gram
+  table, which fills once that count passes the number of grams.  No
+  two such keys are equal.  What a graph compiles at construction is
+  not kept state; its traversal records reference the coset data of
+  its vertex groups.
 - A marked tree (folds) keeps nothing: the far image of each edge end
   is compiled where the tree comes in and moved by the fold that builds
   the next tree, so it is not kept state, and a marked tree is not
   changed after it is built.
 - functools.cache holds only plain values of its arguments (shapes, the
-  CLI parser) and defspace's catalog, whose groups live for the process.
+  CLI parser, and the tables, generator items, labels and injection
+  mappings of each builtin presentation, from which every load builds
+  new groups and a checked graph) and defspace's catalog, whose groups
+  live for the process.
 
 A kept fact never changes an answer: each call returns what it would
 with nothing kept.

@@ -24,10 +24,12 @@ as the top bytes of the words of batched getrandbits calls, so the
 walks are those of randrange.
 
 What a walk needs of its measure but the seed is kept on the graph, once
-per measure (_WalkPlan).  That includes grams: runs of a few draws, each
-compiled like a pick the second time it is drawn on the graph, so that
-on a graph that has walked the measure before, a segment of a walk
-pushes one record per gram rather than one per draw.
+per measure (_WalkPlan).  That includes grams: runs of a few draws,
+each compiled like a pick once the measure's walks on the graph have
+drawn more grams than there are, so that on a graph that has walked the
+measure for long, a segment of a walk pushes one record per gram rather
+than one per draw, and a graph that walks a few short walks compiles
+none.
 
 Every value type is a named tuple that hashes as the plain tuple of its
 fields and compares equal to it; a FillingReport is true when it fills.
@@ -567,20 +569,25 @@ class _WalkPlan:
     A gram is a run of `gram` consecutive draws, keyed by their bytes
     read as one unsigned integer (see _GRAM_CODES): gram = max(1, 8 //
     max(1, (s - 1).bit_length())) for a support of s elements, so there
-    are at most 256 grams and a support of more than 16 elements walks
-    by single picks (gram 1).  The gram table maps a gram drawn once to
-    None and a gram drawn again to its compiled pick: its single picks
-    pushed onto an empty normal form, compiled under the reduced loop's
-    (steps, tail) like any pick (see _compiled)."""
+    are s ** gram ≤ 256 grams and a support of more than 16 elements
+    walks by single picks (gram 1).  drawn counts the grams the plan's
+    walks have drawn, up to the first segment that takes it past s **
+    gram; until then every draw takes its single pick.  From that
+    segment on, the gram table maps each gram drawn to its compiled
+    pick: its single picks pushed onto an empty normal form, compiled
+    under the reduced loop's (steps, tail) like any pick (see
+    _compiled).  So a plan compiles at most as many grams as it has
+    drawn as single picks."""
 
     __slots__ = ("denom", "cums", "tables", "picks", "gram", "grams",
-                 "generates")
+                 "drawn", "generates")
 
     def __init__(self, denom: int, cums: list[int], tables, picks: list):
         self.denom, self.cums = denom, cums
         self.tables, self.picks = tables, picks
         self.gram = max(1, 8 // max(1, (len(picks) - 1).bit_length()))
         self.grams: dict = {}
+        self.drawn = 0
         self.generates = False
 
 
@@ -609,36 +616,30 @@ def _records(gog: GraphOfGroups, plan: _WalkPlan, drawn, lo: int,
              hi: int) -> list:
     """The compiled picks that multiply draws lo to hi of a walk onto it:
     one per gram of the segment, from its start, and one per draw left
-    over past the last whole gram.  A gram drawn for the first time on
-    the graph is marked and takes its single picks; the second time it
-    is compiled (see _WalkPlan).  When every gram is compiled already,
-    as on a graph that has walked the measure for long, the records are
-    read with one dict lookup per gram and no Python loop; when the
-    grams are distinct and each is drawn for the first time, as on a
-    fresh graph, they are marked and the segment is read as single
-    picks, again with no Python loop."""
+    over past the last whole gram.  Until the plan has drawn more grams
+    than there are, each draw takes its single pick with no Python loop
+    (see _WalkPlan); after that a gram not yet in the gram table is
+    compiled, and a segment whose grams are all compiled is read with
+    one dict lookup per gram and no Python loop."""
     pick = plan.picks.__getitem__
     k = plan.gram
     if k == 1:
         return list(map(pick, drawn[lo:hi]))
+    total = len(plan.picks) ** k
+    if plan.drawn <= total:
+        plan.drawn += (hi - lo) // k
+        if plan.drawn <= total:
+            return list(map(pick, drawn[lo:hi]))
     cut = hi - (hi - lo) % k
     keys = memoryview(drawn)[lo:cut].cast(_GRAM_CODES[k])
     grams = plan.grams
     records = list(map(grams.get, keys))
     if None in records:
-        new = dict.fromkeys(keys)
-        if len(new) == len(records) and grams.keys().isdisjoint(new):
-            grams.update(new)
-            return list(map(pick, drawn[lo:hi]))
         identity = gog.vertices[gog.base_vertex].identity
         records = []
         for key, i in zip(keys, range(lo, cut, k)):
             compiled = grams.get(key)
             if compiled is None:
-                if key not in grams:
-                    grams[key] = None
-                    records += map(pick, drawn[i:i + k])
-                    continue
                 steps: list = []
                 tail = _push_picks(gog, steps, identity,
                                    map(pick, drawn[i:i + k]))

@@ -45,6 +45,7 @@ expansion) is only compiled, through GraphOfGroups._built.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -632,9 +633,7 @@ def build_rose(letters: Sequence[str]) -> GraphOfGroups:
     return GraphOfGroups([vertex], edges, "v", set())
 
 
-def build_sl2z() -> GraphOfGroups:
-    """Z/4 amalgamated with Z/6 over Z/2: generators a (order 4), b (order 6),
-    with a^2 = b^3."""
+def _sl2z() -> GraphOfGroups:
     A = build_cyclic(4, "a")
     B = build_cyclic(6, "b")
     C = build_cyclic(2, "c")
@@ -651,16 +650,11 @@ def build_free_product(A: FiniteGroup, B: FiniteGroup) -> GraphOfGroups:
     return build_amalgam(A, B, C, iA, iB)
 
 
-def build_z2z3() -> GraphOfGroups:
-    """Z/2 * Z/3 with generators s (order 2) and t (order 3): PSL(2, Z)."""
+def _z2z3() -> GraphOfGroups:
     return build_free_product(build_cyclic(2, "s"), build_cyclic(3, "t"))
 
 
-def build_counterexample() -> GraphOfGroups:
-    """The virtually free group that is not ∃-homogeneous: A *_C B over
-    C = (Z/2)^4 with basis e1..e4, embedded as the normal subgroup of
-    A = C ⋊ (Z/2)^2, where x swaps e1, e2 and y swaps e3, e4, and of
-    B = C ⋊ Z/3, where z cycles e1, e2, e3."""
+def _counterexample() -> GraphOfGroups:
     C = build_boolean_vectors(4)
     A = build_semidirect(C, build_boolean_vectors(2, names=("x", "y")), {
         "x": basis_cycle_perm("(e1 e2)", 4),
@@ -672,6 +666,59 @@ def build_counterexample() -> GraphOfGroups:
     iB = GroupHom.from_generator_images(
         C, B, {n: B.generator(n) for n in C.generators})
     return build_amalgam(A, B, C, iA, iB)
+
+
+_BUILTIN_CONSTRUCTIONS = {"sl2z": _sl2z, "z2z3": _z2z3,
+                          "counterexample": _counterexample}
+
+
+@functools.cache
+def _builtin_tables(name: str) -> tuple:
+    """The plain data of the builtin amalgam `name`, as its construction
+    makes it, once per process: the (table, generator items, labels) of
+    the groups at vA, at vB and on the edge, and the mappings of the
+    edge's two injections.  Only tuples, ints and strings, so no group,
+    map or fact kept on one is shared between loads."""
+    gog = _BUILTIN_CONSTRUCTIONS[name]()
+    edge = gog.edges["e"]
+    return (tuple((g.table, tuple(g.generators.items()), g.labels)
+                  for g in (gog.vertices["vA"], gog.vertices["vB"],
+                            edge.group)),
+            tuple(hom.mapping for hom in edge.inj))
+
+
+def _builtin(name: str) -> GraphOfGroups:
+    """A new graph of the builtin `name`: new groups on its kept tables
+    (FiniteGroup._built), new injections, and the checked constructor."""
+    groups, mappings = _builtin_tables(name)
+    A, B, C = (FiniteGroup._built(table, dict(gens), labels)
+               for table, gens, labels in groups)
+    iA, iB = (GroupHom(C, X, mapping) for X, mapping in zip((A, B), mappings))
+    return build_amalgam(A, B, C, iA, iB)
+
+
+def build_sl2z() -> GraphOfGroups:
+    """Z/4 amalgamated with Z/6 over Z/2: generators a (order 4), b (order 6),
+    with a^2 = b^3.  A new graph on each call, on tables built once per
+    process (_builtin)."""
+    return _builtin("sl2z")
+
+
+def build_z2z3() -> GraphOfGroups:
+    """Z/2 * Z/3 with generators s (order 2) and t (order 3): PSL(2, Z).
+    A new graph on each call, on tables built once per process
+    (_builtin)."""
+    return _builtin("z2z3")
+
+
+def build_counterexample() -> GraphOfGroups:
+    """The virtually free group that is not ∃-homogeneous: A *_C B over
+    C = (Z/2)^4 with basis e1..e4, embedded as the normal subgroup of
+    A = C ⋊ (Z/2)^2, where x swaps e1, e2 and y swaps e3, e4, and of
+    B = C ⋊ Z/3, where z cycles e1, e2, e3.  A new graph on each call,
+    on tables built, and the action checked, once per process
+    (_builtin)."""
+    return _builtin("counterexample")
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -474,10 +474,56 @@ def test_builtin_equals_its_reference_build(name):
 
 @pytest.mark.parametrize("name", list(BUILTIN_GROUPS))
 def test_each_builtin_load_builds_a_new_graph(name):
-    # No caller's edits to a graph, or facts kept on it, reach another.
+    # No caller's edits to a graph, or facts kept on it, reach another:
+    # every group, injection and _facts dict of a load is its own.
     first, second = load_group(name), load_group(name)
-    assert first is not second
-    assert first.vertices["vA"] is not second.vertices["vA"]
+    assert first is not second and first._facts is not second._facts
+
+    def parts(gog):
+        e = gog.edges["e"]
+        groups = [*gog.vertices.values(), e.group]
+        return [*groups, *(g._facts for g in groups), *e.inj]
+
+    assert all(a is not b
+               for a, b in zip(parts(first), parts(second), strict=True))
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_GROUPS))
+def test_builtin_tables_hold_only_plain_values(name):
+    def plain(x):
+        return type(x) in (int, str) or \
+            type(x) is tuple and all(map(plain, x))
+
+    assert plain(gw._builtin_tables(name))
+
+
+def test_warm_counterexample_load_builds_no_table_but_checks_its_maps(
+        monkeypatch):
+    # The semidirect products and their actions are built and checked once
+    # per process; each load still checks both injections.
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    for module, name in [(gw, "build_semidirect"), (gw, "basis_cycle_perm"),
+                         (fg, "_is_automorphism_perm"), (gw, "check_hom")]:
+        counted(module, name)
+    warm = json.dumps(gw.gog_to_json(load_group("counterexample")))
+    calls.clear()
+    load_group("counterexample")
+    assert calls == {"check_hom": 2}
+    gw._builtin_tables.cache_clear()
+    calls.clear()
+    cold = json.dumps(gw.gog_to_json(load_group("counterexample")))
+    assert calls["build_semidirect"] == 2 and calls["basis_cycle_perm"] == 3
+    assert calls["_is_automorphism_perm"] == 3 and calls["check_hom"] >= 4
+    assert cold == warm
 
 
 @pytest.mark.parametrize("name", list(BUILTIN_DIGESTS))

@@ -694,10 +694,11 @@ def test_gram_walks_match_both_oracles(size, name, seed, big, lengths):
     # whose draws are a list, denominators on both sides of the byte
     # tables' bound of 255, and lengths that leave draws past the
     # last whole gram of a segment.  The walk is taken three times on a
-    # fresh graph, so its grams are first drawn, then compiled, then
-    # pushed compiled, and three times on a graph whose compiled picks two
-    # other measures on the same loops filled first; every walk equals
-    # the segment walk and the walk by products.
+    # fresh graph, and three times on a graph whose compiled picks two
+    # other measures on the same loops, walked until they compile grams,
+    # filled first; then twice more on the fresh graph once its plan
+    # compiles grams, so its grams are compiled, then pushed compiled.
+    # Every walk equals the segment walk and the walk by products.
     gog = SEAM[name]
     rng = random.Random(seed)
     base = gog.vertices[gog.base_vertex]
@@ -725,12 +726,24 @@ def test_gram_walks_match_both_oracles(size, name, seed, big, lengths):
     uniform = tuple(Fraction(1, size) for _ in support)
     for other in (letter_spec(used, 1, seed),
                   spec._replace(weights=uniform, seed=seed)):
-        for t in range(3):
-            walked(used, other, t, [70])
+        walk_until_compiling(used, other)
     for g in (fresh, used):
         assert gen._walk_plan(g, spec).gram == GRAM_SIZES[size]
         for _ in range(3):
             assert walked(g, spec, trial, wanted) == want
+    walk_until_compiling(fresh, spec)
+    for _ in range(2):
+        assert walked(fresh, spec, trial, wanted) == want
+
+
+def walk_until_compiling(gog, spec):
+    """Walks of the spec on gog, each 70 steps long, until its plan has
+    drawn more grams than there are, so that the next walk compiles."""
+    plan = gen._walk_plan(gog, spec)
+    trial = 0
+    while plan.gram > 1 and plan.drawn <= len(spec.support) ** plan.gram:
+        walked(gog, spec, trial % 3, [70])
+        trial += 1
 
 
 def warm_letter_walks(gog):
@@ -770,55 +783,57 @@ def test_warm_walk_pushes_one_record_per_gram(monkeypatch):
 
 
 def test_grams_drawn_once_are_not_compiled(monkeypatch):
-    # On a fresh graph, a walk whose grams are all distinct compiles none:
-    # each is pushed as its single picks, and kept as drawn once.
+    # On a fresh graph, a short walk compiles no gram: its plan has drawn
+    # 8 of the 256 grams of the letter measure, and each draw is pushed
+    # as its single pick.
     gog = fresh_copy(SL2Z)
     spec = letter_spec(gog, 1, 3)
     plan = gen._walk_plan(gog, spec)
-    trial = next(t for t in itertools.count() if len(set(
-        gen._draws(random.Random(gen.splitmix64(spec.seed, t)).getrandbits,
-                   plan.denom, plan.cums, plan.tables, 32)[i:i + 4]
-        for i in range(0, 32, 4))) == 8)
 
     def no_compiling(*args):
-        raise AssertionError("a gram drawn once was compiled")
+        raise AssertionError("a gram was compiled")
 
     monkeypatch.setattr(gen, "_compiled", no_compiling)
-    assert walked(gog, spec, trial, [8, 32]) == [
-        (n, oc.walk_from_identity(gog, spec, n, trial)) for n in (8, 32)]
-    assert len(plan.grams) == 8 and set(plan.grams.values()) == {None}
+    assert walked(gog, spec, 0, [8, 32]) == [
+        (n, oc.walk_from_identity(gog, spec, n, 0)) for n in (8, 32)]
+    assert (plan.drawn, plan.grams) == (8, {})
 
 
 @settings(max_examples=20, deadline=None)
 @given(name=st.sampled_from(sorted(SEAM)), size=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1),
-       lengths=st.lists(st.integers(0, 40), min_size=1, max_size=3),
-       walks=st.integers(1, 3))
-def test_a_gram_is_compiled_the_second_time_it_is_drawn(name, size, seed,
-                                                        lengths, walks):
-    # Grams are cut from the start of each segment; counting each gram's
-    # drawings over the walks in order, those drawn twice or more are
-    # compiled and those drawn once are only marked.  Small supports
-    # repeat grams inside one segment as well as across segments.
+       lengths=st.lists(st.integers(0, 64), min_size=1, max_size=3),
+       walks=st.integers(1, 40))
+def test_grams_are_compiled_once_more_are_drawn_than_there_are(
+        name, size, seed, lengths, walks):
+    # Grams are cut from the start of each segment; counting the grams of
+    # each segment over the walks in order, those of the segments up to
+    # the one that takes the count past the number of grams are pushed
+    # as single picks, and every gram of a later segment is compiled.
+    # Small supports repeat grams inside one segment as well as across
+    # segments, and cross the count within a few walks.
     gog = fresh_copy(SEAM[name])
     letters = letter_spec(gog, 1, seed).support
     spec = gen.uniform_spec(gog, (letters * 2)[:size], 1, seed)
     plan = gen._walk_plan(gog, spec)
     k = plan.gram
     wanted = sorted(set(lengths))
-    drawings = collections.Counter()
+    count, compiled = 0, set()
     for trial in range(walks):
         drawn = gen._draws(
             random.Random(gen.splitmix64(spec.seed, trial)).getrandbits,
             plan.denom, plan.cums, plan.tables, wanted[-1])
         for lo, hi in zip([0, *wanted], wanted):
-            drawings.update(
-                int.from_bytes(drawn[i:i + k], sys.byteorder)
-                for i in range(lo, hi - k + 1, k))
+            keys = [int.from_bytes(drawn[i:i + k], sys.byteorder)
+                    for i in range(lo, hi - k + 1, k)]
+            if count <= size ** k:
+                count += len(keys)
+            if count > size ** k:
+                compiled.update(keys)
         assert walked(gog, spec, trial, wanted) == [
             (n, oc.walk_from_identity(gog, spec, n, trial)) for n in wanted]
-    assert {key: count > 1 for key, count in drawings.items()} == {
-        key: compiled is not None for key, compiled in plan.grams.items()}
+    assert set(plan.grams) == compiled
+    assert None not in plan.grams.values()
 
 
 def test_turns_read_no_neighbor_once_frames_exist(monkeypatch):

@@ -43,7 +43,8 @@ BUILT_SLOTS = {fg.FiniteGroup: ("table", "order", "identity", "inverses",
                                   "_from_base", "_letter_home")}
 """The slots set at construction and never changed after it."""
 
-CACHES = (ds._shape_ends, ds._shape_tree, ds._canonical_shapes, cli._parser)
+CACHES = (ds._shape_ends, ds._shape_tree, ds._canonical_shapes, cli._parser,
+          gw._builtin_tables)
 """Every functools.cache in the package but ds._catalog; forget_kept_state
 clears each."""
 
@@ -174,7 +175,8 @@ def measure_ops(gog, rng, seeds):
     """One op per seed, each walking the same measure: the generator
     letters and random loops, with random weights.  Each op runs an
     experiment and three sample walks, so the second op reads the plan,
-    and the grams, that the first kept."""
+    its count of grams drawn and any grams compiled, that the first
+    kept."""
     raws = [raw_loop(gog, rng, rng.randint(0, 3))
             for _ in range(rng.randint(0, 3))]
     counts = [rng.randint(1, 3)
@@ -402,6 +404,9 @@ def test_forget_kept_state_knows_every_slot_and_cache():
     gen.sample_walk(gog, gen.uniform_spec(gog, ["a", "b"], 1, 0), 8, 0)
     ds.enumerate_reduced(2, 2, 3)
     cli._parser()
+    for name in cli.BUILTIN_GROUPS:
+        cli.load_group(name)
+    assert gw._builtin_tables.cache_info().currsize == len(cli.BUILTIN_GROUPS)
     assert all(getattr(obj, slot) == value for obj, slot, value in built)
     assert all(fn.cache_info().currsize for fn in CACHES)
     assert all(getattr(obj, slot) for obj in [gog, *gog.vertices.values()]
